@@ -2,7 +2,7 @@
 
 The entity's embedding is the input sequence itself: one channel of
 length ``dimension``, convolved with a bank of filters per kernel width
-(valid padding, ReLU, global max pool), concatenated, passed through one
+(valid padding, global max pool, ReLU), concatenated, passed through one
 fully connected ReLU layer and a sigmoid output layer. Targets are
 one-hot over the fine-grained classes and the loss is the mean per-class
 binary cross-entropy; evaluation takes the argmax.
@@ -15,7 +15,11 @@ scale on the model, so prediction applies the same conditioning;
 hand-constructed models default to the identity.
 
 Backpropagation is hand-rolled in numpy so the analytic gradients can be
-validated against central finite differences.
+validated against central finite differences. Conv pre-activations are laid
+out (N, F, P), so the max pool's argmax runs over the contiguous last axis.
+The ReLU follows the pool, which is exact as ReLU is monotone (a filter with
+every window <= 0 pools to 0 with zero gradient either way), so the backward
+pass gathers only the argmax window of each (n, f), as an (N, F, w) array.
 """
 
 from __future__ import annotations
@@ -184,12 +188,12 @@ class CnnModel:
         pooled_parts = []
         for w in self.config.kernel_widths:
             windows = sliding_window_view(inputs, w, axis=1)  # (N, P, w)
-            pre = windows @ self.conv_w[w].T + self.conv_b[w]  # (N, P, F)
-            act = np.maximum(pre, 0.0)
-            argmax = act.argmax(axis=1)  # (N, F); first index wins ties
-            pooled = np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :]
-            cache[w] = (windows, pre, argmax)
-            pooled_parts.append(pooled)
+            pre = np.matmul(self.conv_w[w], windows.transpose(0, 2, 1))  # (N, F, P)
+            pre += self.conv_b[w][:, None]  # in place: a fresh (N, F, P) array costs more
+            argmax = pre.argmax(axis=2)  # (N, F); first index wins ties
+            pooled_pre = np.take_along_axis(pre, argmax[:, :, None], axis=2)[:, :, 0]
+            cache[w] = (windows, pooled_pre, argmax)
+            pooled_parts.append(np.maximum(pooled_pre, 0.0))  # ReLU after the pool
         features = np.concatenate(pooled_parts, axis=1)  # (N, pooled_features)
         hidden_pre = features @ self.hidden_w + self.hidden_b
         hidden = np.maximum(hidden_pre, 0.0)
@@ -237,17 +241,13 @@ class CnnModel:
         grads["hidden_b"] = d_hidden_pre.sum(axis=0)
 
         d_features = d_hidden_pre @ self.hidden_w.T
-        offset = 0
-        filters = self.config.filters_per_width
-        for w in self.config.kernel_widths:
-            d_pool = d_features[:, offset : offset + filters]  # (N, F)
-            offset += filters
-            windows, pre, argmax = cache[w]
-            d_act = np.zeros_like(pre)
-            np.put_along_axis(d_act, argmax[:, None, :], d_pool[:, None, :], axis=1)
-            d_pre = d_act * (pre > 0.0)
-            grads[f"conv_w_{w}"] = np.einsum("npf,npw->fw", d_pre, windows)
-            grads[f"conv_b_{w}"] = d_pre.sum(axis=(0, 1))
+        widths = self.config.kernel_widths
+        for w, d_pool in zip(widths, np.split(d_features, len(widths), axis=1)):
+            windows, pooled_pre, argmax = cache[w]
+            d_pre = d_pool * (pooled_pre > 0.0)  # (N, F), masked by the ReLU
+            picked = windows[np.arange(n)[:, None], argmax]  # (N, F, w) argmax windows
+            grads[f"conv_w_{w}"] = np.einsum("nf,nfw->fw", d_pre, picked)
+            grads[f"conv_b_{w}"] = d_pre.sum(axis=0)
         return loss, grads
 
     def _persisted_arrays(self) -> list[tuple[str, np.ndarray]]:

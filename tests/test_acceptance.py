@@ -176,19 +176,27 @@ def _check_glove_gradients() -> tuple[float, int]:
 
 
 def _check_cnn_gradients() -> tuple[float, int]:
-    config = CnnConfig(kernel_widths=(3,), filters_per_width=2, hidden_units=2)
-    rng = np.random.default_rng(8)
+    # Two kernel widths exercise the per-width slices of the pooled features.
+    config = CnnConfig(kernel_widths=(3, 4), filters_per_width=2, hidden_units=2)
+    rng = np.random.default_rng(7)
     model = CnnModel.initialize(config, ["a", "b"], input_dim=8, rng=rng)
     inputs = rng.normal(0.0, 0.1, (4, 8))
     model.fit_conditioning(inputs)
     targets = np.zeros((4, 2))
     targets[[0, 1, 2, 3], [0, 1, 1, 0]] = 1.0
     _, grads = model.loss_and_grads(inputs, targets)
+    size = sum(a.size for _, a in model.parameter_arrays())
+    smallest = min(float(np.abs(g).min()) for g in grads.values())
+    acceptance(
+        smallest > 0.0,
+        f"cnn gradient-check instance is not vacuous: all {size} analytic gradient "
+        f"entries nonzero, smallest |grad| {smallest:.1e} (> 0)",
+    )
     loss = lambda: model.loss(inputs, targets)
     error = 0.0
     for name, array in model.parameter_arrays():
         error = max(error, _max_relative_error(grads[name], numeric_gradient(loss, array)))
-    return error, sum(a.size for _, a in model.parameter_arrays())
+    return error, size
 
 
 def test_gradient_checks_all_models():

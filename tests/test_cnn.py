@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import FixedVectors, assert_gradients_close
+from numpy.lib.stride_tricks import sliding_window_view
 
 from kgtyper.cnn import CnnConfig, CnnModel, train_cnn
 from kgtyper.errors import DataError
@@ -70,10 +71,11 @@ def test_default_config_pools_384_features():
 
 
 def test_gradient_check_two_classes_four_entities_dim_eight():
-    config = CnnConfig(kernel_widths=(3,), filters_per_width=2, hidden_units=2)
-    rng = np.random.default_rng(8)
+    # Two widths exercise the per-width slices of the pooled features.
+    config = CnnConfig(kernel_widths=(3, 4), filters_per_width=2, hidden_units=2)
+    rng = np.random.default_rng(7)
     model = CnnModel.initialize(config, ["a", "b"], input_dim=8, rng=rng)
-    # 6 + 2 + 4 + 2 + 4 + 2 = 20 parameters in total.
+    # 14 + 4 + 8 + 2 + 4 + 2 = 34 parameters in total.
     assert sum(a.size for _, a in model.parameter_arrays()) <= 50
 
     inputs = rng.normal(0.0, 1.0, size=(4, 8))
@@ -82,6 +84,9 @@ def test_gradient_check_two_classes_four_entities_dim_eight():
 
     loss, grads = model.loss_and_grads(inputs, targets)
     assert loss == pytest.approx(model.loss(inputs, targets))
+    # On seed 7 every unit is alive: a check over zero gradients proves nothing.
+    for name, grad in grads.items():
+        assert np.all(grad != 0.0), name
 
     eps = 1e-6
     for name, array in model.parameter_arrays():
@@ -123,6 +128,71 @@ def test_gradient_check_with_conditioning_active():
             array[index] = saved
             numeric[index] = (plus - minus) / (2 * eps)
         assert_gradients_close(grads[name], numeric)
+
+
+def dense_conv_reference(model: CnnModel, inputs: np.ndarray, targets: np.ndarray):
+    """Loss and gradients with the conv layer as a dense (N, P, F)
+    ReLU-then-pool forward and a dense scatter backward."""
+    x, filters = model.condition(inputs), model.config.filters_per_width
+    parts, dense = [], {}
+    for w in model.config.kernel_widths:
+        windows = sliding_window_view(x, w, axis=1)  # (N, P, w)
+        act = np.maximum(windows @ model.conv_w[w].T + model.conv_b[w], 0.0)  # (N, P, F)
+        argmax = act.argmax(axis=1)
+        parts.append(np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :])
+        dense[w] = (windows, act, argmax)
+    features = np.concatenate(parts, axis=1)
+    hidden_pre = features @ model.hidden_w + model.hidden_b
+    hidden = np.maximum(hidden_pre, 0.0)
+    logits = hidden @ model.out_w + model.out_b
+    loss = float(
+        (targets * np.logaddexp(0.0, -logits) + (1.0 - targets) * np.logaddexp(0.0, logits)).mean()
+    )
+    d_logits = (1.0 / (1.0 + np.exp(-logits)) - targets) / targets.size
+    d_hidden_pre = (d_logits @ model.out_w.T) * (hidden_pre > 0.0)
+    grads = {"out_w": hidden.T @ d_logits, "out_b": d_logits.sum(axis=0)}
+    grads.update(hidden_w=features.T @ d_hidden_pre, hidden_b=d_hidden_pre.sum(axis=0))
+    d_features = d_hidden_pre @ model.hidden_w.T
+    for k, w in enumerate(model.config.kernel_widths):
+        windows, act, argmax = dense[w]
+        d_act = np.zeros_like(act)
+        d_pool = d_features[:, k * filters : (k + 1) * filters]
+        np.put_along_axis(d_act, argmax[:, None, :], d_pool[:, None, :], axis=1)
+        d_pre = d_act * (act > 0.0)
+        grads[f"conv_w_{w}"] = np.einsum("npf,npw->fw", d_pre, windows)
+        grads[f"conv_b_{w}"] = d_pre.sum(axis=(0, 1))
+    return loss, grads
+
+
+def test_gathered_conv_step_equals_dense_reference():
+    config = CnnConfig()
+    rng = np.random.default_rng(3)
+    model = CnnModel.initialize(config, [f"c{i}" for i in range(10)], input_dim=100, rng=rng)
+    for w in config.kernel_widths:
+        model.conv_b[w][:] = rng.normal(0.0, 1.0, config.filters_per_width)
+    inputs = rng.normal(0.0, 1.0, size=(config.batch_size, 100))
+    inputs[1] *= 1e-3  # pre-activations ~ bias: filters with a negative bias stay <= 0
+    inputs[2] = 0.5  # constant row: every window of a filter ties
+    # Distinct windows 0 and 1 tie at the max of filter 0 (x0 - x2): the first must win.
+    model.conv_w[3][0] = [1.0, 0.0, -1.0]
+    inputs[3] = 0.0
+    inputs[3, :4] = [3.0, 2.0, 0.0, -1.0]
+    targets = np.zeros((config.batch_size, 10))
+    targets[np.arange(config.batch_size), rng.integers(0, 10, config.batch_size)] = 1.0
+    all_negative = [
+        (sliding_window_view(inputs[1], w) @ model.conv_w[w].T + model.conv_b[w]).max(axis=0) < 0
+        for w in config.kernel_widths
+    ]
+    assert all(mask.any() and not mask.all() for mask in all_negative)
+
+    loss, grads = model.loss_and_grads(inputs, targets)
+    ref_loss, ref_grads = dense_conv_reference(model, inputs, targets)
+    # Each element is summed in the same order on both paths: equal, not close.
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ref_grads[name]), name
+        assert np.any(grad != 0.0), name
 
 
 def separable_fixture(per_class: int = 10, dim: int = 12, seed: int = 0):
