@@ -20,16 +20,7 @@ from pathlib import Path
 
 from .cnn import CnnConfig, CnnModel, train_cnn
 from .corpus import build_vocabulary, read_corpus, triples_to_corpus, write_corpus
-from .embeddings import (
-    NGramConfig,
-    TrainingConfig,
-    build_cooccurrence,
-    load_embeddings,
-    save_embeddings,
-    train_cbow,
-    train_fasttext,
-    train_glove,
-)
+from .embeddings import NGramConfig, TrainingConfig, load_embeddings, save_embeddings
 from .errors import DataError, KgTyperError, NumericalError, StageError
 from .evaluation import (
     accuracy,
@@ -47,11 +38,9 @@ from .evaluation import (
 )
 from .graph import DEFAULT_ROOTS, KnowledgeGraph, build_hierarchy
 from .ntriples import RDF_TYPE, ParseStats, parse_ntriples_file, write_ntriples
-from .pipeline import TRAINERS, PipelineConfig, run_pipeline
+from .pipeline import TRAINERS, PipelineConfig, run_pipeline, train_embeddings
 from .similarity import build_class_vectors, fine_grained_candidates, similarity_rank
 from .synth import generate_synthetic_kg
-
-logger = logging.getLogger(__name__)
 
 ENV_PREFIX = "KGTYPER_"
 
@@ -168,18 +157,17 @@ def _training_config(args) -> TrainingConfig:
     )
 
 
+def _ngram_config(args) -> NGramConfig:
+    return NGramConfig(n_min=args.n_min, n_max=args.n_max, bucket_count=args.buckets)
+
+
 def _cmd_train_embeddings(args) -> int:
     corpus = read_corpus(args.infile)
     vocabulary = build_vocabulary(corpus, min_count=args.min_count)
     config = _training_config(args)
-    if args.model == "word2vec":
-        model = train_cbow(corpus, vocabulary, config)
-    elif args.model == "fasttext":
-        ngram = NGramConfig(n_min=args.n_min, n_max=args.n_max, bucket_count=args.buckets)
-        model = train_fasttext(corpus, vocabulary, config, ngram)
-    else:
-        cooccurrence = build_cooccurrence(corpus, vocabulary, config.window)
-        model = train_glove(cooccurrence, vocabulary, config, args.x_max, args.alpha)
+    model = train_embeddings(
+        args.model, corpus, vocabulary, config, _ngram_config(args), args.x_max, args.alpha
+    )
     save_embeddings(model, args.out)
     print(f"saved\t{len(vocabulary)}\tvectors\tdim\t{config.dimension}\t{args.out}")
     return EXIT_OK
@@ -294,11 +282,9 @@ def _cmd_compare_external(args) -> int:
     gold = read_label_map(args.dataset)
     external = read_label_map(args.external)
     report = external_overlap(gold, external)
-    inter_pct = 100.0 * report.intersection / report.our_entities if report.our_entities else 0.0
-    match_pct = 100.0 * report.matching_types / report.intersection if report.intersection else 0.0
     print(f"our_entities\t{report.our_entities}")
-    print(f"intersection\t{report.intersection}\t{inter_pct:.1f}%")
-    print(f"matching_types\t{report.matching_types}\t{match_pct:.1f}%")
+    print(f"intersection\t{report.intersection}\t{report.intersection_percentage:.1f}%")
+    print(f"matching_types\t{report.matching_types}\t{report.matching_percentage:.1f}%")
     return EXIT_OK
 
 
@@ -336,7 +322,7 @@ def _cmd_pipeline(args) -> int:
         hold_out_type_triples=not args.keep_type_triples,
         min_count=args.min_count,
         embedding=embedding,
-        ngram=NGramConfig(n_min=args.n_min, n_max=args.n_max, bucket_count=args.buckets),
+        ngram=_ngram_config(args),
         x_max=args.x_max,
         alpha=args.alpha,
         cnn=cnn,
@@ -393,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="skip malformed input lines with a warning",
     )
-    _opt(parser, "--jobs", type=int, default=1, help="worker count (stages run sequentially)")
     _opt(parser, "--verbose", action="store_true", default=False, help="log progress to stderr")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -520,11 +505,6 @@ def main(argv=None) -> int:
     if args.command is None:
         print("kgtyper: error: a subcommand is required", file=sys.stderr)
         return EXIT_USAGE
-    if args.jobs < 1:
-        print("kgtyper: error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.jobs > 1:
-        logger.info("stages run sequentially; --jobs %d has no effect", args.jobs)
 
     try:
         return args.handler(args)

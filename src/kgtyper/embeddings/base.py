@@ -9,7 +9,7 @@ drawn from the unigram distribution raised to 3/4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -122,33 +122,12 @@ def encode_corpus(corpus: Iterable[Sentence], vocab: Vocabulary) -> list[np.ndar
     return encoded
 
 
-def iter_positions(
-    encoded: Sequence[np.ndarray], window: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (center id, context ids) for every position with context."""
-    for ids in encoded:
-        n = len(ids)
-        for i in range(n):
-            context = np.concatenate((ids[max(0, i - window) : i], ids[i + 1 : i + 1 + window]))
-            if len(context):
-                yield int(ids[i]), context
-
-
 def _softplus(x: np.ndarray | float) -> np.ndarray | float:
     return np.logaddexp(0.0, x)
 
 
 def _sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
-
-
-def ns_position_loss(
-    hidden: np.ndarray, w_out: np.ndarray, center: int, negatives: np.ndarray
-) -> float:
-    """Negative-sampling loss of one position given its context average."""
-    s_pos = w_out[center] @ hidden
-    s_neg = w_out[negatives] @ hidden
-    return float(_softplus(-s_pos) + _softplus(s_neg).sum())
 
 
 def ns_position_grads(

@@ -1,19 +1,24 @@
 """Continuous bag-of-words trainer with negative sampling.
 
 One stochastic gradient step per token position: the in-window context
-input vectors are averaged, the center token is scored against that
-average through a sigmoid, and the negative-sampling objective
+inputs are composed into a hidden vector, the center token is scored
+against it through a sigmoid, and the negative-sampling objective
 
     L = -log sigmoid(u_c . h) - sum_n log sigmoid(-u_n . h)
 
-is minimized, with the context gradient split evenly over the averaged
-context rows. Training is single-threaded and bitwise deterministic for a
-fixed seed.
+is minimized, with the hidden gradient sent back to the rows the hidden
+vector came from. Training is single-threaded and bitwise deterministic
+for a fixed seed.
 
-The exported vector of a token is the sum of its input and output rows,
-the same convention the co-occurrence trainer uses for w + w-tilde; the
-sum averages out per-side sampling noise, which matters on small corpora
-where each entity token is seen only a handful of times.
+The loop here serves both CBOW and the subword trainer, which differ only
+in the input composition: CBOW averages the context words' input rows
+(``WordComposition``); the subword trainer composes each word from its
+word row and its character n-gram bucket rows (``fasttext.py``).
+
+The exported CBOW vector of a token is the sum of its input and output
+rows, the same convention the co-occurrence trainer uses for w + w-tilde;
+the sum averages out per-side sampling noise, which matters on small
+corpora where each entity token is seen only a handful of times.
 """
 
 from __future__ import annotations
@@ -30,76 +35,86 @@ from .base import (
     UnigramSampler,
     encode_corpus,
     init_input_vectors,
-    iter_positions,
     linear_lr,
     ns_position_grads,
-    ns_position_loss,
 )
 
-# A training sample freezes the sampled negatives together with the
-# position; the gradient check recomputes the loss from the same samples.
-Sample = tuple[int, np.ndarray, np.ndarray]  # (center, context ids, negative ids)
+
+class WordComposition:
+    """CBOW input: the mean of the context words' input rows.
+
+    A composition holds ``params``, the input-side arrays the hidden
+    vector is made from. ``hidden(context)`` composes the hidden vector;
+    ``descend(into, context, g_hidden, lr)`` subtracts ``lr`` times each
+    source row's share of ``g_hidden`` from the matching row of ``into``,
+    a tuple shaped like ``params``.
+    """
+
+    def __init__(self, w_in: np.ndarray):
+        self.params = (w_in,)
+
+    def hidden(self, context: np.ndarray) -> np.ndarray:
+        return self.params[0][context].mean(axis=0)
+
+    def descend(self, into, context, g_hidden, lr) -> None:
+        np.subtract.at(into[0], context, lr * g_hidden / len(context))
 
 
-def context_average(w_in: np.ndarray, context_ids: np.ndarray) -> np.ndarray:
-    """Mean of the context input vectors (the CBOW hidden state)."""
-    return w_in[context_ids].mean(axis=0)
+# (center id, context ids, negative ids): one position with its negatives
+# frozen, so the gradient check can recompute the loss from the same draw.
+Sample = tuple[int, np.ndarray, np.ndarray]
 
 
-def cbow_loss(w_in: np.ndarray, w_out: np.ndarray, samples: Sequence[Sample]) -> float:
-    """Total negative-sampling loss over fixed samples (for checking)."""
-    total = 0.0
-    for center, context, negatives in samples:
-        total += ns_position_loss(context_average(w_in, context), w_out, center, negatives)
-    return total
-
-
-def cbow_loss_and_grads(
-    w_in: np.ndarray, w_out: np.ndarray, samples: Sequence[Sample]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and dense analytic gradients over fixed samples."""
-    g_in = np.zeros_like(w_in)
+def loss_and_grads(
+    composition, w_out: np.ndarray, samples: Sequence[Sample]
+) -> tuple[float, tuple[np.ndarray, ...], np.ndarray]:
+    """Total loss plus dense gradients for ``composition.params`` and ``w_out``."""
+    g_params = tuple(np.zeros_like(p) for p in composition.params)
     g_out = np.zeros_like(w_out)
     total = 0.0
     for center, context, negatives in samples:
-        hidden = context_average(w_in, context)
         loss, g_hidden, g_center, g_negatives = ns_position_grads(
-            hidden, w_out, center, negatives
+            composition.hidden(context), w_out, center, negatives
         )
         total += loss
-        np.add.at(g_in, context, g_hidden / len(context))
+        composition.descend(g_params, context, g_hidden, -1.0)  # a step of -1 adds the gradient
         g_out[center] += g_center
         np.add.at(g_out, negatives, g_negatives)
-    return total, g_in, g_out
+    return total, g_params, g_out
 
 
-def train_cbow(
-    corpus: Iterable[Sentence], vocab: Vocabulary, config: TrainingConfig
-) -> EmbeddingMatrix:
-    """Train input/output vectors for every vocabulary token.
-
-    The learning rate decays linearly over ``total positions x epochs``
-    down to 1e-4 of the initial rate. Negatives drawn equal to the center
-    token are dropped for that step. Mean per-position loss is recorded
-    per epoch on the returned matrix, whose served vectors are the
-    input + output sums.
-    """
-    config.validate()
+def encode_training_corpus(corpus: Iterable[Sentence], vocab: Vocabulary) -> list[np.ndarray]:
+    """Encoded sentences, rejecting a corpus that leaves nothing to train."""
     sentences = list(corpus)
     if not sentences:
         raise DataError("cannot train on an empty corpus")
     if len(vocab) == 0:
         raise DataError("cannot train with an empty vocabulary")
     encoded = encode_corpus(sentences, vocab)
-    positions_per_epoch = sum(len(ids) for ids in encoded)
-    if positions_per_epoch == 0:
+    if not any(len(ids) for ids in encoded):
         raise DataError("corpus and vocabulary share no tokens")
+    return encoded
 
-    rng = np.random.default_rng(config.seed)
-    w_in = init_input_vectors(rng, len(vocab), config.dimension)
+
+def train_negative_sampling(
+    encoded: Sequence[np.ndarray],
+    vocab: Vocabulary,
+    config: TrainingConfig,
+    rng: np.random.Generator,
+    composition,
+) -> tuple[np.ndarray, list[float]]:
+    """Train ``composition.params`` in place; return the output rows and epoch losses.
+
+    The learning rate decays linearly over ``total positions x epochs``
+    down to 1e-4 of the initial rate. Negatives drawn equal to the center
+    token are dropped for that step. The mean per-position loss is
+    recorded per epoch.
+    """
     w_out = np.zeros((len(vocab), config.dimension))
     sampler = UnigramSampler(vocab)
-    total_steps = positions_per_epoch * config.epochs
+    total_steps = sum(len(ids) for ids in encoded) * config.epochs
+    hidden, descend, params = composition.hidden, composition.descend, composition.params
+    window, negatives_per_step = config.window, config.negative_samples
 
     step = 0
     epoch_losses: list[float] = []
@@ -111,25 +126,39 @@ def train_cbow(
             for i in range(n):
                 lr = linear_lr(config.initial_learning_rate, step, total_steps)
                 step += 1
-                context = np.concatenate(
-                    (ids[max(0, i - config.window) : i], ids[i + 1 : i + 1 + config.window])
-                )
+                context = np.concatenate((ids[max(0, i - window) : i], ids[i + 1 : i + 1 + window]))
                 if not len(context):
                     continue
                 center = int(ids[i])
-                negatives = sampler.draw(rng, config.negative_samples)
+                negatives = sampler.draw(rng, negatives_per_step)
                 negatives = negatives[negatives != center]
-                hidden = context_average(w_in, context)
                 loss, g_hidden, g_center, g_negatives = ns_position_grads(
-                    hidden, w_out, center, negatives
+                    hidden(context), w_out, center, negatives
                 )
                 w_out[center] -= lr * g_center
                 np.subtract.at(w_out, negatives, lr * g_negatives)
-                np.subtract.at(w_in, context, lr * g_hidden / len(context))
+                descend(params, context, g_hidden, lr)
                 epoch_loss += loss
                 trained += 1
         epoch_losses.append(epoch_loss / max(trained, 1))
+    return w_out, epoch_losses
 
+
+def train_cbow(
+    corpus: Iterable[Sentence], vocab: Vocabulary, config: TrainingConfig
+) -> EmbeddingMatrix:
+    """Train input/output vectors for every vocabulary token.
+
+    The returned matrix serves the input + output sums and records the
+    mean per-position loss of each epoch.
+    """
+    config.validate()
+    encoded = encode_training_corpus(corpus, vocab)
+    rng = np.random.default_rng(config.seed)
+    w_in = init_input_vectors(rng, len(vocab), config.dimension)
+    w_out, epoch_losses = train_negative_sampling(
+        encoded, vocab, config, rng, WordComposition(w_in)
+    )
     matrix = EmbeddingMatrix(w_in + w_out, w_out, vocab, epoch_losses)
     matrix.check_finite()
     return matrix

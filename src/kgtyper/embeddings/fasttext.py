@@ -20,18 +20,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..corpus import Sentence, Vocabulary
-from ..errors import DataError, NumericalError
-from .base import (
-    EmbeddingMatrix,
-    TokenNotFoundError,
-    TrainingConfig,
-    UnigramSampler,
-    encode_corpus,
-    init_input_vectors,
-    linear_lr,
-    ns_position_grads,
-    ns_position_loss,
-)
+from ..errors import NumericalError
+from .base import EmbeddingMatrix, TokenNotFoundError, TrainingConfig, init_input_vectors
+from .cbow import encode_training_corpus, train_negative_sampling
 
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
@@ -143,62 +134,37 @@ class FastTextEmbeddings:
         return self.ngrams.ngram_mean(token)
 
 
-def compose_inputs(
-    w_word: np.ndarray, buckets: np.ndarray, token_buckets: Sequence[np.ndarray], ids: np.ndarray
-) -> np.ndarray:
-    """Composed input vectors for the given token ids, one row per id."""
-    rows = np.empty((len(ids), w_word.shape[1]))
-    for row, token_id in enumerate(ids):
-        idx = token_buckets[token_id]
-        rows[row] = (w_word[token_id] + buckets[idx].sum(axis=0)) / (1 + len(idx))
-    return rows
+class SubwordComposition:
+    """fastText input: each context word is the mean of its word row and its
+    n-gram bucket rows, and the hidden vector is the mean over the context.
 
+    Follows the composition contract of ``cbow.WordComposition``; the
+    hidden gradient reaches the word row and every bucket row of a context
+    word, scaled by both means.
+    """
 
-Sample = tuple[int, np.ndarray, np.ndarray]  # (center, context ids, negative ids)
+    def __init__(
+        self, w_word: np.ndarray, buckets: np.ndarray, token_buckets: Sequence[np.ndarray]
+    ):
+        self.params = (w_word, buckets)
+        self.token_buckets = token_buckets
 
+    def hidden(self, context: np.ndarray) -> np.ndarray:
+        w_word, buckets = self.params
+        rows = np.empty((len(context), w_word.shape[1]))
+        for row, token_id in enumerate(context):
+            idx = self.token_buckets[token_id]
+            rows[row] = (w_word[token_id] + buckets[idx].sum(axis=0)) / (1 + len(idx))
+        return rows.mean(axis=0)
 
-def fasttext_loss(
-    w_word: np.ndarray,
-    buckets: np.ndarray,
-    w_out: np.ndarray,
-    token_buckets: Sequence[np.ndarray],
-    samples: Sequence[Sample],
-) -> float:
-    """Total loss over fixed samples (for the finite-difference check)."""
-    total = 0.0
-    for center, context, negatives in samples:
-        hidden = compose_inputs(w_word, buckets, token_buckets, context).mean(axis=0)
-        total += ns_position_loss(hidden, w_out, center, negatives)
-    return total
-
-
-def fasttext_loss_and_grads(
-    w_word: np.ndarray,
-    buckets: np.ndarray,
-    w_out: np.ndarray,
-    token_buckets: Sequence[np.ndarray],
-    samples: Sequence[Sample],
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss plus dense gradients for word, bucket, and output matrices."""
-    g_word = np.zeros_like(w_word)
-    g_buckets = np.zeros_like(buckets)
-    g_out = np.zeros_like(w_out)
-    total = 0.0
-    for center, context, negatives in samples:
-        hidden = compose_inputs(w_word, buckets, token_buckets, context).mean(axis=0)
-        loss, g_hidden, g_center, g_negatives = ns_position_grads(
-            hidden, w_out, center, negatives
-        )
-        total += loss
-        g_out[center] += g_center
-        np.add.at(g_out, negatives, g_negatives)
+    def descend(self, into, context, g_hidden, lr) -> None:
+        w_word, buckets = into
         g_context = g_hidden / len(context)
         for token_id in context:
-            idx = token_buckets[token_id]
-            share = g_context / (1 + len(idx))
-            g_word[token_id] += share
-            np.add.at(g_buckets, idx, share)
-    return total, g_word, g_buckets, g_out
+            idx = self.token_buckets[token_id]
+            share = lr * g_context / (1 + len(idx))
+            w_word[token_id] -= share
+            np.subtract.at(buckets, idx, share)
 
 
 def train_fasttext(
@@ -215,59 +181,15 @@ def train_fasttext(
     config.validate()
     ngram_config = ngram_config or NGramConfig()
     ngram_config.validate()
-    sentences = list(corpus)
-    if not sentences:
-        raise DataError("cannot train on an empty corpus")
-    if len(vocab) == 0:
-        raise DataError("cannot train with an empty vocabulary")
-    encoded = encode_corpus(sentences, vocab)
-    positions_per_epoch = sum(len(ids) for ids in encoded)
-    if positions_per_epoch == 0:
-        raise DataError("corpus and vocabulary share no tokens")
-
+    encoded = encode_training_corpus(corpus, vocab)
     rng = np.random.default_rng(config.seed)
     w_word = init_input_vectors(rng, len(vocab), config.dimension)
     buckets = init_input_vectors(rng, ngram_config.bucket_count, config.dimension)
-    w_out = np.zeros((len(vocab), config.dimension))
     table = NGramTable(ngram_config, buckets)
     token_buckets = [table.bucket_indices(vocab.token_of(i)) for i in range(len(vocab))]
-    sampler = UnigramSampler(vocab)
-    total_steps = positions_per_epoch * config.epochs
-
-    step = 0
-    epoch_losses: list[float] = []
-    for _ in range(config.epochs):
-        epoch_loss = 0.0
-        trained = 0
-        for ids in encoded:
-            n = len(ids)
-            for i in range(n):
-                lr = linear_lr(config.initial_learning_rate, step, total_steps)
-                step += 1
-                context = np.concatenate(
-                    (ids[max(0, i - config.window) : i], ids[i + 1 : i + 1 + config.window])
-                )
-                if not len(context):
-                    continue
-                center = int(ids[i])
-                negatives = sampler.draw(rng, config.negative_samples)
-                negatives = negatives[negatives != center]
-                hidden = compose_inputs(w_word, buckets, token_buckets, context).mean(axis=0)
-                loss, g_hidden, g_center, g_negatives = ns_position_grads(
-                    hidden, w_out, center, negatives
-                )
-                w_out[center] -= lr * g_center
-                np.subtract.at(w_out, negatives, lr * g_negatives)
-                g_context = g_hidden / len(context)
-                for token_id in context:
-                    idx = token_buckets[token_id]
-                    share = lr * g_context / (1 + len(idx))
-                    w_word[token_id] -= share
-                    np.subtract.at(buckets, idx, share)
-                epoch_loss += loss
-                trained += 1
-        epoch_losses.append(epoch_loss / max(trained, 1))
-
+    w_out, epoch_losses = train_negative_sampling(
+        encoded, vocab, config, rng, SubwordComposition(w_word, buckets, token_buckets)
+    )
     matrix = EmbeddingMatrix(w_word, w_out, vocab, epoch_losses)
     matrix.check_finite()
     if not np.all(np.isfinite(buckets)):

@@ -83,23 +83,6 @@ def glove_weight(x: float, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_
     return (x / x_max) ** alpha if x < x_max else 1.0
 
 
-def glove_loss(
-    w: np.ndarray,
-    wt: np.ndarray,
-    b: np.ndarray,
-    bt: np.ndarray,
-    entries: list[tuple[int, int, float]],
-    x_max: float = DEFAULT_X_MAX,
-    alpha: float = DEFAULT_ALPHA,
-) -> float:
-    """Total weighted squared error over the given entries."""
-    total = 0.0
-    for i, j, x in entries:
-        diff = w[i] @ wt[j] + b[i] + bt[j] - math.log(x)
-        total += glove_weight(x, x_max, alpha) * diff * diff
-    return total
-
-
 def glove_loss_and_grads(
     w: np.ndarray,
     wt: np.ndarray,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cnn import CnnConfig, CnnModel, train_cnn
-from .corpus import build_vocabulary, read_corpus, triples_to_corpus, write_corpus
+from .corpus import Vocabulary, build_vocabulary, read_corpus, triples_to_corpus, write_corpus
 from .embeddings import (
     NGramConfig,
     TrainingConfig,
@@ -145,18 +145,33 @@ def _corpus(config: PipelineConfig, kg: KnowledgeGraph) -> list:
     return build.sentences
 
 
+def train_embeddings(
+    trainer: str,
+    sentences: list,
+    vocab: Vocabulary,
+    embedding: TrainingConfig,
+    ngram: NGramConfig,
+    x_max: float,
+    alpha: float,
+):
+    """Train the embedding model named by ``trainer`` (one of ``TRAINERS``)."""
+    if trainer == "word2vec":
+        return train_cbow(sentences, vocab, embedding)
+    if trainer == "fasttext":
+        return train_fasttext(sentences, vocab, embedding, ngram)
+    cooc = build_cooccurrence(sentences, vocab, embedding.window)
+    return train_glove(cooc, vocab, embedding, x_max, alpha)
+
+
 @_stage("embed")
 def _embed(config: PipelineConfig, sentences: list):
     path = config.path("vectors.txt")
     if not (config.resume and path.exists()):
         vocab = build_vocabulary(sentences, min_count=config.min_count)
-        if config.trainer == "word2vec":
-            model = train_cbow(sentences, vocab, config.embedding)
-        elif config.trainer == "fasttext":
-            model = train_fasttext(sentences, vocab, config.embedding, config.ngram)
-        else:
-            cooc = build_cooccurrence(sentences, vocab, config.embedding.window)
-            model = train_glove(cooc, vocab, config.embedding, config.x_max, config.alpha)
+        model = train_embeddings(
+            config.trainer, sentences, vocab, config.embedding, config.ngram,
+            config.x_max, config.alpha,
+        )
         save_embeddings(model, path)
     # Downstream stages consume the persisted text format, resumed or not.
     return load_embeddings(path)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kgtyper.embeddings.cbow import loss_and_grads
 from kgtyper.graph import KnowledgeGraph, build_hierarchy
 from kgtyper.ntriples import parse_ntriples
 
@@ -143,3 +144,16 @@ def assert_gradients_close(
     relative = np.abs(analytic - numeric) / scale
     worst = float(relative.max()) if relative.size else 0.0
     assert worst < tolerance, f"worst relative gradient error {worst:.3e}"
+
+
+def check_composition_gradients(composition, w_out: np.ndarray, samples) -> None:
+    """Check the negative-sampling ``loss_and_grads`` of ``composition``: every
+    analytic gradient entry is nonzero and matches central differences."""
+    _, g_params, g_out = loss_and_grads(composition, w_out, samples)
+
+    def loss():
+        return loss_and_grads(composition, w_out, samples)[0]
+
+    for analytic, array in zip((*g_params, g_out), (*composition.params, w_out)):
+        assert np.all(analytic != 0.0), "a parameter row gets no gradient"
+        assert_gradients_close(analytic, numeric_gradient(loss, array))

@@ -49,9 +49,9 @@ from kgtyper import (
     write_ntriples,
 )
 from kgtyper.cnn import CnnModel
-from kgtyper.embeddings.cbow import cbow_loss, cbow_loss_and_grads
-from kgtyper.embeddings.fasttext import fasttext_loss, fasttext_loss_and_grads
-from kgtyper.embeddings.glove import glove_loss, glove_loss_and_grads
+from kgtyper.embeddings.cbow import WordComposition, loss_and_grads
+from kgtyper.embeddings.fasttext import SubwordComposition
+from kgtyper.embeddings.glove import glove_loss_and_grads
 
 # Free knobs of the synthetic experiment, frozen after validating the
 # thresholds with a nearest-centroid oracle (Hits@1 ~ 0.95, Hits@3 = 1.0
@@ -117,6 +117,24 @@ def _max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(relative.max()) if relative.size else 0.0
 
 
+def _check_ns_gradients(name: str, composition, w_out, samples) -> tuple[float, int]:
+    """Shared negative-sampling objective under one input composition."""
+    _, g_params, g_out = loss_and_grads(composition, w_out, samples)
+    pairs = list(zip((*g_params, g_out), (*composition.params, w_out)))
+    size = sum(array.size for _, array in pairs)
+    smallest = min(float(np.abs(analytic).min()) for analytic, _ in pairs)
+    acceptance(
+        smallest > 0.0,
+        f"{name} gradient-check instance is not vacuous: all {size} analytic gradient "
+        f"entries nonzero, smallest |grad| {smallest:.1e} (> 0)",
+    )
+    loss = lambda: loss_and_grads(composition, w_out, samples)[0]
+    error = max(
+        _max_relative_error(analytic, numeric_gradient(loss, array)) for analytic, array in pairs
+    )
+    return error, size
+
+
 def _check_cbow_gradients() -> tuple[float, int]:
     rng = np.random.default_rng(3)
     w_in = rng.normal(0.0, 0.1, (5, 5))
@@ -124,14 +142,9 @@ def _check_cbow_gradients() -> tuple[float, int]:
     samples = [
         (0, np.array([1, 2]), np.array([3, 4])),
         (2, np.array([0, 4]), np.array([1, 1])),  # repeated negative
+        (4, np.array([3]), np.array([0, 2])),
     ]
-    _, g_in, g_out = cbow_loss_and_grads(w_in, w_out, samples)
-    loss = lambda: cbow_loss(w_in, w_out, samples)
-    error = max(
-        _max_relative_error(g_in, numeric_gradient(loss, w_in)),
-        _max_relative_error(g_out, numeric_gradient(loss, w_out)),
-    )
-    return error, w_in.size + w_out.size
+    return _check_ns_gradients("cbow", WordComposition(w_in), w_out, samples)
 
 
 def _check_fasttext_gradients() -> tuple[float, int]:
@@ -139,21 +152,13 @@ def _check_fasttext_gradients() -> tuple[float, int]:
     w_word = rng.normal(0.0, 0.1, (2, 2))
     buckets = rng.normal(0.0, 0.1, (5, 2))
     w_out = rng.normal(0.0, 0.1, (2, 2))
-    token_buckets = [np.array([0, 2, 3]), np.array([1, 2])]
+    token_buckets = [np.array([0, 2, 3]), np.array([1, 2, 4])]
     samples = [
         (1, np.array([0]), np.array([0, 1])),
         (0, np.array([1]), np.array([1, 1])),
     ]
-    _, g_word, g_buckets, g_out = fasttext_loss_and_grads(
-        w_word, buckets, w_out, token_buckets, samples
-    )
-    loss = lambda: fasttext_loss(w_word, buckets, w_out, token_buckets, samples)
-    error = max(
-        _max_relative_error(g_word, numeric_gradient(loss, w_word)),
-        _max_relative_error(g_buckets, numeric_gradient(loss, buckets)),
-        _max_relative_error(g_out, numeric_gradient(loss, w_out)),
-    )
-    return error, w_word.size + buckets.size + w_out.size
+    composition = SubwordComposition(w_word, buckets, token_buckets)
+    return _check_ns_gradients("fasttext", composition, w_out, samples)
 
 
 def _check_glove_gradients() -> tuple[float, int]:
@@ -165,7 +170,7 @@ def _check_glove_gradients() -> tuple[float, int]:
     # 120 sits above the default x_max, exercising the saturated weight.
     entries = [(0, 1, 2.0), (1, 2, 0.5), (0, 0, 1.5), (2, 1, 120.0)]
     _, g_w, g_wt, g_b, g_bt = glove_loss_and_grads(w, wt, b, bt, entries)
-    loss = lambda: glove_loss(w, wt, b, bt, entries)
+    loss = lambda: glove_loss_and_grads(w, wt, b, bt, entries)[0]
     error = max(
         _max_relative_error(g_w, numeric_gradient(loss, w)),
         _max_relative_error(g_wt, numeric_gradient(loss, wt)),

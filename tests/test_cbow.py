@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import assert_gradients_close, numeric_gradient
+from conftest import check_composition_gradients
 
 from kgtyper.corpus import build_vocabulary
-from kgtyper.embeddings import TokenNotFoundError, TrainingConfig, train_cbow
+from kgtyper.embeddings import (
+    NGramConfig,
+    TokenNotFoundError,
+    TrainingConfig,
+    train_cbow,
+    train_fasttext,
+)
 from kgtyper.embeddings.base import UnigramSampler, encode_corpus, linear_lr
-from kgtyper.embeddings.cbow import cbow_loss, cbow_loss_and_grads, context_average
+from kgtyper.embeddings.cbow import WordComposition
 from kgtyper.errors import DataError
 
 
@@ -31,12 +37,12 @@ def corpus200():
 def test_context_average_is_row_mean():
     w_in = np.arange(12, dtype=np.float64).reshape(4, 3)
     context = np.array([0, 2])
-    assert np.allclose(context_average(w_in, context), (w_in[0] + w_in[2]) / 2)
+    assert np.allclose(WordComposition(w_in).hidden(context), (w_in[0] + w_in[2]) / 2)
 
 
 def test_context_average_single_token_is_that_row():
     w_in = np.arange(12, dtype=np.float64).reshape(4, 3)
-    assert np.array_equal(context_average(w_in, np.array([3])), w_in[3])
+    assert np.array_equal(WordComposition(w_in).hidden(np.array([3])), w_in[3])
 
 
 def frozen_samples():
@@ -52,15 +58,7 @@ def test_gradient_check_hand_samples():
     rng = np.random.default_rng(7)
     w_in = rng.normal(0.0, 0.5, size=(5, 5))
     w_out = rng.normal(0.0, 0.5, size=(5, 5))
-    samples = frozen_samples()
-
-    loss, g_in, g_out = cbow_loss_and_grads(w_in, w_out, samples)
-    assert loss == pytest.approx(cbow_loss(w_in, w_out, samples))
-
-    numeric_in = numeric_gradient(lambda: cbow_loss(w_in, w_out, samples), w_in)
-    numeric_out = numeric_gradient(lambda: cbow_loss(w_in, w_out, samples), w_out)
-    assert_gradients_close(g_in, numeric_in)
-    assert_gradients_close(g_out, numeric_out)
+    check_composition_gradients(WordComposition(w_in), w_out, frozen_samples())
 
 
 def test_gradient_check_from_ten_sentence_corpus():
@@ -91,11 +89,41 @@ def test_gradient_check_from_ten_sentence_corpus():
     w_in = init.normal(0.0, 0.3, size=(5, 5))
     w_out = init.normal(0.0, 0.3, size=(5, 5))
 
-    _, g_in, g_out = cbow_loss_and_grads(w_in, w_out, samples)
-    numeric_in = numeric_gradient(lambda: cbow_loss(w_in, w_out, samples), w_in)
-    numeric_out = numeric_gradient(lambda: cbow_loss(w_in, w_out, samples), w_out)
-    assert_gradients_close(g_in, numeric_in)
-    assert_gradients_close(g_out, numeric_out)
+    check_composition_gradients(WordComposition(w_in), w_out, samples)
+
+
+def mixed_length_corpus():
+    """Sentences of 1, 2 and 5 tokens: with window 2 the contexts hold 0, 1,
+    2, 3 and 4 tokens."""
+    rng = np.random.default_rng(8)
+    tokens = [f"tok{i}" for i in range(7)]
+    return [
+        tuple(tokens[j] for j in rng.integers(0, len(tokens), size=(1, 2, 5)[k % 3]))
+        for k in range(60)
+    ]
+
+
+@pytest.mark.parametrize(
+    "train",
+    [
+        lambda corpus, vocab, config: train_cbow(corpus, vocab, config),
+        lambda corpus, vocab, config: train_fasttext(
+            corpus, vocab, config, NGramConfig(2, 4, 53)
+        ).matrix,
+    ],
+    ids=["cbow", "fasttext"],
+)
+def test_mixed_sentence_lengths_train_bitwise_reproducibly(train):
+    corpus = mixed_length_corpus()
+    vocab = build_vocabulary(corpus)
+    config = TrainingConfig(dimension=6, window=2, epochs=3, seed=4)
+    first = train(corpus, vocab, config)
+    second = train(corpus, vocab, config)
+    assert np.all(np.isfinite(first.input_vectors))
+    assert np.all(np.isfinite(first.epoch_losses))
+    assert np.array_equal(first.input_vectors, second.input_vectors)
+    assert np.array_equal(first.output_vectors, second.output_vectors)
+    assert first.epoch_losses == second.epoch_losses
 
 
 def test_epoch_loss_decreases_over_training(corpus200):

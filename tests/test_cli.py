@@ -323,11 +323,10 @@ def test_compare_external_counts(capsys, workspace, tmp_path):
         "--dataset", str(workspace["gold"]),
     )
     assert code == 0
-    rows = table(out)
-    assert rows["our_entities"] == "24"
-    assert rows["intersection"] == "2"
-    assert rows["matching_types"] == "1"
-    assert "%" in out
+    rows = {line.split("\t")[0]: line.split("\t")[1:] for line in out.splitlines()}
+    assert rows["our_entities"] == ["24"]
+    assert rows["intersection"] == ["2", "8.3%"]
+    assert rows["matching_types"] == ["1", "50.0%"]
 
 
 def test_synth_is_deterministic(capsys, tmp_path):
@@ -382,17 +381,6 @@ def test_unparseable_environment_value_is_usage_error(capsys, monkeypatch):
     code, _, err = run(capsys, "train-embeddings", "--in", "x", "--out", "y")
     assert code == 1
     assert "KGTYPER_DIM" in err
-
-
-def test_jobs_zero_rejected(capsys, lawfirm_file):
-    code, _, err = run(capsys, "--jobs", "0", "ingest", "--in", str(lawfirm_file))
-    assert code == 1
-    assert "--jobs" in err
-
-
-def test_jobs_above_one_accepted(capsys, lawfirm_file):
-    code, _, _ = run(capsys, "--jobs", "4", "ingest", "--in", str(lawfirm_file))
-    assert code == 0
 
 
 def test_seed_changes_vectors(capsys, workspace, tmp_path):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import assert_gradients_close, numeric_gradient
+from conftest import check_composition_gradients
 
 from kgtyper.corpus import build_vocabulary
 from kgtyper.embeddings import (
@@ -14,12 +14,7 @@ from kgtyper.embeddings import (
     TrainingConfig,
     train_fasttext,
 )
-from kgtyper.embeddings.fasttext import (
-    fasttext_loss,
-    fasttext_loss_and_grads,
-    fnv1a_32,
-    ngrams_of,
-)
+from kgtyper.embeddings.fasttext import SubwordComposition, fnv1a_32, ngrams_of
 from kgtyper.errors import DataError
 
 
@@ -134,32 +129,20 @@ def test_oov_without_extractable_ngrams_raises():
 
 
 def test_gradient_check_word_buckets_and_output():
-    config = NGramConfig(n_min=2, n_max=2, bucket_count=5)
+    config = NGramConfig(n_min=2, n_max=3, bucket_count=5)
     rng = np.random.default_rng(9)
     w_word = rng.normal(0.0, 0.4, size=(2, 2))
     buckets = rng.normal(0.0, 0.4, size=(5, 2))
     w_out = rng.normal(0.0, 0.4, size=(2, 2))
-    # 4 + 10 + 4 = 18 parameters in total.
+    # 4 + 10 + 4 = 18 parameters in total; "ab" and "cd" hash into all 5 buckets.
     table = NGramTable(config, buckets)
     token_buckets = [table.bucket_indices("ab"), table.bucket_indices("cd")]
     samples = [
         (0, np.array([1]), np.array([0, 1])),
         (1, np.array([0, 0]), np.array([1])),
     ]
-
-    loss, g_word, g_buckets, g_out = fasttext_loss_and_grads(
-        w_word, buckets, w_out, token_buckets, samples
-    )
-    assert loss == pytest.approx(
-        fasttext_loss(w_word, buckets, w_out, token_buckets, samples)
-    )
-
-    def current():
-        return fasttext_loss(w_word, buckets, w_out, token_buckets, samples)
-
-    assert_gradients_close(g_word, numeric_gradient(current, w_word))
-    assert_gradients_close(g_buckets, numeric_gradient(current, buckets))
-    assert_gradients_close(g_out, numeric_gradient(current, w_out))
+    composition = SubwordComposition(w_word, buckets, token_buckets)
+    check_composition_gradients(composition, w_out, samples)
 
 
 def test_epoch_loss_decreases_over_training():

@@ -19,7 +19,7 @@ from kgtyper.embeddings import (
     glove_weight,
     train_glove,
 )
-from kgtyper.embeddings.glove import glove_loss, glove_loss_and_grads
+from kgtyper.embeddings.glove import glove_loss_and_grads
 from kgtyper.errors import DataError
 
 
@@ -131,11 +131,10 @@ def test_gradient_check_on_real_cooccurrence():
     b = rng.normal(0.0, 0.4, size=5)
     bt = rng.normal(0.0, 0.4, size=5)
 
-    loss, g_w, g_wt, g_b, g_bt = glove_loss_and_grads(w, wt, b, bt, entries)
-    assert loss == pytest.approx(glove_loss(w, wt, b, bt, entries))
+    _, g_w, g_wt, g_b, g_bt = glove_loss_and_grads(w, wt, b, bt, entries)
 
     def current():
-        return glove_loss(w, wt, b, bt, entries)
+        return glove_loss_and_grads(w, wt, b, bt, entries)[0]
 
     assert_gradients_close(g_w, numeric_gradient(current, w))
     assert_gradients_close(g_wt, numeric_gradient(current, wt))
