@@ -190,17 +190,20 @@ def _cmd_build_dataset(args) -> int:
     return EXIT_OK
 
 
+def _cnn_config(args, epochs: int, learning_rate: float) -> CnnConfig:
+    return CnnConfig(
+        hidden_units=args.hidden,
+        batch_size=args.batch_size,
+        epochs=epochs,
+        learning_rate=learning_rate,
+        seed=args.seed,
+    )
+
+
 def _cmd_train_classifier(args) -> int:
     embeddings = load_embeddings(args.vectors)
     examples = read_labels(args.dataset)
-    config = CnnConfig(
-        hidden_units=args.hidden,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        seed=args.seed,
-    )
-    model = train_cnn(examples, embeddings, config)
+    model = train_cnn(examples, embeddings, _cnn_config(args, args.epochs, args.lr))
     model.save(args.out)
     final_loss = model.epoch_losses[-1] if model.epoch_losses else float("nan")
     print(f"classes\t{len(model.classes)}")
@@ -305,14 +308,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    embedding = _training_config(args)
-    cnn = CnnConfig(
-        hidden_units=args.hidden,
-        batch_size=args.batch_size,
-        epochs=args.cnn_epochs,
-        learning_rate=args.cnn_lr,
-        seed=args.seed,
-    )
     config = PipelineConfig(
         input_nt=args.infile,
         out_dir=args.out_dir,
@@ -321,11 +316,11 @@ def _cmd_pipeline(args) -> int:
         strict=args.strict,
         hold_out_type_triples=not args.keep_type_triples,
         min_count=args.min_count,
-        embedding=embedding,
+        embedding=_training_config(args),
         ngram=_ngram_config(args),
         x_max=args.x_max,
         alpha=args.alpha,
-        cnn=cnn,
+        cnn=_cnn_config(args, args.cnn_epochs, args.cnn_lr),
         num_classes=args.num_classes,
         entities_per_class=args.entities_per_class,
         train_fraction=args.train_fraction,
@@ -348,9 +343,10 @@ def _add_embedding_options(parser: argparse.ArgumentParser) -> None:
     _opt(parser, "--lr", type=float, default=0.05, help="initial learning rate")
     _opt(parser, "--negative", type=int, default=5, help="negative samples per position")
     _opt(parser, "--min-count", type=int, default=1, help="vocabulary frequency floor")
-    _opt(parser, "--n-min", type=int, default=3, help="shortest character n-gram")
-    _opt(parser, "--n-max", type=int, default=6, help="longest character n-gram")
-    _opt(parser, "--buckets", type=int, default=2_000_000, help="n-gram hash buckets")
+    ngram = NGramConfig()
+    _opt(parser, "--n-min", type=int, default=ngram.n_min, help="shortest character n-gram")
+    _opt(parser, "--n-max", type=int, default=ngram.n_max, help="longest character n-gram")
+    _opt(parser, "--buckets", type=int, default=ngram.bucket_count, help="n-gram hash buckets")
     _opt(parser, "--x-max", type=float, default=100.0, help="co-occurrence weight cap")
     _opt(parser, "--alpha", type=float, default=0.75, help="co-occurrence weight exponent")
 

@@ -3,9 +3,20 @@
 Each token's input vector is the mean of its own word vector and the
 bucket vectors of its character n-grams; the token string is wrapped in
 boundary markers before extraction, so token "abc" with n=3 contributes
-"<ab", "abc", "bc>". N-grams are hashed into a fixed bucket table with
+"<ab", "abc", "bc>". N-grams are hashed into ``bucket_count`` buckets with
 FNV-1a, which keeps the mapping stable across runs and gives unseen
 tokens a vector made purely of their n-gram buckets.
+
+The bucket table holds a row only for the buckets the vocabulary's
+n-grams hash into; only those rows receive gradient. Every other bucket
+keeps its seeded initial vector, which an out-of-vocabulary lookup
+regenerates on demand. Each value equals what a full ``bucket_count`` ×
+dimension uniform table drawn at the same point would hold, and the
+draws after the table are unchanged. That rests on two properties of
+numpy's default generator: PCG64 can ``advance`` to any draw, and
+``Generator.uniform`` takes exactly one 64-bit draw per float64. The
+exactness test in ``tests/test_fasttext.py`` pins both against a
+full-table reference.
 
 N-grams run over the full IRI string: there is no reliable way to segment
 a URI into words, and namespace prefixes are exactly the kind of
@@ -59,16 +70,48 @@ class NGramConfig:
             raise ValueError("bucket_count must be >= 1")
 
 
-class NGramTable:
-    """Bucketed n-gram vectors plus the deterministic hash."""
+def seeded_rows(state: dict, bucket_ids: np.ndarray, dimension: int) -> np.ndarray:
+    """Initial vectors of the sorted, distinct ``bucket_ids``.
 
-    def __init__(self, config: NGramConfig, bucket_vectors: np.ndarray):
+    ``state`` is the PCG64 state at the first draw of the full table, so
+    bucket ``b`` starts ``b * dimension`` draws later; one generator walks
+    the ids with one ``advance`` per gap.
+    """
+    bit_generator = np.random.PCG64()
+    bit_generator.state = state
+    rng = np.random.Generator(bit_generator)
+    rows = np.empty((len(bucket_ids), dimension))
+    drawn = 0
+    for row, bucket in enumerate(bucket_ids.tolist()):
+        bit_generator.advance(bucket * dimension - drawn)
+        rows[row] = init_input_vectors(rng, 1, dimension)[0]
+        drawn = (bucket + 1) * dimension
+    return rows
+
+
+class NGramTable:
+    """Bucket vectors for the n-grams of a vocabulary, plus the deterministic hash.
+
+    ``rows[i]`` is the trainable vector of bucket ``bucket_ids[i]``. The
+    constructor consumes from ``rng`` exactly the draws of a full
+    ``bucket_count`` × ``dimension`` table, whichever buckets are kept.
+    """
+
+    def __init__(
+        self,
+        config: NGramConfig,
+        tokens: Iterable[str],
+        rng: np.random.Generator,
+        dimension: int,
+    ):
         config.validate()
-        if bucket_vectors.shape[0] != config.bucket_count:
-            raise ValueError("bucket_vectors row count must equal bucket_count")
         self.config = config
-        self.bucket_vectors = bucket_vectors
         self._cache: dict[str, np.ndarray] = {}
+        self._initial_state = rng.bit_generator.state
+        used = [self.bucket_indices(token) for token in tokens]
+        self.bucket_ids = np.unique(np.concatenate([np.empty(0, np.intp), *used]))
+        self.rows = seeded_rows(self._initial_state, self.bucket_ids, dimension)
+        rng.bit_generator.advance(config.bucket_count * dimension)
 
     @property
     def n_min(self) -> int:
@@ -93,12 +136,28 @@ class NGramTable:
             self._cache[token] = cached
         return cached
 
+    def vectors(self, bucket_ids) -> np.ndarray:
+        """One vector per bucket id: its row if kept, else its initial vector."""
+        bucket_ids = np.asarray(bucket_ids, dtype=np.intp)
+        if len(bucket_ids) and not 0 <= bucket_ids.min() <= bucket_ids.max() < self.bucket_count:
+            raise IndexError(f"bucket ids must lie in [0, {self.bucket_count})")
+        positions = np.searchsorted(self.bucket_ids, bucket_ids)
+        kept = positions < len(self.bucket_ids)
+        kept[kept] = self.bucket_ids[positions[kept]] == bucket_ids[kept]
+        out = np.empty((len(bucket_ids), self.rows.shape[1]))
+        out[kept] = self.rows[positions[kept]]
+        if not kept.all():
+            missing, inverse = np.unique(bucket_ids[~kept], return_inverse=True)
+            initial = seeded_rows(self._initial_state, missing, self.rows.shape[1])
+            out[~kept] = initial[inverse]
+        return out
+
     def ngram_mean(self, token: str) -> np.ndarray:
         """Mean of the token's bucket vectors; the out-of-vocabulary vector."""
         buckets = self.bucket_indices(token)
         if not len(buckets):
             raise TokenNotFoundError(token)
-        return self.bucket_vectors[buckets].mean(axis=0)
+        return self.vectors(buckets).mean(axis=0)
 
 
 @dataclass
@@ -128,9 +187,7 @@ class FastTextEmbeddings:
         if token in self.vocabulary:
             word = self.matrix.input_vectors[self.vocabulary.id_of(token)]
             buckets = self.ngrams.bucket_indices(token)
-            return (word + self.ngrams.bucket_vectors[buckets].sum(axis=0)) / (
-                1 + len(buckets)
-            )
+            return (word + self.ngrams.vectors(buckets).sum(axis=0)) / (1 + len(buckets))
         return self.ngrams.ngram_mean(token)
 
 
@@ -140,7 +197,8 @@ class SubwordComposition:
 
     Follows the composition contract of ``cbow.WordComposition``; the
     hidden gradient reaches the word row and every bucket row of a context
-    word, scaled by both means.
+    word, scaled by both means. ``token_buckets[i]`` holds the positions in
+    ``buckets`` of token ``i``'s n-gram rows.
     """
 
     def __init__(
@@ -184,14 +242,14 @@ def train_fasttext(
     encoded = encode_training_corpus(corpus, vocab)
     rng = np.random.default_rng(config.seed)
     w_word = init_input_vectors(rng, len(vocab), config.dimension)
-    buckets = init_input_vectors(rng, ngram_config.bucket_count, config.dimension)
-    table = NGramTable(ngram_config, buckets)
-    token_buckets = [table.bucket_indices(vocab.token_of(i)) for i in range(len(vocab))]
+    tokens = [vocab.token_of(i) for i in range(len(vocab))]
+    table = NGramTable(ngram_config, tokens, rng, config.dimension)
+    token_rows = [np.searchsorted(table.bucket_ids, table.bucket_indices(t)) for t in tokens]
     w_out, epoch_losses = train_negative_sampling(
-        encoded, vocab, config, rng, SubwordComposition(w_word, buckets, token_buckets)
+        encoded, vocab, config, rng, SubwordComposition(w_word, table.rows, token_rows)
     )
     matrix = EmbeddingMatrix(w_word, w_out, vocab, epoch_losses)
     matrix.check_finite()
-    if not np.all(np.isfinite(buckets)):
+    if not np.all(np.isfinite(table.rows)):
         raise NumericalError("n-gram bucket vectors contain non-finite values")
     return FastTextEmbeddings(matrix, table)

@@ -462,7 +462,7 @@ def test_fasttext_oov_composition():
         _reference_fnv1a_32(gram) % ngram_config.bucket_count
         for gram in _reference_ngrams(token, ngram_config.n_min, ngram_config.n_max)
     ]
-    expected = model.ngrams.bucket_vectors[bucket_ids].mean(axis=0)
+    expected = model.ngrams.vectors(bucket_ids).mean(axis=0)
     actual = model.vector_of(token)
     difference = float(np.max(np.abs(actual - expected)))
     acceptance(

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import check_composition_gradients
 
+import kgtyper
 from kgtyper.corpus import build_vocabulary
 from kgtyper.embeddings import (
     NGramConfig,
@@ -14,6 +21,8 @@ from kgtyper.embeddings import (
     TrainingConfig,
     train_fasttext,
 )
+from kgtyper.embeddings.base import init_input_vectors
+from kgtyper.embeddings.cbow import encode_training_corpus, train_negative_sampling
 from kgtyper.embeddings.fasttext import SubwordComposition, fnv1a_32, ngrams_of
 from kgtyper.errors import DataError
 
@@ -94,7 +103,7 @@ def test_oov_vector_is_bucket_mean_recomputed_independently():
     oov = "tok999"
     grams = reference_ngrams(oov, SMALL_NGRAMS.n_min, SMALL_NGRAMS.n_max)
     indices = [reference_fnv1a_32(g) % SMALL_NGRAMS.bucket_count for g in grams]
-    expected = model.ngrams.bucket_vectors[indices].mean(axis=0)
+    expected = model.ngrams.vectors(indices).mean(axis=0)
     assert oov not in model.vocabulary
     assert np.allclose(model.vector_of(oov), expected, rtol=0, atol=1e-12)
 
@@ -105,7 +114,7 @@ def test_in_vocabulary_vector_is_word_plus_bucket_mean():
     grams = reference_ngrams(token, SMALL_NGRAMS.n_min, SMALL_NGRAMS.n_max)
     indices = [reference_fnv1a_32(g) % SMALL_NGRAMS.bucket_count for g in grams]
     word = model.matrix.input_vectors[0]
-    expected = (word + model.ngrams.bucket_vectors[indices].sum(axis=0)) / (1 + len(indices))
+    expected = (word + model.ngrams.vectors(indices).sum(axis=0)) / (1 + len(indices))
     assert np.allclose(model.vector_of(token), expected, rtol=0, atol=1e-12)
     # Composition genuinely differs from the raw word row.
     assert not np.allclose(model.vector_of(token), word)
@@ -114,7 +123,8 @@ def test_in_vocabulary_vector_is_word_plus_bucket_mean():
 def test_identical_strings_share_all_buckets():
     _, _, model = trained_model()
     first = model.ngrams.bucket_indices("tok0")
-    second = NGramTable(SMALL_NGRAMS, model.ngrams.bucket_vectors).bucket_indices("tok0")
+    fresh = NGramTable(SMALL_NGRAMS, [], np.random.default_rng(0), 4)
+    second = fresh.bucket_indices("tok0")
     assert np.array_equal(first, second)
 
 
@@ -134,8 +144,10 @@ def test_gradient_check_word_buckets_and_output():
     w_word = rng.normal(0.0, 0.4, size=(2, 2))
     buckets = rng.normal(0.0, 0.4, size=(5, 2))
     w_out = rng.normal(0.0, 0.4, size=(2, 2))
-    # 4 + 10 + 4 = 18 parameters in total; "ab" and "cd" hash into all 5 buckets.
-    table = NGramTable(config, buckets)
+    # 4 + 10 + 4 = 18 parameters in total; "ab" and "cd" hash into all 5
+    # buckets, so each raw bucket id is also its row position.
+    table = NGramTable(config, ["ab", "cd"], np.random.default_rng(0), 2)
+    assert np.array_equal(table.bucket_ids, np.arange(5))
     token_buckets = [table.bucket_indices("ab"), table.bucket_indices("cd")]
     samples = [
         (0, np.array([1]), np.array([0, 1])),
@@ -143,6 +155,95 @@ def test_gradient_check_word_buckets_and_output():
     ]
     composition = SubwordComposition(w_word, buckets, token_buckets)
     check_composition_gradients(composition, w_out, samples)
+
+
+def full_table_fasttext(corpus, vocab, config, ngram_config):
+    """Reference trainer: a seeded row for every bucket, indexed by raw hash id."""
+    encoded = encode_training_corpus(corpus, vocab)
+    rng = np.random.default_rng(config.seed)
+    w_word = init_input_vectors(rng, len(vocab), config.dimension)
+    buckets = init_input_vectors(rng, ngram_config.bucket_count, config.dimension)
+    token_buckets = []
+    for i in range(len(vocab)):
+        grams = reference_ngrams(vocab.token_of(i), ngram_config.n_min, ngram_config.n_max)
+        ids = [reference_fnv1a_32(g) % ngram_config.bucket_count for g in grams]
+        token_buckets.append(np.asarray(ids, dtype=np.intp))
+    composition = SubwordComposition(w_word, buckets, token_buckets)
+    w_out, epoch_losses = train_negative_sampling(encoded, vocab, config, rng, composition)
+    return w_word, buckets, w_out, epoch_losses, token_buckets
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_kept_rows_match_full_table_reference_exactly(seed):
+    corpus = [s[: 1 + i % 3] for i, s in enumerate(tiny_corpus(60, 6, seed=5))]
+    vocab = build_vocabulary(corpus)
+    config = TrainingConfig(dimension=4, window=2, epochs=2, seed=seed)
+    model = train_fasttext(corpus, vocab, config, SMALL_NGRAMS)
+    w_word, buckets, w_out, epoch_losses, token_buckets = full_table_fasttext(
+        corpus, vocab, config, SMALL_NGRAMS
+    )
+    table = model.ngrams
+    used = np.unique(np.concatenate(token_buckets))
+    assert np.array_equal(table.bucket_ids, used)
+    assert np.array_equal(model.matrix.input_vectors, w_word)
+    assert np.array_equal(model.matrix.output_vectors, w_out)
+    assert model.epoch_losses == epoch_losses
+    assert np.array_equal(table.vectors(table.bucket_ids), buckets[used])
+    # Unkept buckets keep their seeded initial vector.
+    assert np.array_equal(table.vectors(np.arange(SMALL_NGRAMS.bucket_count)), buckets)
+    for i, idx in enumerate(token_buckets):
+        expected = (w_word[i] + buckets[idx].sum(axis=0)) / (1 + len(idx))
+        assert np.array_equal(model.vector_of(vocab.token_of(i)), expected)
+    oov = ["tok999", "kot7", "ok", "tok0tok1"]
+    assert any(not set(table.bucket_indices(t).tolist()) <= set(used.tolist()) for t in oov)
+    for token in oov:
+        assert token not in vocab
+        expected = buckets[table.bucket_indices(token)].mean(axis=0)
+        assert np.array_equal(model.vector_of(token), expected)
+
+
+def test_lookup_rejects_bucket_ids_outside_the_table():
+    _, _, model = trained_model()
+    with pytest.raises(IndexError):
+        model.ngrams.vectors([SMALL_NGRAMS.bucket_count])
+    with pytest.raises(IndexError):
+        model.ngrams.vectors([-1])
+
+
+MEMORY_PROBE = """
+import json, resource
+from kgtyper.corpus import build_vocabulary
+from kgtyper.embeddings import NGramConfig, TrainingConfig, train_fasttext
+corpus = [
+    (f"http://example.org/entity/e{i}", f"http://example.org/ontology/p{i % 3}",
+     f"http://example.org/entity/e{(i * 7) % 10}")
+    for i in range(10)
+]
+vocab = build_vocabulary(corpus)
+model = train_fasttext(corpus, vocab, TrainingConfig(dimension=100, epochs=1), NGramConfig())
+used = set()
+for i in range(len(vocab)):
+    used.update(model.ngrams.bucket_indices(vocab.token_of(i)).tolist())
+print(json.dumps({
+    "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "used": sorted(used),
+    "bucket_ids": model.ngrams.bucket_ids.tolist(),
+    "rows": model.ngrams.rows.shape[0],
+}))
+"""
+
+
+def test_default_bucket_table_memory_scales_with_vocabulary():
+    """A 2M-bucket, dim-100 table would take 1.6 GB; only used buckets get rows."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kgtyper.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe["bucket_ids"] == probe["used"]
+    assert probe["rows"] == len(probe["used"]) > 0
+    assert probe["maxrss_kb"] / 1024 < 200, f"peak RSS {probe['maxrss_kb'] / 1024:.0f} MB"
 
 
 def test_epoch_loss_decreases_over_training():
@@ -158,7 +259,7 @@ def test_same_seed_is_bitwise_identical():
     _, _, first = trained_model(seed=7)
     _, _, second = trained_model(seed=7)
     assert np.array_equal(first.matrix.input_vectors, second.matrix.input_vectors)
-    assert np.array_equal(first.ngrams.bucket_vectors, second.ngrams.bucket_vectors)
+    assert np.array_equal(first.ngrams.rows, second.ngrams.rows)
     assert first.epoch_losses == second.epoch_losses
 
 
