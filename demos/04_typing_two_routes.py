@@ -14,22 +14,18 @@ from kgtyper import (
     RDF_TYPE,
     CnnConfig,
     KnowledgeGraph,
-    Prediction,
     TrainingConfig,
-    build_class_vectors,
     build_dataset,
     build_hierarchy,
     build_vocabulary,
-    fine_grained_candidates,
     generate_synthetic_kg,
-    most_specific_class,
     parse_ntriples_file,
-    similarity_rank,
     split,
     train_cbow,
     train_cnn,
     triples_to_corpus,
 )
+from kgtyper.pipeline import cnn_predictions, similarity_predictions
 
 out_dir = Path(tempfile.mkdtemp(prefix="kgtyper_demo_"))
 synth = generate_synthetic_kg(
@@ -55,32 +51,31 @@ model = train_cnn(train, emb, CnnConfig(kernel_widths=(3, 4), filters_per_width=
                                         learning_rate=0.3, seed=1))
 print(f"classifier trained; epoch loss {model.epoch_losses[0]:.4f} -> {model.epoch_losses[-1]:.4f}")
 
-class_vectors = build_class_vectors(dataset.members_by_class(dataset.train_ids), emb)
 
 
 def short(iri: str) -> str:
     return iri.rsplit("/", 1)[-1]
 
 
-def similarity_predict(entity: str) -> Prediction:
+entities = [entity for entity, _ in test]
+predictions = {
+    "cnn": cnn_predictions(entities, model, emb),
     # The similarity route refines a known coarse type: take the entity's
     # asserted class, collect the candidates below its coarse ancestor,
-    # and rank them by cosine against the mean-of-member class vectors.
-    asserted = most_specific_class(kg.type_assertions[entity], hierarchy)
-    candidates = fine_grained_candidates(hierarchy, asserted)
-    return similarity_rank(entity, candidates & set(class_vectors), class_vectors, emb)
-
-
-correct = {"cnn": 0, "similarity": 0}
-for entity, gold in test:
-    cnn_top = model.predict(entity, emb.vector_of(entity)).top
-    correct["cnn"] += cnn_top == gold
-    correct["similarity"] += similarity_predict(entity).top == gold
+    # and rank them by cosine against the mean vectors of the classes'
+    # training members.
+    "similarity": similarity_predictions(entities, train, kg, hierarchy, emb),
+}
+correct = {
+    method: sum(p.top == gold for p, (_, gold) in zip(rows, test))
+    for method, rows in predictions.items()
+}
 
 entity, gold = test[0]
 print(f"\nexample entity {short(entity)} (gold {short(gold)}):")
-print(f"  cnn top-2:        {[(short(c), round(s, 3)) for c, s in model.predict(entity, emb.vector_of(entity)).top_k(2)]}")
-print(f"  similarity top-2: {[(short(c), round(s, 3)) for c, s in similarity_predict(entity).top_k(2)]}")
+for method, rows in predictions.items():
+    top2 = [(short(c), round(s, 3)) for c, s in rows[0].top_k(2)]
+    print(f"  {method + ' top-2:':<18}{top2}")
 
 print(f"\ntest accuracy — cnn: {correct['cnn']}/{len(test)}, "
       f"similarity: {correct['similarity']}/{len(test)}")

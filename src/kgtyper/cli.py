@@ -1,9 +1,15 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages; every flag with a long name can be
-overridden by an environment variable ``KGTYPER_<NAME>`` (dashes become
-underscores, e.g. ``KGTYPER_DIM=200``). Precedence: explicit flag, then
-environment, then built-in default.
+Subcommands mirror the pipeline stages. Each handler is a thin call into
+the stage functions of ``kgtyper.pipeline``, the same functions that the
+``pipeline`` subcommand runs in sequence, so a chain of stage subcommands
+with the same settings writes byte-identical artifacts. One difference:
+where the pipeline gives an entity it cannot rank an empty ranking (counted
+wrong), ``predict`` exits 2 with a message that names the entity.
+
+Every flag with a long name can be overridden by an environment variable
+``KGTYPER_<NAME>`` (dashes become underscores, e.g. ``KGTYPER_DIM=200``).
+Precedence: explicit flag, then environment, then built-in default.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 numerical
 failure.
@@ -19,27 +25,16 @@ import sys
 from pathlib import Path
 
 from .cnn import CnnConfig, CnnModel, train_cnn
-from .corpus import build_vocabulary, read_corpus, triples_to_corpus, write_corpus
-from .embeddings import NGramConfig, TrainingConfig, load_embeddings, save_embeddings
+from .corpus import read_corpus
+from .embeddings import NGramConfig, TrainingConfig, load_embeddings
 from .errors import DataError, KgTyperError, NumericalError, StageError
-from .evaluation import (
-    accuracy,
-    align_predictions,
-    build_dataset,
-    external_overlap,
-    hits_at_k,
-    most_specific_class,
-    read_label_map,
-    read_labels,
-    read_rankings,
-    split,
-    write_labels,
-    write_rankings,
+from .evaluation import external_overlap, read_label_map, read_labels, read_rankings, write_rankings
+from .graph import DEFAULT_ROOTS
+from .ntriples import write_ntriples
+from .pipeline import (
+    TRAINERS, PipelineConfig, cnn_predictions, load_graph, run_pipeline, score,
+    similarity_predictions, train_embeddings, write_dataset, write_sentences,
 )
-from .graph import DEFAULT_ROOTS, KnowledgeGraph, build_hierarchy
-from .ntriples import RDF_TYPE, ParseStats, parse_ntriples_file, write_ntriples
-from .pipeline import TRAINERS, PipelineConfig, run_pipeline, train_embeddings
-from .similarity import build_class_vectors, fine_grained_candidates, similarity_rank
 from .synth import generate_synthetic_kg
 
 ENV_PREFIX = "KGTYPER_"
@@ -108,38 +103,27 @@ def _roots(args) -> tuple[str, ...]:
     return tuple(args.root) if getattr(args, "root", None) else tuple(sorted(DEFAULT_ROOTS))
 
 
-def _load_graph(args, path: Path) -> tuple[KnowledgeGraph, object, ParseStats]:
-    stats = ParseStats()
-    kg = KnowledgeGraph.from_triples(
-        parse_ntriples_file(path, strict=args.strict, stats=stats)
-    )
-    hierarchy = build_hierarchy(kg, roots=_roots(args))
-    return kg, hierarchy, stats
-
-
 # ---------------------------------------------------------------- handlers
 
 
 def _cmd_ingest(args) -> int:
-    kg, hierarchy, stats = _load_graph(args, args.infile)
+    kg, _, stats = load_graph(args.infile, args.strict, _roots(args))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             write_ntriples(kg.triples, handle)
     if args.stats:
+        classes = kg.classes()
         subjects = {t.subject.value for t in kg.triples}
-        entities = {s for s in subjects if s not in kg.classes()}
         print(f"triples\t{kg.num_triples}")
-        print(f"entities\t{len(entities)}")
-        print(f"classes\t{len(kg.classes())}")
+        print(f"entities\t{len(subjects - classes)}")
+        print(f"classes\t{len(classes)}")
         print(f"parse_errors\t{stats.skipped}")
     return EXIT_OK
 
 
 def _cmd_corpus(args) -> int:
-    kg, _, _ = _load_graph(args, args.infile)
-    exclude = frozenset() if args.keep_type_triples else frozenset({RDF_TYPE})
-    build = triples_to_corpus(kg, exclude_predicates=exclude)
-    write_corpus(args.out, build.sentences)
+    kg, _, _ = load_graph(args.infile, args.strict, _roots(args))
+    build = write_sentences(kg, args.out, not args.keep_type_triples)
     print(f"sentences\t{len(build.sentences)}")
     print(f"skipped_literal_objects\t{build.skipped_literals}")
     print(f"skipped_excluded_predicates\t{build.skipped_excluded}")
@@ -162,28 +146,21 @@ def _ngram_config(args) -> NGramConfig:
 
 
 def _cmd_train_embeddings(args) -> int:
-    corpus = read_corpus(args.infile)
-    vocabulary = build_vocabulary(corpus, min_count=args.min_count)
     config = _training_config(args)
     model = train_embeddings(
-        args.model, corpus, vocabulary, config, _ngram_config(args), args.x_max, args.alpha
+        args.model, read_corpus(args.infile), args.out, args.min_count, config,
+        _ngram_config(args), args.x_max, args.alpha,
     )
-    save_embeddings(model, args.out)
-    print(f"saved\t{len(vocabulary)}\tvectors\tdim\t{config.dimension}\t{args.out}")
+    print(f"saved\t{len(model.vocabulary)}\tvectors\tdim\t{config.dimension}\t{args.out}")
     return EXIT_OK
 
 
 def _cmd_build_dataset(args) -> int:
-    kg, hierarchy, _ = _load_graph(args, args.infile)
-    dataset = build_dataset(
-        kg, hierarchy, args.num_classes, args.entities_per_class, args.seed
+    kg, hierarchy, _ = load_graph(args.infile, args.strict, _roots(args))
+    dataset = write_dataset(
+        kg, hierarchy, args.out_dir, args.num_classes, args.entities_per_class,
+        args.train_fraction, args.seed,
     )
-    dataset = split(dataset, args.train_fraction, args.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_labels(out_dir / "dataset.tsv", dataset.examples)
-    write_labels(out_dir / "train.tsv", dataset.train_examples())
-    write_labels(out_dir / "test.tsv", dataset.test_examples())
     print(f"classes\t{len(dataset.classes)}")
     print(f"train\t{len(dataset.train_ids)}")
     print(f"test\t{len(dataset.test_ids)}")
@@ -214,32 +191,22 @@ def _cmd_train_classifier(args) -> int:
 
 def _cmd_predict(args) -> int:
     embeddings = load_embeddings(args.vectors)
-    rows: list = []
     if args.method == "cnn":
         if args.model is None:
             raise ValueError("--model is required with --method cnn")
-        model = CnnModel.load(args.model)
-        for entity in args.entity:
-            if entity not in embeddings:
-                raise DataError(f"no vector for entity {entity}")
-            rows.append(model.predict(entity, embeddings.vector_of(entity)))
+        rows = cnn_predictions(args.entity, CnnModel.load(args.model), embeddings)
+        reason = "it has no vector"
     else:
         if args.infile is None or args.train is None:
             raise ValueError("--in and --train are required with --method similarity")
-        kg, hierarchy, _ = _load_graph(args, args.infile)
-        members: dict[str, list[str]] = {}
-        for member, class_iri in read_labels(args.train):
-            members.setdefault(class_iri, []).append(member)
-        class_vectors = build_class_vectors(members, embeddings)
-        for entity in args.entity:
-            coarse = most_specific_class(kg.type_assertions.get(entity, ()), hierarchy)
-            if coarse is None:
-                raise DataError(f"no type assertion for entity {entity}")
-            candidates = fine_grained_candidates(hierarchy, coarse) & set(class_vectors)
-            if not candidates:
-                raise DataError(f"no candidate class has a class vector for {entity}")
-            rows.append(similarity_rank(entity, candidates, class_vectors, embeddings))
-
+        kg, hierarchy, _ = load_graph(args.infile, args.strict, _roots(args))
+        rows = similarity_predictions(
+            args.entity, read_labels(args.train), kg, hierarchy, embeddings
+        )
+        reason = "it lacks a vector, a known asserted type or a candidate with a class vector"
+    for prediction in rows:
+        if not prediction.ranking:
+            raise DataError(f"cannot rank entity {prediction.entity}: {reason}")
     if args.out is not None:
         write_rankings(args.out, rows, top_k=args.top_k)
     else:
@@ -265,13 +232,7 @@ def _parse_metric_names(raw: str) -> list[str]:
 
 def _cmd_evaluate(args) -> int:
     gold = read_label_map(args.gold)
-    predictions = align_predictions(gold, read_rankings(args.predictions))
-    values: dict[str, float] = {}
-    for name in _parse_metric_names(args.metrics):
-        if name == "accuracy":
-            values[name] = accuracy(predictions, gold)
-        else:
-            values[name] = hits_at_k(predictions, gold, int(name[len("hits@") :]))
+    values = score(gold, read_rankings(args.predictions), _parse_metric_names(args.metrics))
     for name, value in values.items():
         print(f"{name}\t{value:.4f}")
     if args.json is not None:

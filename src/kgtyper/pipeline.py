@@ -3,42 +3,34 @@
 Every stage writes a plain-text artifact (N-Triples, sentence corpus,
 vector text, TSV, JSON) and downstream stages consume the persisted file,
 so each stage is independently inspectable and the whole run is resumable.
-Identical config and seed give byte-identical artifacts.
+Identical config and seed give byte-identical artifacts. Each stage is a
+public function with explicit arguments, which the CLI's stage subcommands
+call too. Stages call each layer through the name imported into this
+module, so a profiler that replaces ``kgtyper.pipeline.<name>`` sees every
+layer call.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 from .cnn import CnnConfig, CnnModel, train_cnn
-from .corpus import Vocabulary, build_vocabulary, read_corpus, triples_to_corpus, write_corpus
+from .corpus import build_vocabulary, read_corpus, triples_to_corpus, write_corpus
 from .embeddings import (
-    NGramConfig,
-    TrainingConfig,
-    build_cooccurrence,
-    load_embeddings,
-    save_embeddings,
-    train_cbow,
-    train_fasttext,
-    train_glove,
+    NGramConfig, TrainingConfig, build_cooccurrence, load_embeddings, save_embeddings,
+    train_cbow, train_fasttext, train_glove,
 )
 from .errors import DataError, StageError
 from .evaluation import (
-    LabeledDataset,
-    accuracy,
-    align_predictions,
-    build_dataset,
-    hits_at_k,
-    most_specific_class,
-    read_labels,
-    split,
-    write_labels,
-    write_rankings,
+    LabeledDataset, accuracy, align_predictions, build_dataset, hits_at_k,
+    most_specific_class, read_labels, split, write_labels, write_rankings,
 )
-from .graph import DEFAULT_ROOTS, KnowledgeGraph, build_hierarchy
+from .graph import DEFAULT_ROOTS, ClassHierarchy, KnowledgeGraph, build_hierarchy
 from .ntriples import RDF_TYPE, ParseStats, parse_ntriples_file
 from .prediction import Prediction
 from .similarity import build_class_vectors, fine_grained_candidates, similarity_rank
@@ -46,6 +38,10 @@ from .similarity import build_class_vectors, fine_grained_candidates, similarity
 logger = logging.getLogger(__name__)
 
 TRAINERS = ("word2vec", "fasttext", "glove")
+ARTIFACTS = (
+    "corpus.txt", "vectors.txt", "dataset.tsv", "train.tsv", "test.tsv", "model.bin",
+    "pred_cnn.tsv", "pred_similarity.tsv", "metrics.json",
+)
 
 
 @dataclass
@@ -75,9 +71,10 @@ class PipelineConfig:
         self.out_dir = Path(self.out_dir)
         if self.trainer not in TRAINERS:
             raise ValueError(f"unknown trainer {self.trainer!r}; choose from {TRAINERS}")
-        # One seed drives every seeded component.
-        self.embedding.seed = self.seed
-        self.cnn.seed = self.seed
+        # One seed drives every seeded component; copies leave the caller's
+        # configs as they were, so configs may share them.
+        self.embedding = replace(self.embedding, seed=self.seed)
+        self.cnn = replace(self.cnn, seed=self.seed)
 
     def path(self, name: str) -> Path:
         return self.out_dir / name
@@ -98,42 +95,33 @@ class PipelineResult:
         return "\n".join(lines)
 
 
+@contextmanager
 def _stage(name: str):
-    def decorate(fn):
-        def wrapped(*args, **kwargs):
-            logger.info("stage %s", name)
-            try:
-                return fn(*args, **kwargs)
-            except StageError:
-                raise
-            except Exception as exc:
-                raise StageError(name, exc) from exc
-
-        return wrapped
-
-    return decorate
+    """Log the stage and report any failure inside it as a ``StageError``."""
+    logger.info("stage %s", name)
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
-@_stage("ingest")
-def _ingest(config: PipelineConfig) -> tuple[KnowledgeGraph, object]:
-    if not config.input_nt.exists():
-        raise DataError(f"input dump not found: {config.input_nt}")
+def load_graph(path, strict: bool, roots) -> tuple[KnowledgeGraph, ClassHierarchy, ParseStats]:
+    """Parse an N-Triples dump into a graph and its subclass hierarchy."""
+    if not Path(path).exists():
+        raise DataError(f"input dump not found: {path}")
     stats = ParseStats()
-    kg = KnowledgeGraph.from_triples(
-        parse_ntriples_file(config.input_nt, strict=config.strict, stats=stats)
-    )
+    kg = KnowledgeGraph.from_triples(parse_ntriples_file(path, strict=strict, stats=stats))
     if stats.skipped:
         logger.warning("skipped %d malformed lines", stats.skipped)
-    hierarchy = build_hierarchy(kg, roots=config.roots)
-    return kg, hierarchy
+    return kg, build_hierarchy(kg, roots=roots), stats
 
 
-@_stage("corpus")
-def _corpus(config: PipelineConfig, kg: KnowledgeGraph) -> list:
-    path = config.path("corpus.txt")
-    if config.resume and path.exists():
-        return read_corpus(path)
-    exclude = {RDF_TYPE} if config.hold_out_type_triples else frozenset()
+def write_sentences(kg: KnowledgeGraph, path, hold_out_type_triples: bool):
+    """Write one sentence per IRI-object triple to ``path``, the ``rdf:type``
+    triples held out if asked; returns the ``CorpusBuild``."""
+    exclude = {RDF_TYPE} if hold_out_type_triples else frozenset()
     build = triples_to_corpus(kg, exclude_predicates=exclude)
     logger.info(
         "%d sentences (%d literal-object triples skipped, %d held out)",
@@ -142,162 +130,150 @@ def _corpus(config: PipelineConfig, kg: KnowledgeGraph) -> list:
         build.skipped_excluded,
     )
     write_corpus(path, build.sentences)
-    return build.sentences
+    return build
 
 
 def train_embeddings(
-    trainer: str,
-    sentences: list,
-    vocab: Vocabulary,
-    embedding: TrainingConfig,
-    ngram: NGramConfig,
-    x_max: float,
-    alpha: float,
+    trainer: str, sentences: list, path, min_count: int, embedding: TrainingConfig,
+    ngram: NGramConfig, x_max: float, alpha: float,
 ):
-    """Train the embedding model named by ``trainer`` (one of ``TRAINERS``)."""
+    """Train the model named by ``trainer`` (one of ``TRAINERS``) over the
+    tokens seen at least ``min_count`` times, and save its vectors to ``path``."""
+    vocab = build_vocabulary(sentences, min_count=min_count)
     if trainer == "word2vec":
-        return train_cbow(sentences, vocab, embedding)
-    if trainer == "fasttext":
-        return train_fasttext(sentences, vocab, embedding, ngram)
-    cooc = build_cooccurrence(sentences, vocab, embedding.window)
-    return train_glove(cooc, vocab, embedding, x_max, alpha)
-
-
-@_stage("embed")
-def _embed(config: PipelineConfig, sentences: list):
-    path = config.path("vectors.txt")
-    if not (config.resume and path.exists()):
-        vocab = build_vocabulary(sentences, min_count=config.min_count)
-        model = train_embeddings(
-            config.trainer, sentences, vocab, config.embedding, config.ngram,
-            config.x_max, config.alpha,
-        )
-        save_embeddings(model, path)
-    # Downstream stages consume the persisted text format, resumed or not.
-    return load_embeddings(path)
-
-
-@_stage("dataset")
-def _dataset(config: PipelineConfig, kg: KnowledgeGraph, hierarchy) -> LabeledDataset:
-    dataset = build_dataset(
-        kg, hierarchy, config.num_classes, config.entities_per_class, config.seed
-    )
-    dataset = split(dataset, config.train_fraction, config.seed)
-    for entity, gold in dataset.examples:
-        candidates = fine_grained_candidates(hierarchy, gold)
-        if gold not in candidates:
-            raise DataError(
-                f"gold class {gold} of {entity} is outside its refinement candidates"
-            )
-    write_labels(config.path("dataset.tsv"), dataset.examples)
-    write_labels(config.path("train.tsv"), dataset.train_examples())
-    write_labels(config.path("test.tsv"), dataset.test_examples())
-    return dataset
-
-
-@_stage("train")
-def _train(config: PipelineConfig, embeddings) -> CnnModel:
-    path = config.path("model.bin")
-    if config.resume and path.exists():
-        return CnnModel.load(path)
-    train_examples = read_labels(config.path("train.tsv"))
-    model = train_cnn(train_examples, embeddings, config.cnn)
-    model.save(path)
+        model = train_cbow(sentences, vocab, embedding)
+    elif trainer == "fasttext":
+        model = train_fasttext(sentences, vocab, embedding, ngram)
+    else:
+        cooc = build_cooccurrence(sentences, vocab, embedding.window)
+        model = train_glove(cooc, vocab, embedding, x_max, alpha)
+    save_embeddings(model, path)
     return model
 
 
-@_stage("predict")
-def _predict(
-    config: PipelineConfig,
-    kg: KnowledgeGraph,
-    hierarchy,
-    embeddings,
-    model: CnnModel,
-) -> tuple[list[Prediction], list[Prediction]]:
-    test_examples = read_labels(config.path("test.tsv"))
-    train_examples = read_labels(config.path("train.tsv"))
+def write_dataset(
+    kg: KnowledgeGraph, hierarchy: ClassHierarchy, out_dir, num_classes: int,
+    entities_per_class: int, train_fraction: float, seed: int,
+) -> LabeledDataset:
+    """Sample the labelled dataset, split it per class, and write
+    ``dataset.tsv``, ``train.tsv`` and ``test.tsv`` into ``out_dir``."""
+    dataset = build_dataset(kg, hierarchy, num_classes, entities_per_class, seed)
+    dataset = split(dataset, train_fraction, seed)
+    for entity, gold in dataset.examples:
+        if gold not in fine_grained_candidates(hierarchy, gold):
+            raise DataError(
+                f"gold class {gold} of {entity} is outside its refinement candidates"
+            )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_labels(out_dir / "dataset.tsv", dataset.examples)
+    write_labels(out_dir / "train.tsv", dataset.train_examples())
+    write_labels(out_dir / "test.tsv", dataset.test_examples())
+    return dataset
 
-    cnn_predictions = []
-    for entity, _ in test_examples:
-        if entity in embeddings:
-            cnn_predictions.append(model.predict(entity, embeddings.vector_of(entity)))
-        else:
-            cnn_predictions.append(Prediction(entity))  # no vector: counts as wrong
 
+def cnn_predictions(entities: Iterable[str], model: CnnModel, embeddings) -> list[Prediction]:
+    """The classifier's ranking of each entity; one without a vector gets an
+    empty ranking."""
+    return [
+        model.predict(entity, embeddings.vector_of(entity)) if entity in embeddings
+        else Prediction(entity)
+        for entity in entities
+    ]
+
+
+def similarity_predictions(
+    entities: Iterable[str], train_examples: Iterable[tuple[str, str]],
+    kg: KnowledgeGraph, hierarchy: ClassHierarchy, embeddings,
+) -> list[Prediction]:
+    """Rank each entity's refinement candidates by cosine against the mean
+    vector of each class's training members.
+
+    An entity without a vector, a known asserted type, or a candidate with
+    a class vector gets an empty ranking.
+    """
     members_by_class: dict[str, list[str]] = {}
     for entity, class_iri in train_examples:
         members_by_class.setdefault(class_iri, []).append(entity)
     class_vectors = build_class_vectors(members_by_class, embeddings)
-
-    similarity_predictions = []
-    for entity, _ in test_examples:
+    predictions = []
+    for entity in entities:
         coarse = most_specific_class(kg.type_assertions.get(entity, ()), hierarchy)
-        if coarse is None or entity not in embeddings:
-            similarity_predictions.append(Prediction(entity))
-            continue
-        candidates = fine_grained_candidates(hierarchy, coarse)
-        scored = candidates & set(class_vectors)
-        if not scored:
-            similarity_predictions.append(Prediction(entity))
-            continue
-        similarity_predictions.append(
-            similarity_rank(entity, scored, class_vectors, embeddings)
+        scored = set()
+        if coarse is not None and entity in embeddings:
+            scored = fine_grained_candidates(hierarchy, coarse) & set(class_vectors)
+        predictions.append(
+            similarity_rank(entity, scored, class_vectors, embeddings) if scored
+            else Prediction(entity)
         )
-
-    write_rankings(config.path("pred_cnn.tsv"), cnn_predictions)
-    write_rankings(config.path("pred_similarity.tsv"), similarity_predictions)
-    return cnn_predictions, similarity_predictions
+    return predictions
 
 
-@_stage("evaluate")
-def _evaluate(
-    config: PipelineConfig,
-    cnn_predictions: list[Prediction],
-    similarity_predictions: list[Prediction],
-) -> dict:
-    gold = dict(read_labels(config.path("test.tsv")))
-    metrics: dict = {}
-    for method, predictions in (
-        ("cnn", cnn_predictions),
-        ("similarity", similarity_predictions),
-    ):
-        aligned = align_predictions(gold, predictions)
-        metrics[method] = {
-            "accuracy": accuracy(aligned, gold),
-            "hits@1": hits_at_k(aligned, gold, 1),
-            "hits@3": hits_at_k(aligned, gold, 3),
-        }
-    metrics["test_entities"] = len(gold)
-    with open(config.path("metrics.json"), "w", encoding="utf-8") as handle:
-        json.dump(metrics, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    return metrics
+def score(
+    gold: Mapping[str, str], predictions: Sequence[Prediction],
+    metrics: Iterable[str] = ("accuracy", "hits@1", "hits@3"),
+) -> dict[str, float]:
+    """Each named metric (``accuracy`` or ``hits@k``) of the predictions
+    against ``gold``; a gold entity without a prediction counts as wrong."""
+    aligned = align_predictions(gold, predictions)
+    return {
+        name: accuracy(aligned, gold) if name == "accuracy"
+        else hits_at_k(aligned, gold, int(name[len("hits@") :]))
+        for name in metrics
+    }
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Execute ingest -> corpus -> embed -> dataset -> train -> predict -> evaluate."""
+    """Execute ingest -> corpus -> embed -> dataset -> train -> predict -> evaluate.
+
+    With ``config.resume``, an existing corpus, vector file or model is
+    reused rather than rebuilt.
+    """
+    path = config.path
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    kg, hierarchy = _ingest(config)
-    sentences = _corpus(config, kg)
-    embeddings = _embed(config, sentences)
-    _dataset(config, kg, hierarchy)
-    model = _train(config, embeddings)
-    cnn_predictions, similarity_predictions = _predict(
-        config, kg, hierarchy, embeddings, model
-    )
-    metrics = _evaluate(config, cnn_predictions, similarity_predictions)
-    paths = {
-        name: config.path(name)
-        for name in (
-            "corpus.txt",
-            "vectors.txt",
-            "dataset.tsv",
-            "train.tsv",
-            "test.tsv",
-            "model.bin",
-            "pred_cnn.tsv",
-            "pred_similarity.tsv",
-            "metrics.json",
+    with _stage("ingest"):
+        kg, hierarchy, _ = load_graph(config.input_nt, config.strict, config.roots)
+    with _stage("corpus"):
+        if config.resume and path("corpus.txt").exists():
+            sentences = read_corpus(path("corpus.txt"))
+        else:
+            build = write_sentences(kg, path("corpus.txt"), config.hold_out_type_triples)
+            sentences = build.sentences
+    with _stage("embed"):
+        if not (config.resume and path("vectors.txt").exists()):
+            train_embeddings(
+                config.trainer, sentences, path("vectors.txt"), config.min_count,
+                config.embedding, config.ngram, config.x_max, config.alpha,
+            )
+        # Downstream stages consume the persisted text format, resumed or not.
+        embeddings = load_embeddings(path("vectors.txt"))
+    with _stage("dataset"):
+        write_dataset(
+            kg, hierarchy, config.out_dir, config.num_classes,
+            config.entities_per_class, config.train_fraction, config.seed,
         )
-    }
-    return PipelineResult(metrics, paths)
+    with _stage("train"):
+        if config.resume and path("model.bin").exists():
+            classifier = CnnModel.load(path("model.bin"))
+        else:
+            classifier = train_cnn(read_labels(path("train.tsv")), embeddings, config.cnn)
+            classifier.save(path("model.bin"))
+    with _stage("predict"):
+        test = read_labels(path("test.tsv"))
+        entities = [entity for entity, _ in test]
+        predictions = {
+            "cnn": cnn_predictions(entities, classifier, embeddings),
+            "similarity": similarity_predictions(
+                entities, read_labels(path("train.tsv")), kg, hierarchy, embeddings
+            ),
+        }
+        for method, rows in predictions.items():
+            write_rankings(path(f"pred_{method}.tsv"), rows)
+    with _stage("evaluate"):
+        gold = dict(test)
+        metrics: dict = {method: score(gold, rows) for method, rows in predictions.items()}
+        metrics["test_entities"] = len(gold)
+        with open(path("metrics.json"), "w", encoding="utf-8") as handle:
+            json.dump(metrics, handle, sort_keys=True, indent=2)
+            handle.write("\n")
+    return PipelineResult(metrics, {name: path(name) for name in ARTIFACTS})

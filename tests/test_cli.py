@@ -10,6 +10,7 @@ from conftest import LAWFIRM_NT, LAWFIRM, COMPANY
 
 from kgtyper.cli import main
 from kgtyper.embeddings import load_embeddings
+from kgtyper.graph import KnowledgeGraph
 
 
 def run(capsys, *argv):
@@ -101,6 +102,22 @@ def test_ingest_stats(capsys, lawfirm_file):
     assert rows["entities"] == "1"  # only Baker_McKenzie is a non-class subject
     assert rows["classes"] == "5"
     assert rows["parse_errors"] == "0"
+
+
+def test_ingest_stats_collects_classes_once(capsys, lawfirm_file, monkeypatch):
+    calls = []
+    classes = KnowledgeGraph.classes
+
+    def counted(kg):
+        calls.append(kg)
+        return classes(kg)
+
+    monkeypatch.setattr(KnowledgeGraph, "classes", counted)
+    assert run(capsys, "ingest", "--in", str(lawfirm_file))[0] == 0
+    without_stats = len(calls)  # the hierarchy build's own call
+    calls.clear()
+    assert run(capsys, "ingest", "--in", str(lawfirm_file), "--stats")[0] == 0
+    assert len(calls) - without_stats == 1
 
 
 def test_ingest_missing_file_is_data_error(capsys, tmp_path):
@@ -268,12 +285,17 @@ def test_predict_similarity_ranks_candidates(capsys, workspace, tmp_path):
     assert rows and all(fields[0] == entity for fields in rows)
 
 
-def test_predict_unknown_entity_is_data_error(capsys, workspace):
-    code, _, _ = run(
-        capsys, "predict", "--method", "cnn", "--entity", "http://nowhere/x",
+@pytest.mark.parametrize("method", ["cnn", "similarity"])
+def test_predict_unknown_entity_is_data_error(capsys, workspace, method):
+    entity = "http://nowhere/x"
+    code, out, err = run(
+        capsys, "predict", "--method", method, "--entity", entity,
         "--vectors", str(workspace["vectors"]), "--model", str(workspace["model"]),
+        "--in", str(workspace["kg"]), "--train", str(workspace["dataset_dir"] / "train.tsv"),
     )
     assert code == 2
+    assert entity in err
+    assert out == ""
 
 
 def test_evaluate_prints_and_writes_metrics(capsys, workspace, tmp_path):
@@ -352,6 +374,31 @@ def test_pipeline_end_to_end(capsys, workspace, tmp_path):
     assert (out_dir / "metrics.json").exists()
     assert "cnn\taccuracy\t" in out
     assert "similarity\thits@3\t" in out
+
+    # The stage subcommands call the pipeline's stage functions, so the
+    # fixture's stage-by-stage chain with the same settings writes the same bytes.
+    stage_files = {
+        "corpus.txt": workspace["corpus"],
+        "vectors.txt": workspace["vectors"],
+        "model.bin": workspace["model"],
+        **{name: workspace["dataset_dir"] / name
+           for name in ("dataset.tsv", "train.tsv", "test.tsv")},
+    }
+    for name, path in stage_files.items():
+        assert (out_dir / name).read_bytes() == path.read_bytes(), name
+
+    entities = [line.split("\t")[0] for line in (out_dir / "test.tsv").read_text().splitlines()]
+    for method in ("cnn", "similarity"):
+        rankings = tmp_path / f"{method}.tsv"
+        code, _, _ = run(
+            capsys, "predict", "--method", method,
+            *(arg for entity in entities for arg in ("--entity", entity)),
+            "--vectors", str(workspace["vectors"]), "--model", str(workspace["model"]),
+            "--in", str(workspace["kg"]), "--train", str(workspace["dataset_dir"] / "train.tsv"),
+            "--top-k", "100", "--out", str(rankings),
+        )
+        assert code == 0
+        assert (out_dir / f"pred_{method}.tsv").read_bytes() == rankings.read_bytes(), method
 
 
 def test_env_overrides_default(capsys, workspace, tmp_path, monkeypatch):

@@ -114,6 +114,17 @@ def test_different_seed_changes_vectors(tmp_path):
     ).read_bytes()
 
 
+def test_configs_sharing_stage_configs_keep_their_own_seeds(tmp_path):
+    embedding = TrainingConfig(dimension=12)
+    cnn = CnnConfig(hidden_units=16)
+    first = small_config(tmp_path, "run_a", seed=5, embedding=embedding, cnn=cnn)
+    second = small_config(tmp_path, "run_b", seed=6, embedding=embedding, cnn=cnn)
+    assert (first.embedding.seed, first.cnn.seed) == (5, 5)
+    assert (second.embedding.seed, second.cnn.seed) == (6, 6)
+    assert (first.embedding.dimension, first.cnn.hidden_units) == (12, 16)
+    assert (embedding.seed, cnn.seed) == (1, 1)  # the caller's objects are left as they were
+
+
 def test_resume_reuses_persisted_artifacts(tmp_path):
     config = small_config(tmp_path)
     fresh = run_pipeline(config)
