@@ -9,12 +9,27 @@ pair within the window of each other inside one sentence, the weight
 with f(x) = (x / x_max)^alpha below x_max and 1 above, using per-parameter
 adaptive-gradient (AdaGrad) steps over the shuffled nonzero entries. The
 final vector of token i is w_i + wt_i.
+
+Each epoch's result is that of visiting the shuffled entries one at a
+time, bit for bit, but the updates run on blocks of entries with numpy.
+An entry (i, j) reads and writes only row i of ``w``, ``b`` and their
+accumulators and row j of ``wt``, ``bt`` and theirs, so two entries that
+share neither row commute. Walking the shuffled order, each entry gets
+the level one above the last level that used its ``w`` row or its ``wt``
+row. Entries of one level share no row, and every entry sees each of its
+rows exactly as the one-at-a-time visit leaves it: updated by every
+earlier entry that touches it (all on lower levels) and by no later one
+(all on higher levels). The levels run in order, each in blocks of at
+most ``BLOCK_ENTRIES``. Every elementwise operation is the scalar one
+applied per entry, each dot product is one BLAS dot per entry as in the
+one-at-a-time code, and the epoch loss is summed sequentially in shuffled
+order, so no rounding changes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +39,7 @@ from .base import EmbeddingMatrix, TrainingConfig, init_input_vectors
 
 DEFAULT_X_MAX = 100.0
 DEFAULT_ALPHA = 0.75
+BLOCK_ENTRIES = 128  # entries per numpy block; wider levels are split
 
 
 class CooccurrenceMatrix:
@@ -50,6 +66,13 @@ class CooccurrenceMatrix:
     def items(self) -> list[tuple[int, int, float]]:
         """Entries as (i, j, weight), deterministically ordered."""
         return [(i, j, w) for (i, j), w in sorted(self.entries.items())]
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entries as arrays ``(i, j, weight)`` in the order of ``items()``."""
+        pairs = np.array(list(self.entries), dtype=np.intp).reshape(-1, 2)
+        weights = np.fromiter(self.entries.values(), dtype=np.float64, count=len(self.entries))
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        return pairs[order, 0], pairs[order, 1], weights[order]
 
 
 def build_cooccurrence(
@@ -83,6 +106,45 @@ def glove_weight(x: float, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_
     return (x / x_max) ** alpha if x < x_max else 1.0
 
 
+def check_weighting(x_max: float, alpha: float) -> None:
+    """Reject a weighting f that is not a power of x below a positive cap."""
+    if not (math.isfinite(x_max) and x_max > 0):
+        raise ValueError(f"x_max must be finite and > 0, got {x_max}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+
+
+def _entry_constants(
+    counts: Sequence[float], x_max: float, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry ``log X_ij`` and ``f(X_ij)``, computed one scalar at a time
+    (the array versions of log and power may round differently)."""
+    log_x = np.array([math.log(x) for x in counts], dtype=np.float64)
+    f = np.array([glove_weight(x, x_max, alpha) for x in counts], dtype=np.float64)
+    return log_x, f
+
+
+def entry_block(
+    w: np.ndarray, wt: np.ndarray, b: np.ndarray, bt: np.ndarray,
+    i: np.ndarray, j: np.ndarray, log_x: np.ndarray, f: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Loss terms and gradients of the entries ``(i[k], j[k])``.
+
+    Returns ``(losses, coef, g_w, g_wt)``: ``losses[k]`` is entry k's term
+    of the loss, ``coef[k]`` its derivative with respect to ``b[i[k]]`` and
+    to ``bt[j[k]]``, and ``g_w[k]`` / ``g_wt[k]`` its gradients with respect
+    to the rows ``w[i[k]]`` / ``wt[j[k]]``.
+    """
+    wi = w[i]
+    wtj = wt[j]
+    # One BLAS dot per entry, rounding exactly as ``w[i] @ wt[j]`` does.
+    dots = np.matmul(wi[:, None, :], wtj[:, :, None])[:, 0, 0]
+    diff = dots + b[i] + bt[j] - log_x
+    losses = f * diff * diff
+    coef = 2.0 * f * diff
+    return losses, coef, coef[:, None] * wtj, coef[:, None] * wi
+
+
 def glove_loss_and_grads(
     w: np.ndarray,
     wt: np.ndarray,
@@ -93,21 +155,52 @@ def glove_loss_and_grads(
     alpha: float = DEFAULT_ALPHA,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Loss plus dense analytic gradients over the given entries."""
+    i, j, x = zip(*entries)
+    i = np.asarray(i, dtype=np.intp)
+    j = np.asarray(j, dtype=np.intp)
+    log_x, f = _entry_constants(x, x_max, alpha)
+    losses, coef, rows_w, rows_wt = entry_block(w, wt, b, bt, i, j, log_x, f)
     g_w = np.zeros_like(w)
     g_wt = np.zeros_like(wt)
     g_b = np.zeros_like(b)
     g_bt = np.zeros_like(bt)
-    total = 0.0
-    for i, j, x in entries:
-        f = glove_weight(x, x_max, alpha)
-        diff = w[i] @ wt[j] + b[i] + bt[j] - math.log(x)
-        total += f * diff * diff
-        coef = 2.0 * f * diff
-        g_w[i] += coef * wt[j]
-        g_wt[j] += coef * w[i]
-        g_b[i] += coef
-        g_bt[j] += coef
-    return total, g_w, g_wt, g_b, g_bt
+    np.add.at(g_w, i, rows_w)
+    np.add.at(g_wt, j, rows_wt)
+    np.add.at(g_b, i, coef)
+    np.add.at(g_bt, j, coef)
+    return float(losses.sum()), g_w, g_wt, g_b, g_bt
+
+
+def entry_levels(i: np.ndarray, j: np.ndarray, size: int) -> np.ndarray:
+    """Level of each entry ``(i[k], j[k])`` taken in order: one above the
+    last level that used its ``w`` row ``i[k]`` or its ``wt`` row ``j[k]``."""
+    last_w = [0] * size
+    last_wt = [0] * size
+    levels = []
+    for row, col in zip(i.tolist(), j.tolist()):
+        level = 1 + (last_w[row] if last_w[row] > last_wt[col] else last_wt[col])
+        last_w[row] = last_wt[col] = level
+        levels.append(level)
+    return np.array(levels, dtype=np.intp)
+
+
+def _conflict_free_blocks(levels: np.ndarray) -> Iterator[np.ndarray]:
+    """Positions of the entries, level by level, in blocks of at most
+    ``BLOCK_ENTRIES``."""
+    order = np.argsort(levels, kind="stable")
+    ends = np.cumsum(np.bincount(levels))  # ends[0] == 0: levels start at 1
+    for start, end in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        for first in range(start, end, BLOCK_ENTRIES):
+            yield order[first:min(first + BLOCK_ENTRIES, end)]
+
+
+def _adagrad_step(
+    param: np.ndarray, acc: np.ndarray, rows: np.ndarray, grad: np.ndarray, lr: float
+) -> None:
+    """One AdaGrad step on distinct ``rows``: the step uses the squared
+    gradients accumulated before this one."""
+    param[rows] -= lr * grad / np.sqrt(acc[rows])
+    acc[rows] += grad * grad
 
 
 def train_glove(
@@ -123,12 +216,14 @@ def train_glove(
     configured rate. Mean per-entry loss is recorded per epoch.
     """
     config.validate()
+    check_weighting(x_max, alpha)
     if len(cooc) == 0:
         raise DataError("cannot train on an empty co-occurrence matrix")
-    entries = cooc.items()
-    for i, j, x in entries:
-        if x <= 0:
-            raise DataError(f"non-positive co-occurrence weight at ({i}, {j}): {x}")
+    i, j, x = cooc.arrays()
+    bad = np.flatnonzero(x <= 0)
+    if bad.size:
+        k = bad[0]
+        raise DataError(f"non-positive co-occurrence weight at ({i[k]}, {j[k]}): {x[k]}")
 
     rng = np.random.default_rng(config.seed)
     dim = config.dimension
@@ -142,30 +237,29 @@ def train_glove(
     acc_b = np.ones(size)
     acc_bt = np.ones(size)
     lr = config.initial_learning_rate
-
-    log_x = [math.log(x) for _, _, x in entries]
-    weights = [glove_weight(x, x_max, alpha) for _, _, x in entries]
+    log_x, f = _entry_constants(x.tolist(), x_max, alpha)
+    del x
 
     epoch_losses: list[float] = []
     for _ in range(config.epochs):
-        epoch_loss = 0.0
-        for index in rng.permutation(len(entries)):
-            i, j, _ = entries[index]
-            f = weights[index]
-            diff = w[i] @ wt[j] + b[i] + bt[j] - log_x[index]
-            epoch_loss += f * diff * diff
-            coef = 2.0 * f * diff
-            g_w = coef * wt[j]
-            g_wt = coef * w[i]
-            w[i] -= lr * g_w / np.sqrt(acc_w[i])
-            wt[j] -= lr * g_wt / np.sqrt(acc_wt[j])
-            b[i] -= lr * coef / math.sqrt(acc_b[i])
-            bt[j] -= lr * coef / math.sqrt(acc_bt[j])
-            acc_w[i] += g_w * g_w
-            acc_wt[j] += g_wt * g_wt
-            acc_b[i] += coef * coef
-            acc_bt[j] += coef * coef
-        epoch_losses.append(epoch_loss / len(entries))
+        order = rng.permutation(len(i))
+        rows, cols = i[order], j[order]
+        levels = entry_levels(rows, cols, size)
+        per_entry = np.empty(len(order))
+        for block in _conflict_free_blocks(levels):
+            r, c = rows[block], cols[block]
+            k = order[block]
+            losses, coef, g_w, g_wt = entry_block(w, wt, b, bt, r, c, log_x[k], f[k])
+            per_entry[block] = losses
+            _adagrad_step(w, acc_w, r, g_w, lr)
+            _adagrad_step(wt, acc_wt, c, g_wt, lr)
+            _adagrad_step(b, acc_b, r, coef, lr)
+            _adagrad_step(bt, acc_bt, c, coef, lr)
+        # Added up one entry at a time in shuffled order, as the one-at-a-time
+        # loop does; np.sum (pairwise) and, from Python 3.12, the built-in
+        # sum (compensated) round differently.
+        epoch_losses.append(np.add.accumulate(per_entry)[-1] / len(order))
+        del order, rows, cols, levels, per_entry
 
     matrix = EmbeddingMatrix(w + wt, wt, vocab, epoch_losses)
     matrix.check_finite()

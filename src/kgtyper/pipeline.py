@@ -25,6 +25,7 @@ from .embeddings import (
     NGramConfig, TrainingConfig, build_cooccurrence, load_embeddings, save_embeddings,
     train_cbow, train_fasttext, train_glove,
 )
+from .embeddings.glove import check_weighting
 from .errors import DataError, StageError
 from .evaluation import (
     LabeledDataset, accuracy, align_predictions, build_dataset, hits_at_k,
@@ -71,6 +72,8 @@ class PipelineConfig:
         self.out_dir = Path(self.out_dir)
         if self.trainer not in TRAINERS:
             raise ValueError(f"unknown trainer {self.trainer!r}; choose from {TRAINERS}")
+        if self.trainer == "glove":
+            check_weighting(self.x_max, self.alpha)
         # One seed drives every seeded component; copies leave the caller's
         # configs as they were, so configs may share them.
         self.embedding = replace(self.embedding, seed=self.seed)
@@ -159,11 +162,6 @@ def write_dataset(
     ``dataset.tsv``, ``train.tsv`` and ``test.tsv`` into ``out_dir``."""
     dataset = build_dataset(kg, hierarchy, num_classes, entities_per_class, seed)
     dataset = split(dataset, train_fraction, seed)
-    for entity, gold in dataset.examples:
-        if gold not in fine_grained_candidates(hierarchy, gold):
-            raise DataError(
-                f"gold class {gold} of {entity} is outside its refinement candidates"
-            )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_labels(out_dir / "dataset.tsv", dataset.examples)

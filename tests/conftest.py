@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from kgtyper.embeddings import EmbeddingMatrix
+from kgtyper.embeddings.base import init_input_vectors
 from kgtyper.embeddings.cbow import loss_and_grads
+from kgtyper.embeddings.glove import DEFAULT_ALPHA, DEFAULT_X_MAX, glove_weight
 from kgtyper.graph import KnowledgeGraph, build_hierarchy
 from kgtyper.ntriples import parse_ntriples
 
@@ -157,3 +162,48 @@ def check_composition_gradients(composition, w_out: np.ndarray, samples) -> None
     for analytic, array in zip((*g_params, g_out), (*composition.params, w_out)):
         assert np.all(analytic != 0.0), "a parameter row gets no gradient"
         assert_gradients_close(analytic, numeric_gradient(loss, array))
+
+
+def reference_train_glove(
+    cooc, vocab, config, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_ALPHA
+) -> EmbeddingMatrix:
+    """The GloVe trainer one entry at a time, in shuffled order: the
+    sequential definition that ``train_glove`` must match bit for bit."""
+    entries = cooc.items()
+    rng = np.random.default_rng(config.seed)
+    dim = config.dimension
+    size = len(vocab)
+    w = init_input_vectors(rng, size, dim)
+    wt = np.zeros((size, dim))
+    b = np.zeros(size)
+    bt = np.zeros(size)
+    acc_w = np.ones((size, dim))
+    acc_wt = np.ones((size, dim))
+    acc_b = np.ones(size)
+    acc_bt = np.ones(size)
+    lr = config.initial_learning_rate
+
+    log_x = [math.log(x) for _, _, x in entries]
+    weights = [glove_weight(x, x_max, alpha) for _, _, x in entries]
+
+    epoch_losses = []
+    for _ in range(config.epochs):
+        epoch_loss = 0.0
+        for index in rng.permutation(len(entries)):
+            i, j, _ = entries[index]
+            f = weights[index]
+            diff = w[i] @ wt[j] + b[i] + bt[j] - log_x[index]
+            epoch_loss += f * diff * diff
+            coef = 2.0 * f * diff
+            g_w = coef * wt[j]
+            g_wt = coef * w[i]
+            w[i] -= lr * g_w / np.sqrt(acc_w[i])
+            wt[j] -= lr * g_wt / np.sqrt(acc_wt[j])
+            b[i] -= lr * coef / math.sqrt(acc_b[i])
+            bt[j] -= lr * coef / math.sqrt(acc_bt[j])
+            acc_w[i] += g_w * g_w
+            acc_wt[j] += g_wt * g_wt
+            acc_b[i] += coef * coef
+            acc_bt[j] += coef * coef
+        epoch_losses.append(epoch_loss / len(entries))
+    return EmbeddingMatrix(w + wt, wt, vocab, epoch_losses)

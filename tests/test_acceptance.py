@@ -117,17 +117,25 @@ def _max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(relative.max()) if relative.size else 0.0
 
 
-def _check_ns_gradients(name: str, composition, w_out, samples) -> tuple[float, int]:
-    """Shared negative-sampling objective under one input composition."""
-    _, g_params, g_out = loss_and_grads(composition, w_out, samples)
-    pairs = list(zip((*g_params, g_out), (*composition.params, w_out)))
-    size = sum(array.size for _, array in pairs)
-    smallest = min(float(np.abs(analytic).min()) for analytic, _ in pairs)
+def _require_nonzero(name: str, analytic: list[np.ndarray]) -> int:
+    """Record that every analytic gradient entry of the instance is nonzero,
+    so the check cannot pass on gradients that are zero by construction;
+    returns the instance size."""
+    size = sum(g.size for g in analytic)
+    smallest = min(float(np.abs(g).min()) for g in analytic)
     acceptance(
         smallest > 0.0,
         f"{name} gradient-check instance is not vacuous: all {size} analytic gradient "
         f"entries nonzero, smallest |grad| {smallest:.1e} (> 0)",
     )
+    return size
+
+
+def _check_ns_gradients(name: str, composition, w_out, samples) -> tuple[float, int]:
+    """Shared negative-sampling objective under one input composition."""
+    _, g_params, g_out = loss_and_grads(composition, w_out, samples)
+    pairs = list(zip((*g_params, g_out), (*composition.params, w_out)))
+    size = _require_nonzero(name, [analytic for analytic, _ in pairs])
     loss = lambda: loss_and_grads(composition, w_out, samples)[0]
     error = max(
         _max_relative_error(analytic, numeric_gradient(loss, array)) for analytic, array in pairs
@@ -169,15 +177,15 @@ def _check_glove_gradients() -> tuple[float, int]:
     bt = rng.normal(0.0, 0.1, 3)
     # 120 sits above the default x_max, exercising the saturated weight.
     entries = [(0, 1, 2.0), (1, 2, 0.5), (0, 0, 1.5), (2, 1, 120.0)]
-    _, g_w, g_wt, g_b, g_bt = glove_loss_and_grads(w, wt, b, bt, entries)
+    # glove_loss_and_grads is the trainer's own entry_block plus a scatter-add.
+    _, *grads = glove_loss_and_grads(w, wt, b, bt, entries)
+    size = _require_nonzero("glove", grads)
     loss = lambda: glove_loss_and_grads(w, wt, b, bt, entries)[0]
     error = max(
-        _max_relative_error(g_w, numeric_gradient(loss, w)),
-        _max_relative_error(g_wt, numeric_gradient(loss, wt)),
-        _max_relative_error(g_b, numeric_gradient(loss, b)),
-        _max_relative_error(g_bt, numeric_gradient(loss, bt)),
+        _max_relative_error(analytic, numeric_gradient(loss, array))
+        for analytic, array in zip(grads, (w, wt, b, bt))
     )
-    return error, w.size + wt.size + b.size + bt.size
+    return error, size
 
 
 def _check_cnn_gradients() -> tuple[float, int]:
@@ -190,13 +198,7 @@ def _check_cnn_gradients() -> tuple[float, int]:
     targets = np.zeros((4, 2))
     targets[[0, 1, 2, 3], [0, 1, 1, 0]] = 1.0
     _, grads = model.loss_and_grads(inputs, targets)
-    size = sum(a.size for _, a in model.parameter_arrays())
-    smallest = min(float(np.abs(g).min()) for g in grads.values())
-    acceptance(
-        smallest > 0.0,
-        f"cnn gradient-check instance is not vacuous: all {size} analytic gradient "
-        f"entries nonzero, smallest |grad| {smallest:.1e} (> 0)",
-    )
+    size = _require_nonzero("cnn", [grads[name] for name, _ in model.parameter_arrays()])
     loss = lambda: model.loss(inputs, targets)
     error = 0.0
     for name, array in model.parameter_arrays():

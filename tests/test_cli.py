@@ -453,3 +453,18 @@ def test_numerical_divergence_exits_three(capsys, workspace, tmp_path):
     )
     assert code == 3
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "option", [("--x-max", "0"), ("--x-max", "-5"), ("--x-max", "nan"), ("--alpha", "-3")]
+)
+def test_bad_glove_weighting_exits_one_before_training(capsys, workspace, tmp_path, option):
+    out_path = tmp_path / "v.txt"
+    code, _, err = run(
+        capsys, "train-embeddings", "--model", "glove",
+        "--in", str(workspace["corpus"]), "--out", str(out_path),
+        "--dim", "6", "--epochs", "1", *option,
+    )
+    assert code == 1
+    assert option[0].lstrip("-").replace("-", "_") in err
+    assert not out_path.exists()

@@ -9,6 +9,7 @@ from conftest import (
     cooccurrence_oracle,
     numeric_gradient,
     random_corpus,
+    reference_train_glove,
 )
 
 from kgtyper.corpus import build_vocabulary
@@ -19,7 +20,8 @@ from kgtyper.embeddings import (
     glove_weight,
     train_glove,
 )
-from kgtyper.embeddings.glove import glove_loss_and_grads
+from kgtyper.embeddings.base import init_input_vectors
+from kgtyper.embeddings.glove import BLOCK_ENTRIES, entry_levels, glove_loss_and_grads
 from kgtyper.errors import DataError
 
 
@@ -136,10 +138,91 @@ def test_gradient_check_on_real_cooccurrence():
     def current():
         return glove_loss_and_grads(w, wt, b, bt, entries)[0]
 
+    for analytic in (g_w, g_wt, g_b, g_bt):
+        assert np.all(analytic != 0.0), "a parameter entry gets no gradient"
     assert_gradients_close(g_w, numeric_gradient(current, w))
     assert_gradients_close(g_wt, numeric_gradient(current, wt))
     assert_gradients_close(g_b, numeric_gradient(current, b))
     assert_gradients_close(g_bt, numeric_gradient(current, bt))
+
+
+def sentences(rng, alphabet: int, count: int):
+    """``count`` random sentences of 2 to 6 tokens over ``alphabet`` tokens,
+    so windows up to 3 see distinct pairs and tokens repeat."""
+    tokens = [f"t{k}" for k in range(alphabet)]
+    return [
+        tuple(tokens[k] for k in rng.integers(0, alphabet, size=int(rng.integers(2, 7))))
+        for _ in range(count)
+    ]
+
+
+def assert_matches_reference(matrix, vocab, config, **weighting):
+    blocked = train_glove(matrix, vocab, config, **weighting)
+    sequential = reference_train_glove(matrix, vocab, config, **weighting)
+    assert np.array_equal(blocked.input_vectors, sequential.input_vectors)
+    assert np.array_equal(blocked.output_vectors, sequential.output_vectors)
+    assert blocked.epoch_losses == sequential.epoch_losses
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_blocked_trainer_matches_sequential_reference_exactly(seed, window):
+    rng = np.random.default_rng(seed)
+    corpus = sentences(rng, alphabet=int(rng.integers(3, 15)), count=80)
+    vocab = build_vocabulary(corpus)
+    matrix = build_cooccurrence(corpus, vocab, window)
+    assert any(i == j for i, j in matrix.entries)  # a token within its own window
+    config = TrainingConfig(
+        dimension=int(rng.integers(1, 12)), window=window, epochs=3,
+        initial_learning_rate=0.1, seed=seed,
+    )
+    # x_max 2 saturates part of the weights.
+    assert_matches_reference(matrix, vocab, config, x_max=2.0 if seed % 2 else 100.0)
+
+
+def test_blocked_trainer_matches_reference_when_levels_are_split():
+    rng = np.random.default_rng(5)
+    corpus = sentences(rng, alphabet=400, count=800)
+    vocab = build_vocabulary(corpus)
+    matrix = build_cooccurrence(corpus, vocab, window=2)
+    config = TrainingConfig(dimension=6, epochs=3, seed=2)
+    # The first epoch's shuffle, drawn as the trainer draws it.
+    trainer_rng = np.random.default_rng(config.seed)
+    init_input_vectors(trainer_rng, len(vocab), config.dimension)
+    i, j, _ = matrix.arrays()
+    order = trainer_rng.permutation(len(matrix))
+    widths = np.bincount(entry_levels(i[order], j[order], len(vocab)))
+    assert widths.max() > BLOCK_ENTRIES
+    assert_matches_reference(matrix, vocab, config)
+
+
+def test_entry_levels_follow_shared_rows():
+    # (0, 1) and (2, 0) share no row; (0, 2) follows (0, 1) through w row 0,
+    # and (1, 1) follows it through wt row 1.
+    levels = entry_levels(np.array([0, 0, 1, 2]), np.array([1, 2, 1, 0]), size=3)
+    assert levels.tolist() == [1, 2, 2, 1]
+
+
+def test_arrays_follow_items_order():
+    rng = np.random.default_rng(8)
+    corpus = sentences(rng, alphabet=9, count=30)
+    vocab = build_vocabulary(corpus)
+    matrix = build_cooccurrence(corpus, vocab, window=3)
+    i, j, x = matrix.arrays()
+    assert list(zip(i.tolist(), j.tolist(), x.tolist())) == matrix.items()
+
+
+@pytest.mark.parametrize(
+    "weighting",
+    [{"x_max": 0.0}, {"x_max": -5.0}, {"x_max": float("nan")}, {"x_max": float("inf")},
+     {"alpha": -3.0}, {"alpha": float("nan")}, {"alpha": float("inf")}],
+)
+def test_bad_weighting_rejected_before_training(weighting):
+    corpus = [("a", "b", "c")]
+    vocab = build_vocabulary(corpus)
+    matrix = build_cooccurrence(corpus, vocab, window=2)
+    with pytest.raises(ValueError):
+        train_glove(matrix, vocab, TrainingConfig(dimension=4), **weighting)
 
 
 def test_single_entry_converges():

@@ -161,6 +161,12 @@ def test_unknown_trainer_rejected(tmp_path):
         small_config(tmp_path, trainer="svd")
 
 
+@pytest.mark.parametrize("weighting", [{"x_max": 0.0}, {"alpha": float("nan")}])
+def test_bad_glove_weighting_rejected_before_any_stage(tmp_path, weighting):
+    with pytest.raises(ValueError):
+        small_config(tmp_path, trainer="glove", **weighting)
+
+
 def test_type_triples_held_out_by_default(tmp_path):
     config = small_config(tmp_path)
     run_pipeline(config)
