@@ -11,6 +11,12 @@ Every flag with a long name can be overridden by an environment variable
 ``KGTYPER_<NAME>`` (dashes become underscores, e.g. ``KGTYPER_DIM=200``).
 Precedence: explicit flag, then environment, then built-in default.
 
+``--n-min``, ``--n-max`` and ``--buckets`` are read only by the fasttext
+trainer, ``--x-max`` and ``--alpha`` only by glove. Given on the command
+line with another trainer, they are a usage error rather than a silent
+no-op; set through the environment, they stay defaults that other trainers
+ignore.
+
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 numerical
 failure.
 """
@@ -63,6 +69,33 @@ def _parse_bool(raw: str, env_name: str) -> bool:
     if lowered in _FALSE_WORDS:
         return False
     raise ValueError(f"{env_name}: expected a boolean, got {raw!r}")
+
+
+# Options that only one embedding trainer reads.
+_TRAINER_ONLY = {
+    "--n-min": "fasttext",
+    "--n-max": "fasttext",
+    "--buckets": "fasttext",
+    "--x-max": "glove",
+    "--alpha": "glove",
+}
+
+
+class _Given(argparse.Action):
+    """Store the value and note that the flag was given on the command line."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        given = getattr(namespace, "given_flags", set())
+        namespace.given_flags = given | {self.option_strings[0]}
+
+
+def _reject_other_trainer_flags(args, trainer: str) -> None:
+    """A flag that the chosen trainer ignores is a usage error, not a no-op."""
+    for flag in sorted(getattr(args, "given_flags", ())):
+        owner = _TRAINER_ONLY[flag]
+        if owner != trainer:
+            raise ValueError(f"{flag} applies only to the {owner} trainer, not {trainer}")
 
 
 def _env_name(flag: str) -> str:
@@ -146,6 +179,7 @@ def _ngram_config(args) -> NGramConfig:
 
 
 def _cmd_train_embeddings(args) -> int:
+    _reject_other_trainer_flags(args, args.model)
     config = _training_config(args)
     model = train_embeddings(
         args.model, read_corpus(args.infile), args.out, args.min_count, config,
@@ -269,6 +303,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    _reject_other_trainer_flags(args, args.trainer)
     config = PipelineConfig(
         input_nt=args.infile,
         out_dir=args.out_dir,
@@ -305,11 +340,15 @@ def _add_embedding_options(parser: argparse.ArgumentParser) -> None:
     _opt(parser, "--negative", type=int, default=5, help="negative samples per position")
     _opt(parser, "--min-count", type=int, default=1, help="vocabulary frequency floor")
     ngram = NGramConfig()
-    _opt(parser, "--n-min", type=int, default=ngram.n_min, help="shortest character n-gram")
-    _opt(parser, "--n-max", type=int, default=ngram.n_max, help="longest character n-gram")
-    _opt(parser, "--buckets", type=int, default=ngram.bucket_count, help="n-gram hash buckets")
-    _opt(parser, "--x-max", type=float, default=100.0, help="co-occurrence weight cap")
-    _opt(parser, "--alpha", type=float, default=0.75, help="co-occurrence weight exponent")
+    for flag, kind, default, text in (
+        ("--n-min", int, ngram.n_min, "shortest character n-gram"),
+        ("--n-max", int, ngram.n_max, "longest character n-gram"),
+        ("--buckets", int, ngram.bucket_count, "n-gram hash buckets"),
+        ("--x-max", float, 100.0, "co-occurrence weight cap"),
+        ("--alpha", float, 0.75, "co-occurrence weight exponent"),
+    ):
+        help_text = f"{text} ({_TRAINER_ONLY[flag]} only)"
+        _opt(parser, flag, action=_Given, type=kind, default=default, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,6 +20,17 @@ out (N, F, P), so the max pool's argmax runs over the contiguous last axis.
 The ReLU follows the pool, which is exact as ReLU is monotone (a filter with
 every window <= 0 pools to 0 with zero gradient either way), so the backward
 pass gathers only the argmax window of each (n, f), as an (N, F, w) array.
+
+The (N, F, P) pre-activations are never held whole. The model keeps one flat
+scratch array, sized for a block of at most 8 examples at the widest P, and
+each width fills a (k, F, P) view of it block by block with
+``np.matmul(..., out=)``, adds the bias, takes the argmax and writes the
+pooled values into its columns of the (N, pooled_features) feature array.
+The block stays in L2, and no step allocates (and page-faults in) a fresh
+multi-megabyte array. The forward cache holds only fresh arrays and views of
+the inputs, never of the scratch. Each example's pre-activations come from
+the same matmul as over the whole batch, so every output is bit for bit that
+of the unblocked forward.
 """
 
 from __future__ import annotations
@@ -37,6 +48,11 @@ from .prediction import Prediction
 logger = logging.getLogger(__name__)
 
 _MAGIC = b"KGTYPER-CNN:v1\n"
+
+# Examples per conv block: the block's (8, F, P) pre-activations, 0.8 MB at
+# the default 128 filters and 98 positions, stay in L2 between the matmul,
+# the bias add and the argmax.
+_CONV_BLOCK = 8
 
 
 @dataclass
@@ -115,6 +131,10 @@ class CnnModel:
         self.feature_scale: np.ndarray | None = None
         self.epoch_losses: list[float] = []
         self.skipped_examples = 0
+        # Conv pre-activations of one block of examples; reused by every
+        # forward (so one model must not run forwards on two threads at
+        # once), never saved, and never referenced by a forward's cache.
+        self._scratch = np.empty(0)
 
     @classmethod
     def initialize(
@@ -182,23 +202,42 @@ class CnnModel:
         self.feature_shift = inputs.mean(axis=0)
         self.feature_scale = 1.0 / np.maximum(inputs.std(axis=0), 1e-8)
 
+    def _conv_pool(self, w: int, windows: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+        """Write the max-pooled pre-activations (N, F) of width ``w`` into
+        ``pooled`` and return their argmax, ``_CONV_BLOCK`` examples at a
+        time in the scratch array."""
+        n, positions = windows.shape[:2]
+        filters = self.config.filters_per_width
+        argmax = np.empty((n, filters), dtype=np.intp)
+        for start in range(0, n, _CONV_BLOCK):
+            stop = min(start + _CONV_BLOCK, n)
+            pre = self._scratch[: (stop - start) * filters * positions]
+            pre = pre.reshape(stop - start, filters, positions)
+            np.matmul(self.conv_w[w], windows[start:stop].transpose(0, 2, 1), out=pre)
+            pre += self.conv_b[w][:, None]
+            pre.argmax(axis=2, out=argmax[start:stop])  # first index wins ties
+            picked = np.take_along_axis(pre, argmax[start:stop, :, None], axis=2)
+            pooled[start:stop] = picked[:, :, 0]
+        return argmax
+
     def _forward_cached(self, inputs: np.ndarray) -> dict:
         inputs = self.condition(inputs)
         cache: dict = {"inputs": inputs}
-        pooled_parts = []
-        for w in self.config.kernel_widths:
+        widths = self.config.kernel_widths
+        block = min(len(inputs), _CONV_BLOCK) * self.config.filters_per_width
+        block *= inputs.shape[1] - min(widths) + 1
+        if self._scratch.size < block:
+            self._scratch = np.empty(block)
+        features = np.empty((len(inputs), self.config.pooled_features))
+        for w, pooled in zip(widths, np.split(features, len(widths), axis=1)):
             windows = sliding_window_view(inputs, w, axis=1)  # (N, P, w)
-            pre = np.matmul(self.conv_w[w], windows.transpose(0, 2, 1))  # (N, F, P)
-            pre += self.conv_b[w][:, None]  # in place: a fresh (N, F, P) array costs more
-            argmax = pre.argmax(axis=2)  # (N, F); first index wins ties
-            pooled_pre = np.take_along_axis(pre, argmax[:, :, None], axis=2)[:, :, 0]
-            cache[w] = (windows, pooled_pre, argmax)
-            pooled_parts.append(np.maximum(pooled_pre, 0.0))  # ReLU after the pool
-        features = np.concatenate(pooled_parts, axis=1)  # (N, pooled_features)
-        hidden_pre = features @ self.hidden_w + self.hidden_b
-        hidden = np.maximum(hidden_pre, 0.0)
+            cache[w] = (windows, self._conv_pool(w, windows, pooled))
+            np.maximum(pooled, 0.0, out=pooled)  # ReLU after the pool
+        hidden = features @ self.hidden_w
+        hidden += self.hidden_b
+        np.maximum(hidden, 0.0, out=hidden)  # hidden > 0 exactly where its pre-activation is
         logits = hidden @ self.out_w + self.out_b
-        cache.update(features=features, hidden_pre=hidden_pre, hidden=hidden, logits=logits)
+        cache.update(features=features, hidden=hidden, logits=logits)
         return cache
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -236,18 +275,23 @@ class CnnModel:
             "out_b": d_logits.sum(axis=0),
         }
         d_hidden = d_logits @ self.out_w.T
-        d_hidden_pre = d_hidden * (cache["hidden_pre"] > 0.0)
-        grads["hidden_w"] = cache["features"].T @ d_hidden_pre
-        grads["hidden_b"] = d_hidden_pre.sum(axis=0)
+        d_hidden *= cache["hidden"] > 0.0  # through the ReLU
+        grads["hidden_w"] = cache["features"].T @ d_hidden
+        grads["hidden_b"] = d_hidden.sum(axis=0)
 
-        d_features = d_hidden_pre @ self.hidden_w.T
+        d_features = d_hidden @ self.hidden_w.T
         widths = self.config.kernel_widths
-        for w, d_pool in zip(widths, np.split(d_features, len(widths), axis=1)):
-            windows, pooled_pre, argmax = cache[w]
-            d_pre = d_pool * (pooled_pre > 0.0)  # (N, F), masked by the ReLU
+        parts = zip(
+            widths,
+            np.split(d_features, len(widths), axis=1),
+            np.split(cache["features"], len(widths), axis=1),
+        )
+        for w, d_pool, pooled in parts:
+            windows, argmax = cache[w]
+            d_pool *= pooled > 0.0  # (N, F), through the ReLU
             picked = windows[np.arange(n)[:, None], argmax]  # (N, F, w) argmax windows
-            grads[f"conv_w_{w}"] = np.einsum("nf,nfw->fw", d_pre, picked)
-            grads[f"conv_b_{w}"] = d_pre.sum(axis=0)
+            grads[f"conv_w_{w}"] = np.einsum("nf,nfw->fw", d_pool, picked)
+            grads[f"conv_b_{w}"] = d_pool.sum(axis=0)
         return loss, grads
 
     def _persisted_arrays(self) -> list[tuple[str, np.ndarray]]:

@@ -18,6 +18,15 @@ numpy's default generator: PCG64 can ``advance`` to any draw, and
 exactness test in ``tests/test_fasttext.py`` pins both against a
 full-table reference.
 
+A context word's update subtracts one and the same share from each of its
+n-gram rows, and a row whose n-gram repeats (``"aaaa"``) takes it once per
+occurrence. ``np.subtract.at`` does that, but costs about as much as a
+Python loop over the rows. So each token's rows are split once into
+duplicate-free rounds, and ``descend`` runs one fancy-indexed subtraction
+per round (usually one or two). Every row still receives the same
+subtractions in the same sequence, so the result is bit for bit that of
+``np.subtract.at``.
+
 N-grams run over the full IRI string: there is no reliable way to segment
 a URI into words, and namespace prefixes are exactly the kind of
 regularity the buckets can pick up.
@@ -191,6 +200,14 @@ class FastTextEmbeddings:
         return self.ngrams.ngram_mean(token)
 
 
+def duplicate_free_rounds(idx: np.ndarray) -> list[np.ndarray]:
+    """Split ``idx`` into rounds without repeats: round ``k`` holds each row
+    that occurs more than ``k`` times, so the rounds together name every
+    row as often as ``idx`` does."""
+    rows, counts = np.unique(idx, return_counts=True)
+    return [rows[counts > k] for k in range(counts.max(initial=0))]
+
+
 class SubwordComposition:
     """fastText input: each context word is the mean of its word row and its
     n-gram bucket rows, and the hidden vector is the mean over the context.
@@ -198,7 +215,9 @@ class SubwordComposition:
     Follows the composition contract of ``cbow.WordComposition``; the
     hidden gradient reaches the word row and every bucket row of a context
     word, scaled by both means. ``token_buckets[i]`` holds the positions in
-    ``buckets`` of token ``i``'s n-gram rows.
+    ``buckets`` of token ``i``'s n-gram rows, repeats kept; ``token_rounds[i]``
+    splits them into duplicate-free rounds (round ``k`` holds the rows that
+    occur more than ``k`` times).
     """
 
     def __init__(
@@ -206,6 +225,7 @@ class SubwordComposition:
     ):
         self.params = (w_word, buckets)
         self.token_buckets = token_buckets
+        self.token_rounds = [duplicate_free_rounds(idx) for idx in token_buckets]
 
     def hidden(self, context: np.ndarray) -> np.ndarray:
         w_word, buckets = self.params
@@ -219,10 +239,10 @@ class SubwordComposition:
         w_word, buckets = into
         g_context = g_hidden / len(context)
         for token_id in context:
-            idx = self.token_buckets[token_id]
-            share = lr * g_context / (1 + len(idx))
+            share = lr * g_context / (1 + len(self.token_buckets[token_id]))
             w_word[token_id] -= share
-            np.subtract.at(buckets, idx, share)
+            for rows in self.token_rounds[token_id]:
+                buckets[rows] -= share
 
 
 def train_fasttext(

@@ -468,3 +468,49 @@ def test_bad_glove_weighting_exits_one_before_training(capsys, workspace, tmp_pa
     assert code == 1
     assert option[0].lstrip("-").replace("-", "_") in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "trainer,flag,value",
+    [
+        ("word2vec", "--x-max", "50"),
+        ("fasttext", "--alpha", "0.5"),
+        ("word2vec", "--buckets", "101"),
+        ("glove", "--n-min", "2"),
+        ("glove", "--n-max", "4"),
+    ],
+)
+def test_flag_of_another_trainer_exits_one(capsys, workspace, tmp_path, trainer, flag, value):
+    out_path = tmp_path / "v.txt"
+    code, _, err = run(
+        capsys, "train-embeddings", "--model", trainer,
+        "--in", str(workspace["corpus"]), "--out", str(out_path),
+        "--dim", "6", "--epochs", "1", flag, value,
+    )
+    assert code == 1
+    assert flag in err and trainer in err
+    assert not out_path.exists()
+
+
+def test_pipeline_rejects_flag_of_another_trainer(capsys, workspace, tmp_path):
+    out_dir = tmp_path / "pipeline"
+    code, _, err = run(
+        capsys, "pipeline", "--in", str(workspace["kg"]), "--out-dir", str(out_dir),
+        "--trainer", "glove", "--buckets", "101",
+    )
+    assert code == 1
+    assert "--buckets" in err
+    assert not out_dir.exists()
+
+
+def test_trainer_flag_from_environment_stays_a_default(capsys, workspace, tmp_path, monkeypatch):
+    # A shared environment may set fastText options; word2vec runs ignore them.
+    monkeypatch.setenv("KGTYPER_BUCKETS", "101")
+    out_path = tmp_path / "v.txt"
+    code, _, _ = run(
+        capsys, "train-embeddings", "--model", "word2vec",
+        "--in", str(workspace["corpus"]), "--out", str(out_path),
+        "--dim", "6", "--epochs", "1",
+    )
+    assert code == 0
+    assert out_path.exists()

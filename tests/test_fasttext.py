@@ -157,6 +157,35 @@ def test_gradient_check_word_buckets_and_output():
     check_composition_gradients(composition, w_out, samples)
 
 
+def test_descend_equals_subtract_at_with_repeated_ngrams():
+    """The trainer's update against an inline np.subtract.at reference: a
+    row named k times by a token must take the share k times."""
+    # 12 to 21 n-grams per token in 7 buckets: every token repeats a row.
+    tokens = ["aaaaaa", "abab", "xyz"]
+    config = NGramConfig(n_min=1, n_max=3, bucket_count=7)
+    table = NGramTable(config, tokens, np.random.default_rng(0), 3)
+    token_buckets = [np.searchsorted(table.bucket_ids, table.bucket_indices(t)) for t in tokens]
+    repeats = [len(idx) - len(np.unique(idx)) for idx in token_buckets]
+    assert repeats[0] >= 5 and all(repeats), repeats
+    rng = np.random.default_rng(2)
+    w_word = rng.normal(0.0, 0.5, size=(3, 3))
+    buckets = rng.normal(0.0, 0.5, size=(len(table.bucket_ids), 3))
+    composition = SubwordComposition(w_word.copy(), buckets.copy(), token_buckets)
+    # A step of -1 is how loss_and_grads accumulates the gradient.
+    for context, lr in [([0, 1, 0], 0.025), ([2], 0.5), ([1, 2], -1.0)]:
+        context = np.array(context)
+        g_hidden = rng.normal(0.0, 1.0, size=3)
+        g_context = g_hidden / len(context)
+        for token_id in context:
+            idx = token_buckets[token_id]
+            share = lr * g_context / (1 + len(idx))
+            w_word[token_id] -= share
+            np.subtract.at(buckets, idx, share)
+        composition.descend(composition.params, context, g_hidden, lr)
+        assert np.array_equal(composition.params[0], w_word)
+        assert np.array_equal(composition.params[1], buckets)
+
+
 def full_table_fasttext(corpus, vocab, config, ngram_config):
     """Reference trainer: a seeded row for every bucket, indexed by raw hash id."""
     encoded = encode_training_corpus(corpus, vocab)
