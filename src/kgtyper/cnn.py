@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,8 @@ class CnnConfig:
         for name in ("filters_per_width", "hidden_units", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
 
     @property
     def pooled_features(self) -> int:
@@ -375,6 +376,19 @@ class CnnModel:
         return model
 
 
+def sgd_step(params, grads: dict[str, np.ndarray], learning_rate: float) -> None:
+    """Subtract ``learning_rate`` times each gradient from its parameter array.
+
+    ``params`` is ``CnnModel.parameter_arrays()``. Each gradient is scaled in
+    place and then subtracted, so no temporary is allocated; products
+    commute, so the result is that of ``array -= learning_rate * grad``.
+    """
+    for name, array in params:
+        grad = grads[name]
+        grad *= learning_rate
+        array -= grad
+
+
 def train_cnn(examples, embeddings, config: CnnConfig) -> CnnModel:
     """Mini-batch SGD over a seeded shuffle of the labeled entities.
 
@@ -420,8 +434,7 @@ def train_cnn(examples, embeddings, config: CnnConfig) -> CnnModel:
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             loss, grads = model.loss_and_grads(inputs[batch], targets[batch])
-            for name, array in params:
-                array -= config.learning_rate * grads[name]
+            sgd_step(params, grads, config.learning_rate)
             epoch_loss += loss * len(batch)
         model.epoch_losses.append(epoch_loss / len(labels))
     model.check_finite()

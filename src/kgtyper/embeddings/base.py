@@ -8,6 +8,7 @@ drawn from the unigram distribution raised to 3/4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -43,8 +44,8 @@ class TrainingConfig:
             raise ValueError("window must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.initial_learning_rate <= 0:
-            raise ValueError("initial_learning_rate must be > 0")
+        if not (math.isfinite(self.initial_learning_rate) and self.initial_learning_rate > 0):
+            raise ValueError("initial_learning_rate must be finite and > 0")
         if self.negative_samples < 1:
             raise ValueError("negative_samples must be >= 1")
 
@@ -126,32 +127,52 @@ def _softplus(x: np.ndarray | float) -> np.ndarray | float:
     return np.logaddexp(0.0, x)
 
 
-def _sigmoid(x: np.ndarray | float) -> np.ndarray | float:
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
-
-
 def ns_position_grads(
-    hidden: np.ndarray, w_out: np.ndarray, center: int, negatives: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss plus gradients of one negative-sampling step.
+    hidden: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores and gradients of one negative-sampling step.
 
-    Returns ``(loss, g_hidden, g_center_row, g_negative_rows)`` where the
-    row gradients are with respect to the output vectors of the center and
-    each negative (one row per drawn negative, duplicates included).
+    ``rows`` holds the output rows of the center token (first) and of each
+    negative, duplicates included. Returns ``(scores, g_hidden, coef)``:
+    the score of each row against ``hidden``, the gradient of the loss with
+    respect to ``hidden``, and ``coef``, the derivative of the loss by each
+    score, so that row ``r``'s gradient is ``coef[r] * hidden``.
+
+    The center and the negatives are scored by separate products: one
+    matrix-vector product over all rows rounds differently from the dot
+    product of the center row, so the trainer's results would depend on
+    how the rows were grouped.
     """
-    u_pos = w_out[center]
-    u_neg = w_out[negatives]
-    s_pos = u_pos @ hidden
-    s_neg = u_neg @ hidden
-    loss = float(_softplus(-s_pos) + _softplus(s_neg).sum())
-    coef_pos = _sigmoid(s_pos) - 1.0  # d loss / d s_pos
-    coef_neg = _sigmoid(s_neg)  # d loss / d s_neg
-    g_hidden = coef_pos * u_pos + coef_neg @ u_neg
-    g_center = coef_pos * hidden
-    g_negatives = np.outer(coef_neg, hidden)
-    return loss, g_hidden, g_center, g_negatives
+    center, negatives = rows[0], rows[1:]
+    scores = np.empty(len(rows))
+    scores[0] = center.dot(hidden)
+    scores[1:] = negatives.dot(hidden)
+    coef = 1.0 / (1.0 + np.exp(-scores))  # the sigmoid
+    coef[0] -= 1.0
+    g_hidden = coef[0] * center + coef[1:].dot(negatives)
+    return scores, g_hidden, coef
 
 
-def linear_lr(initial: float, step: int, total_steps: int) -> float:
-    """Linear decay over the whole run, floored at 1e-4 of the initial rate."""
-    return initial * max(LR_FLOOR_FACTOR, 1.0 - step / max(total_steps, 1))
+def ns_losses(scores: np.ndarray, counts) -> np.ndarray:
+    """Loss of each row of ``scores``: ``softplus(-s_center)`` plus
+    ``softplus(s_negative)`` summed over the row's negatives.
+
+    Row ``r`` holds the center score, then ``counts[r]`` negative scores,
+    then entries that are ignored. numpy sums eight or more terms
+    pairwise, so padding a row to more terms could add them in another
+    order; rows are therefore summed in groups of equal count, each over
+    exactly its own terms, as a one-row call would.
+    """
+    counts = np.asarray(counts)
+    losses = np.empty(len(scores))
+    for count in np.flatnonzero(np.bincount(counts)).tolist():
+        same = counts == count
+        rows = scores[same, : count + 1]
+        losses[same] = _softplus(-rows[:, 0]) + _softplus(rows[:, 1:]).sum(axis=1)
+    return losses
+
+
+def linear_lr(initial: float, step, total_steps: int):
+    """Linear decay over the whole run, floored at 1e-4 of the initial rate;
+    ``step`` may be an array of steps."""
+    return initial * np.maximum(LR_FLOOR_FACTOR, 1.0 - step / max(total_steps, 1))

@@ -74,6 +74,8 @@ class PipelineConfig:
             raise ValueError(f"unknown trainer {self.trainer!r}; choose from {TRAINERS}")
         if self.trainer == "glove":
             check_weighting(self.x_max, self.alpha)
+        self.embedding.validate()
+        self.cnn.validate()
         # One seed drives every seeded component; copies leave the caller's
         # configs as they were, so configs may share them.
         self.embedding = replace(self.embedding, seed=self.seed)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from kgtyper.embeddings import EmbeddingMatrix
-from kgtyper.embeddings.base import init_input_vectors
+from kgtyper.embeddings.base import UnigramSampler, init_input_vectors
 from kgtyper.embeddings.cbow import loss_and_grads
 from kgtyper.embeddings.glove import DEFAULT_ALPHA, DEFAULT_X_MAX, glove_weight
 from kgtyper.graph import KnowledgeGraph, build_hierarchy
@@ -207,3 +208,80 @@ def reference_train_glove(
             acc_bt[j] += coef * coef
         epoch_losses.append(epoch_loss / len(entries))
     return EmbeddingMatrix(w + wt, wt, vocab, epoch_losses)
+
+
+class ReferenceWordComposition:
+    """CBOW's input composition as numpy reductions: the mean of the context
+    rows, and ``np.subtract.at`` for the update."""
+
+    def __init__(self, w_in: np.ndarray):
+        self.params = (w_in,)
+
+    def hidden(self, context: np.ndarray) -> np.ndarray:
+        return self.params[0][context].mean(axis=0)
+
+    def descend(self, into, context, g_hidden, lr) -> None:
+        np.subtract.at(into[0], context, lr * g_hidden / len(context))
+
+
+def reference_ns_position_grads(hidden, w_out, center, negatives):
+    """Loss, hidden gradient, center-row gradient and negative-row gradients
+    of one negative-sampling step, written out term by term."""
+    softplus = lambda x: np.logaddexp(0.0, x)
+    sigmoid = lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+    u_pos = w_out[center]
+    u_neg = w_out[negatives]
+    s_pos = u_pos @ hidden
+    s_neg = u_neg @ hidden
+    loss = float(softplus(-s_pos) + softplus(s_neg).sum())
+    coef_pos = sigmoid(s_pos) - 1.0
+    coef_neg = sigmoid(s_neg)
+    g_hidden = coef_pos * u_pos + coef_neg @ u_neg
+    g_center = coef_pos * hidden
+    g_negatives = np.outer(coef_neg, hidden)
+    return loss, g_hidden, g_center, g_negatives
+
+
+def reference_train_negative_sampling(encoded, vocab, config, rng, composition):
+    """The negative-sampling trainer one position at a time: the sequential
+    definition that ``train_negative_sampling`` must match bit for bit.
+
+    Returns ``(w_out, epoch_losses, seen)``, where ``seen`` counts the
+    positions that met each case the schedule has to get right.
+    """
+    w_out = np.zeros((len(vocab), config.dimension))
+    sampler = UnigramSampler(vocab)
+    total_steps = sum(len(ids) for ids in encoded) * config.epochs
+    window, negatives_per_step = config.window, config.negative_samples
+    seen = Counter()
+
+    step = 0
+    epoch_losses = []
+    for _ in range(config.epochs):
+        epoch_loss = 0.0
+        trained = 0
+        for ids in encoded:
+            n = len(ids)
+            for i in range(n):
+                lr = config.initial_learning_rate * max(1e-4, 1.0 - step / max(total_steps, 1))
+                step += 1
+                context = np.concatenate((ids[max(0, i - window) : i], ids[i + 1 : i + 1 + window]))
+                if not len(context):
+                    seen["no context"] += 1
+                    continue
+                center = int(ids[i])
+                negatives = sampler.draw(rng, negatives_per_step)
+                seen["negative equal to center"] += bool(np.any(negatives == center))
+                negatives = negatives[negatives != center]
+                seen["repeated negative"] += len(set(negatives.tolist())) < len(negatives)
+                seen["repeated context token"] += len(set(context.tolist())) < len(context)
+                loss, g_hidden, g_center, g_negatives = reference_ns_position_grads(
+                    composition.hidden(context), w_out, center, negatives
+                )
+                w_out[center] -= lr * g_center
+                np.subtract.at(w_out, negatives, lr * g_negatives)
+                composition.descend(composition.params, context, g_hidden, lr)
+                epoch_loss += loss
+                trained += 1
+        epoch_losses.append(epoch_loss / max(trained, 1))
+    return w_out, epoch_losses, seen

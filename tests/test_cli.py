@@ -470,6 +470,32 @@ def test_bad_glove_weighting_exits_one_before_training(capsys, workspace, tmp_pa
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_learning_rate_exits_one_before_training(capsys, workspace, tmp_path, value):
+    out_path = tmp_path / "v.txt"
+    code, _, err = run(
+        capsys, "train-embeddings",
+        "--in", str(workspace["corpus"]), "--out", str(out_path),
+        "--dim", "6", "--epochs", "1", "--lr", value,
+    )
+    assert code == 1
+    assert "learning_rate" in err
+    assert not out_path.exists()
+
+
+def test_non_finite_classifier_learning_rate_exits_one_before_any_stage(
+    capsys, workspace, tmp_path
+):
+    out_dir = tmp_path / "pipeline"
+    code, _, err = run(
+        capsys, "pipeline", "--in", str(workspace["kg"]), "--out-dir", str(out_dir),
+        "--cnn-lr", "nan",
+    )
+    assert code == 1
+    assert "learning_rate" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "trainer,flag,value",
     [

@@ -14,7 +14,7 @@ from conftest import FixedVectors, assert_gradients_close
 from numpy.lib.stride_tricks import sliding_window_view
 
 import kgtyper
-from kgtyper.cnn import CnnConfig, CnnModel, train_cnn
+from kgtyper.cnn import CnnConfig, CnnModel, sgd_step, train_cnn
 from kgtyper.errors import DataError
 
 
@@ -213,7 +213,7 @@ def test_gathered_conv_step_equals_dense_reference():
 FAULT_PROBE = """
 import json, resource
 import numpy as np
-from kgtyper.cnn import CnnConfig, CnnModel
+from kgtyper.cnn import CnnConfig, CnnModel, sgd_step
 config = CnnConfig()
 rng = np.random.default_rng(1)
 model = CnnModel.initialize(config, [f"c{i}" for i in range(10)], 100, rng)
@@ -227,11 +227,24 @@ for step in range(120):  # the loop of train_cnn
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     batch = rng.permutation(400)[: config.batch_size]
     loss, grads = model.loss_and_grads(inputs[batch], targets[batch])
-    for name, array in params:
-        array -= config.learning_rate * grads[name]
+    sgd_step(params, grads, config.learning_rate)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 print(json.dumps({"faults_per_step": (after - before) / 100}))
 """
+
+
+def test_sgd_step_equals_scaled_subtraction():
+    """Scaling the gradient in place gives ``array -= lr * grad`` bit for bit."""
+    rng = np.random.default_rng(4)
+    config = CnnConfig(kernel_widths=(2, 3), filters_per_width=4, hidden_units=5)
+    model = CnnModel.initialize(config, ["a", "b", "c"], 8, rng)
+    inputs = rng.normal(0.0, 1.0, size=(6, 8))
+    targets = np.eye(3)[[0, 1, 2, 2, 1, 0]]
+    _, grads = model.loss_and_grads(inputs, targets)
+    expected = [array - 0.37 * grads[name] for name, array in model.parameter_arrays()]
+    sgd_step(model.parameter_arrays(), grads, 0.37)
+    for (name, array), want in zip(model.parameter_arrays(), expected):
+        assert np.array_equal(array, want), name
 
 
 def test_training_step_does_not_page_fault_per_step():
@@ -404,6 +417,8 @@ def test_forward_rejects_short_input():
         CnnConfig(batch_size=0),
         CnnConfig(epochs=0),
         CnnConfig(learning_rate=0.0),
+        CnnConfig(learning_rate=float("nan")),
+        CnnConfig(learning_rate=float("inf")),
     ],
 )
 def test_invalid_config_rejected(bad):
