@@ -41,7 +41,9 @@ import numpy as np
 
 from ..corpus import Sentence, Vocabulary
 from ..errors import NumericalError
-from .base import EmbeddingMatrix, TokenNotFoundError, TrainingConfig, init_input_vectors
+from .base import (
+    EmbeddingMatrix, TokenNotFoundError, TrainingConfig, distinct_counts, init_input_vectors,
+)
 from .cbow import encode_training_corpus, train_negative_sampling
 
 _FNV_OFFSET = 0x811C9DC5
@@ -118,7 +120,7 @@ class NGramTable:
         self._cache: dict[str, np.ndarray] = {}
         self._initial_state = rng.bit_generator.state
         used = [self.bucket_indices(token) for token in tokens]
-        self.bucket_ids = np.unique(np.concatenate([np.empty(0, np.intp), *used]))
+        self.bucket_ids, _ = distinct_counts(np.concatenate([np.empty(0, np.intp), *used]))
         self.rows = seeded_rows(self._initial_state, self.bucket_ids, dimension)
         rng.bit_generator.advance(config.bucket_count * dimension)
 
@@ -156,9 +158,9 @@ class NGramTable:
         out = np.empty((len(bucket_ids), self.rows.shape[1]))
         out[kept] = self.rows[positions[kept]]
         if not kept.all():
-            missing, inverse = np.unique(bucket_ids[~kept], return_inverse=True)
+            missing, _ = distinct_counts(bucket_ids[~kept])
             initial = seeded_rows(self._initial_state, missing, self.rows.shape[1])
-            out[~kept] = initial[inverse]
+            out[~kept] = initial[np.searchsorted(missing, bucket_ids[~kept])]
         return out
 
     def ngram_mean(self, token: str) -> np.ndarray:
@@ -204,7 +206,7 @@ def duplicate_free_rounds(idx: np.ndarray) -> list[np.ndarray]:
     """Split ``idx`` into rounds without repeats: round ``k`` holds each row
     that occurs more than ``k`` times, so the rounds together name every
     row as often as ``idx`` does."""
-    rows, counts = np.unique(idx, return_counts=True)
+    rows, counts = distinct_counts(idx)
     return [rows[counts > k] for k in range(counts.max(initial=0))]
 
 

@@ -2,7 +2,15 @@
 
 The co-occurrence matrix holds, for every unordered in-vocabulary token
 pair within the window of each other inside one sentence, the weight
-1/distance accumulated symmetrically. The trainer then minimizes
+1/distance accumulated symmetrically. Counting runs on arrays, but each
+weight is rounded as a loop over sentences, positions and distances
+rounds it when it adds every pair, then its mirror, to a running sum:
+the events are laid out in that order and ``np.bincount`` adds each
+entry's events in input order, starting from 0.0. Another order of
+addition (a pairwise ``np.sum`` per entry, say) can round differently
+once an entry sums thirds or quarters.
+
+The trainer then minimizes
 
     sum_ij f(X_ij) (w_i . wt_j + b_i + bt_j - log X_ij)^2
 
@@ -35,7 +43,7 @@ import numpy as np
 
 from ..corpus import Sentence, Vocabulary
 from ..errors import DataError
-from .base import EmbeddingMatrix, TrainingConfig, init_input_vectors
+from .base import EmbeddingMatrix, TrainingConfig, distinct_counts, init_input_vectors
 
 DEFAULT_X_MAX = 100.0
 DEFAULT_ALPHA = 0.75
@@ -43,36 +51,41 @@ BLOCK_ENTRIES = 128  # entries per numpy block; wider levels are split
 
 
 class CooccurrenceMatrix:
-    """Sparse symmetric map (token id i, token id j) -> weight."""
+    """Sparse symmetric co-occurrence weights as three arrays: one entry
+    ``(rows[k], cols[k], weights[k])`` per token-id pair, sorted by
+    ``(row, col)``, every weight positive."""
 
-    def __init__(self, vocab_size: int):
+    def __init__(self, vocab_size: int, rows=(), cols=(), weights=()):
         self.vocab_size = vocab_size
-        self.entries: dict[tuple[int, int], float] = {}
-
-    def add(self, i: int, j: int, weight: float) -> None:
-        """Accumulate one unordered pair occurrence into both directions."""
-        if weight <= 0:
-            return
-        self.entries[(i, j)] = self.entries.get((i, j), 0.0) + weight
-        if i != j:
-            self.entries[(j, i)] = self.entries.get((j, i), 0.0) + weight
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.weights = np.asarray(weights, dtype=np.float64)
+        keys = self.rows * vocab_size + self.cols
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("co-occurrence entries must be distinct and sorted by (i, j)")
+        bad = np.flatnonzero(self.weights <= 0)
+        if bad.size:
+            k = bad[0]
+            raise DataError(
+                f"non-positive co-occurrence weight at ({self.rows[k]}, {self.cols[k]}): "
+                f"{self.weights[k]}"
+            )
 
     def get(self, i: int, j: int) -> float:
-        return self.entries.get((i, j), 0.0)
+        start, end = np.searchsorted(self.rows, (i, i + 1))
+        k = start + int(np.searchsorted(self.cols[start:end], j))
+        return float(self.weights[k]) if k < end and self.cols[k] == j else 0.0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.weights)
 
     def items(self) -> list[tuple[int, int, float]]:
-        """Entries as (i, j, weight), deterministically ordered."""
-        return [(i, j, w) for (i, j), w in sorted(self.entries.items())]
+        """Entries as (i, j, weight), sorted."""
+        return list(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries as arrays ``(i, j, weight)`` in the order of ``items()``."""
-        pairs = np.array(list(self.entries), dtype=np.intp).reshape(-1, 2)
-        weights = np.fromiter(self.entries.values(), dtype=np.float64, count=len(self.entries))
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return pairs[order, 0], pairs[order, 1], weights[order]
+        return self.rows, self.cols, self.weights
 
 
 def build_cooccurrence(
@@ -81,24 +94,36 @@ def build_cooccurrence(
     """Count distance-weighted pairs; sentences never overlap.
 
     Distances are measured over the original token positions; pairs with
-    an out-of-vocabulary member are ignored.
+    an out-of-vocabulary member are ignored. The pair at positions
+    p < q <= p + window adds 1/(q - p) to its entry and then, unless both
+    tokens are the same, to the mirrored entry. The events are laid out
+    by (p, q - p, mirror), the loop order that every weight's rounding
+    follows (see the module docstring).
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    token_to_id = vocab.token_to_id
-    matrix = CooccurrenceMatrix(len(vocab))
-    for sentence in corpus:
-        n = len(sentence)
-        for i in range(n):
-            id_i = token_to_id.get(sentence[i])
-            if id_i is None:
-                continue
-            for j in range(i + 1, min(n, i + window + 1)):
-                id_j = token_to_id.get(sentence[j])
-                if id_j is None:
-                    continue
-                matrix.add(id_i, id_j, 1.0 / (j - i))
-    return matrix
+    get = vocab.token_to_id.get
+    sentences = list(corpus)
+    ids = np.fromiter((get(token, -1) for sentence in sentences for token in sentence), np.intp)
+    lengths = np.fromiter(map(len, sentences), np.intp, len(sentences))
+    sentence_of = np.repeat(np.arange(len(sentences)), lengths)
+    size = len(vocab)
+    span = min(window, max(len(ids) - 1, 1))
+    # keys[p, d - 1] holds the pair at positions (p, p + d) and its mirror,
+    # each as i * size + j, or -1 where there is none.
+    keys = np.full((len(ids), span, 2), -1, dtype=np.intp)
+    for d in range(1, span + 1):
+        a, b = ids[:-d], ids[d:]
+        pair = (sentence_of[:-d] == sentence_of[d:]) & (a >= 0) & (b >= 0)
+        keys[:-d, d - 1, 0] = np.where(pair, a * size + b, -1)
+        keys[:-d, d - 1, 1] = np.where(pair & (a != b), b * size + a, -1)
+    keys = keys.ravel()
+    events = np.flatnonzero(keys >= 0)
+    keys = keys[events]
+    weights = (1.0 / np.arange(1, span + 1))[events // 2 % span]
+    distinct, _ = distinct_counts(keys)
+    sums = np.bincount(np.searchsorted(distinct, keys), weights=weights)
+    return CooccurrenceMatrix(size, distinct // size, distinct % size, sums)
 
 
 def glove_weight(x: float, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_ALPHA) -> float:
@@ -119,8 +144,8 @@ def _entry_constants(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-entry ``log X_ij`` and ``f(X_ij)``, computed one scalar at a time
     (the array versions of log and power may round differently)."""
-    log_x = np.array([math.log(x) for x in counts], dtype=np.float64)
-    f = np.array([glove_weight(x, x_max, alpha) for x in counts], dtype=np.float64)
+    log_x = np.fromiter(map(math.log, counts), np.float64, len(counts))
+    f = np.fromiter((glove_weight(x, x_max, alpha) for x in counts), np.float64, len(counts))
     return log_x, f
 
 
@@ -220,11 +245,6 @@ def train_glove(
     if len(cooc) == 0:
         raise DataError("cannot train on an empty co-occurrence matrix")
     i, j, x = cooc.arrays()
-    bad = np.flatnonzero(x <= 0)
-    if bad.size:
-        k = bad[0]
-        raise DataError(f"non-positive co-occurrence weight at ({i[k]}, {j[k]}): {x[k]}")
-
     rng = np.random.default_rng(config.seed)
     dim = config.dimension
     size = len(vocab)
@@ -238,7 +258,6 @@ def train_glove(
     acc_bt = np.ones(size)
     lr = config.initial_learning_rate
     log_x, f = _entry_constants(x.tolist(), x_max, alpha)
-    del x
 
     epoch_losses: list[float] = []
     for _ in range(config.epochs):

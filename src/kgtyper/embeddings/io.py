@@ -32,17 +32,18 @@ def save_embeddings(model, path) -> None:
     """
     vocab = model.vocabulary
     dimension = model.dimension
-    rows = []
-    for token_id in range(len(vocab)):
-        token = vocab.token_of(token_id)
-        vector = np.asarray(model.vector_of(token), dtype=np.float64)
-        if not np.all(np.isfinite(vector)):
-            raise NumericalError(f"non-finite vector for token {token}")
-        rows.append(token + " " + " ".join(f"{x:.6f}" for x in vector))
+    tokens = [vocab.token_of(token_id) for token_id in range(len(vocab))]
+    vectors = np.empty((len(tokens), dimension))
+    for row, token in enumerate(tokens):
+        vectors[row] = model.vector_of(token)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"non-finite vector for token {tokens[np.argmin(finite)]}")
+    # One %-format per row; "%.6f" prints a float as f"{x:.6f}" does.
+    line = "%s " + " ".join(["%.6f"] * dimension) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"{len(vocab)} {dimension}\n")
-        for row in rows:
-            handle.write(row + "\n")
+        handle.writelines(line % (token, *vector.tolist()) for token, vector in zip(tokens, vectors))
 
 
 def load_embeddings(path) -> EmbeddingMatrix:

@@ -14,6 +14,7 @@ exact and the dependency footprint at zero.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
 
@@ -25,6 +26,7 @@ OWL_THING = "http://www.w3.org/2002/07/owl#Thing"
 DBO_AGENT = "http://dbpedia.org/ontology/Agent"
 
 _WS = " \t"
+_IRI_FORBIDDEN = re.compile(r'[ \t\n\r<>"]')
 
 
 class NTriplesError(DataError):
@@ -45,7 +47,7 @@ class Iri:
     def __post_init__(self):
         if not self.value:
             raise ValueError("IRI must be non-empty")
-        if any(c in self.value for c in ' \t\n\r<>"'):
+        if _IRI_FORBIDDEN.search(self.value):
             raise ValueError(f"IRI contains forbidden character: {self.value!r}")
 
     def serialized(self) -> str:

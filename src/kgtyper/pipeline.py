@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .cnn import CnnConfig, CnnModel, train_cnn
 from .corpus import build_vocabulary, read_corpus, triples_to_corpus, write_corpus
 from .embeddings import (
@@ -196,6 +198,7 @@ def similarity_predictions(
     for entity, class_iri in train_examples:
         members_by_class.setdefault(class_iri, []).append(entity)
     class_vectors = build_class_vectors(members_by_class, embeddings)
+    class_norms = {class_iri: np.linalg.norm(v) for class_iri, v in class_vectors.items()}
     predictions = []
     for entity in entities:
         coarse = most_specific_class(kg.type_assertions.get(entity, ()), hierarchy)
@@ -203,7 +206,7 @@ def similarity_predictions(
         if coarse is not None and entity in embeddings:
             scored = fine_grained_candidates(hierarchy, coarse) & set(class_vectors)
         predictions.append(
-            similarity_rank(entity, scored, class_vectors, embeddings) if scored
+            similarity_rank(entity, scored, class_vectors, embeddings, class_norms) if scored
             else Prediction(entity)
         )
     return predictions

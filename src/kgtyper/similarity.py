@@ -56,8 +56,10 @@ def build_class_vectors(
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    norm_u = np.linalg.norm(u)
-    norm_v = np.linalg.norm(v)
+    return _cosine(u, v, np.linalg.norm(u), np.linalg.norm(v))
+
+
+def _cosine(u: np.ndarray, v: np.ndarray, norm_u: float, norm_v: float) -> float:
     if norm_u == 0.0 or norm_v == 0.0:
         raise DataError("cosine similarity undefined for zero-norm vector")
     return float(u @ v / (norm_u * norm_v))
@@ -68,16 +70,28 @@ def similarity_rank(
     candidates: AbstractSet[str],
     class_vectors: Mapping[str, np.ndarray],
     embeddings,
+    class_norms: Mapping[str, float] | None = None,
 ) -> Prediction:
-    """Rank candidate classes by cosine similarity to the entity vector."""
+    """Rank candidate classes by cosine similarity to the entity vector.
+
+    ``class_norms`` may hold ``np.linalg.norm`` of class vectors computed
+    once for many rankings; other norms are computed here. Each score
+    equals ``cosine_similarity`` of the two vectors exactly.
+    """
     if not candidates:
         raise DataError(f"no candidate classes for entity {entity}")
     vector = embeddings.vector_of(entity)
+    norm = np.linalg.norm(vector)
+    class_norms = class_norms or {}
     scores = {}
     for class_iri in candidates:
         if class_iri not in class_vectors:
             raise DataError(f"no class vector for candidate {class_iri}")
-        scores[class_iri] = cosine_similarity(vector, class_vectors[class_iri])
+        class_vector = class_vectors[class_iri]
+        class_norm = (
+            class_norms[class_iri] if class_iri in class_norms else np.linalg.norm(class_vector)
+        )
+        scores[class_iri] = _cosine(vector, class_vector, norm, class_norm)
     return Prediction.from_scores(entity, scores)
 
 

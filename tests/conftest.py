@@ -86,15 +86,11 @@ def fixed_vectors():
     return FixedVectors
 
 
-def cooccurrence_oracle(corpus, vocab, window: int) -> dict[tuple[int, int], float]:
-    """Brute-force pair enumeration: 1/distance for every in-vocabulary
-    pair within the window, accumulated into both directions (once on the
-    diagonal). Distances are measured over original sentence positions."""
-    entries: dict[tuple[int, int], float] = {}
-
-    def bump(a: int, b: int, weight: float) -> None:
-        entries[(a, b)] = entries.get((a, b), 0.0) + weight
-
+def cooccurrence_events(corpus, vocab, window: int):
+    """Brute-force pair enumeration: ``(i, j, 1/distance)`` for every
+    in-vocabulary pair within the window, then its mirror unless i == j,
+    sentence by sentence and position by position. Distances are measured
+    over original sentence positions."""
     for sentence in corpus:
         for i in range(len(sentence)):
             id_i = vocab.token_to_id.get(sentence[i])
@@ -104,10 +100,18 @@ def cooccurrence_oracle(corpus, vocab, window: int) -> dict[tuple[int, int], flo
                 id_j = vocab.token_to_id.get(sentence[j])
                 if id_j is None:
                     continue
-                bump(id_i, id_j, 1.0 / (j - i))
+                yield id_i, id_j, 1.0 / (j - i)
                 if id_i != id_j:
-                    bump(id_j, id_i, 1.0 / (j - i))
-    return entries
+                    yield id_j, id_i, 1.0 / (j - i)
+
+
+def cooccurrence_oracle(corpus, vocab, window: int) -> list[tuple[int, int, float]]:
+    """The sorted ``(i, j, weight)`` entries: each pair's events added one
+    at a time, in the order ``cooccurrence_events`` gives them, to 0.0."""
+    entries: dict[tuple[int, int], float] = {}
+    for a, b, weight in cooccurrence_events(corpus, vocab, window):
+        entries[(a, b)] = entries.get((a, b), 0.0) + weight
+    return sorted((a, b, weight) for (a, b), weight in entries.items())
 
 
 def random_corpus(rng: np.random.Generator, max_tokens: int = 1000):

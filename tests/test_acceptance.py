@@ -240,7 +240,7 @@ def test_cooccurrence_matches_bruteforce_oracle():
         window = 1 + k % 4
         matrix = build_cooccurrence(corpus, vocab, window)
         oracle = cooccurrence_oracle(corpus, vocab, window)
-        all_equal = all_equal and matrix.entries == oracle
+        all_equal = all_equal and matrix.items() == oracle
         corpora += 1
         entries += len(oracle)
     acceptance(

@@ -41,6 +41,23 @@ def test_written_file_layout(tmp_path):
     assert lines[2] == "b 0.125000 -3.500000"
 
 
+def test_rows_print_as_per_component_format(tmp_path):
+    rng = np.random.default_rng(9)
+    edge = [-0.0, 0.0, -4e-7, 4e-7, -5e-7, 5e-7, 1e6, -1e6, 0.1234565, 1e-300, 123456789.1234567]
+    vectors = {f"tok{k:02d}": rng.normal(0.0, 10.0 ** (k % 7 - 3), size=len(edge)).tolist()
+               for k in range(12)}
+    vectors["edge"] = edge
+    model = DictModel(vectors)
+    path = tmp_path / "vectors.txt"
+    save_embeddings(model, path)
+    expected = f"{len(vectors)} {len(edge)}\n" + "".join(
+        token + " " + " ".join(f"{x:.6f}" for x in model.vector_of(token)) + "\n"
+        for token in model.vocabulary.id_to_token
+    )
+    assert " -0.000000 " in expected and " 1000000.000000 " in expected
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_load_small_file(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text("2 3\nalpha 0.1 0.2 0.3\nbeta -1 -2 -3\n")

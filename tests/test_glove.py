@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     assert_gradients_close,
+    cooccurrence_events,
     cooccurrence_oracle,
     numeric_gradient,
     random_corpus,
@@ -93,7 +94,45 @@ def test_matches_brute_force_oracle_exactly(seed):
     vocab = build_vocabulary(corpus, min_count=min_count)
     window = int(rng.integers(1, 3))
     matrix = build_cooccurrence(corpus, vocab, window)
-    assert matrix.entries == cooccurrence_oracle(corpus, vocab, window)
+    assert matrix.items() == cooccurrence_oracle(corpus, vocab, window)
+
+
+def sequential_sum(weights) -> float:
+    total = 0.0
+    for weight in weights:
+        total += weight
+    return total
+
+
+@pytest.mark.parametrize("window", [3, 4])
+def test_matches_oracle_where_summation_order_matters(window):
+    # Pairs of three common tokens repeat many times at every distance up to
+    # the window, a token meets itself, and a once-seen token (dropped at
+    # min_count 2) leaves a gap in each sentence.
+    rng = np.random.default_rng(window)
+    corpus = []
+    for k in range(60):
+        tokens = [("a", "b", "c")[t] for t in rng.integers(0, 3, size=int(rng.integers(4, 9)))]
+        tokens[int(rng.integers(1, len(tokens) - 1))] = f"once{k}"
+        corpus.append(tuple(tokens))
+    vocab = build_vocabulary(corpus, min_count=2)
+    assert len(vocab) == 3
+    events: dict[tuple[int, int], list[float]] = {}
+    for i, j, weight in cooccurrence_events(corpus, vocab, window):
+        events.setdefault((i, j), []).append(weight)
+    assert min(len(weights) for weights in events.values()) >= 10
+    assert all(len(set(weights)) == window for weights in events.values())
+    assert any(i == j for i, j in events)
+    # Added in another order, some weights round differently, so the
+    # comparison below sees the order in which build_cooccurrence adds.
+    assert any(
+        sequential_sum(sorted(weights)) != sequential_sum(weights) for weights in events.values()
+    )
+    assert any(
+        sequential_sum(weights[::-1]) != sequential_sum(weights) for weights in events.values()
+    )
+    matrix = build_cooccurrence(corpus, vocab, window)
+    assert matrix.items() == cooccurrence_oracle(corpus, vocab, window)
 
 
 def test_entries_are_symmetric_on_random_corpus():
@@ -102,7 +141,7 @@ def test_entries_are_symmetric_on_random_corpus():
     vocab = build_vocabulary(corpus)
     matrix = build_cooccurrence(corpus, vocab, window=2)
     assert len(matrix) > 0
-    for (i, j), weight in matrix.entries.items():
+    for i, j, weight in matrix.items():
         assert matrix.get(j, i) == weight
 
 
@@ -171,7 +210,7 @@ def test_blocked_trainer_matches_sequential_reference_exactly(seed, window):
     corpus = sentences(rng, alphabet=int(rng.integers(3, 15)), count=80)
     vocab = build_vocabulary(corpus)
     matrix = build_cooccurrence(corpus, vocab, window)
-    assert any(i == j for i, j in matrix.entries)  # a token within its own window
+    assert any(i == j for i, j, _ in matrix.items())  # a token within its own window
     config = TrainingConfig(
         dimension=int(rng.integers(1, 12)), window=window, epochs=3,
         initial_learning_rate=0.1, seed=seed,
@@ -227,8 +266,8 @@ def test_bad_weighting_rejected_before_training(weighting):
 
 def test_single_entry_converges():
     vocab = build_vocabulary([("a", "b", "pad")])
-    matrix = CooccurrenceMatrix(len(vocab))
-    matrix.add(vocab.id_of("a"), vocab.id_of("b"), 4.0)  # log target != 0
+    a, b = sorted(ids(vocab, "a", "b"))
+    matrix = CooccurrenceMatrix(len(vocab), [a, b], [b, a], [4.0, 4.0])  # log target != 0
     config = TrainingConfig(dimension=5, epochs=300, initial_learning_rate=0.05, seed=1)
     # With x_max=1 every weight is 1, so the epoch loss is the mean squared
     # residual of the log-count fit; convergence within 1e-3 means the
@@ -268,15 +307,13 @@ def test_empty_matrix_rejected():
 
 
 def test_non_positive_count_rejected():
-    vocab = build_vocabulary([("a", "b", "c")])
-    matrix = CooccurrenceMatrix(len(vocab))
-    matrix.entries[(0, 1)] = -1.0  # bypass add(), which refuses this
-    with pytest.raises(DataError):
-        train_glove(matrix, vocab, TrainingConfig(dimension=4))
+    for weight in (-1.0, 0.0, -2.0):
+        with pytest.raises(DataError, match="non-positive co-occurrence weight at"):
+            CooccurrenceMatrix(3, [0, 1], [1, 0], [1.0, weight])
 
 
-def test_add_ignores_non_positive_weights():
-    matrix = CooccurrenceMatrix(3)
-    matrix.add(0, 1, 0.0)
-    matrix.add(0, 1, -2.0)
-    assert len(matrix) == 0
+def test_entries_must_be_sorted_and_distinct():
+    assert len(CooccurrenceMatrix(3, [0, 1, 1], [2, 0, 1], [1.0, 2.0, 3.0])) == 3
+    for rows, cols in (([1, 0], [0, 1]), ([0, 0], [1, 1])):
+        with pytest.raises(ValueError):
+            CooccurrenceMatrix(3, rows, cols, [1.0, 1.0])

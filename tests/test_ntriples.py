@@ -174,3 +174,16 @@ def test_write_ntriples_returns_count():
     buffer = io.StringIO()
     assert write_ntriples(triples, buffer) == 1
     assert buffer.getvalue() == "<http://a> <http://b> <http://c> .\n"
+
+
+@pytest.mark.parametrize("character", list(' \t\n\r<>"'))
+def test_iri_rejects_each_forbidden_character(character):
+    value = f"http://example.org/a{character}b"
+    with pytest.raises(ValueError) as excinfo:
+        Iri(value)
+    assert str(excinfo.value) == f"IRI contains forbidden character: {value!r}"
+
+
+def test_iri_accepts_other_characters():
+    value = "http://example.org/a%20b{c}|d\\e^f`g\x0bh\x0ci\u00e9"
+    assert Iri(value).value == value

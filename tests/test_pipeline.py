@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kgtyper
 from kgtyper.cnn import CnnConfig
 from kgtyper.embeddings import TrainingConfig
 from kgtyper.errors import StageError
@@ -191,3 +196,37 @@ def test_fasttext_and_glove_trainers_run_end_to_end(tmp_path):
         )
         result = run_pipeline(config)
         assert "cnn" in result.metrics and "similarity" in result.metrics
+
+
+NUMPY_MA_PROBE = """
+import sys
+from pathlib import Path
+from kgtyper.cnn import CnnConfig
+from kgtyper.embeddings import NGramConfig, TrainingConfig
+from kgtyper.pipeline import PipelineConfig, run_pipeline
+from kgtyper.synth import generate_synthetic_kg
+out, trainer = Path(sys.argv[1]), sys.argv[2]
+generate_synthetic_kg(out / "synth", num_classes=3, entities_per_class=6,
+                      predicates_per_class=2, noise_fraction=0.0, seed=3)
+run_pipeline(PipelineConfig(
+    input_nt=out / "synth" / "kg.nt", out_dir=out / "run", trainer=trainer,
+    embedding=TrainingConfig(dimension=8, epochs=2),
+    ngram=NGramConfig(n_min=3, n_max=4, bucket_count=211),
+    cnn=CnnConfig(kernel_widths=(3,), filters_per_width=4, hidden_units=8,
+                  batch_size=4, epochs=2),
+    num_classes=3, entities_per_class=6,
+))
+print("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("trainer", ["word2vec", "fasttext", "glove"])
+def test_pipeline_does_not_import_numpy_ma(tmp_path, trainer):
+    """``np.unique`` imports ``numpy.ma`` on its first call, which costs
+    1.2-1.6 MB of peak RSS; no trainer's pipeline needs it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kgtyper.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, str(tmp_path), trainer],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"

@@ -144,3 +144,34 @@ def test_leaf_child_of_root_has_no_candidates(lawfirm_hierarchy):
 def test_unknown_class_rejected(lawfirm_hierarchy):
     with pytest.raises(DataError):
         fine_grained_candidates(lawfirm_hierarchy, "http://example.org/Nope")
+
+
+def test_scores_equal_cosine_similarity_exactly():
+    rng = np.random.default_rng(12)
+    class_vectors = {
+        f"C{k}": rng.normal(size=7) * 10.0 ** int(rng.integers(-3, 4)) for k in range(12)
+    }
+    norms = {c: np.linalg.norm(v) for c, v in class_vectors.items()}
+    for _ in range(20):
+        vector = rng.normal(size=7)
+        embeddings = FixedVectors({"e": vector})
+        # The definition, written out: one dot product over the product of norms.
+        expected = {
+            c: float(vector @ v / (np.linalg.norm(vector) * np.linalg.norm(v)))
+            for c, v in class_vectors.items()
+        }
+        assert expected == {c: cosine_similarity(vector, v) for c, v in class_vectors.items()}
+        for class_norms in (norms, None, {"C0": norms["C0"]}):
+            prediction = similarity_rank(
+                "e", set(class_vectors), class_vectors, embeddings, class_norms
+            )
+            assert prediction.scores == expected
+
+
+def test_zero_norm_rejected_with_precomputed_norms():
+    class_vectors = {"C": np.zeros(2), "D": np.ones(2)}
+    norms = {c: np.linalg.norm(v) for c, v in class_vectors.items()}
+    with pytest.raises(DataError, match="zero-norm"):
+        similarity_rank("e", {"C", "D"}, class_vectors, FixedVectors({"e": [1.0, 0.0]}), norms)
+    with pytest.raises(DataError, match="zero-norm"):
+        similarity_rank("e", {"D"}, class_vectors, FixedVectors({"e": [0.0, 0.0]}), norms)
