@@ -312,6 +312,17 @@ def test_non_positive_count_rejected():
             CooccurrenceMatrix(3, [0, 1], [1, 0], [1.0, weight])
 
 
+def test_add_ignores_non_positive_weights():
+    # A zero or negative weight never becomes an entry: a lone one is refused
+    # and the matrix without it stays empty.
+    for weight in (0.0, -2.0):
+        with pytest.raises(DataError):
+            CooccurrenceMatrix(3, [0], [1], [weight])
+    matrix = CooccurrenceMatrix(3)
+    assert len(matrix) == 0
+    assert matrix.get(0, 1) == 0.0
+
+
 def test_entries_must_be_sorted_and_distinct():
     assert len(CooccurrenceMatrix(3, [0, 1, 1], [2, 0, 1], [1.0, 2.0, 3.0])) == 3
     for rows, cols in (([1, 0], [0, 1]), ([0, 0], [1, 1])):
