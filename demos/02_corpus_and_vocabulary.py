@@ -19,14 +19,14 @@ from kgtyper import (
     triples_to_corpus,
 )
 
-out_dir = Path(tempfile.mkdtemp(prefix="kgtyper_demo_"))
-synth = generate_synthetic_kg(
-    out_dir, num_classes=3, entities_per_class=5, predicates_per_class=2,
-    noise_fraction=0.0, seed=7,
-)
-print(f"synthetic KG: {synth.num_triples} triples, {synth.num_entities} entities -> {synth.kg_path}")
-
-kg = KnowledgeGraph.from_triples(parse_ntriples_file(synth.kg_path))
+with tempfile.TemporaryDirectory(prefix="kgtyper_demo_") as out_dir:
+    synth = generate_synthetic_kg(
+        Path(out_dir), num_classes=3, entities_per_class=5, predicates_per_class=2,
+        noise_fraction=0.0, seed=7,
+    )
+    print(f"synthetic KG: {synth.num_triples} triples, {synth.num_entities} entities "
+          f"-> {synth.kg_path}")
+    kg = KnowledgeGraph.from_triples(parse_ntriples_file(synth.kg_path))
 
 corpus = triples_to_corpus(kg, exclude_predicates={RDF_TYPE})
 print(f"\nheld-out corpus: {len(corpus)} sentences "

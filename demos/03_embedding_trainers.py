@@ -29,16 +29,17 @@ from kgtyper import (
     triples_to_corpus,
 )
 
-out_dir = Path(tempfile.mkdtemp(prefix="kgtyper_demo_"))
-synth = generate_synthetic_kg(
-    out_dir, num_classes=3, entities_per_class=10, predicates_per_class=2,
-    noise_fraction=0.0, seed=11,
-)
-kg = KnowledgeGraph.from_triples(parse_ntriples_file(synth.kg_path))
+with tempfile.TemporaryDirectory(prefix="kgtyper_demo_") as out_dir:
+    synth = generate_synthetic_kg(
+        Path(out_dir), num_classes=3, entities_per_class=10, predicates_per_class=2,
+        noise_fraction=0.0, seed=11,
+    )
+    kg = KnowledgeGraph.from_triples(parse_ntriples_file(synth.kg_path))
+    gold_lines = Path(synth.gold_path).read_text().splitlines()
 corpus = triples_to_corpus(kg, exclude_predicates={RDF_TYPE})
 vocab = build_vocabulary(corpus)
 gold = {}
-for line in Path(synth.gold_path).read_text().splitlines():
+for line in gold_lines:
     entity, class_iri = line.split("\t")
     gold[entity] = class_iri
 entities = sorted(gold)

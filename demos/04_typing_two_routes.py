@@ -27,12 +27,12 @@ from kgtyper import (
 )
 from kgtyper.pipeline import cnn_predictions, similarity_predictions
 
-out_dir = Path(tempfile.mkdtemp(prefix="kgtyper_demo_"))
-synth = generate_synthetic_kg(
-    out_dir, num_classes=4, entities_per_class=12, predicates_per_class=2,
-    noise_fraction=0.0, seed=5,
-)
-triples = list(parse_ntriples_file(synth.kg_path))
+with tempfile.TemporaryDirectory(prefix="kgtyper_demo_") as out_dir:
+    synth = generate_synthetic_kg(
+        Path(out_dir), num_classes=4, entities_per_class=12, predicates_per_class=2,
+        noise_fraction=0.0, seed=5,
+    )
+    triples = list(parse_ntriples_file(synth.kg_path))
 kg = KnowledgeGraph.from_triples(triples)
 hierarchy = build_hierarchy(kg, roots={synth.root})
 

@@ -40,24 +40,25 @@ print(f"external overlap: {report.intersection} shared entities of {report.our_e
       f"{report.matching_types} agree on the type")
 
 # Full pipeline on a synthetic KG.
-work = Path(tempfile.mkdtemp(prefix="kgtyper_demo_"))
-synth = generate_synthetic_kg(work / "kg", num_classes=3, entities_per_class=10,
-                              predicates_per_class=2, noise_fraction=0.0, seed=3)
-config = PipelineConfig(
-    input_nt=synth.kg_path,
-    out_dir=work / "run",
-    embedding=TrainingConfig(dimension=16, window=2, epochs=15,
-                             initial_learning_rate=0.15, seed=1),
-    cnn=CnnConfig(kernel_widths=(3, 4), filters_per_width=16, hidden_units=24,
-                  batch_size=8, epochs=80, learning_rate=0.3, seed=1),
-    num_classes=3,
-    entities_per_class=10,
-    train_fraction=0.8,
-    seed=1,
-)
-result = run_pipeline(config)
-print("\npipeline report:")
-print(result.report_text())
-print(f"artifacts in {config.out_dir}:")
-for path in sorted(config.out_dir.iterdir()):
-    print(f"  {path.name}")
+with tempfile.TemporaryDirectory(prefix="kgtyper_demo_") as work:
+    work = Path(work)
+    synth = generate_synthetic_kg(work / "kg", num_classes=3, entities_per_class=10,
+                                  predicates_per_class=2, noise_fraction=0.0, seed=3)
+    config = PipelineConfig(
+        input_nt=synth.kg_path,
+        out_dir=work / "run",
+        embedding=TrainingConfig(dimension=16, window=2, epochs=15,
+                                 initial_learning_rate=0.15, seed=1),
+        cnn=CnnConfig(kernel_widths=(3, 4), filters_per_width=16, hidden_units=24,
+                      batch_size=8, epochs=80, learning_rate=0.3, seed=1),
+        num_classes=3,
+        entities_per_class=10,
+        train_fraction=0.8,
+        seed=1,
+    )
+    result = run_pipeline(config)
+    print("\npipeline report:")
+    print(result.report_text())
+    print(f"artifacts in {config.out_dir}:")
+    for path in sorted(config.out_dir.iterdir()):
+        print(f"  {path.name}")

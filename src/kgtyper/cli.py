@@ -11,11 +11,11 @@ Every flag with a long name can be overridden by an environment variable
 ``KGTYPER_<NAME>`` (dashes become underscores, e.g. ``KGTYPER_DIM=200``).
 Precedence: explicit flag, then environment, then built-in default.
 
-``--n-min``, ``--n-max`` and ``--buckets`` are read only by the fasttext
-trainer, ``--x-max`` and ``--alpha`` only by glove. Given on the command
-line with another trainer, they are a usage error rather than a silent
-no-op; set through the environment, they stay defaults that other trainers
-ignore.
+``--negative`` is read only by the word2vec and fasttext trainers,
+``--n-min``, ``--n-max`` and ``--buckets`` only by fasttext, ``--x-max`` and
+``--alpha`` only by glove. Given on the command line with another trainer,
+they are a usage error rather than a silent no-op; set through the
+environment, they stay defaults that other trainers ignore.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 numerical
 failure.
@@ -71,13 +71,14 @@ def _parse_bool(raw: str, env_name: str) -> bool:
     raise ValueError(f"{env_name}: expected a boolean, got {raw!r}")
 
 
-# Options that only one embedding trainer reads.
+# Options that only some embedding trainers read, with those trainers.
 _TRAINER_ONLY = {
-    "--n-min": "fasttext",
-    "--n-max": "fasttext",
-    "--buckets": "fasttext",
-    "--x-max": "glove",
-    "--alpha": "glove",
+    "--negative": ("word2vec", "fasttext"),
+    "--n-min": ("fasttext",),
+    "--n-max": ("fasttext",),
+    "--buckets": ("fasttext",),
+    "--x-max": ("glove",),
+    "--alpha": ("glove",),
 }
 
 
@@ -93,8 +94,9 @@ class _Given(argparse.Action):
 def _reject_other_trainer_flags(args, trainer: str) -> None:
     """A flag that the chosen trainer ignores is a usage error, not a no-op."""
     for flag in sorted(getattr(args, "given_flags", ())):
-        owner = _TRAINER_ONLY[flag]
-        if owner != trainer:
+        owners = _TRAINER_ONLY[flag]
+        if trainer not in owners:
+            owner = " and ".join(owners)
             raise ValueError(f"{flag} applies only to the {owner} trainer, not {trainer}")
 
 
@@ -337,7 +339,10 @@ def _add_embedding_options(parser: argparse.ArgumentParser) -> None:
     _opt(parser, "--window", type=int, default=2, help="context window size")
     _opt(parser, "--epochs", type=int, default=5, help="training epochs")
     _opt(parser, "--lr", type=float, default=0.05, help="initial learning rate")
-    _opt(parser, "--negative", type=int, default=5, help="negative samples per position")
+    _opt(
+        parser, "--negative", action=_Given, type=int, default=5,
+        help="negative samples per position (word2vec and fasttext only)",
+    )
     _opt(parser, "--min-count", type=int, default=1, help="vocabulary frequency floor")
     ngram = NGramConfig()
     for flag, kind, default, text in (
@@ -347,7 +352,7 @@ def _add_embedding_options(parser: argparse.ArgumentParser) -> None:
         ("--x-max", float, 100.0, "co-occurrence weight cap"),
         ("--alpha", float, 0.75, "co-occurrence weight exponent"),
     ):
-        help_text = f"{text} ({_TRAINER_ONLY[flag]} only)"
+        help_text = f"{text} ({' and '.join(_TRAINER_ONLY[flag])} only)"
         _opt(parser, flag, action=_Given, type=kind, default=default, help=help_text)
 
 

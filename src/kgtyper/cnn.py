@@ -14,6 +14,10 @@ each input coordinate on the training set and records the shift and
 scale on the model, so prediction applies the same conditioning;
 hand-constructed models default to the identity.
 
+``parameter_shapes`` is the one list of trainable arrays: their names,
+shapes and order. The model holds them in one dict, ``params``, and
+initialisation, SGD, the gradient checks and the model file all follow it.
+
 Backpropagation is hand-rolled in numpy so the analytic gradients can be
 validated against central finite differences. Conv pre-activations are laid
 out (N, F, P), so the max pool's argmax runs over the contiguous last axis.
@@ -38,7 +42,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -88,6 +92,20 @@ class CnnConfig:
         return len(self.kernel_widths) * self.filters_per_width
 
 
+def parameter_shapes(config: CnnConfig, num_classes: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every trainable array, in the model's fixed order."""
+    filters = config.filters_per_width
+    shapes = []
+    for w in config.kernel_widths:
+        shapes += [(f"conv_w_{w}", (filters, w)), (f"conv_b_{w}", (filters,))]
+    return shapes + [
+        ("hidden_w", (config.pooled_features, config.hidden_units)),
+        ("hidden_b", (config.hidden_units,)),
+        ("out_w", (config.hidden_units, num_classes)),
+        ("out_b", (num_classes,)),
+    ]
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -103,28 +121,13 @@ def _bce_mean(logits: np.ndarray, targets: np.ndarray) -> float:
 class CnnModel:
     """Parameters of the classifier plus the class <-> output-position map."""
 
-    def __init__(
-        self,
-        config: CnnConfig,
-        classes: list[str],
-        conv_w: dict[int, np.ndarray],
-        conv_b: dict[int, np.ndarray],
-        hidden_w: np.ndarray,
-        hidden_b: np.ndarray,
-        out_w: np.ndarray,
-        out_b: np.ndarray,
-    ):
+    def __init__(self, config: CnnConfig, classes: list[str], params: dict[str, np.ndarray]):
         self.config = config
         self.classes = list(classes)
         self.class_index = {c: i for i, c in enumerate(self.classes)}
         if len(self.class_index) != len(self.classes):
             raise DataError("duplicate class in class index")
-        self.conv_w = conv_w
-        self.conv_b = conv_b
-        self.hidden_w = hidden_w
-        self.hidden_b = hidden_b
-        self.out_w = out_w
-        self.out_b = out_b
+        self.params = params  # named as in parameter_shapes, in its order
         # Optional input conditioning fitted on the training set: inputs
         # are shifted and scaled per coordinate before the first
         # convolution. None means identity (hand-built models).
@@ -141,55 +144,22 @@ class CnnModel:
     def initialize(
         cls, config: CnnConfig, classes: list[str], input_dim: int, rng: np.random.Generator
     ) -> "CnnModel":
-        """Glorot-uniform weights, zero biases, classes in sorted order."""
+        """Glorot-uniform weights (bound sqrt(6 / (fan_in + fan_out))), zero
+        biases, classes in sorted order."""
         config.validate(input_dim)
         classes = sorted(classes)
-
-        def glorot(fan_in, fan_out, shape):
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-bound, bound, size=shape)
-
-        conv_w = {}
-        conv_b = {}
-        for w in config.kernel_widths:
-            conv_w[w] = glorot(w, config.filters_per_width, (config.filters_per_width, w))
-            conv_b[w] = np.zeros(config.filters_per_width)
-        hidden_w = glorot(
-            config.pooled_features,
-            config.hidden_units,
-            (config.pooled_features, config.hidden_units),
-        )
-        out_w = glorot(config.hidden_units, len(classes), (config.hidden_units, len(classes)))
-        return cls(
-            config,
-            classes,
-            conv_w,
-            conv_b,
-            hidden_w,
-            np.zeros(config.hidden_units),
-            out_w,
-            np.zeros(len(classes)),
-        )
+        params = {}
+        for name, shape in parameter_shapes(config, len(classes)):
+            if len(shape) == 2:
+                bound = np.sqrt(6.0 / sum(shape))
+                params[name] = rng.uniform(-bound, bound, size=shape)
+            else:
+                params[name] = np.zeros(shape)
+        return cls(config, classes, params)
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    def parameter_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """All trainable arrays in a fixed order (shared by SGD and checks)."""
-        arrays: list[tuple[str, np.ndarray]] = []
-        for w in self.config.kernel_widths:
-            arrays.append((f"conv_w_{w}", self.conv_w[w]))
-            arrays.append((f"conv_b_{w}", self.conv_b[w]))
-        arrays.extend(
-            [
-                ("hidden_w", self.hidden_w),
-                ("hidden_b", self.hidden_b),
-                ("out_w", self.out_w),
-                ("out_b", self.out_b),
-            ]
-        )
-        return arrays
 
     def condition(self, inputs: np.ndarray) -> np.ndarray:
         """Apply the fitted per-coordinate shift and scale, if any."""
@@ -214,8 +184,8 @@ class CnnModel:
             stop = min(start + _CONV_BLOCK, n)
             pre = self._scratch[: (stop - start) * filters * positions]
             pre = pre.reshape(stop - start, filters, positions)
-            np.matmul(self.conv_w[w], windows[start:stop].transpose(0, 2, 1), out=pre)
-            pre += self.conv_b[w][:, None]
+            np.matmul(self.params[f"conv_w_{w}"], windows[start:stop].transpose(0, 2, 1), out=pre)
+            pre += self.params[f"conv_b_{w}"][:, None]
             pre.argmax(axis=2, out=argmax[start:stop])  # first index wins ties
             picked = np.take_along_axis(pre, argmax[start:stop, :, None], axis=2)
             pooled[start:stop] = picked[:, :, 0]
@@ -234,10 +204,10 @@ class CnnModel:
             windows = sliding_window_view(inputs, w, axis=1)  # (N, P, w)
             cache[w] = (windows, self._conv_pool(w, windows, pooled))
             np.maximum(pooled, 0.0, out=pooled)  # ReLU after the pool
-        hidden = features @ self.hidden_w
-        hidden += self.hidden_b
+        hidden = features @ self.params["hidden_w"]
+        hidden += self.params["hidden_b"]
         np.maximum(hidden, 0.0, out=hidden)  # hidden > 0 exactly where its pre-activation is
-        logits = hidden @ self.out_w + self.out_b
+        logits = hidden @ self.params["out_w"] + self.params["out_b"]
         cache.update(features=features, hidden=hidden, logits=logits)
         return cache
 
@@ -257,9 +227,6 @@ class CnnModel:
             entity, {c: float(scores[i]) for i, c in enumerate(self.classes)}
         )
 
-    def loss(self, inputs: np.ndarray, targets: np.ndarray) -> float:
-        return _bce_mean(self._forward_cached(np.atleast_2d(inputs))["logits"], targets)
-
     def loss_and_grads(
         self, inputs: np.ndarray, targets: np.ndarray
     ) -> tuple[float, dict[str, np.ndarray]]:
@@ -275,12 +242,12 @@ class CnnModel:
             "out_w": cache["hidden"].T @ d_logits,
             "out_b": d_logits.sum(axis=0),
         }
-        d_hidden = d_logits @ self.out_w.T
+        d_hidden = d_logits @ self.params["out_w"].T
         d_hidden *= cache["hidden"] > 0.0  # through the ReLU
         grads["hidden_w"] = cache["features"].T @ d_hidden
         grads["hidden_b"] = d_hidden.sum(axis=0)
 
-        d_features = d_hidden @ self.hidden_w.T
+        d_features = d_hidden @ self.params["hidden_w"].T
         widths = self.config.kernel_widths
         parts = zip(
             widths,
@@ -296,10 +263,9 @@ class CnnModel:
         return loss, grads
 
     def _persisted_arrays(self) -> list[tuple[str, np.ndarray]]:
-        arrays = self.parameter_arrays()
+        arrays = list(self.params.items())
         if self.feature_shift is not None:
-            arrays.append(("feature_shift", self.feature_shift))
-            arrays.append(("feature_scale", self.feature_scale))
+            arrays += [("feature_shift", self.feature_shift), ("feature_scale", self.feature_scale)]
         return arrays
 
     def check_finite(self) -> None:
@@ -312,15 +278,7 @@ class CnnModel:
         arrays = self._persisted_arrays()
         header = {
             "format_version": 1,
-            "config": {
-                "kernel_widths": list(self.config.kernel_widths),
-                "filters_per_width": self.config.filters_per_width,
-                "hidden_units": self.config.hidden_units,
-                "batch_size": self.config.batch_size,
-                "epochs": self.config.epochs,
-                "learning_rate": self.config.learning_rate,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "classes": self.classes,
             "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
         }
@@ -332,58 +290,45 @@ class CnnModel:
 
     @classmethod
     def load(cls, path) -> "CnnModel":
+        """Read a model file, refusing (``DataError``) a header whose arrays are
+        not ``parameter_shapes`` of its config, plus optional conditioning."""
         with open(path, "rb") as handle:
-            magic = handle.readline()
-            if magic != _MAGIC:
+            if handle.readline() != _MAGIC:
                 raise DataError(f"{path}: not a classifier model file")
             try:
                 header = json.loads(handle.readline().decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise DataError(f"{path}: corrupt model header: {exc}") from None
-            cfg = header["config"]
-            config = CnnConfig(
-                kernel_widths=tuple(cfg["kernel_widths"]),
-                filters_per_width=cfg["filters_per_width"],
-                hidden_units=cfg["hidden_units"],
-                batch_size=cfg["batch_size"],
-                epochs=cfg["epochs"],
-                learning_rate=cfg["learning_rate"],
-                seed=cfg["seed"],
-            )
+                config = CnnConfig(**header["config"])
+                config.kernel_widths = tuple(config.kernel_widths)
+                config.validate()
+                expected = parameter_shapes(config, len(header["classes"]))
+                specs = [(spec["name"], tuple(spec["shape"])) for spec in header["arrays"]]
+            except (KeyError, TypeError, ValueError) as exc:  # ValueError: also bad UTF-8, JSON
+                raise DataError(f"{path}: corrupt model header: {exc!r}") from None
+            if len(specs) == len(expected) + 2 and len(specs[-1][1]) == 1:
+                expected += [(name, specs[-1][1]) for name in ("feature_shift", "feature_scale")]
+            if specs != expected:
+                raise DataError(f"{path}: model arrays {specs} do not match its config {expected}")
             loaded: dict[str, np.ndarray] = {}
-            for spec in header["arrays"]:
-                shape = tuple(spec["shape"])
-                count = int(np.prod(shape)) if shape else 1
+            for name, shape in specs:
+                count = int(np.prod(shape))
                 raw = handle.read(count * 8)
                 if len(raw) != count * 8:
-                    raise DataError(f"{path}: truncated model file at {spec['name']}")
-                loaded[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        conv_w = {w: loaded[f"conv_w_{w}"] for w in config.kernel_widths}
-        conv_b = {w: loaded[f"conv_b_{w}"] for w in config.kernel_widths}
-        model = cls(
-            config,
-            header["classes"],
-            conv_w,
-            conv_b,
-            loaded["hidden_w"],
-            loaded["hidden_b"],
-            loaded["out_w"],
-            loaded["out_b"],
-        )
-        if "feature_shift" in loaded:
-            model.feature_shift = loaded["feature_shift"]
-            model.feature_scale = loaded["feature_scale"]
+                    raise DataError(f"{path}: truncated model file at {name}")
+                loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        shift, scale = loaded.pop("feature_shift", None), loaded.pop("feature_scale", None)
+        model = cls(config, header["classes"], loaded)
+        model.feature_shift, model.feature_scale = shift, scale
         return model
 
 
 def sgd_step(params, grads: dict[str, np.ndarray], learning_rate: float) -> None:
     """Subtract ``learning_rate`` times each gradient from its parameter array.
 
-    ``params`` is ``CnnModel.parameter_arrays()``. Each gradient is scaled in
-    place and then subtracted, so no temporary is allocated; products
-    commute, so the result is that of ``array -= learning_rate * grad``.
+    ``params`` is ``CnnModel.params``. Each gradient is scaled in place and
+    then subtracted, so no temporary is allocated; products commute, so the
+    result is that of ``array -= learning_rate * grad``.
     """
-    for name, array in params:
+    for name, array in params.items():
         grad = grads[name]
         grad *= learning_rate
         array -= grad
@@ -427,14 +372,13 @@ def train_cnn(examples, embeddings, config: CnnConfig) -> CnnModel:
     targets = np.zeros((len(labels), len(classes)))
     targets[np.arange(len(labels)), [index[c] for c in labels]] = 1.0
 
-    params = model.parameter_arrays()
     for _ in range(config.epochs):
         order = rng.permutation(len(labels))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             loss, grads = model.loss_and_grads(inputs[batch], targets[batch])
-            sgd_step(params, grads, config.learning_rate)
+            sgd_step(model.params, grads, config.learning_rate)
             epoch_loss += loss * len(batch)
         model.epoch_losses.append(epoch_loss / len(labels))
     model.check_finite()

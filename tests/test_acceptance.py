@@ -198,10 +198,10 @@ def _check_cnn_gradients() -> tuple[float, int]:
     targets = np.zeros((4, 2))
     targets[[0, 1, 2, 3], [0, 1, 1, 0]] = 1.0
     _, grads = model.loss_and_grads(inputs, targets)
-    size = _require_nonzero("cnn", [grads[name] for name, _ in model.parameter_arrays()])
-    loss = lambda: model.loss(inputs, targets)
+    size = _require_nonzero("cnn", [grads[name] for name in model.params])
+    loss = lambda: model.loss_and_grads(inputs, targets)[0]
     error = 0.0
-    for name, array in model.parameter_arrays():
+    for name, array in model.params.items():
         error = max(error, _max_relative_error(grads[name], numeric_gradient(loss, array)))
     return error, size
 

@@ -285,6 +285,36 @@ def test_predict_similarity_ranks_candidates(capsys, workspace, tmp_path):
     assert rows and all(fields[0] == entity for fields in rows)
 
 
+def _without_config(header):
+    del header["config"]
+
+
+def _without_last_array(header):
+    header["arrays"].pop()
+
+
+def _config_disagrees_with_arrays(header):
+    header["config"]["hidden_units"] += 1
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_without_config, _without_last_array, _config_disagrees_with_arrays]
+)
+def test_predict_rejects_malformed_model_header(capsys, workspace, tmp_path, corrupt):
+    magic, header, blobs = workspace["model"].read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    corrupt(header)
+    path = tmp_path / "bad_model.bin"
+    path.write_bytes(b"\n".join([magic, json.dumps(header).encode("utf-8"), blobs]))
+    code, out, err = run(
+        capsys, "predict", "--method", "cnn", "--entity", first_test_entity(workspace),
+        "--vectors", str(workspace["vectors"]), "--model", str(path),
+    )
+    assert code == 2
+    assert str(path) in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("method", ["cnn", "similarity"])
 def test_predict_unknown_entity_is_data_error(capsys, workspace, method):
     entity = "http://nowhere/x"
@@ -504,6 +534,7 @@ def test_non_finite_classifier_learning_rate_exits_one_before_any_stage(
         ("word2vec", "--buckets", "101"),
         ("glove", "--n-min", "2"),
         ("glove", "--n-max", "4"),
+        ("glove", "--negative", "3"),
     ],
 )
 def test_flag_of_another_trainer_exits_one(capsys, workspace, tmp_path, trainer, flag, value):
