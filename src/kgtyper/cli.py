@@ -9,7 +9,11 @@ wrong), ``predict`` exits 2 with a message that names the entity.
 
 Every flag with a long name can be overridden by an environment variable
 ``KGTYPER_<NAME>`` (dashes become underscores, e.g. ``KGTYPER_DIM=200``).
-Precedence: explicit flag, then environment, then built-in default.
+Precedence: explicit flag, then environment, then built-in default. A
+repeatable option (``--root``, ``--entity``) takes a whitespace-separated
+list from the environment, which its flags replace. ``KGTYPER_EPOCHS`` and
+``KGTYPER_LR`` set both ``train-embeddings`` and ``train-classifier``;
+``pipeline``'s classifier reads ``KGTYPER_CNN_EPOCHS`` and ``KGTYPER_CNN_LR``.
 
 ``--negative`` is read only by the word2vec and fasttext trainers,
 ``--n-min``, ``--n-max`` and ``--buckets`` only by fasttext, ``--x-max`` and
@@ -35,10 +39,9 @@ from .corpus import read_corpus
 from .embeddings import NGramConfig, TrainingConfig, load_embeddings
 from .errors import DataError, KgTyperError, NumericalError, StageError
 from .evaluation import external_overlap, read_label_map, read_labels, read_rankings, write_rankings
-from .graph import DEFAULT_ROOTS
 from .ntriples import write_ntriples
 from .pipeline import (
-    TRAINERS, PipelineConfig, cnn_predictions, load_graph, run_pipeline, score,
+    DEFAULT_METRICS, TRAINERS, PipelineConfig, cnn_predictions, load_graph, run_pipeline, score,
     similarity_predictions, train_embeddings, write_dataset, write_sentences,
 )
 from .synth import generate_synthetic_kg
@@ -52,6 +55,41 @@ EXIT_NUMERICAL = 3
 
 _TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
 _FALSE_WORDS = frozenset({"0", "false", "no", "off"})
+
+# Every option that sets a config field, by parser section and in --help
+# order: flag, the config that owns the field (whose default gives the
+# option's default and type), the field, help text and, for an option that
+# only some embedding trainers read, those trainers.
+_OPTIONS = {
+    "dataset": (
+        ("--num-classes", PipelineConfig, "num_classes", "classes to sample"),
+        ("--entities-per-class", PipelineConfig, "entities_per_class", "entities per class"),
+        ("--train-fraction", PipelineConfig, "train_fraction", "train share of each class"),
+    ),
+    "embedding": (
+        ("--dim", TrainingConfig, "dimension", "vector dimensionality"),
+        ("--window", TrainingConfig, "window", "context window size"),
+        ("--epochs", TrainingConfig, "epochs", "training epochs"),
+        ("--lr", TrainingConfig, "initial_learning_rate", "initial learning rate"),
+        ("--negative", TrainingConfig, "negative_samples", "negative samples per position",
+         "word2vec", "fasttext"),
+        ("--min-count", PipelineConfig, "min_count", "vocabulary frequency floor"),
+        ("--n-min", NGramConfig, "n_min", "shortest character n-gram", "fasttext"),
+        ("--n-max", NGramConfig, "n_max", "longest character n-gram", "fasttext"),
+        ("--buckets", NGramConfig, "bucket_count", "n-gram hash buckets", "fasttext"),
+        ("--x-max", PipelineConfig, "x_max", "co-occurrence weight cap", "glove"),
+        ("--alpha", PipelineConfig, "alpha", "co-occurrence weight exponent", "glove"),
+    ),
+    "classifier": (
+        ("--epochs", CnnConfig, "epochs", "training epochs"),
+        ("--batch-size", CnnConfig, "batch_size", "mini-batch size"),
+        ("--lr", CnnConfig, "learning_rate", "learning rate"),
+        ("--hidden", CnnConfig, "hidden_units", "hidden layer width"),
+    ),
+}
+
+# Options that only some embedding trainers read, with those trainers.
+_TRAINER_ONLY = {row[0]: row[4:] for row in _OPTIONS["embedding"] if row[4:]}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,17 +109,6 @@ def _parse_bool(raw: str, env_name: str) -> bool:
     raise ValueError(f"{env_name}: expected a boolean, got {raw!r}")
 
 
-# Options that only some embedding trainers read, with those trainers.
-_TRAINER_ONLY = {
-    "--negative": ("word2vec", "fasttext"),
-    "--n-min": ("fasttext",),
-    "--n-max": ("fasttext",),
-    "--buckets": ("fasttext",),
-    "--x-max": ("glove",),
-    "--alpha": ("glove",),
-}
-
-
 class _Given(argparse.Action):
     """Store the value and note that the flag was given on the command line."""
 
@@ -89,6 +116,14 @@ class _Given(argparse.Action):
         setattr(namespace, self.dest, values)
         given = getattr(namespace, "given_flags", set())
         namespace.given_flags = given | {self.option_strings[0]}
+
+
+class _Replacing(argparse.Action):
+    """Append, except that the first flag replaces the environment's list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, ([] if items is self.default else items) + [values])
 
 
 def _reject_other_trainer_flags(args, trainer: str) -> None:
@@ -100,27 +135,59 @@ def _reject_other_trainer_flags(args, trainer: str) -> None:
             raise ValueError(f"{flag} applies only to the {owner} trainer, not {trainer}")
 
 
-def _env_name(flag: str) -> str:
-    return ENV_PREFIX + flag.lstrip("-").replace("-", "_").upper()
+def _name(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_").upper()
 
 
-def _opt(parser: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+def _opt(parser, flag: str, **kwargs) -> None:
     """add_argument with the default overridable from the environment."""
-    env_name = _env_name(flag)
+    env_name = ENV_PREFIX + _name(flag)
     raw = os.environ.get(env_name)
-    if raw is not None:
-        if kwargs.get("action") in ("store_true", "store_false"):
-            kwargs["default"] = _parse_bool(raw, env_name)
-        elif kwargs.get("action") == "append":
-            kwargs["default"] = raw.split(os.pathsep)
-        else:
-            convert = kwargs.get("type", str)
-            try:
-                kwargs["default"] = convert(raw)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{env_name}: cannot parse {raw!r}") from exc
+    if raw is None:
+        parser.add_argument(flag, **kwargs)
+        return
+    kind = kwargs.get("action")
+    if kind in ("store_true", "store_false"):
+        # A true value turns the flag on, which clears a store_false dest.
+        value = _parse_bool(raw, env_name) == (kind == "store_true")
+    elif kind == "append":
+        value = raw.split()  # an IRI holds no whitespace, but ':' appears in most
+        kwargs["action"] = _Replacing
+    else:
+        try:
+            value = kwargs.get("type", str)(raw)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{env_name}: cannot parse {raw!r}") from exc
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            # Refused only if this subcommand runs: KGTYPER_MODEL is also
+            # predict's model path.
+            message = f"{env_name}: {raw!r} is not one of {', '.join(kwargs['choices'])}"
+            parser.set_defaults(env_error=message)
+    if value != []:  # an empty list leaves a required option required
         kwargs.pop("required", None)
-    parser.add_argument(flag, **kwargs)
+    action = parser.add_argument(flag, **kwargs)
+    parser.set_defaults(**{action.dest: value})
+
+
+def _add_options(parser, section: str, renamed=None, help_prefix: str = "") -> None:
+    """Add the table's ``section`` (flags renamed by ``renamed``); each stores
+    to ``<config>.<field>``, which ``_fields`` reads back."""
+    for flag, owner, name, text, *trainers in _OPTIONS[section]:
+        flag = (renamed or {}).get(flag, flag)
+        default = getattr(owner, name)
+        extra = {"action": _Given} if trainers else {}
+        if trainers:
+            text += f" ({' and '.join(trainers)} only)"
+        _opt(
+            parser, flag, dest=f"{owner.__name__}.{name}", metavar=_name(flag),
+            type=type(default), default=default, help=help_prefix + text, **extra,
+        )
+
+
+def _fields(args, owner) -> dict:
+    """The parsed values of the table's options on ``owner``, by field name."""
+    prefix = owner.__name__ + "."
+    return {key[len(prefix) :]: v for key, v in vars(args).items() if key.startswith(prefix)}
 
 
 def _add_roots(parser: argparse.ArgumentParser) -> None:
@@ -134,8 +201,15 @@ def _add_roots(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_keep_type_triples(parser: argparse.ArgumentParser) -> None:
+    _opt(
+        parser, "--keep-type-triples", action="store_true", default=False,
+        help="keep rdf:type triples in the corpus (default: held out)",
+    )
+
+
 def _roots(args) -> tuple[str, ...]:
-    return tuple(args.root) if getattr(args, "root", None) else tuple(sorted(DEFAULT_ROOTS))
+    return tuple(args.root) if args.root else PipelineConfig.roots
 
 
 # ---------------------------------------------------------------- handlers
@@ -165,27 +239,12 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def _training_config(args) -> TrainingConfig:
-    return TrainingConfig(
-        dimension=args.dim,
-        window=args.window,
-        epochs=args.epochs,
-        initial_learning_rate=args.lr,
-        negative_samples=args.negative,
-        seed=args.seed,
-    )
-
-
-def _ngram_config(args) -> NGramConfig:
-    return NGramConfig(n_min=args.n_min, n_max=args.n_max, bucket_count=args.buckets)
-
-
 def _cmd_train_embeddings(args) -> int:
     _reject_other_trainer_flags(args, args.model)
-    config = _training_config(args)
+    config = TrainingConfig(**_fields(args, TrainingConfig), seed=args.seed)
     model = train_embeddings(
-        args.model, read_corpus(args.infile), args.out, args.min_count, config,
-        _ngram_config(args), args.x_max, args.alpha,
+        args.model, read_corpus(args.infile), args.out, embedding=config,
+        ngram=NGramConfig(**_fields(args, NGramConfig)), **_fields(args, PipelineConfig),
     )
     print(f"saved\t{len(model.vocabulary)}\tvectors\tdim\t{config.dimension}\t{args.out}")
     return EXIT_OK
@@ -194,8 +253,7 @@ def _cmd_train_embeddings(args) -> int:
 def _cmd_build_dataset(args) -> int:
     kg, hierarchy, _ = load_graph(args.infile, args.strict, _roots(args))
     dataset = write_dataset(
-        kg, hierarchy, args.out_dir, args.num_classes, args.entities_per_class,
-        args.train_fraction, args.seed,
+        kg, hierarchy, args.out_dir, seed=args.seed, **_fields(args, PipelineConfig)
     )
     print(f"classes\t{len(dataset.classes)}")
     print(f"train\t{len(dataset.train_ids)}")
@@ -203,20 +261,10 @@ def _cmd_build_dataset(args) -> int:
     return EXIT_OK
 
 
-def _cnn_config(args, epochs: int, learning_rate: float) -> CnnConfig:
-    return CnnConfig(
-        hidden_units=args.hidden,
-        batch_size=args.batch_size,
-        epochs=epochs,
-        learning_rate=learning_rate,
-        seed=args.seed,
-    )
-
-
 def _cmd_train_classifier(args) -> int:
     embeddings = load_embeddings(args.vectors)
     examples = read_labels(args.dataset)
-    model = train_cnn(examples, embeddings, _cnn_config(args, args.epochs, args.lr))
+    model = train_cnn(examples, embeddings, CnnConfig(**_fields(args, CnnConfig), seed=args.seed))
     model.save(args.out)
     final_loss = model.epoch_losses[-1] if model.epoch_losses else float("nan")
     print(f"classes\t{len(model.classes)}")
@@ -226,6 +274,8 @@ def _cmd_train_classifier(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.top_k < 1:
+        raise ValueError(f"--top-k must be >= 1, got {args.top_k}")
     embeddings = load_embeddings(args.vectors)
     if args.method == "cnn":
         if args.model is None:
@@ -307,23 +357,11 @@ def _cmd_synth(args) -> int:
 def _cmd_pipeline(args) -> int:
     _reject_other_trainer_flags(args, args.trainer)
     config = PipelineConfig(
-        input_nt=args.infile,
-        out_dir=args.out_dir,
-        trainer=args.trainer,
-        roots=_roots(args),
-        strict=args.strict,
-        hold_out_type_triples=not args.keep_type_triples,
-        min_count=args.min_count,
-        embedding=_training_config(args),
-        ngram=_ngram_config(args),
-        x_max=args.x_max,
-        alpha=args.alpha,
-        cnn=_cnn_config(args, args.cnn_epochs, args.cnn_lr),
-        num_classes=args.num_classes,
-        entities_per_class=args.entities_per_class,
-        train_fraction=args.train_fraction,
-        seed=args.seed,
-        resume=args.resume,
+        input_nt=args.infile, out_dir=args.out_dir, trainer=args.trainer, roots=_roots(args),
+        strict=args.strict, hold_out_type_triples=not args.keep_type_triples,
+        embedding=TrainingConfig(**_fields(args, TrainingConfig)),
+        ngram=NGramConfig(**_fields(args, NGramConfig)), cnn=CnnConfig(**_fields(args, CnnConfig)),
+        seed=args.seed, resume=args.resume, **_fields(args, PipelineConfig),
     )
     result = run_pipeline(config)
     print(result.report_text())
@@ -334,50 +372,19 @@ def _cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_embedding_options(parser: argparse.ArgumentParser) -> None:
-    _opt(parser, "--dim", type=int, default=100, help="vector dimensionality")
-    _opt(parser, "--window", type=int, default=2, help="context window size")
-    _opt(parser, "--epochs", type=int, default=5, help="training epochs")
-    _opt(parser, "--lr", type=float, default=0.05, help="initial learning rate")
-    _opt(
-        parser, "--negative", action=_Given, type=int, default=5,
-        help="negative samples per position (word2vec and fasttext only)",
-    )
-    _opt(parser, "--min-count", type=int, default=1, help="vocabulary frequency floor")
-    ngram = NGramConfig()
-    for flag, kind, default, text in (
-        ("--n-min", int, ngram.n_min, "shortest character n-gram"),
-        ("--n-max", int, ngram.n_max, "longest character n-gram"),
-        ("--buckets", int, ngram.bucket_count, "n-gram hash buckets"),
-        ("--x-max", float, 100.0, "co-occurrence weight cap"),
-        ("--alpha", float, 0.75, "co-occurrence weight exponent"),
-    ):
-        help_text = f"{text} ({' and '.join(_TRAINER_ONLY[flag])} only)"
-        _opt(parser, flag, action=_Given, type=kind, default=default, help=help_text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kgtyper", description=__doc__.splitlines()[0])
-    _opt(parser, "--seed", type=int, default=1, help="seed for every random component")
-    strict_default = True
-    env_strict = os.environ.get(_env_name("--strict"))
-    env_lenient = os.environ.get(_env_name("--lenient"))
-    if env_strict is not None:
-        strict_default = _parse_bool(env_strict, _env_name("--strict"))
-    if env_lenient is not None:
-        strict_default = not _parse_bool(env_lenient, _env_name("--lenient"))
+    _opt(
+        parser, "--seed", type=int, default=PipelineConfig.seed,
+        help="seed for every random component",
+    )
     mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--strict",
-        dest="strict",
-        action="store_true",
-        default=strict_default,
+    _opt(
+        mode, "--strict", action="store_true", default=PipelineConfig.strict,
         help="fail on the first malformed input line (default)",
     )
-    mode.add_argument(
-        "--lenient",
-        dest="strict",
-        action="store_false",
+    _opt(
+        mode, "--lenient", dest="strict", action="store_false",
         help="skip malformed input lines with a warning",
     )
     _opt(parser, "--verbose", action="store_true", default=False, help="log progress to stderr")
@@ -394,29 +401,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="serialize IRI-object triples as three-token sentences")
     _opt(p, "--in", dest="infile", type=Path, required=True, help="N-Triples input")
     _opt(p, "--out", type=Path, required=True, help="corpus output path")
-    _opt(
-        p,
-        "--keep-type-triples",
-        action="store_true",
-        default=False,
-        help="keep rdf:type triples in the corpus (default: held out)",
-    )
+    _add_keep_type_triples(p)
     _add_roots(p)
     p.set_defaults(handler=_cmd_corpus)
 
     p = sub.add_parser("train-embeddings", help="train token vectors on a sentence corpus")
-    _opt(p, "--model", choices=TRAINERS, default="word2vec", help="embedding trainer")
+    _opt(p, "--model", choices=TRAINERS, default=PipelineConfig.trainer, help="embedding trainer")
     _opt(p, "--in", dest="infile", type=Path, required=True, help="corpus input")
     _opt(p, "--out", type=Path, required=True, help="vector output path")
-    _add_embedding_options(p)
+    _add_options(p, "embedding")
     p.set_defaults(handler=_cmd_train_embeddings)
 
     p = sub.add_parser("build-dataset", help="sample a labeled dataset and split it 80/20")
     _opt(p, "--in", dest="infile", type=Path, required=True, help="N-Triples input")
     _opt(p, "--out-dir", type=Path, required=True, help="directory for dataset TSVs")
-    _opt(p, "--num-classes", type=int, default=10, help="classes to sample")
-    _opt(p, "--entities-per-class", type=int, default=50, help="entities per class")
-    _opt(p, "--train-fraction", type=float, default=0.8, help="train share of each class")
+    _add_options(p, "dataset")
     _add_roots(p)
     p.set_defaults(handler=_cmd_build_dataset)
 
@@ -424,10 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(p, "--vectors", type=Path, required=True, help="trained vector file")
     _opt(p, "--dataset", type=Path, required=True, help="training labels TSV")
     _opt(p, "--out", type=Path, required=True, help="model output path")
-    _opt(p, "--epochs", type=int, default=1000, help="training epochs")
-    _opt(p, "--batch-size", type=int, default=32, help="mini-batch size")
-    _opt(p, "--lr", type=float, default=0.01, help="learning rate")
-    _opt(p, "--hidden", type=int, default=125, help="hidden layer width")
+    _add_options(p, "classifier")
     p.set_defaults(handler=_cmd_train_classifier)
 
     p = sub.add_parser("predict", help="rank candidate classes for entities")
@@ -437,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     _opt(p, "--model", type=Path, default=None, help="classifier model (cnn method)")
     _opt(p, "--in", dest="infile", type=Path, default=None, help="N-Triples input (similarity method)")
     _opt(p, "--train", type=Path, default=None, help="training labels TSV (similarity method)")
-    _opt(p, "--top-k", type=int, default=3, help="classes to print per entity")
+    _opt(p, "--top-k", type=int, default=3, help="classes to print per entity (>= 1)")
     _opt(p, "--out", type=Path, default=None, help="write rankings here instead of stdout")
     _add_roots(p)
     p.set_defaults(handler=_cmd_predict)
@@ -445,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a ranking file against gold labels")
     _opt(p, "--predictions", type=Path, required=True, help="ranking TSV")
     _opt(p, "--gold", type=Path, required=True, help="gold labels TSV")
-    _opt(p, "--metrics", default="accuracy,hits@1,hits@3", help="comma-separated metric names")
+    _opt(p, "--metrics", default=",".join(DEFAULT_METRICS), help="comma-separated metric names")
     _opt(p, "--json", type=Path, default=None, help="also write {metric: value} JSON here")
     p.set_defaults(handler=_cmd_evaluate)
 
@@ -465,22 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run ingest through evaluation in one command")
     _opt(p, "--in", dest="infile", type=Path, required=True, help="N-Triples input")
     _opt(p, "--out-dir", type=Path, required=True, help="artifact directory")
-    _opt(p, "--trainer", choices=TRAINERS, default="word2vec", help="embedding trainer")
-    _opt(p, "--num-classes", type=int, default=10)
-    _opt(p, "--entities-per-class", type=int, default=50)
-    _opt(p, "--train-fraction", type=float, default=0.8)
-    _add_embedding_options(p)
-    _opt(p, "--cnn-epochs", type=int, default=1000, help="classifier training epochs")
-    _opt(p, "--batch-size", type=int, default=32, help="classifier mini-batch size")
-    _opt(p, "--cnn-lr", type=float, default=0.01, help="classifier learning rate")
-    _opt(p, "--hidden", type=int, default=125, help="classifier hidden layer width")
-    _opt(
-        p,
-        "--keep-type-triples",
-        action="store_true",
-        default=False,
-        help="keep rdf:type triples in the corpus (default: held out)",
-    )
+    _opt(p, "--trainer", choices=TRAINERS, default=PipelineConfig.trainer, help="embedding trainer")
+    _add_options(p, "dataset")
+    _add_options(p, "embedding")
+    _add_options(p, "classifier", {"--epochs": "--cnn-epochs", "--lr": "--cnn-lr"}, "classifier ")
+    _add_keep_type_triples(p)
     _opt(p, "--resume", action="store_true", default=False, help="reuse existing artifacts")
     _add_roots(p)
     p.set_defaults(handler=_cmd_pipeline)
@@ -492,6 +477,8 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        if getattr(args, "env_error", None):
+            raise ValueError(args.env_error)
     except SystemExit as exc:  # argparse printed usage or help already
         return int(exc.code or 0)
     except ValueError as exc:

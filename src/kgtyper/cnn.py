@@ -53,6 +53,7 @@ from .prediction import Prediction
 logger = logging.getLogger(__name__)
 
 _MAGIC = b"KGTYPER-CNN:v1\n"
+_FORMAT_VERSION = 1
 
 # Examples per conv block: the block's (8, F, P) pre-activations, 0.8 MB at
 # the default 128 filters and 98 positions, stay in L2 between the matmul,
@@ -214,6 +215,11 @@ class CnnModel:
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Per-class sigmoid scores for a batch of entity vectors (N, dim)."""
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+        if self.feature_shift is not None and inputs.shape[1] != len(self.feature_shift):
+            raise DataError(
+                f"{inputs.shape[1]}-dimensional vectors given to a classifier trained on "
+                f"{len(self.feature_shift)}-dimensional vectors"
+            )
         if max(self.config.kernel_widths) > inputs.shape[1]:
             raise DataError(
                 f"input length {inputs.shape[1]} shorter than kernel width "
@@ -277,7 +283,7 @@ class CnnModel:
         """Versioned header (JSON) followed by raw little-endian float64 blobs."""
         arrays = self._persisted_arrays()
         header = {
-            "format_version": 1,
+            "format_version": _FORMAT_VERSION,
             "config": asdict(self.config),
             "classes": self.classes,
             "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
@@ -290,13 +296,17 @@ class CnnModel:
 
     @classmethod
     def load(cls, path) -> "CnnModel":
-        """Read a model file, refusing (``DataError``) a header whose arrays are
-        not ``parameter_shapes`` of its config, plus optional conditioning."""
+        """Read a model file, refusing (``DataError``) another format version,
+        a header whose arrays are not ``parameter_shapes`` of its config plus
+        optional conditioning, and bytes after the last array."""
         with open(path, "rb") as handle:
             if handle.readline() != _MAGIC:
                 raise DataError(f"{path}: not a classifier model file")
             try:
                 header = json.loads(handle.readline().decode("utf-8"))
+                version = header["format_version"]
+                if version != _FORMAT_VERSION:
+                    raise DataError(f"{path}: unsupported model format version {version!r}")
                 config = CnnConfig(**header["config"])
                 config.kernel_widths = tuple(config.kernel_widths)
                 config.validate()
@@ -315,6 +325,8 @@ class CnnModel:
                 if len(raw) != count * 8:
                     raise DataError(f"{path}: truncated model file at {name}")
                 loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if handle.read(1):
+                raise DataError(f"{path}: bytes after the last array")
         shift, scale = loaded.pop("feature_shift", None), loaded.pop("feature_scale", None)
         model = cls(config, header["classes"], loaded)
         model.feature_shift, model.feature_scale = shift, scale

@@ -27,7 +27,7 @@ from .embeddings import (
     NGramConfig, TrainingConfig, build_cooccurrence, load_embeddings, save_embeddings,
     train_cbow, train_fasttext, train_glove,
 )
-from .embeddings.glove import check_weighting
+from .embeddings.glove import DEFAULT_ALPHA, DEFAULT_X_MAX, check_weighting
 from .errors import DataError, StageError
 from .evaluation import (
     LabeledDataset, accuracy, align_predictions, build_dataset, hits_at_k,
@@ -41,6 +41,7 @@ from .similarity import build_class_vectors, fine_grained_candidates, similarity
 logger = logging.getLogger(__name__)
 
 TRAINERS = ("word2vec", "fasttext", "glove")
+DEFAULT_METRICS = ("accuracy", "hits@1", "hits@3")
 ARTIFACTS = (
     "corpus.txt", "vectors.txt", "dataset.tsv", "train.tsv", "test.tsv", "model.bin",
     "pred_cnn.tsv", "pred_similarity.tsv", "metrics.json",
@@ -60,8 +61,8 @@ class PipelineConfig:
     min_count: int = 1
     embedding: TrainingConfig = field(default_factory=TrainingConfig)
     ngram: NGramConfig = field(default_factory=NGramConfig)
-    x_max: float = 100.0
-    alpha: float = 0.75
+    x_max: float = DEFAULT_X_MAX
+    alpha: float = DEFAULT_ALPHA
     cnn: CnnConfig = field(default_factory=CnnConfig)
     num_classes: int = 10
     entities_per_class: int = 50
@@ -214,7 +215,7 @@ def similarity_predictions(
 
 def score(
     gold: Mapping[str, str], predictions: Sequence[Prediction],
-    metrics: Iterable[str] = ("accuracy", "hits@1", "hits@3"),
+    metrics: Iterable[str] = DEFAULT_METRICS,
 ) -> dict[str, float]:
     """Each named metric (``accuracy`` or ``hits@k``) of the predictions
     against ``gold``; a gold entity without a prediction counts as wrong."""

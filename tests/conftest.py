@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -38,6 +39,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _without_kgtyper_environment():
+    """Run every test, and every shared fixture, without the caller's
+    ``KGTYPER_*`` settings; a test sets the ones it checks itself."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in [name for name in os.environ if name.startswith("KGTYPER_")]:
+            patch.delenv(name)
+        yield
+
 
 OWL_THING = "http://www.w3.org/2002/07/owl#Thing"
 AGENT = "http://dbpedia.org/ontology/Agent"

@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import LAWFIRM_NT, LAWFIRM, COMPANY
 
-from kgtyper.cli import main
-from kgtyper.embeddings import load_embeddings
+from kgtyper import cli
+from kgtyper.cli import build_parser, main
+from kgtyper.cnn import CnnConfig
+from kgtyper.embeddings import NGramConfig, TrainingConfig, load_embeddings
 from kgtyper.graph import KnowledgeGraph
+from kgtyper.pipeline import PipelineConfig
+
+SUBCOMMANDS = (
+    "ingest", "corpus", "train-embeddings", "build-dataset", "train-classifier", "predict",
+    "evaluate", "compare-external", "synth", "pipeline",
+)
 
 
 def run(capsys, *argv):
@@ -83,10 +93,11 @@ def test_unknown_flag_is_usage_error(capsys):
     assert code == 1
 
 
-def test_help_exits_zero(capsys):
-    code, out, _ = run(capsys, "--help")
+@pytest.mark.parametrize("command", ["", *SUBCOMMANDS], ids=["top-level", *SUBCOMMANDS])
+def test_help_exits_zero(capsys, command):
+    code, out, _ = run(capsys, *filter(None, [command, "--help"]))
     assert code == 0
-    assert "pipeline" in out
+    assert all(name in out for name in ([command] if command else SUBCOMMANDS))
 
 
 def test_missing_required_flag_is_usage_error(capsys):
@@ -297,13 +308,26 @@ def _config_disagrees_with_arrays(header):
     header["config"]["hidden_units"] += 1
 
 
+def _format_version_two(header):
+    header["format_version"] = 2
+
+
+def _bytes_after_last_array(header):
+    return b"24 bytes appended here.\n"
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_without_config, _without_last_array, _config_disagrees_with_arrays]
+    "corrupt",
+    [
+        _without_config, _without_last_array, _config_disagrees_with_arrays,
+        _format_version_two, _bytes_after_last_array,
+    ],
 )
 def test_predict_rejects_malformed_model_header(capsys, workspace, tmp_path, corrupt):
+    """``corrupt`` edits the header in place and returns any bytes to append."""
     magic, header, blobs = workspace["model"].read_bytes().split(b"\n", 2)
     header = json.loads(header)
-    corrupt(header)
+    blobs += corrupt(header) or b""
     path = tmp_path / "bad_model.bin"
     path.write_bytes(b"\n".join([magic, json.dumps(header).encode("utf-8"), blobs]))
     code, out, err = run(
@@ -313,6 +337,35 @@ def test_predict_rejects_malformed_model_header(capsys, workspace, tmp_path, cor
     assert code == 2
     assert str(path) in err
     assert out == ""
+
+
+def test_predict_cnn_vectors_of_another_dimension_is_data_error(capsys, workspace, tmp_path):
+    vectors = tmp_path / "vectors8.txt"
+    code, _, _ = run(
+        capsys, "train-embeddings", "--in", str(workspace["corpus"]), "--out", str(vectors),
+        "--dim", "8", "--epochs", "1",
+    )
+    assert code == 0
+    code, out, err = run(
+        capsys, "predict", "--method", "cnn", "--entity", first_test_entity(workspace),
+        "--vectors", str(vectors), "--model", str(workspace["model"]),
+    )
+    assert code == 2
+    assert "8-dimensional" in err and "12-dimensional" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("top_k", ["0", "-1"])
+def test_predict_top_k_below_one_is_usage_error(capsys, workspace, tmp_path, top_k):
+    out_path = tmp_path / "rankings.tsv"
+    code, _, err = run(
+        capsys, "predict", "--method", "cnn", "--entity", first_test_entity(workspace),
+        "--vectors", str(workspace["vectors"]), "--model", str(workspace["model"]),
+        "--top-k", top_k, "--out", str(out_path),
+    )
+    assert code == 1
+    assert "--top-k" in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("method", ["cnn", "similarity"])
@@ -571,3 +624,119 @@ def test_trainer_flag_from_environment_stays_a_default(capsys, workspace, tmp_pa
     )
     assert code == 0
     assert out_path.exists()
+
+
+@pytest.mark.parametrize("variable", ["KGTYPER_MODEL", "KGTYPER_TRAINER", "KGTYPER_METHOD"])
+def test_environment_value_outside_choices_is_usage_error(
+    capsys, workspace, tmp_path, monkeypatch, variable
+):
+    monkeypatch.setenv(variable, "bogus")
+    out_path = tmp_path / "out"
+    argv = {
+        "KGTYPER_MODEL": [
+            "train-embeddings", "--in", str(workspace["corpus"]), "--out", str(out_path),
+            "--dim", "6", "--epochs", "1",
+        ],
+        "KGTYPER_TRAINER": ["pipeline", "--in", str(workspace["kg"]), "--out-dir", str(out_path)],
+        "KGTYPER_METHOD": [
+            "predict", "--entity", first_test_entity(workspace),
+            "--vectors", str(workspace["vectors"]), "--model", str(workspace["model"]),
+            "--in", str(workspace["kg"]), "--train", str(workspace["dataset_dir"] / "train.tsv"),
+            "--out", str(out_path),
+        ],
+    }[variable]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert variable in err
+    assert not out_path.exists()
+
+
+def test_model_path_from_environment_serves_predict(capsys, workspace, monkeypatch):
+    # KGTYPER_MODEL also names train-embeddings' trainer, whose choices a path is not in.
+    monkeypatch.setenv("KGTYPER_MODEL", str(workspace["model"]))
+    code, out, _ = run(
+        capsys, "predict", "--method", "cnn", "--entity", first_test_entity(workspace),
+        "--vectors", str(workspace["vectors"]),
+    )
+    assert code == 0
+    assert out
+
+
+def test_entities_from_environment_split_on_whitespace(capsys, workspace, monkeypatch):
+    entities = [line.split("\t")[0] for line in
+                (workspace["dataset_dir"] / "test.tsv").read_text().splitlines()[:2]]
+    monkeypatch.setenv("KGTYPER_ENTITY", "\n".join(entities))
+    code, out, _ = run(
+        capsys, "predict", "--method", "cnn", "--top-k", "1",
+        "--vectors", str(workspace["vectors"]), "--model", str(workspace["model"]),
+    )
+    assert code == 0
+    assert [line.split("\t")[0] for line in out.splitlines()] == entities
+
+
+def test_empty_entity_list_from_environment_is_usage_error(capsys, workspace, monkeypatch):
+    monkeypatch.setenv("KGTYPER_ENTITY", " ")
+    code, out, err = run(
+        capsys, "predict", "--method", "cnn",
+        "--vectors", str(workspace["vectors"]), "--model", str(workspace["model"]),
+    )
+    assert code == 1
+    assert "--entity" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flags,expected",
+    [
+        ((), ["http://a/Root", "http://b/Other"]),
+        (("--root", "http://c/Flag"), ["http://c/Flag"]),
+        (("--root", "http://c/Flag", "--root", "http://d/Flag"), ["http://c/Flag", "http://d/Flag"]),
+    ],
+)
+def test_root_flags_replace_the_environment_list(monkeypatch, flags, expected):
+    monkeypatch.setenv("KGTYPER_ROOT", " http://a/Root  http://b/Other ")
+    assert build_parser().parse_args(["ingest", "--in", "kg.nt", *flags]).root == expected
+
+
+class _Stop(Exception):
+    """Raised by a stand-in stage once it has recorded its arguments."""
+
+
+def test_required_flags_alone_give_the_config_defaults(monkeypatch):
+    calls = {}
+
+    def record(name):
+        signature = inspect.signature(getattr(cli, name))
+
+        def stage(*args, **kwargs):
+            calls[name] = signature.bind(*args, **kwargs).arguments
+            raise _Stop
+
+        monkeypatch.setattr(cli, name, stage)
+
+    for name in ("train_embeddings", "write_dataset", "train_cnn", "run_pipeline"):
+        record(name)
+    monkeypatch.setattr(cli, "read_corpus", lambda path: [])
+    monkeypatch.setattr(cli, "load_graph", lambda path, strict, roots: (None, None, None))
+    monkeypatch.setattr(cli, "load_embeddings", lambda path: None)
+    monkeypatch.setattr(cli, "read_labels", lambda path: [])
+    for argv in (
+        ["train-embeddings", "--in", "corpus.txt", "--out", "vectors.txt"],
+        ["build-dataset", "--in", "kg.nt", "--out-dir", "dataset"],
+        ["train-classifier", "--vectors", "vectors.txt", "--dataset", "train.tsv", "--out", "m"],
+        ["pipeline", "--in", "kg.nt", "--out-dir", "out"],
+    ):
+        with pytest.raises(_Stop):
+            main(argv)
+
+    defaults = PipelineConfig("kg.nt", "out")
+    assert calls["run_pipeline"]["config"] == defaults
+    embed = calls["train_embeddings"]
+    assert embed["trainer"] == defaults.trainer
+    assert replace(embed["embedding"], seed=TrainingConfig.seed) == TrainingConfig()
+    assert embed["ngram"] == NGramConfig()
+    for name in ("min_count", "x_max", "alpha"):
+        assert embed[name] == getattr(defaults, name), name
+    for name in ("num_classes", "entities_per_class", "train_fraction", "seed"):
+        assert calls["write_dataset"][name] == getattr(defaults, name), name
+    assert replace(calls["train_cnn"]["config"], seed=CnnConfig.seed) == CnnConfig()
