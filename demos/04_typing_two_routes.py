@@ -1,10 +1,11 @@
-"""Type entities by both routes: convolutional classifier and vector similarity.
+"""Type entities by both routes: filter-bank classifier and vector similarity.
 
 A synthetic knowledge graph provides ground truth. After training CBOW
-vectors, the convolutional classifier learns class scores from labeled
-entity vectors, while the similarity route represents each class by the
-mean vector of its training members and ranks the fine-grained
-candidates below the entity's coarse ancestor by cosine.
+vectors, the classifier (a bank of filters as wide as the vector, a hidden
+layer and a sigmoid head) learns class scores from labeled entity vectors,
+while the similarity route represents each class by the mean vector of its
+training members and ranks the fine-grained candidates below the entity's
+coarse ancestor by cosine.
 """
 
 import tempfile
@@ -46,9 +47,8 @@ dataset = split(dataset, train_fraction=0.75, seed=1)
 train, test = dataset.train_examples(), dataset.test_examples()
 print(f"dataset: {len(train)} train / {len(test)} test entities over 4 classes")
 
-model = train_cnn(train, emb, CnnConfig(kernel_widths=(3, 4), filters_per_width=16,
-                                        hidden_units=24, batch_size=16, epochs=120,
-                                        learning_rate=0.3, seed=1))
+model = train_cnn(train, emb, CnnConfig(filters_per_width=16, hidden_units=24, batch_size=16,
+                                        epochs=120, learning_rate=0.3, seed=1))
 print(f"classifier trained; epoch loss {model.epoch_losses[0]:.4f} -> {model.epoch_losses[-1]:.4f}")
 
 

@@ -49,8 +49,8 @@ with tempfile.TemporaryDirectory(prefix="kgtyper_demo_") as work:
         out_dir=work / "run",
         embedding=TrainingConfig(dimension=16, window=2, epochs=15,
                                  initial_learning_rate=0.15, seed=1),
-        cnn=CnnConfig(kernel_widths=(3, 4), filters_per_width=16, hidden_units=24,
-                      batch_size=8, epochs=80, learning_rate=0.3, seed=1),
+        cnn=CnnConfig(filters_per_width=16, hidden_units=24, batch_size=8, epochs=80,
+                      learning_rate=0.3, seed=1),
         num_classes=3,
         entities_per_class=10,
         train_fraction=0.8,

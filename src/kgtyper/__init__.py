@@ -3,8 +3,8 @@
 Triples are serialized as three-token sentences, token vectors are trained
 with word-embedding models (CBOW negative sampling, character n-gram
 subwords, or co-occurrence weighted least squares), and entities are
-assigned fine-grained classes either by a 1-D convolutional multi-label
-classifier over the entity vector or by cosine similarity against
+assigned fine-grained classes either by a multi-label classifier (a bank
+of full-width filters) over the entity vector or by cosine similarity against
 mean-of-member class vectors restricted to the subtree below the entity's
 coarse type.
 """

@@ -14,6 +14,9 @@ repeatable option (``--root``, ``--entity``) takes a whitespace-separated
 list from the environment, which its flags replace. ``KGTYPER_EPOCHS`` and
 ``KGTYPER_LR`` set both ``train-embeddings`` and ``train-classifier``;
 ``pipeline``'s classifier reads ``KGTYPER_CNN_EPOCHS`` and ``KGTYPER_CNN_LR``.
+``KGTYPER_TRAINER`` sets the trainer of ``train-embeddings`` and ``pipeline``
+(``train-embeddings`` also takes ``--model`` as a second spelling of
+``--trainer``), and ``KGTYPER_MODEL`` only ``predict``'s model path.
 
 ``--negative`` is read only by the word2vec and fasttext trainers,
 ``--n-min``, ``--n-max`` and ``--buckets`` only by fasttext, ``--x-max`` and
@@ -139,12 +142,13 @@ def _name(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_").upper()
 
 
-def _opt(parser, flag: str, **kwargs) -> None:
-    """add_argument with the default overridable from the environment."""
+def _opt(parser, flag: str, *aliases: str, **kwargs) -> None:
+    """add_argument with the default overridable from the environment
+    variable named after ``flag``, not after its ``aliases``."""
     env_name = ENV_PREFIX + _name(flag)
     raw = os.environ.get(env_name)
     if raw is None:
-        parser.add_argument(flag, **kwargs)
+        parser.add_argument(flag, *aliases, **kwargs)
         return
     kind = kwargs.get("action")
     if kind in ("store_true", "store_false"):
@@ -159,13 +163,13 @@ def _opt(parser, flag: str, **kwargs) -> None:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{env_name}: cannot parse {raw!r}") from exc
         if "choices" in kwargs and value not in kwargs["choices"]:
-            # Refused only if this subcommand runs: KGTYPER_MODEL is also
-            # predict's model path.
+            # Refused only if this subcommand runs, so that it does not
+            # break the subcommands that lack the option.
             message = f"{env_name}: {raw!r} is not one of {', '.join(kwargs['choices'])}"
             parser.set_defaults(env_error=message)
     if value != []:  # an empty list leaves a required option required
         kwargs.pop("required", None)
-    action = parser.add_argument(flag, **kwargs)
+    action = parser.add_argument(flag, *aliases, **kwargs)
     parser.set_defaults(**{action.dest: value})
 
 
@@ -240,10 +244,10 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_train_embeddings(args) -> int:
-    _reject_other_trainer_flags(args, args.model)
+    _reject_other_trainer_flags(args, args.trainer)
     config = TrainingConfig(**_fields(args, TrainingConfig), seed=args.seed)
     model = train_embeddings(
-        args.model, read_corpus(args.infile), args.out, embedding=config,
+        args.trainer, read_corpus(args.infile), args.out, embedding=config,
         ngram=NGramConfig(**_fields(args, NGramConfig)), **_fields(args, PipelineConfig),
     )
     print(f"saved\t{len(model.vocabulary)}\tvectors\tdim\t{config.dimension}\t{args.out}")
@@ -406,7 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_corpus)
 
     p = sub.add_parser("train-embeddings", help="train token vectors on a sentence corpus")
-    _opt(p, "--model", choices=TRAINERS, default=PipelineConfig.trainer, help="embedding trainer")
+    _opt(
+        p, "--trainer", "--model", choices=TRAINERS, default=PipelineConfig.trainer,
+        help="embedding trainer",
+    )
     _opt(p, "--in", dest="infile", type=Path, required=True, help="corpus input")
     _opt(p, "--out", type=Path, required=True, help="vector output path")
     _add_options(p, "embedding")
@@ -419,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_roots(p)
     p.set_defaults(handler=_cmd_build_dataset)
 
-    p = sub.add_parser("train-classifier", help="train the convolutional classifier")
+    p = sub.add_parser("train-classifier", help="train the classifier on entity vectors")
     _opt(p, "--vectors", type=Path, required=True, help="trained vector file")
     _opt(p, "--dataset", type=Path, required=True, help="training labels TSV")
     _opt(p, "--out", type=Path, required=True, help="model output path")

@@ -174,16 +174,8 @@ def align_predictions(
 
 
 def accuracy(predictions: Sequence[Prediction], gold: Mapping[str, str]) -> float:
-    """Fraction of predictions whose top-ranked class is the gold class."""
-    if not predictions:
-        raise DataError("cannot compute accuracy over zero predictions")
-    hits = 0
-    for prediction in predictions:
-        if prediction.entity not in gold:
-            raise DataError(f"no gold label for entity {prediction.entity}")
-        if prediction.top == gold[prediction.entity]:
-            hits += 1
-    return hits / len(predictions)
+    """Fraction of predictions whose top-ranked class is the gold class: Hits@1."""
+    return hits_at_k(predictions, gold, 1)
 
 
 def hits_at_k(

@@ -61,23 +61,23 @@ from kgtyper.embeddings.glove import glove_loss_and_grads
 CBOW_LEARNING_RATE = 0.15
 CBOW_NEGATIVES = 5
 CNN_LEARNING_RATE = 0.2
+# Seeds of the sweep; the same seed drives the synthetic graph and the run.
+SWEEP_SEEDS = (1, 2, 3, 4, 5)
 
 
-@pytest.fixture(scope="module")
-def experiment(tmp_path_factory):
-    """The timed synthetic end-to-end experiment, run once per session."""
-    root = tmp_path_factory.mktemp("acceptance")
+def _run_experiment(root, seed: int):
+    """The timed synthetic end-to-end experiment at one seed."""
     synth = generate_synthetic_kg(
-        root / "kg",
+        root / f"kg_{seed}",
         num_classes=10,
         entities_per_class=50,
         predicates_per_class=3,
         noise_fraction=0.1,
-        seed=1,
+        seed=seed,
     )
     config = PipelineConfig(
         input_nt=synth.kg_path,
-        out_dir=root / "run",
+        out_dir=root / f"run_{seed}",
         embedding=TrainingConfig(
             dimension=100,
             window=2,
@@ -89,12 +89,25 @@ def experiment(tmp_path_factory):
         num_classes=10,
         entities_per_class=50,
         train_fraction=0.8,
-        seed=1,
+        seed=seed,
     )
     start = time.perf_counter()
     result = run_pipeline(config)
     elapsed = time.perf_counter() - start
     return result, elapsed
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """(result, seconds) of the experiment per seed, run once per session."""
+    root = tmp_path_factory.mktemp("acceptance")
+    return {seed: _run_experiment(root, seed) for seed in SWEEP_SEEDS}
+
+
+@pytest.fixture(scope="module")
+def experiment(sweep):
+    """Seed 1 of the sweep, which the per-seed criteria judge."""
+    return sweep[1]
 
 
 def test_synthetic_end_to_end_recovery(experiment):
@@ -107,6 +120,28 @@ def test_synthetic_end_to_end_recovery(experiment):
         "synthetic end-to-end recovery (10 classes x 50 entities, noise 0.1): "
         f"cnn accuracy {cnn_accuracy:.3f} (>= 0.90), similarity hits@3 {hits3:.3f} "
         f"(>= 0.90), hits@1 {hits1:.3f} (>= 0.70), runtime {elapsed:.0f}s (< 300s)",
+    )
+
+
+def test_seed_sweep(sweep):
+    metrics = [result.metrics for result, _ in sweep.values()]
+    values = {
+        "cnn accuracy": [m["cnn"]["accuracy"] for m in metrics],
+        "similarity hits@1": [m["similarity"]["hits@1"] for m in metrics],
+        "similarity hits@3": [m["similarity"]["hits@3"] for m in metrics],
+    }
+    seconds = [elapsed for _, elapsed in sweep.values()]
+    acceptance_report(
+        f"seed sweep, word2vec, seeds {SWEEP_SEEDS[0]}-{SWEEP_SEEDS[-1]} (mean / min): "
+        + ", ".join(f"{name} {np.mean(v):.3f} / {min(v):.2f}" for name, v in values.items())
+        + f"; cnn accuracy per seed {' '.join(f'{v:.2f}' for v in values['cnn accuracy'])}; "
+        f"{sum(seconds):.0f}s in all, at most {max(seconds):.1f}s per seed"
+    )
+    mean = float(np.mean(values["cnn accuracy"]))
+    acceptance(
+        mean >= 0.90,
+        f"seed sweep: mean cnn accuracy over seeds {SWEEP_SEEDS[0]}-{SWEEP_SEEDS[-1]} "
+        f"{mean:.3f} (>= 0.90)",
     )
 
 
@@ -189,9 +224,10 @@ def _check_glove_gradients() -> tuple[float, int]:
 
 
 def _check_cnn_gradients() -> tuple[float, int]:
-    # Two kernel widths exercise the per-width slices of the pooled features.
-    config = CnnConfig(kernel_widths=(3, 4), filters_per_width=2, hidden_units=2)
-    rng = np.random.default_rng(7)
+    config = CnnConfig(filters_per_width=2, hidden_units=2)
+    # On seed 2 every example has a live filter: none leaves the hidden layer
+    # at its zero bias, on the ReLU kink, where central differences disagree.
+    rng = np.random.default_rng(2)
     model = CnnModel.initialize(config, ["a", "b"], input_dim=8, rng=rng)
     inputs = rng.normal(0.0, 0.1, (4, 8))
     model.fit_conditioning(inputs)
@@ -404,9 +440,8 @@ def test_pipeline_determinism(tmp_path):
             out_dir=out_dir,
             embedding=TrainingConfig(dimension=12, window=2, epochs=8,
                                      initial_learning_rate=0.1),
-            cnn=CnnConfig(kernel_widths=(3, 4), filters_per_width=8,
-                          hidden_units=16, batch_size=8, epochs=60,
-                          learning_rate=0.3),
+            cnn=CnnConfig(filters_per_width=8, hidden_units=16, batch_size=8,
+                          epochs=60, learning_rate=0.3),
             num_classes=3,
             entities_per_class=8,
             train_fraction=0.75,

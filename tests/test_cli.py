@@ -193,7 +193,7 @@ def test_corpus_counts_and_type_holdout(capsys, lawfirm_file, tmp_path):
 def test_train_embeddings_writes_header(capsys, workspace, tmp_path, trainer):
     out_path = tmp_path / "vectors.txt"
     code, out, _ = run(
-        capsys, "train-embeddings", "--model", trainer,
+        capsys, "train-embeddings", "--trainer", trainer,
         "--in", str(workspace["corpus"]), "--out", str(out_path),
         "--dim", "6", "--epochs", "2",
     )
@@ -206,7 +206,7 @@ def test_train_embeddings_writes_header(capsys, workspace, tmp_path, trainer):
 def test_train_embeddings_fasttext_small_buckets(capsys, workspace, tmp_path):
     out_path = tmp_path / "vectors.txt"
     code, _, _ = run(
-        capsys, "train-embeddings", "--model", "fasttext",
+        capsys, "train-embeddings", "--trainer", "fasttext",
         "--in", str(workspace["corpus"]), "--out", str(out_path),
         "--dim", "6", "--epochs", "1", "--buckets", "101",
     )
@@ -308,8 +308,12 @@ def _config_disagrees_with_arrays(header):
     header["config"]["hidden_units"] += 1
 
 
-def _format_version_two(header):
-    header["format_version"] = 2
+def _input_dim_disagrees_with_arrays(header):
+    header["input_dim"] += 1
+
+
+def _format_version_one(header):
+    header["format_version"] = 1  # the windowed-conv layout of earlier releases
 
 
 def _bytes_after_last_array(header):
@@ -320,7 +324,7 @@ def _bytes_after_last_array(header):
     "corrupt",
     [
         _without_config, _without_last_array, _config_disagrees_with_arrays,
-        _format_version_two, _bytes_after_last_array,
+        _input_dim_disagrees_with_arrays, _format_version_one, _bytes_after_last_array,
     ],
 )
 def test_predict_rejects_malformed_model_header(capsys, workspace, tmp_path, corrupt):
@@ -530,7 +534,7 @@ def test_seed_changes_vectors(capsys, workspace, tmp_path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_divergence_exits_three(capsys, workspace, tmp_path):
     code, _, err = run(
-        capsys, "train-embeddings", "--model", "glove",
+        capsys, "train-embeddings", "--trainer", "glove",
         "--in", str(workspace["corpus"]), "--out", str(tmp_path / "v.txt"),
         "--dim", "6", "--epochs", "30", "--lr", "100000",
     )
@@ -544,7 +548,7 @@ def test_numerical_divergence_exits_three(capsys, workspace, tmp_path):
 def test_bad_glove_weighting_exits_one_before_training(capsys, workspace, tmp_path, option):
     out_path = tmp_path / "v.txt"
     code, _, err = run(
-        capsys, "train-embeddings", "--model", "glove",
+        capsys, "train-embeddings", "--trainer", "glove",
         "--in", str(workspace["corpus"]), "--out", str(out_path),
         "--dim", "6", "--epochs", "1", *option,
     )
@@ -593,7 +597,7 @@ def test_non_finite_classifier_learning_rate_exits_one_before_any_stage(
 def test_flag_of_another_trainer_exits_one(capsys, workspace, tmp_path, trainer, flag, value):
     out_path = tmp_path / "v.txt"
     code, _, err = run(
-        capsys, "train-embeddings", "--model", trainer,
+        capsys, "train-embeddings", "--trainer", trainer,
         "--in", str(workspace["corpus"]), "--out", str(out_path),
         "--dim", "6", "--epochs", "1", flag, value,
     )
@@ -618,7 +622,7 @@ def test_trainer_flag_from_environment_stays_a_default(capsys, workspace, tmp_pa
     monkeypatch.setenv("KGTYPER_BUCKETS", "101")
     out_path = tmp_path / "v.txt"
     code, _, _ = run(
-        capsys, "train-embeddings", "--model", "word2vec",
+        capsys, "train-embeddings", "--trainer", "word2vec",
         "--in", str(workspace["corpus"]), "--out", str(out_path),
         "--dim", "6", "--epochs", "1",
     )
@@ -626,14 +630,17 @@ def test_trainer_flag_from_environment_stays_a_default(capsys, workspace, tmp_pa
     assert out_path.exists()
 
 
-@pytest.mark.parametrize("variable", ["KGTYPER_MODEL", "KGTYPER_TRAINER", "KGTYPER_METHOD"])
+@pytest.mark.parametrize(
+    "case", ["KGTYPER_TRAINER-train-embeddings", "KGTYPER_TRAINER", "KGTYPER_METHOD"]
+)
 def test_environment_value_outside_choices_is_usage_error(
-    capsys, workspace, tmp_path, monkeypatch, variable
+    capsys, workspace, tmp_path, monkeypatch, case
 ):
+    variable = case.split("-")[0]
     monkeypatch.setenv(variable, "bogus")
     out_path = tmp_path / "out"
     argv = {
-        "KGTYPER_MODEL": [
+        "KGTYPER_TRAINER-train-embeddings": [
             "train-embeddings", "--in", str(workspace["corpus"]), "--out", str(out_path),
             "--dim", "6", "--epochs", "1",
         ],
@@ -644,7 +651,7 @@ def test_environment_value_outside_choices_is_usage_error(
             "--in", str(workspace["kg"]), "--train", str(workspace["dataset_dir"] / "train.tsv"),
             "--out", str(out_path),
         ],
-    }[variable]
+    }[case]
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert variable in err
@@ -652,7 +659,6 @@ def test_environment_value_outside_choices_is_usage_error(
 
 
 def test_model_path_from_environment_serves_predict(capsys, workspace, monkeypatch):
-    # KGTYPER_MODEL also names train-embeddings' trainer, whose choices a path is not in.
     monkeypatch.setenv("KGTYPER_MODEL", str(workspace["model"]))
     code, out, _ = run(
         capsys, "predict", "--method", "cnn", "--entity", first_test_entity(workspace),
@@ -660,6 +666,29 @@ def test_model_path_from_environment_serves_predict(capsys, workspace, monkeypat
     )
     assert code == 0
     assert out
+
+
+def test_train_embeddings_reads_trainer_not_model_from_environment(
+    capsys, workspace, tmp_path, monkeypatch
+):
+    """KGTYPER_MODEL names predict's model file and leaves train-embeddings
+    alone; KGTYPER_TRAINER picks its trainer, as it does pipeline's."""
+    monkeypatch.setenv("KGTYPER_MODEL", str(workspace["model"]))
+
+    def vectors(name, *flags):
+        out_path = tmp_path / f"{name}.txt"
+        code, _, _ = run(
+            capsys, "train-embeddings", "--in", str(workspace["corpus"]), "--out", str(out_path),
+            "--dim", "6", "--epochs", "1", *flags,
+        )
+        assert code == 0, name
+        return out_path.read_bytes()
+
+    default = vectors("default")
+    glove = vectors("glove", "--trainer", "glove")
+    assert vectors("alias", "--model", "glove") == glove  # --model spells --trainer too
+    monkeypatch.setenv("KGTYPER_TRAINER", "glove")
+    assert vectors("environment") == glove != default
 
 
 def test_entities_from_environment_split_on_whitespace(capsys, workspace, monkeypatch):

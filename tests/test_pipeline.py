@@ -45,8 +45,7 @@ def small_config(tmp_path, run_name: str = "run", **overrides) -> PipelineConfig
             dimension=12, window=2, epochs=8, initial_learning_rate=0.1
         ),
         cnn=CnnConfig(
-            kernel_widths=(3, 4), filters_per_width=8, hidden_units=16,
-            batch_size=8, epochs=60, learning_rate=0.3,
+            filters_per_width=8, hidden_units=16, batch_size=8, epochs=60, learning_rate=0.3,
         ),
         num_classes=3,
         entities_per_class=8,
@@ -109,8 +108,8 @@ def test_different_seed_changes_vectors(tmp_path):
     second = small_config(
         tmp_path, "run_b", seed=6,
         embedding=TrainingConfig(dimension=12, window=2, epochs=8, initial_learning_rate=0.1),
-        cnn=CnnConfig(kernel_widths=(3, 4), filters_per_width=8, hidden_units=16,
-                      batch_size=8, epochs=60, learning_rate=0.3),
+        cnn=CnnConfig(filters_per_width=8, hidden_units=16, batch_size=8, epochs=60,
+                      learning_rate=0.3),
     )
     run_pipeline(first)
     run_pipeline(second)
@@ -212,8 +211,7 @@ run_pipeline(PipelineConfig(
     input_nt=out / "synth" / "kg.nt", out_dir=out / "run", trainer=trainer,
     embedding=TrainingConfig(dimension=8, epochs=2),
     ngram=NGramConfig(n_min=3, n_max=4, bucket_count=211),
-    cnn=CnnConfig(kernel_widths=(3,), filters_per_width=4, hidden_units=8,
-                  batch_size=4, epochs=2),
+    cnn=CnnConfig(filters_per_width=4, hidden_units=8, batch_size=4, epochs=2),
     num_classes=3, entities_per_class=6,
 ))
 print("numpy.ma" in sys.modules)
