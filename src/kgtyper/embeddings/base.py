@@ -137,55 +137,6 @@ def distinct_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], np.diff(starts, append=len(ordered))
 
 
-def _softplus(x: np.ndarray | float) -> np.ndarray | float:
-    return np.logaddexp(0.0, x)
-
-
-def ns_position_grads(
-    hidden: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scores and gradients of one negative-sampling step.
-
-    ``rows`` holds the output rows of the center token (first) and of each
-    negative, duplicates included. Returns ``(scores, g_hidden, coef)``:
-    the score of each row against ``hidden``, the gradient of the loss with
-    respect to ``hidden``, and ``coef``, the derivative of the loss by each
-    score, so that row ``r``'s gradient is ``coef[r] * hidden``.
-
-    The center and the negatives are scored by separate products: one
-    matrix-vector product over all rows rounds differently from the dot
-    product of the center row, so the trainer's results would depend on
-    how the rows were grouped.
-    """
-    center, negatives = rows[0], rows[1:]
-    scores = np.empty(len(rows))
-    scores[0] = center.dot(hidden)
-    scores[1:] = negatives.dot(hidden)
-    coef = 1.0 / (1.0 + np.exp(-scores))  # the sigmoid
-    coef[0] -= 1.0
-    g_hidden = coef[0] * center + coef[1:].dot(negatives)
-    return scores, g_hidden, coef
-
-
-def ns_losses(scores: np.ndarray, counts) -> np.ndarray:
-    """Loss of each row of ``scores``: ``softplus(-s_center)`` plus
-    ``softplus(s_negative)`` summed over the row's negatives.
-
-    Row ``r`` holds the center score, then ``counts[r]`` negative scores,
-    then entries that are ignored. numpy sums eight or more terms
-    pairwise, so padding a row to more terms could add them in another
-    order; rows are therefore summed in groups of equal count, each over
-    exactly its own terms, as a one-row call would.
-    """
-    counts = np.asarray(counts)
-    losses = np.empty(len(scores))
-    for count in np.flatnonzero(np.bincount(counts)).tolist():
-        same = counts == count
-        rows = scores[same, : count + 1]
-        losses[same] = _softplus(-rows[:, 0]) + _softplus(rows[:, 1:]).sum(axis=1)
-    return losses
-
-
 def linear_lr(initial: float, step, total_steps: int):
     """Linear decay over the whole run, floored at 1e-4 of the initial rate;
     ``step`` may be an array of steps."""

@@ -1,45 +1,31 @@
 """Continuous bag-of-words trainer with negative sampling.
 
-One stochastic gradient step per token position: the in-window context
-inputs are composed into a hidden vector, the center token is scored
-against it through a sigmoid, and the negative-sampling objective
+Each token position composes its in-window context into a hidden vector,
+scores the center token against it through a sigmoid, and minimizes the
+negative-sampling objective
 
     L = -log sigmoid(u_c . h) - sum_n log sigmoid(-u_n . h)
 
-is minimized, with the hidden gradient sent back to the rows the hidden
-vector came from. Training is single-threaded and bitwise deterministic
-for a fixed seed.
+with the hidden gradient sent back to the input rows the hidden vector
+came from. Training is single-threaded and bitwise deterministic for a
+fixed seed.
 
-The loop here serves both CBOW and the subword trainer, which differ only
-in the input composition: CBOW averages the context words' input rows
-(``WordComposition``); the subword trainer composes each word from its
-word row and its character n-gram bucket rows (``fasttext.py``).
+The positions run in corpus order, in blocks of ``BLOCK_POSITIONS``
+(``ns_block``). Every position of a block reads the parameters as the
+previous block left them; the block's center and negative rows are scored
+by one batched product, and its summed gradient is applied once: one
+update of the output rows, and one per distinct context token on the
+input side, as minibatch word2vec does (Ji et al. 2016, arXiv
+1604.04661). On the acceptance experiment blocks of 32-128 positions give
+the same accuracy; blocks of 256 overflow in ``exp`` at learning rate
+0.15.
 
-Everything a step needs that does not depend on the parameters is worked
-out ahead of the steps: once per training, the step index, center and
-context of every position (``position_table``); once per chunk of
-``CHUNK_POSITIONS`` positions, the learning rates, the negatives, which of
-them are kept and whether a kept one repeats. The per-position loop is
-left with one gather of the output rows, one call of ``ns_position_grads``
-and the updates; the losses are computed per chunk from the stored scores.
-This gives the position-at-a-time result bit for bit:
-
-- PCG64 takes one 64-bit draw per double, so one draw of ``m * k`` uniforms
-  is the stream of ``m`` draws of ``k``;
-- integer steps divide exactly as Python's true division does, so the
-  array of learning rates equals the scalar ones;
-- ``ns_losses`` sums each row over exactly that position's negatives, so
-  each loss is the one a single position's call computes, and the epoch
-  loss adds them one at a time, in position order;
-- one fancy-indexed assignment equals ``np.subtract.at`` when no row
-  repeats; a chunk flags the positions whose negatives repeat, and those
-  use ``np.subtract.at``.
-
-Positions are not processed in blocks that share the parameters read at
-the start of the block, as minibatch word2vec does: that changes the
-vectors. Nor in conflict-free levels as ``train_glove`` does: the center,
-the negatives and the context of neighbouring positions overlap so often
-that a level holds under two positions on the benchmark corpora.
+A composition is data: ``compositions[t]`` holds the input rows token
+``t`` is made of and their weights, and its composed vector is
+``weights @ inputs[rows]``. CBOW makes each token of its own row, weight 1
+(``word_compositions``); the subword trainer adds the token's n-gram
+bucket rows (``fasttext.py``). A position's hidden vector is the mean of
+its context tokens' composed vectors.
 
 The exported CBOW vector of a token is the sum of its input and output
 rows, the same convention the co-occurrence trainer uses for w + w-tilde;
@@ -59,70 +45,22 @@ from .base import (
     EmbeddingMatrix,
     TrainingConfig,
     UnigramSampler,
+    distinct_counts,
     encode_corpus,
     init_input_vectors,
     linear_lr,
-    ns_losses,
-    ns_position_grads,
 )
 
-CHUNK_POSITIONS = 1024  # positions per precomputed schedule chunk
+BLOCK_POSITIONS = 64  # positions per block step
+
+# The input rows one token is composed of, and the weight of each.
+Composition = tuple[np.ndarray, np.ndarray]
 
 
-class WordComposition:
-    """CBOW input: the mean of the context words' input rows.
-
-    A composition holds ``params``, the input-side arrays the hidden
-    vector is made from. ``hidden(context)`` composes the hidden vector;
-    ``descend(into, context, g_hidden, lr)`` subtracts ``lr`` times each
-    source row's share of ``g_hidden`` from the matching row of ``into``,
-    a tuple shaped like ``params``. Both take the context as a sequence
-    of token ids, repeats allowed.
-    """
-
-    def __init__(self, w_in: np.ndarray):
-        self.params = (w_in,)
-
-    def hidden(self, context) -> np.ndarray:
-        # Adds from zero, row by row, then divides: the arithmetic of
-        # ``w_in[context].mean(axis=0)`` without its fancy index.
-        w_in = self.params[0]
-        total = np.zeros(w_in.shape[1])
-        for token in context:
-            total += w_in[token]
-        total /= len(context)
-        return total
-
-    def descend(self, into, context, g_hidden, lr) -> None:
-        # One subtraction per occurrence, in order: ``np.subtract.at``.
-        target = into[0]
-        share = lr * g_hidden / len(context)
-        for token in context:
-            row = target[token]
-            row -= share
-
-
-# (center id, context ids, negative ids): one position with its negatives
-# frozen, so the gradient check can recompute the loss from the same draw.
-Sample = tuple[int, np.ndarray, np.ndarray]
-
-
-def loss_and_grads(
-    composition, w_out: np.ndarray, samples: Sequence[Sample]
-) -> tuple[float, tuple[np.ndarray, ...], np.ndarray]:
-    """Total loss plus dense gradients for ``composition.params`` and ``w_out``,
-    from the trainer's own ``ns_position_grads`` and ``ns_losses``."""
-    g_params = tuple(np.zeros_like(p) for p in composition.params)
-    g_out = np.zeros_like(w_out)
-    total = 0.0
-    for center, context, negatives in samples:
-        rows = np.concatenate(([center], negatives))
-        hidden = composition.hidden(context)
-        scores, g_hidden, coef = ns_position_grads(hidden, w_out[rows])
-        total += float(ns_losses(scores[None], [len(negatives)])[0])
-        composition.descend(g_params, context, g_hidden, -1.0)  # a step of -1 adds the gradient
-        np.add.at(g_out, rows, coef[:, None] * hidden)
-    return total, g_params, g_out
+def word_compositions(count: int) -> list[Composition]:
+    """CBOW's compositions: token ``t`` is input row ``t``, weight 1."""
+    one = np.ones(1)
+    return [(np.array([t]), one) for t in range(count)]
 
 
 def encode_training_corpus(corpus: Iterable[Sentence], vocab: Vocabulary) -> list[np.ndarray]:
@@ -166,26 +104,71 @@ def position_table(
     return len(ids), steps, ids[steps], packed, lengths[steps]
 
 
-def draw_negatives(
-    sampler: UnigramSampler, rng: np.random.Generator, centers: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw ``k`` negatives for each of ``centers``, in one call.
+def _row_weights(
+    ids: np.ndarray, columns: np.ndarray, weights: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``ids`` and a ``(len(distinct), width)`` matrix that sums
+    each ``weights[n]`` into the row of ``ids[n]`` and column ``columns[n]``."""
+    distinct, _ = distinct_counts(ids)
+    flat = np.searchsorted(distinct, ids) * width + columns
+    return distinct, np.bincount(flat, weights, len(distinct) * width).reshape(-1, width)
 
-    Returns ``(rows, counts, repeats)``: per position the output rows it
-    scores (the center, then the negatives not equal to it in draw order,
-    then unused entries), how many negatives it keeps, and whether a kept
-    negative occurs twice.
+
+def ns_block(
+    inputs: np.ndarray,
+    w_out: np.ndarray,
+    compositions: Sequence[Composition],
+    centers: np.ndarray,
+    negatives: np.ndarray,
+    contexts: np.ndarray,
+    lengths: np.ndarray,
+    lr: float,
+    into: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
+    """One negative-sampling step over a block of positions; returns its summed loss.
+
+    Position ``b`` scores center ``centers[b]`` and the negatives
+    ``negatives[b]`` against the mean of its context tokens
+    ``contexts[b, :lengths[b]]``; a negative equal to its center is masked
+    out. The step subtracts ``lr`` times the gradient of the summed loss
+    from ``into``, a pair shaped like ``(inputs, w_out)`` that defaults to
+    them. Every read comes before the first write, so a step of -1 into
+    zero arrays yields the gradient.
     """
-    m = len(centers)
-    negatives = sampler.draw(rng, m * k).reshape(m, k)
-    kept = negatives != centers[:, None]
-    rows = np.empty((m, 1 + k), dtype=np.intp)
-    rows[:, 0] = centers
-    rows[:, 1:] = np.take_along_axis(negatives, np.argsort(~kept, axis=1, kind="stable"), axis=1)
-    # Dropped negatives become distinct ids below zero, so only kept ones can pair up.
-    marked = np.sort(np.where(kept, negatives, -1 - np.arange(k)), axis=1)
-    repeats = (marked[:, 1:] == marked[:, :-1]).any(axis=1)
-    return rows, kept.sum(axis=1), repeats
+    into_inputs, into_out = (inputs, w_out) if into is None else into
+    present = np.arange(contexts.shape[1]) < lengths[:, None]
+    tokens, share = _row_weights(
+        contexts[present], np.nonzero(present)[0], np.repeat(1.0 / lengths, lengths), len(centers)
+    )
+    composed = np.empty((len(tokens), inputs.shape[1]))
+    for i, token in enumerate(tokens.tolist()):
+        rows, weights = compositions[token]
+        composed[i] = weights @ inputs[rows]
+    hidden = share.T @ composed
+
+    targets = np.column_stack((centers, negatives))
+    u = w_out[targets]  # (B, 1 + k, d): the center row, then the negative rows
+    scores = np.matmul(u, hidden[:, :, None])[:, :, 0]
+    kept = targets != targets[:, :1]
+    kept[:, 0] = True
+    signed = scores.copy()
+    signed[:, 0] *= -1.0
+    loss = float(np.logaddexp(0.0, signed)[kept].sum())
+    coef = 1.0 / (1.0 + np.exp(-scores))  # d loss / d score: sigmoid, minus 1 at the center
+    coef[:, 0] -= 1.0
+    coef *= kept
+    g_tokens = share @ np.matmul(coef[:, None, :], u)[:, 0]
+
+    out_rows, g_out = _row_weights(
+        targets.ravel(), np.repeat(np.arange(len(centers)), targets.shape[1]), coef.ravel(),
+        len(centers),
+    )
+    into_out[out_rows] -= lr * (g_out @ hidden)
+    g_tokens *= lr
+    for token, g in zip(tokens.tolist(), g_tokens):
+        rows, weights = compositions[token]
+        into_inputs[rows] -= np.multiply.outer(weights, g)
+    return loss
 
 
 def train_negative_sampling(
@@ -193,53 +176,32 @@ def train_negative_sampling(
     vocab: Vocabulary,
     config: TrainingConfig,
     rng: np.random.Generator,
-    composition,
+    inputs: np.ndarray,
+    compositions: Sequence[Composition],
 ) -> tuple[np.ndarray, list[float]]:
-    """Train ``composition.params`` in place; return the output rows and epoch losses.
+    """Train ``inputs`` in place; return the output rows and epoch losses.
 
     The learning rate decays linearly over ``total positions x epochs``
-    down to 1e-4 of the initial rate. Negatives drawn equal to the center
-    token are dropped for that step. The mean per-position loss is
-    recorded per epoch.
+    down to 1e-4 of the initial rate; a block takes the rate of its first
+    position. The mean per-position loss is recorded per epoch.
     """
     w_out = np.zeros((len(vocab), config.dimension))
     sampler = UnigramSampler(vocab)
     positions, steps, centers, contexts, lengths = position_table(encoded, config.window)
     total_steps = positions * config.epochs
-    hidden, descend, params = composition.hidden, composition.descend, composition.params
+    k = config.negative_samples
 
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         epoch_loss = 0.0
-        for start in range(0, len(steps), CHUNK_POSITIONS):
-            chunk = slice(start, start + CHUNK_POSITIONS)
-            lrs = linear_lr(
-                config.initial_learning_rate, epoch * positions + steps[chunk], total_steps
+        for start in range(0, len(steps), BLOCK_POSITIONS):
+            block = slice(start, start + BLOCK_POSITIONS)
+            lr = linear_lr(config.initial_learning_rate, epoch * positions + steps[start], total_steps)
+            negatives = sampler.draw(rng, len(centers[block]) * k).reshape(-1, k)
+            epoch_loss += ns_block(
+                inputs, w_out, compositions, centers[block], negatives,
+                contexts[block], lengths[block], lr,
             )
-            rows, counts, repeats = draw_negatives(
-                sampler, rng, centers[chunk], config.negative_samples
-            )
-            scores = np.empty(rows.shape)
-            schedule = zip(
-                contexts[chunk].tolist(), lengths[chunk].tolist(), lrs.tolist(),
-                (counts + 1).tolist(), repeats.tolist(),
-            )
-            for j, (context, length, lr, end, repeat) in enumerate(schedule):
-                context = context[:length]
-                index = rows[j, :end]
-                h = hidden(context)
-                u = w_out.take(index, axis=0)
-                scores[j, :end], g_hidden, coef = ns_position_grads(h, u)
-                update = np.multiply.outer(coef, h)
-                update *= lr  # lr * (coef * h), as products commute
-                if repeat:
-                    np.subtract.at(w_out, index, update)
-                else:
-                    u -= update
-                    w_out[index] = u
-                descend(params, context, g_hidden, lr)
-            for loss in ns_losses(scores, counts).tolist():  # one at a time, in order
-                epoch_loss += loss
         epoch_losses.append(epoch_loss / max(len(steps), 1))
     return w_out, epoch_losses
 
@@ -257,7 +219,7 @@ def train_cbow(
     rng = np.random.default_rng(config.seed)
     w_in = init_input_vectors(rng, len(vocab), config.dimension)
     w_out, epoch_losses = train_negative_sampling(
-        encoded, vocab, config, rng, WordComposition(w_in)
+        encoded, vocab, config, rng, w_in, word_compositions(len(vocab))
     )
     matrix = EmbeddingMatrix(w_in + w_out, w_out, vocab, epoch_losses)
     matrix.check_finite()

@@ -18,18 +18,17 @@ numpy's default generator: PCG64 can ``advance`` to any draw, and
 exactness test in ``tests/test_fasttext.py`` pins both against a
 full-table reference.
 
-A context word's update subtracts one and the same share from each of its
-n-gram rows, and a row whose n-gram repeats (``"aaaa"``) takes it once per
-occurrence. ``np.subtract.at`` does that, but costs about as much as a
-Python loop over the rows. So each token's rows are split once into
-duplicate-free rounds, and ``descend`` runs one fancy-indexed subtraction
-per round (usually one or two). Every row still receives the same
-subtractions in the same sequence, so the result is bit for bit that of
-``np.subtract.at``.
+Training runs the CBOW block step (``cbow.ns_block``) on one input array
+that holds the word rows and, after them, the kept bucket rows. A token's
+composition lists its word row with weight ``1 / (1 + n)`` and each
+distinct n-gram row with weight ``multiplicity / (1 + n)``, for ``n``
+n-gram occurrences; so a row whose n-gram repeats (``"aaaa"``) takes its
+share once per occurrence.
 
-N-grams run over the full IRI string: there is no reliable way to segment
-a URI into words, and namespace prefixes are exactly the kind of
-regularity the buckets can pick up.
+N-grams run over the full IRI string, as there is no reliable way to
+segment a URI into words. On synthetic graphs whose entity IRIs do not
+name their class, this leaves the vectors at chance; n-grams over the
+local name alone did better there.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from ..errors import NumericalError
 from .base import (
     EmbeddingMatrix, TokenNotFoundError, TrainingConfig, distinct_counts, init_input_vectors,
 )
-from .cbow import encode_training_corpus, train_negative_sampling
+from .cbow import Composition, encode_training_corpus, train_negative_sampling
 
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
@@ -81,8 +80,8 @@ class NGramConfig:
             raise ValueError("bucket_count must be >= 1")
 
 
-def seeded_rows(state: dict, bucket_ids: np.ndarray, dimension: int) -> np.ndarray:
-    """Initial vectors of the sorted, distinct ``bucket_ids``.
+def seeded_rows(state: dict, bucket_ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Fill ``rows`` with the initial vectors of the sorted, distinct ``bucket_ids``.
 
     ``state`` is the PCG64 state at the first draw of the full table, so
     bucket ``b`` starts ``b * dimension`` draws later; one generator walks
@@ -91,7 +90,7 @@ def seeded_rows(state: dict, bucket_ids: np.ndarray, dimension: int) -> np.ndarr
     bit_generator = np.random.PCG64()
     bit_generator.state = state
     rng = np.random.Generator(bit_generator)
-    rows = np.empty((len(bucket_ids), dimension))
+    dimension = rows.shape[1]
     drawn = 0
     for row, bucket in enumerate(bucket_ids.tolist()):
         bit_generator.advance(bucket * dimension - drawn)
@@ -103,9 +102,11 @@ def seeded_rows(state: dict, bucket_ids: np.ndarray, dimension: int) -> np.ndarr
 class NGramTable:
     """Bucket vectors for the n-grams of a vocabulary, plus the deterministic hash.
 
-    ``rows[i]`` is the trainable vector of bucket ``bucket_ids[i]``. The
-    constructor consumes from ``rng`` exactly the draws of a full
-    ``bucket_count`` × ``dimension`` table, whichever buckets are kept.
+    ``rows[i]`` is the trainable vector of bucket ``bucket_ids[i]``. It is a
+    view of ``inputs``, which holds the given ``words`` rows first, so a
+    trainer can update word and bucket rows as one array. The constructor
+    consumes from ``rng`` exactly the draws of a full ``bucket_count`` ×
+    ``dimension`` table, whichever buckets are kept.
     """
 
     def __init__(
@@ -114,6 +115,7 @@ class NGramTable:
         tokens: Iterable[str],
         rng: np.random.Generator,
         dimension: int,
+        words: np.ndarray | None = None,
     ):
         config.validate()
         self.config = config
@@ -121,7 +123,10 @@ class NGramTable:
         self._initial_state = rng.bit_generator.state
         used = [self.bucket_indices(token) for token in tokens]
         self.bucket_ids, _ = distinct_counts(np.concatenate([np.empty(0, np.intp), *used]))
-        self.rows = seeded_rows(self._initial_state, self.bucket_ids, dimension)
+        words = np.empty((0, dimension)) if words is None else words
+        self.inputs = np.empty((len(words) + len(self.bucket_ids), dimension))
+        self.inputs[: len(words)] = words
+        self.rows = seeded_rows(self._initial_state, self.bucket_ids, self.inputs[len(words) :])
         rng.bit_generator.advance(config.bucket_count * dimension)
 
     @property
@@ -159,7 +164,9 @@ class NGramTable:
         out[kept] = self.rows[positions[kept]]
         if not kept.all():
             missing, _ = distinct_counts(bucket_ids[~kept])
-            initial = seeded_rows(self._initial_state, missing, self.rows.shape[1])
+            initial = seeded_rows(
+                self._initial_state, missing, np.empty((len(missing), self.rows.shape[1]))
+            )
             out[~kept] = initial[np.searchsorted(missing, bucket_ids[~kept])]
         return out
 
@@ -202,49 +209,17 @@ class FastTextEmbeddings:
         return self.ngrams.ngram_mean(token)
 
 
-def duplicate_free_rounds(idx: np.ndarray) -> list[np.ndarray]:
-    """Split ``idx`` into rounds without repeats: round ``k`` holds each row
-    that occurs more than ``k`` times, so the rounds together name every
-    row as often as ``idx`` does."""
-    rows, counts = distinct_counts(idx)
-    return [rows[counts > k] for k in range(counts.max(initial=0))]
-
-
-class SubwordComposition:
-    """fastText input: each context word is the mean of its word row and its
-    n-gram bucket rows, and the hidden vector is the mean over the context.
-
-    Follows the composition contract of ``cbow.WordComposition``; the
-    hidden gradient reaches the word row and every bucket row of a context
-    word, scaled by both means. ``token_buckets[i]`` holds the positions in
-    ``buckets`` of token ``i``'s n-gram rows, repeats kept; ``token_rounds[i]``
-    splits them into duplicate-free rounds (round ``k`` holds the rows that
-    occur more than ``k`` times).
-    """
-
-    def __init__(
-        self, w_word: np.ndarray, buckets: np.ndarray, token_buckets: Sequence[np.ndarray]
-    ):
-        self.params = (w_word, buckets)
-        self.token_buckets = token_buckets
-        self.token_rounds = [duplicate_free_rounds(idx) for idx in token_buckets]
-
-    def hidden(self, context: np.ndarray) -> np.ndarray:
-        w_word, buckets = self.params
-        rows = np.empty((len(context), w_word.shape[1]))
-        for row, token_id in enumerate(context):
-            idx = self.token_buckets[token_id]
-            rows[row] = (w_word[token_id] + buckets[idx].sum(axis=0)) / (1 + len(idx))
-        return rows.mean(axis=0)
-
-    def descend(self, into, context, g_hidden, lr) -> None:
-        w_word, buckets = into
-        g_context = g_hidden / len(context)
-        for token_id in context:
-            share = lr * g_context / (1 + len(self.token_buckets[token_id]))
-            w_word[token_id] -= share
-            for rows in self.token_rounds[token_id]:
-                buckets[rows] -= share
+def subword_compositions(table: NGramTable, tokens: Sequence[str]) -> list[Composition]:
+    """Token ``t``'s composition: word row ``t`` with weight ``1 / (1 + n)``,
+    then each distinct n-gram row with weight ``multiplicity / (1 + n)``; the
+    bucket rows follow the ``len(tokens)`` word rows in ``table.inputs``."""
+    compositions = []
+    for t, token in enumerate(tokens):
+        buckets = table.bucket_indices(token)
+        rows, counts = distinct_counts(np.searchsorted(table.bucket_ids, buckets))
+        weights = np.concatenate(([1.0], counts)) / (1 + len(buckets))
+        compositions.append((np.concatenate(([t], len(tokens) + rows)), weights))
+    return compositions
 
 
 def train_fasttext(
@@ -265,12 +240,11 @@ def train_fasttext(
     rng = np.random.default_rng(config.seed)
     w_word = init_input_vectors(rng, len(vocab), config.dimension)
     tokens = [vocab.token_of(i) for i in range(len(vocab))]
-    table = NGramTable(ngram_config, tokens, rng, config.dimension)
-    token_rows = [np.searchsorted(table.bucket_ids, table.bucket_indices(t)) for t in tokens]
+    table = NGramTable(ngram_config, tokens, rng, config.dimension, words=w_word)
     w_out, epoch_losses = train_negative_sampling(
-        encoded, vocab, config, rng, SubwordComposition(w_word, table.rows, token_rows)
+        encoded, vocab, config, rng, table.inputs, subword_compositions(table, tokens)
     )
-    matrix = EmbeddingMatrix(w_word, w_out, vocab, epoch_losses)
+    matrix = EmbeddingMatrix(table.inputs[: len(vocab)], w_out, vocab, epoch_losses)
     matrix.check_finite()
     if not np.all(np.isfinite(table.rows)):
         raise NumericalError("n-gram bucket vectors contain non-finite values")

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from kgtyper.embeddings import EmbeddingMatrix
-from kgtyper.embeddings.base import UnigramSampler, init_input_vectors
-from kgtyper.embeddings.cbow import loss_and_grads
+from kgtyper.embeddings.base import init_input_vectors
+from kgtyper.embeddings.cbow import ns_block
 from kgtyper.embeddings.glove import DEFAULT_ALPHA, DEFAULT_X_MAX, glove_weight
 from kgtyper.graph import KnowledgeGraph, build_hierarchy
 from kgtyper.ntriples import parse_ntriples
@@ -168,17 +167,38 @@ def assert_gradients_close(
     assert worst < tolerance, f"worst relative gradient error {worst:.3e}"
 
 
-def check_composition_gradients(composition, w_out: np.ndarray, samples) -> None:
-    """Check the negative-sampling ``loss_and_grads`` of ``composition``: every
-    analytic gradient entry is nonzero and matches central differences."""
-    _, g_params, g_out = loss_and_grads(composition, w_out, samples)
+def block_of(samples):
+    """The ``(centers, negatives, contexts, lengths)`` arrays ``ns_block`` takes,
+    from ``(center, context ids, negative ids)`` samples that all hold the
+    same number of negatives; contexts are left-packed and padded with 0."""
+    lengths = np.array([len(context) for _, context, _ in samples])
+    contexts = np.zeros((len(samples), lengths.max()), dtype=np.intp)
+    for row, (_, context, _) in enumerate(samples):
+        contexts[row, : len(context)] = context
+    centers = np.array([center for center, _, _ in samples])
+    negatives = np.array([negatives for _, _, negatives in samples])
+    return centers, negatives, contexts, lengths
+
+
+def block_loss_and_grads(inputs, w_out, compositions, block):
+    """Summed loss and dense gradients of the trainer's own ``ns_block`` over
+    ``block``: a step of -1 into zero arrays adds the gradient to them."""
+    g_inputs, g_out = np.zeros_like(inputs), np.zeros_like(w_out)
+    loss = ns_block(inputs, w_out, compositions, *block, -1.0, into=(g_inputs, g_out))
+    return loss, g_inputs, g_out
+
+
+def check_block_gradients(inputs, w_out, compositions, block) -> None:
+    """Every analytic gradient entry of ``ns_block`` is nonzero and matches
+    central differences."""
+    _, *analytic = block_loss_and_grads(inputs, w_out, compositions, block)
 
     def loss():
-        return loss_and_grads(composition, w_out, samples)[0]
+        return block_loss_and_grads(inputs, w_out, compositions, block)[0]
 
-    for analytic, array in zip((*g_params, g_out), (*composition.params, w_out)):
-        assert np.all(analytic != 0.0), "a parameter row gets no gradient"
-        assert_gradients_close(analytic, numeric_gradient(loss, array))
+    for grad, array in zip(analytic, (inputs, w_out)):
+        assert np.all(grad != 0.0), "a parameter row gets no gradient"
+        assert_gradients_close(grad, numeric_gradient(loss, array))
 
 
 def reference_train_glove(
@@ -226,20 +246,6 @@ def reference_train_glove(
     return EmbeddingMatrix(w + wt, wt, vocab, epoch_losses)
 
 
-class ReferenceWordComposition:
-    """CBOW's input composition as numpy reductions: the mean of the context
-    rows, and ``np.subtract.at`` for the update."""
-
-    def __init__(self, w_in: np.ndarray):
-        self.params = (w_in,)
-
-    def hidden(self, context: np.ndarray) -> np.ndarray:
-        return self.params[0][context].mean(axis=0)
-
-    def descend(self, into, context, g_hidden, lr) -> None:
-        np.subtract.at(into[0], context, lr * g_hidden / len(context))
-
-
 def reference_ns_position_grads(hidden, w_out, center, negatives):
     """Loss, hidden gradient, center-row gradient and negative-row gradients
     of one negative-sampling step, written out term by term."""
@@ -256,48 +262,3 @@ def reference_ns_position_grads(hidden, w_out, center, negatives):
     g_center = coef_pos * hidden
     g_negatives = np.outer(coef_neg, hidden)
     return loss, g_hidden, g_center, g_negatives
-
-
-def reference_train_negative_sampling(encoded, vocab, config, rng, composition):
-    """The negative-sampling trainer one position at a time: the sequential
-    definition that ``train_negative_sampling`` must match bit for bit.
-
-    Returns ``(w_out, epoch_losses, seen)``, where ``seen`` counts the
-    positions that met each case the schedule has to get right.
-    """
-    w_out = np.zeros((len(vocab), config.dimension))
-    sampler = UnigramSampler(vocab)
-    total_steps = sum(len(ids) for ids in encoded) * config.epochs
-    window, negatives_per_step = config.window, config.negative_samples
-    seen = Counter()
-
-    step = 0
-    epoch_losses = []
-    for _ in range(config.epochs):
-        epoch_loss = 0.0
-        trained = 0
-        for ids in encoded:
-            n = len(ids)
-            for i in range(n):
-                lr = config.initial_learning_rate * max(1e-4, 1.0 - step / max(total_steps, 1))
-                step += 1
-                context = np.concatenate((ids[max(0, i - window) : i], ids[i + 1 : i + 1 + window]))
-                if not len(context):
-                    seen["no context"] += 1
-                    continue
-                center = int(ids[i])
-                negatives = sampler.draw(rng, negatives_per_step)
-                seen["negative equal to center"] += bool(np.any(negatives == center))
-                negatives = negatives[negatives != center]
-                seen["repeated negative"] += len(set(negatives.tolist())) < len(negatives)
-                seen["repeated context token"] += len(set(context.tolist())) < len(context)
-                loss, g_hidden, g_center, g_negatives = reference_ns_position_grads(
-                    composition.hidden(context), w_out, center, negatives
-                )
-                w_out[center] -= lr * g_center
-                np.subtract.at(w_out, negatives, lr * g_negatives)
-                composition.descend(composition.params, context, g_hidden, lr)
-                epoch_loss += loss
-                trained += 1
-        epoch_losses.append(epoch_loss / max(trained, 1))
-    return w_out, epoch_losses, seen

@@ -20,6 +20,8 @@ from conftest import (
     ORGANISATION,
     acceptance,
     acceptance_report,
+    block_loss_and_grads,
+    block_of,
     cooccurrence_oracle,
     numeric_gradient,
     random_corpus,
@@ -49,8 +51,7 @@ from kgtyper import (
     write_ntriples,
 )
 from kgtyper.cnn import CnnModel
-from kgtyper.embeddings.cbow import WordComposition, loss_and_grads
-from kgtyper.embeddings.fasttext import SubwordComposition
+from kgtyper.embeddings.cbow import word_compositions
 from kgtyper.embeddings.glove import glove_loss_and_grads
 
 # Free knobs of the synthetic experiment, frozen after validating the
@@ -166,14 +167,15 @@ def _require_nonzero(name: str, analytic: list[np.ndarray]) -> int:
     return size
 
 
-def _check_ns_gradients(name: str, composition, w_out, samples) -> tuple[float, int]:
-    """Shared negative-sampling objective under one input composition."""
-    _, g_params, g_out = loss_and_grads(composition, w_out, samples)
-    pairs = list(zip((*g_params, g_out), (*composition.params, w_out)))
-    size = _require_nonzero(name, [analytic for analytic, _ in pairs])
-    loss = lambda: loss_and_grads(composition, w_out, samples)[0]
+def _check_ns_gradients(name: str, inputs, w_out, compositions, samples) -> tuple[float, int]:
+    """The trainer's own block step under one input composition."""
+    block = block_of(samples)
+    _, *grads = block_loss_and_grads(inputs, w_out, compositions, block)
+    size = _require_nonzero(name, grads)
+    loss = lambda: block_loss_and_grads(inputs, w_out, compositions, block)[0]
     error = max(
-        _max_relative_error(analytic, numeric_gradient(loss, array)) for analytic, array in pairs
+        _max_relative_error(analytic, numeric_gradient(loss, array))
+        for analytic, array in zip(grads, (inputs, w_out))
     )
     return error, size
 
@@ -187,29 +189,34 @@ def _check_cbow_gradients() -> tuple[float, int]:
         (2, np.array([0, 4]), np.array([1, 1])),  # repeated negative
         (4, np.array([3]), np.array([0, 2])),
     ]
-    return _check_ns_gradients("cbow", WordComposition(w_in), w_out, samples)
+    return _check_ns_gradients("cbow", w_in, w_out, word_compositions(5), samples)
 
 
 def _check_fasttext_gradients() -> tuple[float, int]:
     rng = np.random.default_rng(5)
-    w_word = rng.normal(0.0, 0.1, (2, 2))
-    buckets = rng.normal(0.0, 0.1, (5, 2))
+    # Word rows 0-1, then bucket rows 2-6. Token 0 has the n-gram buckets
+    # 0, 2, 2, 3 (bucket 2 twice), token 1 the buckets 1, 2, 4.
+    inputs = rng.normal(0.0, 0.1, (7, 2))
     w_out = rng.normal(0.0, 0.1, (2, 2))
-    token_buckets = [np.array([0, 2, 3]), np.array([1, 2, 4])]
+    compositions = [
+        (np.array([0, 2, 4, 5]), np.array([1.0, 1.0, 2.0, 1.0]) / 5),
+        (np.array([1, 3, 4, 6]), np.full(4, 1.0 / 4)),
+    ]
     samples = [
-        (1, np.array([0]), np.array([0, 1])),
+        (1, np.array([0]), np.array([0, 1])),  # a negative equal to its center
         (0, np.array([1]), np.array([1, 1])),
     ]
-    composition = SubwordComposition(w_word, buckets, token_buckets)
-    return _check_ns_gradients("fasttext", composition, w_out, samples)
+    return _check_ns_gradients("fasttext", inputs, w_out, compositions, samples)
 
 
 def _check_glove_gradients() -> tuple[float, int]:
+    # At scale 1.0 the smallest gradient entry (1.8e-04) stays far above the
+    # rounding of central differences on this loss (about 1e-9 / eps).
     rng = np.random.default_rng(7)
-    w = rng.normal(0.0, 0.1, (3, 4))
-    wt = rng.normal(0.0, 0.1, (3, 4))
-    b = rng.normal(0.0, 0.1, 3)
-    bt = rng.normal(0.0, 0.1, 3)
+    w = rng.normal(0.0, 1.0, (3, 4))
+    wt = rng.normal(0.0, 1.0, (3, 4))
+    b = rng.normal(0.0, 1.0, 3)
+    bt = rng.normal(0.0, 1.0, 3)
     # 120 sits above the default x_max, exercising the saturated weight.
     entries = [(0, 1, 2.0), (1, 2, 0.5), (0, 0, 1.5), (2, 1, 120.0)]
     # glove_loss_and_grads is the trainer's own entry_block plus a scatter-add.

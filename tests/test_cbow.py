@@ -1,37 +1,28 @@
-"""Context-average trainer: gradients, convergence, determinism."""
+"""Context-average trainer: block step, gradients, convergence, determinism."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 from conftest import (
-    ReferenceWordComposition,
-    check_composition_gradients,
-    reference_train_negative_sampling,
+    block_loss_and_grads,
+    block_of,
+    check_block_gradients,
+    reference_ns_position_grads,
 )
 
 from kgtyper.corpus import build_vocabulary
 from kgtyper.embeddings import (
     NGramConfig,
+    NGramTable,
     TokenNotFoundError,
     TrainingConfig,
     train_cbow,
     train_fasttext,
 )
-from kgtyper.embeddings.base import (
-    UnigramSampler,
-    encode_corpus,
-    init_input_vectors,
-    linear_lr,
-    ns_losses,
-)
-from kgtyper.embeddings.cbow import (
-    CHUNK_POSITIONS,
-    WordComposition,
-    encode_training_corpus,
-    train_negative_sampling,
-)
-from kgtyper.embeddings.fasttext import NGramTable, SubwordComposition
+from kgtyper.embeddings.base import UnigramSampler, encode_corpus, linear_lr
+from kgtyper.embeddings.cbow import ns_block, position_table, word_compositions
+from kgtyper.embeddings.fasttext import subword_compositions
 from kgtyper.errors import DataError
 
 
@@ -50,31 +41,25 @@ def corpus200():
     return tiny_corpus(200, 12, seed=3)
 
 
+def center_step(w_in: np.ndarray, context) -> np.ndarray:
+    """The step a lone position's center row takes at rate 1 from zero output
+    rows: every score is 0, so it is ``0.5 * hidden``."""
+    w_out = np.zeros((len(w_in), w_in.shape[1]))
+    into = (np.zeros_like(w_in), np.zeros_like(w_out))
+    block = block_of([(0, np.array(context), np.array([1]))])
+    ns_block(w_in, w_out, word_compositions(len(w_in)), *block, 1.0, into=into)
+    return into[1][0] / 0.5
+
+
 def test_context_average_is_row_mean():
     w_in = np.arange(12, dtype=np.float64).reshape(4, 3)
-    context = np.array([0, 2])
-    assert np.allclose(WordComposition(w_in).hidden(context), (w_in[0] + w_in[2]) / 2)
-
-
-def test_word_composition_is_numpy_mean_and_subtract_at():
-    """Row by row, bit for bit: ``mean(axis=0)`` and ``np.subtract.at``,
-    repeated context tokens and a negative zero included."""
-    rng = np.random.default_rng(6)
-    w_in = rng.normal(0.0, 1.0, size=(5, 4)) * 10.0 ** rng.integers(-3, 4, size=(5, 1))
-    w_in[3, 1] = -0.0
-    composition, reference = WordComposition(w_in.copy()), ReferenceWordComposition(w_in.copy())
-    assert np.array_equal(np.signbit(composition.hidden([3])), np.signbit(reference.hidden([3])))
-    for context in ([3], [0, 2], [1, 4, 1], [3, 3, 0, 2, 3]):
-        assert np.array_equal(composition.hidden(context), reference.hidden(np.array(context)))
-        g_hidden = rng.normal(0.0, 1.0, size=4)
-        composition.descend(composition.params, context, g_hidden, 0.3)
-        reference.descend(reference.params, np.array(context), g_hidden, 0.3)
-        assert np.array_equal(composition.params[0], reference.params[0])
+    assert np.allclose(center_step(w_in, [0, 2]), (w_in[0] + w_in[2]) / 2)
+    assert np.allclose(center_step(w_in, [3, 3, 1]), (2 * w_in[3] + w_in[1]) / 3)
 
 
 def test_context_average_single_token_is_that_row():
     w_in = np.arange(12, dtype=np.float64).reshape(4, 3)
-    assert np.array_equal(WordComposition(w_in).hidden(np.array([3])), w_in[3])
+    assert np.array_equal(center_step(w_in, [3]), w_in[3])
 
 
 def frozen_samples():
@@ -90,38 +75,23 @@ def test_gradient_check_hand_samples():
     rng = np.random.default_rng(7)
     w_in = rng.normal(0.0, 0.5, size=(5, 5))
     w_out = rng.normal(0.0, 0.5, size=(5, 5))
-    check_composition_gradients(WordComposition(w_in), w_out, frozen_samples())
+    check_block_gradients(w_in, w_out, word_compositions(5), block_of(frozen_samples()))
 
 
 def test_gradient_check_from_ten_sentence_corpus():
-    """Samples drawn exactly as the trainer would: window 2, sampled negatives."""
+    """One block drawn exactly as the trainer draws it: window 2, sampled negatives."""
     corpus = tiny_corpus(10, 5, seed=11)
     vocab = build_vocabulary(corpus)
     assert len(vocab) == 5  # 5x5 input + 5x5 output = 50 parameters
-    encoded = encode_corpus(corpus, vocab)
-    sampler = UnigramSampler(vocab)
-    rng = np.random.default_rng(23)
-
-    samples = []
-    window = 2
-    for ids in encoded:
-        for i in range(len(ids)):
-            context = np.concatenate(
-                (ids[max(0, i - window) : i], ids[i + 1 : i + 1 + window])
-            )
-            if not len(context):
-                continue
-            center = int(ids[i])
-            negatives = sampler.draw(rng, 3)
-            negatives = negatives[negatives != center]
-            samples.append((center, context, negatives))
-    assert samples
+    _, _, centers, contexts, lengths = position_table(encode_corpus(corpus, vocab), 2)
+    negatives = UnigramSampler(vocab).draw(np.random.default_rng(23), len(centers) * 3)
+    block = (centers, negatives.reshape(-1, 3), contexts, lengths)
+    assert np.any(block[1] == centers[:, None])  # a masked negative
 
     init = np.random.default_rng(5)
     w_in = init.normal(0.0, 0.3, size=(5, 5))
     w_out = init.normal(0.0, 0.3, size=(5, 5))
-
-    check_composition_gradients(WordComposition(w_in), w_out, samples)
+    check_block_gradients(w_in, w_out, word_compositions(5), block)
 
 
 def mixed_length_corpus():
@@ -262,98 +232,79 @@ def test_learning_rate_array_equals_scalar_formula(initial, total):
     assert all(linear_lr(initial, step, total) == rates[step] for step in (0, total // 2, total))
 
 
-@pytest.mark.parametrize("k", [5, 10])
-def test_ns_losses_equal_one_position_at_a_time(k):
-    """Rows of every kept count, scores spread wide: each loss is the
-    sequential trainer's sum over that position's own negatives."""
-    rng = np.random.default_rng(k)
-    counts = rng.integers(0, k + 1, size=400)
-    scores = rng.normal(0.0, 4.0, size=(400, 1 + k))
-    softplus = lambda x: np.logaddexp(0.0, x)
-    expected = [
-        float(softplus(-row[0]) + softplus(row[1 : 1 + count]).sum())
-        for row, count in zip(scores, counts)
-    ]
-    assert ns_losses(scores, counts).tolist() == expected
+BLOCK_TOKENS = ["aaaa", "abab", "xyz", "b", "cd"]
+
+# One block over BLOCK_TOKENS with three negatives per position: position 0
+# repeats a negative, positions 1 and 2 draw their own center, position 1
+# names context token 0 twice, and token 0 ("aaaa") repeats its n-grams.
+BLOCK_SAMPLES = [
+    (0, [1, 2], [3, 3, 4]),
+    (2, [0, 0, 4], [2, 1, 0]),
+    (4, [3], [0, 1, 4]),
+    (1, [0, 2, 3, 4], [2, 3, 0]),
+]
 
 
-def self_loop_triples():
-    """Triples over 6 tokens; every fourth has subject == object, so the
-    predicate's context names one token twice."""
-    rng = np.random.default_rng(12)
-    tokens = [f"n{i}" for i in range(6)]
-    triples = []
-    for k in range(40):
-        s, p, o = (tokens[j] for j in rng.integers(0, len(tokens), size=3))
-        triples.append((s, p, s) if k % 4 == 0 else (s, p, o))
-    return triples
-
-
-# name -> (corpus, config, cases the sequential run must meet). A tiny
-# vocabulary makes negatives equal to the center and repeated negatives
-# frequent.
-EXACTNESS_CASES = {
-    "mixed-lengths-window1": (
-        mixed_length_corpus,
-        TrainingConfig(dimension=5, window=1, epochs=2, negative_samples=5, seed=3),
-        {"no context", "negative equal to center", "repeated negative"},
-    ),
-    "self-loops-window2": (
-        self_loop_triples,
-        TrainingConfig(dimension=4, window=2, epochs=3, negative_samples=4, seed=5),
-        {"repeated context token", "negative equal to center", "repeated negative"},
-    ),
-    # Ten negatives: numpy sums eight or more terms pairwise.
-    "window3-ten-negatives": (
-        mixed_length_corpus,
-        TrainingConfig(
-            dimension=6, window=3, epochs=3, initial_learning_rate=0.5, negative_samples=10, seed=7
-        ),
-        {"no context", "negative equal to center", "repeated negative"},
-    ),
-    # More than two schedule chunks per epoch, the last one partial.
-    "three-chunks": (
-        lambda: tiny_corpus(CHUNK_POSITIONS * 2 // 3 + 50, 30, seed=9),
-        TrainingConfig(dimension=3, window=2, epochs=2, negative_samples=5, seed=9),
-        {"negative equal to center", "repeated negative"},
-    ),
-}
-
-
-def build_composition(kind: str, vocab, config, reference: bool):
-    """A seeded generator plus a fresh composition drawn from it, as the
-    public trainers set them up."""
-    rng = np.random.default_rng(config.seed)
-    w_in = init_input_vectors(rng, len(vocab), config.dimension)
-    if kind == "word":
-        return rng, (ReferenceWordComposition if reference else WordComposition)(w_in)
-    tokens = [vocab.token_of(i) for i in range(len(vocab))]
-    table = NGramTable(NGramConfig(2, 4, 61), tokens, rng, config.dimension)
-    rows = [np.searchsorted(table.bucket_ids, table.bucket_indices(t)) for t in tokens]
-    return rng, SubwordComposition(w_in, table.rows, rows)
+def reference_block(inputs, w_out, token_rows, samples):
+    """Summed loss and gradients, one ``reference_ns_position_grads`` call per
+    position. Token ``t`` composes as the plain mean of ``inputs[token_rows[t]]``,
+    a row counted once per occurrence; a negative equal to the center is dropped."""
+    g_inputs, g_out = np.zeros_like(inputs), np.zeros_like(w_out)
+    total = 0.0
+    for center, context, negatives in samples:
+        negatives = np.array([n for n in negatives if n != center], dtype=np.intp)
+        hidden = np.mean([inputs[token_rows[t]].mean(axis=0) for t in context], axis=0)
+        loss, g_hidden, g_center, g_negatives = reference_ns_position_grads(
+            hidden, w_out, center, negatives
+        )
+        total += loss
+        g_out[center] += g_center
+        np.add.at(g_out, negatives, g_negatives)
+        for t in context:
+            rows = token_rows[t]
+            np.add.at(g_inputs, rows, g_hidden / len(context) / len(rows))
+    return total, g_inputs, g_out
 
 
 @pytest.mark.parametrize("kind", ["word", "subword"])
-@pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
-def test_trainer_equals_sequential_reference(case, kind):
-    make_corpus, config, cases = EXACTNESS_CASES[case]
-    corpus = make_corpus()
-    vocab = build_vocabulary(corpus)
-    encoded = encode_training_corpus(corpus, vocab)
+def test_block_step_equals_sum_over_positions(kind):
+    """The block's loss and gradients are the sums of the one-position
+    reference over its positions."""
+    rng = np.random.default_rng(4)
+    size, dim = len(BLOCK_TOKENS), 3
+    if kind == "word":
+        inputs = rng.normal(0.0, 0.5, size=(size, dim))
+        compositions = word_compositions(size)
+        token_rows = [[t] for t in range(size)]
+    else:
+        words = rng.normal(0.0, 0.5, size=(size, dim))
+        table = NGramTable(NGramConfig(1, 3, 11), BLOCK_TOKENS, rng, dim, words=words)
+        inputs = table.inputs
+        inputs[size:] = rng.normal(0.0, 0.5, size=table.rows.shape)
+        compositions = subword_compositions(table, BLOCK_TOKENS)
+        token_rows = [
+            [t, *(size + np.searchsorted(table.bucket_ids, table.bucket_indices(token)))]
+            for t, token in enumerate(BLOCK_TOKENS)
+        ]
+        assert len(set(token_rows[0])) < len(token_rows[0])  # "aaaa" repeats n-gram rows
+    w_out = rng.normal(0.0, 0.5, size=(size, dim))
+    samples = [(c, np.array(ctx), np.array(neg)) for c, ctx, neg in BLOCK_SAMPLES]
 
-    rng, composition = build_composition(kind, vocab, config, reference=False)
-    w_out, epoch_losses = train_negative_sampling(encoded, vocab, config, rng, composition)
-    ref_rng, reference = build_composition(kind, vocab, config, reference=True)
-    ref_out, ref_losses, seen = reference_train_negative_sampling(
-        encoded, vocab, config, ref_rng, reference
-    )
+    loss, g_inputs, g_out = block_loss_and_grads(inputs, w_out, compositions, block_of(samples))
+    ref_loss, ref_inputs, ref_out = reference_block(inputs, w_out, token_rows, samples)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert np.allclose(g_inputs, ref_inputs, rtol=1e-10, atol=1e-15)
+    assert np.allclose(g_out, ref_out, rtol=1e-10, atol=1e-15)
+    assert np.all(g_out != 0.0)  # every row is a center or a kept negative
 
-    assert all(seen[name] for name in cases), seen
-    positions = sum(map(len, encoded))
-    if case == "three-chunks":
-        assert positions > 2 * CHUNK_POSITIONS and positions % CHUNK_POSITIONS
-    assert np.array_equal(w_out, ref_out)
-    for trained, expected in zip(composition.params, reference.params, strict=True):
-        assert np.array_equal(trained, expected)
-    assert epoch_losses == ref_losses
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+def test_block_step_applies_rate_times_gradient():
+    rng = np.random.default_rng(8)
+    inputs, w_out = rng.normal(0.0, 0.5, size=(2, 5, 3))
+    samples = [(c, np.array(ctx), np.array(neg)) for c, ctx, neg in BLOCK_SAMPLES]
+    block = block_of(samples)
+    _, g_inputs, g_out = block_loss_and_grads(inputs, w_out, word_compositions(5), block)
+    stepped_in, stepped_out = inputs.copy(), w_out.copy()
+    ns_block(stepped_in, stepped_out, word_compositions(5), *block, 0.3)
+    assert np.allclose(stepped_in, inputs - 0.3 * g_inputs, rtol=0, atol=1e-15)
+    assert np.allclose(stepped_out, w_out - 0.3 * g_out, rtol=0, atol=1e-15)

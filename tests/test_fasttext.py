@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import check_composition_gradients
+from conftest import block_of, check_block_gradients
 
 import kgtyper
 from kgtyper.corpus import build_vocabulary
@@ -23,7 +23,7 @@ from kgtyper.embeddings import (
 )
 from kgtyper.embeddings.base import init_input_vectors
 from kgtyper.embeddings.cbow import encode_training_corpus, train_negative_sampling
-from kgtyper.embeddings.fasttext import SubwordComposition, fnv1a_32, ngrams_of
+from kgtyper.embeddings.fasttext import fnv1a_32, ngrams_of, subword_compositions
 from kgtyper.errors import DataError
 
 
@@ -140,50 +140,16 @@ def test_oov_without_extractable_ngrams_raises():
 
 def test_gradient_check_word_buckets_and_output():
     config = NGramConfig(n_min=2, n_max=3, bucket_count=5)
-    rng = np.random.default_rng(9)
-    w_word = rng.normal(0.0, 0.4, size=(2, 2))
-    buckets = rng.normal(0.0, 0.4, size=(5, 2))
-    w_out = rng.normal(0.0, 0.4, size=(2, 2))
-    # 4 + 10 + 4 = 18 parameters in total; "ab" and "cd" hash into all 5
-    # buckets, so each raw bucket id is also its row position.
-    table = NGramTable(config, ["ab", "cd"], np.random.default_rng(0), 2)
+    # 2 word rows + 5 bucket rows, dimension 2, plus a 2x2 output side: 18
+    # parameters. "ab" and "cd" hash into all 5 buckets.
+    table = NGramTable(config, ["ab", "cd"], np.random.default_rng(0), 2, words=np.zeros((2, 2)))
     assert np.array_equal(table.bucket_ids, np.arange(5))
-    token_buckets = [table.bucket_indices("ab"), table.bucket_indices("cd")]
-    samples = [
-        (0, np.array([1]), np.array([0, 1])),
-        (1, np.array([0, 0]), np.array([1])),
-    ]
-    composition = SubwordComposition(w_word, buckets, token_buckets)
-    check_composition_gradients(composition, w_out, samples)
-
-
-def test_descend_equals_subtract_at_with_repeated_ngrams():
-    """The trainer's update against an inline np.subtract.at reference: a
-    row named k times by a token must take the share k times."""
-    # 12 to 21 n-grams per token in 7 buckets: every token repeats a row.
-    tokens = ["aaaaaa", "abab", "xyz"]
-    config = NGramConfig(n_min=1, n_max=3, bucket_count=7)
-    table = NGramTable(config, tokens, np.random.default_rng(0), 3)
-    token_buckets = [np.searchsorted(table.bucket_ids, table.bucket_indices(t)) for t in tokens]
-    repeats = [len(idx) - len(np.unique(idx)) for idx in token_buckets]
-    assert repeats[0] >= 5 and all(repeats), repeats
-    rng = np.random.default_rng(2)
-    w_word = rng.normal(0.0, 0.5, size=(3, 3))
-    buckets = rng.normal(0.0, 0.5, size=(len(table.bucket_ids), 3))
-    composition = SubwordComposition(w_word.copy(), buckets.copy(), token_buckets)
-    # A step of -1 is how loss_and_grads accumulates the gradient.
-    for context, lr in [([0, 1, 0], 0.025), ([2], 0.5), ([1, 2], -1.0)]:
-        context = np.array(context)
-        g_hidden = rng.normal(0.0, 1.0, size=3)
-        g_context = g_hidden / len(context)
-        for token_id in context:
-            idx = token_buckets[token_id]
-            share = lr * g_context / (1 + len(idx))
-            w_word[token_id] -= share
-            np.subtract.at(buckets, idx, share)
-        composition.descend(composition.params, context, g_hidden, lr)
-        assert np.array_equal(composition.params[0], w_word)
-        assert np.array_equal(composition.params[1], buckets)
+    rng = np.random.default_rng(9)
+    inputs = rng.normal(0.0, 0.4, size=table.inputs.shape)
+    w_out = rng.normal(0.0, 0.4, size=(2, 2))
+    # Position 1 draws its own center as a negative, which is masked out.
+    block = block_of([(0, np.array([1]), np.array([1, 1])), (1, np.array([0, 0]), np.array([1, 0]))])
+    check_block_gradients(inputs, w_out, subword_compositions(table, ["ab", "cd"]), block)
 
 
 def full_table_fasttext(corpus, vocab, config, ngram_config):
@@ -192,14 +158,17 @@ def full_table_fasttext(corpus, vocab, config, ngram_config):
     rng = np.random.default_rng(config.seed)
     w_word = init_input_vectors(rng, len(vocab), config.dimension)
     buckets = init_input_vectors(rng, ngram_config.bucket_count, config.dimension)
-    token_buckets = []
+    inputs = np.concatenate((w_word, buckets))
+    token_buckets, compositions = [], []
     for i in range(len(vocab)):
         grams = reference_ngrams(vocab.token_of(i), ngram_config.n_min, ngram_config.n_max)
-        ids = [reference_fnv1a_32(g) % ngram_config.bucket_count for g in grams]
-        token_buckets.append(np.asarray(ids, dtype=np.intp))
-    composition = SubwordComposition(w_word, buckets, token_buckets)
-    w_out, epoch_losses = train_negative_sampling(encoded, vocab, config, rng, composition)
-    return w_word, buckets, w_out, epoch_losses, token_buckets
+        ids = np.asarray([reference_fnv1a_32(g) % ngram_config.bucket_count for g in grams], np.intp)
+        rows, counts = np.unique(ids, return_counts=True)
+        weights = np.concatenate(([1.0], counts)) / (1 + len(ids))
+        compositions.append((np.concatenate(([i], len(vocab) + rows)), weights))
+        token_buckets.append(ids)
+    w_out, epoch_losses = train_negative_sampling(encoded, vocab, config, rng, inputs, compositions)
+    return inputs[: len(vocab)], inputs[len(vocab) :], w_out, epoch_losses, token_buckets
 
 
 @pytest.mark.parametrize("seed", [1, 4])
