@@ -1,9 +1,11 @@
 """Shared pieces of the embedding trainers.
 
-All trainers accumulate in float64 (the gradient checks demand it), start
-their input vectors uniform in [-0.5/dim, +0.5/dim] from a seeded
-generator, and keep the output/context side at zero. Negative samples are
-drawn from the unigram distribution raised to 3/4.
+All trainers return float64 vectors. CBOW and fastText train in float64;
+GloVe trains in float32, and its gradient checks run its block function
+in float64. Every trainer starts its input vectors uniform in
+[-0.5/dim, +0.5/dim] from a seeded generator and keeps the output/context
+side at zero. Negative samples are drawn from the unigram distribution
+raised to 3/4.
 """
 
 from __future__ import annotations

@@ -16,28 +16,37 @@ The trainer then minimizes
 
 with f(x) = (x / x_max)^alpha below x_max and 1 above, using per-parameter
 adaptive-gradient (AdaGrad) steps over the shuffled nonzero entries. The
-final vector of token i is w_i + wt_i.
+final vector of token i is w_i + wt_i, returned in float64 like the other
+trainers' vectors.
+
+The trainer keeps its state in float32: ``w``, ``wt``, their AdaGrad
+accumulators, the rate, and the per-entry ``log X_ij`` and ``f(X_ij)``
+(computed per scalar in float64, then cast). Each bias is the last column
+of its side, ``b`` of ``w`` and ``bt`` of ``wt``, in the accumulators too,
+so one AdaGrad update per side covers vector and bias.
 
 Each epoch's result is that of visiting the shuffled entries one at a
-time, bit for bit, but the updates run on blocks of entries with numpy.
-An entry (i, j) reads and writes only row i of ``w``, ``b`` and their
-accumulators and row j of ``wt``, ``bt`` and theirs, so two entries that
-share neither row commute. Walking the shuffled order, each entry gets
-the level one above the last level that used its ``w`` row or its ``wt``
-row. Entries of one level share no row, and every entry sees each of its
-rows exactly as the one-at-a-time visit leaves it: updated by every
-earlier entry that touches it (all on lower levels) and by no later one
-(all on higher levels). The levels run in order, each in blocks of at
-most ``BLOCK_ENTRIES``. Every elementwise operation is the scalar one
-applied per entry, each dot product is one BLAS dot per entry as in the
-one-at-a-time code, and the epoch loss is summed sequentially in shuffled
-order, so no rounding changes.
+time in float32 (``tests/conftest.py`` spells that visit out), bit for
+bit, but the updates run on blocks of entries with numpy. An entry
+(i, j) reads and writes only row i of ``w`` and its accumulator and row j
+of ``wt`` and its accumulator, so two entries that share neither row
+commute. Walking the shuffled order, each entry gets the level one above
+the last level that used its ``w`` row or its ``wt`` row. Entries of one
+level share no row, and every entry sees each of its rows exactly as the
+one-at-a-time visit leaves it: updated by every earlier entry that
+touches it (all on lower levels) and by no later one (all on higher
+levels). Each epoch lays the entries out in level order once, and the
+levels run in order, each in contiguous blocks of at most
+``BLOCK_ENTRIES``. Every elementwise operation is the scalar one applied
+per entry, each dot product is one BLAS dot per entry as in the
+one-at-a-time code, and the epoch loss adds the float32 terms to a
+float64 sum sequentially in shuffled order, so no rounding changes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -150,50 +159,45 @@ def _entry_constants(
 
 
 def entry_block(
-    w: np.ndarray, wt: np.ndarray, b: np.ndarray, bt: np.ndarray,
-    i: np.ndarray, j: np.ndarray, log_x: np.ndarray, f: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss terms and gradients of the entries ``(i[k], j[k])``.
+    w_rows: np.ndarray, wt_rows: np.ndarray, log_x: np.ndarray, f: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Loss terms and gradients of the entries whose rows are ``w_rows[k]``
+    and ``wt_rows[k]``, each a vector with its bias as the last column.
 
-    Returns ``(losses, coef, g_w, g_wt)``: ``losses[k]`` is entry k's term
-    of the loss, ``coef[k]`` its derivative with respect to ``b[i[k]]`` and
-    to ``bt[j[k]]``, and ``g_w[k]`` / ``g_wt[k]`` its gradients with respect
-    to the rows ``w[i[k]]`` / ``wt[j[k]]``.
+    Returns ``(losses, g_w, g_wt)``: ``losses[k]`` is entry k's term of the
+    loss and ``g_w[k]`` / ``g_wt[k]`` its gradients with respect to the
+    rows, in the same layout.
     """
-    wi = w[i]
-    wtj = wt[j]
     # One BLAS dot per entry, rounding exactly as ``w[i] @ wt[j]`` does.
-    dots = np.matmul(wi[:, None, :], wtj[:, :, None])[:, 0, 0]
-    diff = dots + b[i] + bt[j] - log_x
+    dots = np.matmul(w_rows[:, None, :-1], wt_rows[:, :-1, None])[:, 0, 0]
+    diff = dots + w_rows[:, -1] + wt_rows[:, -1] - log_x
     losses = f * diff * diff
     coef = 2.0 * f * diff
-    return losses, coef, coef[:, None] * wtj, coef[:, None] * wi
+    g_w = coef[:, None] * wt_rows
+    g_wt = coef[:, None] * w_rows
+    g_w[:, -1] = g_wt[:, -1] = coef
+    return losses, g_w, g_wt
 
 
 def glove_loss_and_grads(
     w: np.ndarray,
     wt: np.ndarray,
-    b: np.ndarray,
-    bt: np.ndarray,
     entries: list[tuple[int, int, float]],
     x_max: float = DEFAULT_X_MAX,
     alpha: float = DEFAULT_ALPHA,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss plus dense analytic gradients over the given entries."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss plus dense analytic gradients over the given entries; ``w`` and
+    ``wt`` hold each bias as their last column."""
     i, j, x = zip(*entries)
     i = np.asarray(i, dtype=np.intp)
     j = np.asarray(j, dtype=np.intp)
     log_x, f = _entry_constants(x, x_max, alpha)
-    losses, coef, rows_w, rows_wt = entry_block(w, wt, b, bt, i, j, log_x, f)
+    losses, rows_w, rows_wt = entry_block(w[i], wt[j], log_x, f)
     g_w = np.zeros_like(w)
     g_wt = np.zeros_like(wt)
-    g_b = np.zeros_like(b)
-    g_bt = np.zeros_like(bt)
     np.add.at(g_w, i, rows_w)
     np.add.at(g_wt, j, rows_wt)
-    np.add.at(g_b, i, coef)
-    np.add.at(g_bt, j, coef)
-    return float(losses.sum()), g_w, g_wt, g_b, g_bt
+    return float(losses.sum()), g_w, g_wt
 
 
 def entry_levels(i: np.ndarray, j: np.ndarray, size: int) -> np.ndarray:
@@ -207,25 +211,6 @@ def entry_levels(i: np.ndarray, j: np.ndarray, size: int) -> np.ndarray:
         last_w[row] = last_wt[col] = level
         levels.append(level)
     return np.array(levels, dtype=np.intp)
-
-
-def _conflict_free_blocks(levels: np.ndarray) -> Iterator[np.ndarray]:
-    """Positions of the entries, level by level, in blocks of at most
-    ``BLOCK_ENTRIES``."""
-    order = np.argsort(levels, kind="stable")
-    ends = np.cumsum(np.bincount(levels))  # ends[0] == 0: levels start at 1
-    for start, end in zip(ends[:-1].tolist(), ends[1:].tolist()):
-        for first in range(start, end, BLOCK_ENTRIES):
-            yield order[first:min(first + BLOCK_ENTRIES, end)]
-
-
-def _adagrad_step(
-    param: np.ndarray, acc: np.ndarray, rows: np.ndarray, grad: np.ndarray, lr: float
-) -> None:
-    """One AdaGrad step on distinct ``rows``: the step uses the squared
-    gradients accumulated before this one."""
-    param[rows] -= lr * grad / np.sqrt(acc[rows])
-    acc[rows] += grad * grad
 
 
 def train_glove(
@@ -248,38 +233,51 @@ def train_glove(
     rng = np.random.default_rng(config.seed)
     dim = config.dimension
     size = len(vocab)
-    w = init_input_vectors(rng, size, dim)
-    wt = np.zeros((size, dim))
-    b = np.zeros(size)
-    bt = np.zeros(size)
-    acc_w = np.ones((size, dim))
-    acc_wt = np.ones((size, dim))
-    acc_b = np.ones(size)
-    acc_bt = np.ones(size)
-    lr = config.initial_learning_rate
-    log_x, f = _entry_constants(x.tolist(), x_max, alpha)
+    # Each row is a vector followed by its bias.
+    w = np.zeros((size, dim + 1), dtype=np.float32)
+    w[:, :dim] = init_input_vectors(rng, size, dim)
+    wt = np.zeros_like(w)
+    acc_w = np.ones_like(w)
+    acc_wt = np.ones_like(w)
+    lr = np.float32(config.initial_learning_rate)
+    log_x, f = (c.astype(np.float32) for c in _entry_constants(x.tolist(), x_max, alpha))
 
     epoch_losses: list[float] = []
     for _ in range(config.epochs):
         order = rng.permutation(len(i))
-        rows, cols = i[order], j[order]
-        levels = entry_levels(rows, cols, size)
-        per_entry = np.empty(len(order))
-        for block in _conflict_free_blocks(levels):
-            r, c = rows[block], cols[block]
-            k = order[block]
-            losses, coef, g_w, g_wt = entry_block(w, wt, b, bt, r, c, log_x[k], f[k])
-            per_entry[block] = losses
-            _adagrad_step(w, acc_w, r, g_w, lr)
-            _adagrad_step(wt, acc_wt, c, g_wt, lr)
-            _adagrad_step(b, acc_b, r, coef, lr)
-            _adagrad_step(bt, acc_bt, c, coef, lr)
+        levels = entry_levels(i[order], j[order], size)
+        by_level = np.argsort(levels, kind="stable")
+        order = order[by_level]
+        rows, cols, log_xs, fs = i[order], j[order], log_x[order], f[order]
+        losses = np.empty(len(order))
+        ends = np.cumsum(np.bincount(levels)).tolist()  # ends[0] == 0: levels start at 1
+        for level_start, level_end in zip(ends[:-1], ends[1:]):
+            for start in range(level_start, level_end, BLOCK_ENTRIES):
+                block = slice(start, min(start + BLOCK_ENTRIES, level_end))
+                r, c = rows[block], cols[block]
+                w_r, wt_c = w[r], wt[c]
+                losses[block], g_w, g_wt = entry_block(w_r, wt_c, log_xs[block], fs[block])
+                # AdaGrad: each step divides by the squared gradients
+                # accumulated before it.
+                sides = ((w, acc_w, r, w_r, g_w), (wt, acc_wt, c, wt_c, g_wt))
+                for param, acc, index, p, g in sides:
+                    a = acc[index]
+                    root = np.sqrt(a)
+                    a += g * g
+                    g *= lr
+                    g /= root
+                    p -= g
+                    param[index] = p
+                    acc[index] = a
         # Added up one entry at a time in shuffled order, as the one-at-a-time
         # loop does; np.sum (pairwise) and, from Python 3.12, the built-in
         # sum (compensated) round differently.
-        epoch_losses.append(np.add.accumulate(per_entry)[-1] / len(order))
-        del order, rows, cols, levels, per_entry
+        shuffled = np.empty_like(losses)
+        shuffled[by_level] = losses
+        epoch_losses.append(np.add.accumulate(shuffled)[-1] / len(order))
+        del order, levels, by_level, rows, cols, log_xs, fs, losses, shuffled
 
-    matrix = EmbeddingMatrix(w + wt, wt, vocab, epoch_losses)
+    context = wt[:, :dim].astype(np.float64)
+    matrix = EmbeddingMatrix(w[:, :dim] + context, context, vocab, epoch_losses)
     matrix.check_finite()
     return matrix

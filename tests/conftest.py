@@ -205,23 +205,28 @@ def reference_train_glove(
     cooc, vocab, config, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_ALPHA
 ) -> EmbeddingMatrix:
     """The GloVe trainer one entry at a time, in shuffled order: the
-    sequential definition that ``train_glove`` must match bit for bit."""
+    sequential definition that ``train_glove`` must match bit for bit.
+
+    Parameters, accumulators, the rate and the per-entry constants are
+    float32, as in the trainer; ``log X`` and ``f`` are computed in float64
+    and then cast, and the epoch loss adds each float32 term to a float64
+    running sum."""
     entries = cooc.items()
     rng = np.random.default_rng(config.seed)
     dim = config.dimension
     size = len(vocab)
-    w = init_input_vectors(rng, size, dim)
-    wt = np.zeros((size, dim))
-    b = np.zeros(size)
-    bt = np.zeros(size)
-    acc_w = np.ones((size, dim))
-    acc_wt = np.ones((size, dim))
-    acc_b = np.ones(size)
-    acc_bt = np.ones(size)
-    lr = config.initial_learning_rate
+    w = init_input_vectors(rng, size, dim).astype(np.float32)
+    wt = np.zeros((size, dim), dtype=np.float32)
+    b = np.zeros(size, dtype=np.float32)
+    bt = np.zeros(size, dtype=np.float32)
+    acc_w = np.ones((size, dim), dtype=np.float32)
+    acc_wt = np.ones((size, dim), dtype=np.float32)
+    acc_b = np.ones(size, dtype=np.float32)
+    acc_bt = np.ones(size, dtype=np.float32)
+    lr = np.float32(config.initial_learning_rate)
 
-    log_x = [math.log(x) for _, _, x in entries]
-    weights = [glove_weight(x, x_max, alpha) for _, _, x in entries]
+    log_x = [np.float32(math.log(x)) for _, _, x in entries]
+    weights = [np.float32(glove_weight(x, x_max, alpha)) for _, _, x in entries]
 
     epoch_losses = []
     for _ in range(config.epochs):
@@ -230,19 +235,20 @@ def reference_train_glove(
             i, j, _ = entries[index]
             f = weights[index]
             diff = w[i] @ wt[j] + b[i] + bt[j] - log_x[index]
-            epoch_loss += f * diff * diff
+            epoch_loss += float(f * diff * diff)
             coef = 2.0 * f * diff
             g_w = coef * wt[j]
             g_wt = coef * w[i]
             w[i] -= lr * g_w / np.sqrt(acc_w[i])
             wt[j] -= lr * g_wt / np.sqrt(acc_wt[j])
-            b[i] -= lr * coef / math.sqrt(acc_b[i])
-            bt[j] -= lr * coef / math.sqrt(acc_bt[j])
+            b[i] -= lr * coef / np.sqrt(acc_b[i])
+            bt[j] -= lr * coef / np.sqrt(acc_bt[j])
             acc_w[i] += g_w * g_w
             acc_wt[j] += g_wt * g_wt
             acc_b[i] += coef * coef
             acc_bt[j] += coef * coef
         epoch_losses.append(epoch_loss / len(entries))
+    w, wt = w.astype(np.float64), wt.astype(np.float64)
     return EmbeddingMatrix(w + wt, wt, vocab, epoch_losses)
 
 

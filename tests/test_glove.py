@@ -166,23 +166,22 @@ def test_gradient_check_on_real_cooccurrence():
     matrix = build_cooccurrence(corpus, vocab, window=2)
     entries = matrix.items()
     rng = np.random.default_rng(3)
-    # 5x2 + 5x2 + 5 + 5 = 30 parameters.
+    # 5x2 + 5x2 + 5 + 5 = 30 parameters; each bias is its side's last column.
     w = rng.normal(0.0, 0.4, size=(5, 2))
     wt = rng.normal(0.0, 0.4, size=(5, 2))
     b = rng.normal(0.0, 0.4, size=5)
     bt = rng.normal(0.0, 0.4, size=5)
+    w, wt = np.column_stack([w, b]), np.column_stack([wt, bt])
 
-    _, g_w, g_wt, g_b, g_bt = glove_loss_and_grads(w, wt, b, bt, entries)
+    _, g_w, g_wt = glove_loss_and_grads(w, wt, entries)
 
     def current():
-        return glove_loss_and_grads(w, wt, b, bt, entries)[0]
+        return glove_loss_and_grads(w, wt, entries)[0]
 
-    for analytic in (g_w, g_wt, g_b, g_bt):
+    for analytic in (g_w, g_wt):
         assert np.all(analytic != 0.0), "a parameter entry gets no gradient"
     assert_gradients_close(g_w, numeric_gradient(current, w))
     assert_gradients_close(g_wt, numeric_gradient(current, wt))
-    assert_gradients_close(g_b, numeric_gradient(current, b))
-    assert_gradients_close(g_bt, numeric_gradient(current, bt))
 
 
 def sentences(rng, alphabet: int, count: int):
@@ -298,6 +297,18 @@ def test_same_seed_is_bitwise_identical():
     assert np.array_equal(first.input_vectors, second.input_vectors)
     assert np.array_equal(first.output_vectors, second.output_vectors)
     assert first.epoch_losses == second.epoch_losses
+
+
+def test_trainer_state_is_float32_but_matrices_are_float64():
+    corpus = [("a", "b", "c"), ("b", "c", "d")]
+    vocab = build_vocabulary(corpus)
+    matrix = build_cooccurrence(corpus, vocab, window=2)
+    model = train_glove(matrix, vocab, TrainingConfig(dimension=6, epochs=2, seed=3))
+    assert model.input_vectors.dtype == model.output_vectors.dtype == np.float64
+    assert model.input_vectors.shape == model.output_vectors.shape == (len(vocab), 6)
+    # Every coordinate of the context side is a float32 value widened.
+    context = model.output_vectors
+    assert np.array_equal(context.astype(np.float32).astype(np.float64), context)
 
 
 def test_empty_matrix_rejected():
