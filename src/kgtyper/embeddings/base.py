@@ -81,6 +81,10 @@ class EmbeddingMatrix:
             raise TokenNotFoundError(token)
         return self.input_vectors[self.vocabulary.id_of(token)]
 
+    def vocabulary_vectors(self) -> np.ndarray:
+        """Row ``i`` is the vector of token ``i``."""
+        return self.input_vectors
+
     @property
     def dimension(self) -> int:
         return self.input_vectors.shape[1]

@@ -4,8 +4,9 @@ Each token's input vector is the mean of its own word vector and the
 bucket vectors of its character n-grams; the token string is wrapped in
 boundary markers before extraction, so token "abc" with n=3 contributes
 "<ab", "abc", "bc>". N-grams are hashed into ``bucket_count`` buckets with
-FNV-1a, which keeps the mapping stable across runs and gives unseen
-tokens a vector made purely of their n-gram buckets.
+FNV-1a over their UTF-8 bytes (``ngram_buckets``, on arrays), which keeps
+the mapping stable across runs and gives unseen tokens a vector made
+purely of their n-gram buckets.
 
 The bucket table holds a row only for the buckets the vocabulary's
 n-grams hash into; only those rows receive gradient. Every other bucket
@@ -23,7 +24,8 @@ that holds the word rows and, after them, the kept bucket rows. A token's
 composition lists its word row with weight ``1 / (1 + n)`` and each
 distinct n-gram row with weight ``multiplicity / (1 + n)``, for ``n``
 n-gram occurrences; so a row whose n-gram repeats (``"aaaa"``) takes its
-share once per occurrence.
+share once per occurrence. A token's exported vector is that same mean;
+``FastTextEmbeddings.vocabulary_vectors`` builds all of them at once.
 
 N-grams run over the full IRI string, as there is no reliable way to
 segment a URI into words. On synthetic graphs whose entity IRIs do not
@@ -33,7 +35,7 @@ local name alone did better there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,24 +51,6 @@ _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
 
 
-def fnv1a_32(text: str) -> int:
-    """32-bit FNV-1a over the UTF-8 bytes of ``text``."""
-    value = _FNV_OFFSET
-    for byte in text.encode("utf-8"):
-        value = ((value ^ byte) * _FNV_PRIME) & 0xFFFFFFFF
-    return value
-
-
-def ngrams_of(token: str, n_min: int, n_max: int) -> list[str]:
-    """Character n-grams of the boundary-wrapped token, duplicates kept."""
-    wrapped = f"<{token}>"
-    out = []
-    for n in range(n_min, n_max + 1):
-        for start in range(0, len(wrapped) - n + 1):
-            out.append(wrapped[start : start + n])
-    return out
-
-
 @dataclass
 class NGramConfig:
     n_min: int = 3
@@ -78,6 +62,41 @@ class NGramConfig:
             raise ValueError("need 1 <= n_min <= n_max")
         if self.bucket_count < 1:
             raise ValueError("bucket_count must be >= 1")
+
+
+def ngram_buckets(tokens: Sequence[str], config: NGramConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The bucket of every n-gram of ``tokens``, and the number of n-grams per token.
+
+    A token's n-grams are the substrings of ``f"<{token}>"`` by size, then
+    start, duplicates kept; a bucket is the FNV-1a hash of the UTF-8 bytes
+    modulo ``bucket_count`` (a lone surrogate raises ``UnicodeEncodeError``).
+    The hashes from all start positions grow by one code point at a time,
+    byte by byte; those of n-grams that cross a token boundary go unread.
+    """
+    wrapped = [f"<{token}>" for token in tokens]
+    data = np.frombuffer("".join(wrapped).encode("utf-8") + bytes(4), dtype=np.uint8)
+    offsets = np.flatnonzero((data[:-4] & 0xC0) != 0x80)  # where each code point starts
+    count = len(offsets)
+    offsets = np.append(offsets, [len(data) - 4] * config.n_max)
+    widths = np.diff(offsets, append=len(data) - 4)
+    running = np.full(count, _FNV_OFFSET, dtype=np.uint32)
+    hashes = np.empty((config.n_max - config.n_min + 1, count), dtype=np.intp)
+    for n in range(1, config.n_max + 1):
+        lo, width = offsets[n - 1 : n - 1 + count], widths[n - 1 : n - 1 + count]
+        for byte in range(width.max(initial=0)):
+            np.bitwise_xor(running, data[lo + byte], out=running, where=width > byte)
+            np.multiply(running, np.uint32(_FNV_PRIME), out=running, where=width > byte)
+        if n >= config.n_min:
+            hashes[n - config.n_min] = running
+    lengths = np.array([len(w) for w in wrapped], dtype=np.intp)
+    sizes = np.arange(config.n_min, config.n_max + 1)
+    grams = np.maximum(lengths[:, None] - sizes + 1, 0)  # per token and size, in output order
+    first = (np.cumsum(lengths) - lengths)[:, None] + (sizes - config.n_min) * count
+    index = np.repeat(first.ravel() - np.cumsum(grams) + grams.ravel(), grams.ravel())
+    index += np.arange(len(index))
+    hashes %= min(config.bucket_count, 1 << 32)  # a hash lies below 2**32
+    buckets = hashes.ravel()[index]
+    return buckets, grams.sum(axis=1)
 
 
 def seeded_rows(state: dict, bucket_ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -119,23 +138,16 @@ class NGramTable:
     ):
         config.validate()
         self.config = config
-        self._cache: dict[str, np.ndarray] = {}
+        tokens = list(tokens)
+        buckets, counts = ngram_buckets(tokens, config)
+        self._cache = dict(zip(tokens, np.split(buckets, np.cumsum(counts)[:-1])))
         self._initial_state = rng.bit_generator.state
-        used = [self.bucket_indices(token) for token in tokens]
-        self.bucket_ids, _ = distinct_counts(np.concatenate([np.empty(0, np.intp), *used]))
+        self.bucket_ids, _ = distinct_counts(buckets)
         words = np.empty((0, dimension)) if words is None else words
         self.inputs = np.empty((len(words) + len(self.bucket_ids), dimension))
         self.inputs[: len(words)] = words
         self.rows = seeded_rows(self._initial_state, self.bucket_ids, self.inputs[len(words) :])
         rng.bit_generator.advance(config.bucket_count * dimension)
-
-    @property
-    def n_min(self) -> int:
-        return self.config.n_min
-
-    @property
-    def n_max(self) -> int:
-        return self.config.n_max
 
     @property
     def bucket_count(self) -> int:
@@ -145,11 +157,7 @@ class NGramTable:
         """Bucket index per n-gram occurrence of ``token`` (cached)."""
         cached = self._cache.get(token)
         if cached is None:
-            grams = ngrams_of(token, self.n_min, self.n_max)
-            cached = np.asarray(
-                [fnv1a_32(g) % self.bucket_count for g in grams], dtype=np.intp
-            )
-            self._cache[token] = cached
+            cached = self._cache[token] = ngram_buckets([token], self.config)[0]
         return cached
 
     def vectors(self, bucket_ids) -> np.ndarray:
@@ -170,28 +178,19 @@ class NGramTable:
             out[~kept] = initial[np.searchsorted(missing, bucket_ids[~kept])]
         return out
 
-    def ngram_mean(self, token: str) -> np.ndarray:
-        """Mean of the token's bucket vectors; the out-of-vocabulary vector."""
-        buckets = self.bucket_indices(token)
-        if not len(buckets):
-            raise TokenNotFoundError(token)
-        return self.vectors(buckets).mean(axis=0)
-
 
 @dataclass
 class FastTextEmbeddings:
-    """Trained word matrix together with its n-gram bucket table."""
+    """Trained word matrix together with its n-gram bucket table, which keeps
+    a row for every n-gram of the vocabulary."""
 
     matrix: EmbeddingMatrix
     ngrams: NGramTable
+    _composed: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def vocabulary(self) -> Vocabulary:
         return self.matrix.vocabulary
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.dimension
 
     @property
     def epoch_losses(self) -> list[float]:
@@ -200,13 +199,37 @@ class FastTextEmbeddings:
     def __contains__(self, token: str) -> bool:
         return token in self.vocabulary
 
+    def vocabulary_vectors(self) -> np.ndarray:
+        """Row ``i``: token ``i``'s word row plus its ``n`` bucket vectors, over
+        ``1 + n``, added from 0.0 in occurrence order as ``sum(axis=0)`` adds
+        rows (except at dimension 1, where numpy sums pairwise); computed once."""
+        if self._composed is None:
+            buckets = [self.ngrams.bucket_indices(t) for t in self.vocabulary.id_to_token]
+            counts = np.array([len(b) for b in buckets], dtype=np.intp)
+            rows = np.searchsorted(
+                self.ngrams.bucket_ids, np.concatenate([np.empty(0, np.intp), *buckets])
+            )
+            order = np.argsort(-counts, kind="stable")  # those with a k-th n-gram come first
+            starts = (np.cumsum(counts) - counts)[order]
+            sums = np.zeros((len(counts), self.matrix.dimension))
+            for k in range(counts.max(initial=0)):
+                has = np.count_nonzero(counts > k)
+                sums[:has] += self.ngrams.rows[rows[starts[:has] + k]]
+            del rows  # before the output is allocated, which keeps the peak RSS down
+            sums += self.matrix.input_vectors[order]
+            sums /= (1 + counts[order])[:, None]
+            self._composed = np.empty_like(sums)
+            self._composed[order] = sums
+        return self._composed
+
     def vector_of(self, token: str) -> np.ndarray:
         """Word-plus-n-gram mean in vocabulary, pure n-gram mean otherwise."""
         if token in self.vocabulary:
-            word = self.matrix.input_vectors[self.vocabulary.id_of(token)]
-            buckets = self.ngrams.bucket_indices(token)
-            return (word + self.ngrams.vectors(buckets).sum(axis=0)) / (1 + len(buckets))
-        return self.ngrams.ngram_mean(token)
+            return self.vocabulary_vectors()[self.vocabulary.id_of(token)]
+        buckets = self.ngrams.bucket_indices(token)
+        if not len(buckets):
+            raise TokenNotFoundError(token)
+        return self.ngrams.vectors(buckets).mean(axis=0)
 
 
 def subword_compositions(table: NGramTable, tokens: Sequence[str]) -> list[Composition]:

@@ -24,25 +24,18 @@ class EmbeddingFormatError(DataError):
 
 
 def save_embeddings(model, path) -> None:
-    """Write one vector per vocabulary token via the model's ``vector_of``.
-
-    Accepts anything exposing ``vocabulary`` and ``vector_of`` (plain
-    matrices and subword models alike); subword composition is baked into
-    the written vectors.
-    """
-    vocab = model.vocabulary
-    dimension = model.dimension
-    tokens = [vocab.token_of(token_id) for token_id in range(len(vocab))]
-    vectors = np.empty((len(tokens), dimension))
-    for row, token in enumerate(tokens):
-        vectors[row] = model.vector_of(token)
+    """Write one vector per vocabulary token, from ``model.vocabulary_vectors()``
+    (plain matrices and subword models alike; subword composition is baked in)."""
+    tokens = model.vocabulary.id_to_token
+    vectors = model.vocabulary_vectors()
+    dimension = vectors.shape[1]
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         raise NumericalError(f"non-finite vector for token {tokens[np.argmin(finite)]}")
     # One %-format per row; "%.6f" prints a float as f"{x:.6f}" does.
     line = "%s " + " ".join(["%.6f"] * dimension) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{len(vocab)} {dimension}\n")
+        handle.write(f"{len(tokens)} {dimension}\n")
         handle.writelines(line % (token, *vector.tolist()) for token, vector in zip(tokens, vectors))
 
 

@@ -151,33 +151,29 @@ class _LineScanner:
     def _unescape(self, raw: str, what: str) -> str:
         if "\\" not in raw:
             return raw
-        out = []
-        i = 0
-        while i < len(raw):
-            c = raw[i]
-            if c != "\\":
-                out.append(c)
-                i += 1
-                continue
-            if i + 1 >= len(raw):
+        out, done = [], 0
+        while (i := raw.find("\\", done)) >= 0:
+            out.append(raw[done:i])
+            tag = raw[i + 1 : i + 2]
+            width = {"u": 4, "U": 8}.get(tag, 0)
+            hexpart = raw[i + 2 : i + 2 + width]
+            done = i + 2 + width
+            if not tag:
                 raise self.error(f"dangling escape in {what}")
-            tag = raw[i + 1]
             if tag in _ESCAPES:
                 out.append(_ESCAPES[tag])
-                i += 2
-            elif tag in ("u", "U"):
-                width = 4 if tag == "u" else 8
-                hexpart = raw[i + 2 : i + 2 + width]
-                if len(hexpart) != width:
-                    raise self.error(f"truncated \\{tag} escape in {what}")
-                try:
-                    out.append(chr(int(hexpart, 16)))
-                except ValueError:
-                    raise self.error(f"invalid \\{tag} escape in {what}") from None
-                i += 2 + width
-            else:
+            elif not width:
                 raise self.error(f"unknown escape '\\{tag}' in {what}")
-        return "".join(out)
+            elif len(hexpart) != width:
+                raise self.error(f"truncated \\{tag} escape in {what}")
+            else:
+                try:
+                    char = chr(int(hexpart, 16))
+                    char.encode("utf-8")  # refuses a surrogate code point
+                except ValueError:  # UnicodeEncodeError included
+                    raise self.error(f"invalid \\{tag} escape in {what}") from None
+                out.append(char)
+        return "".join(out) + raw[done:]
 
     def read_iri(self) -> Iri:
         if self.peek() != "<":

@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kgtyper.embeddings import EmbeddingMatrix
 from kgtyper.embeddings.base import init_input_vectors
@@ -14,6 +15,9 @@ from kgtyper.embeddings.cbow import ns_block
 from kgtyper.embeddings.glove import DEFAULT_ALPHA, DEFAULT_X_MAX, glove_weight
 from kgtyper.graph import KnowledgeGraph, build_hierarchy
 from kgtyper.ntriples import parse_ntriples
+
+# Derandomized examples, so that a CI failure reproduces locally: --hypothesis-profile ci
+settings.register_profile("ci", derandomize=True)
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -95,6 +99,32 @@ class FixedVectors:
 @pytest.fixture
 def fixed_vectors():
     return FixedVectors
+
+
+def reference_fnv1a_32(text: str) -> int:
+    """32-bit FNV-1a over the UTF-8 bytes of ``text``, one byte at a time."""
+    value = 0x811C9DC5
+    for byte in text.encode("utf-8"):
+        value ^= byte
+        value = (value * 0x01000193) % 2**32
+    return value
+
+
+def reference_ngrams(token: str, n_min: int, n_max: int) -> list[str]:
+    """Character n-grams of the boundary-wrapped token, by length and then
+    start position, duplicates kept."""
+    wrapped = f"<{token}>"
+    return [
+        wrapped[i : i + n]
+        for n in range(n_min, n_max + 1)
+        for i in range(len(wrapped) - n + 1)
+    ]
+
+
+def reference_buckets(token: str, config) -> list[int]:
+    """The bucket of each n-gram of ``token`` under an ``NGramConfig``."""
+    grams = reference_ngrams(token, config.n_min, config.n_max)
+    return [reference_fnv1a_32(gram) % config.bucket_count for gram in grams]
 
 
 def cooccurrence_events(corpus, vocab, window: int):

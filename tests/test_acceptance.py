@@ -25,6 +25,7 @@ from conftest import (
     cooccurrence_oracle,
     numeric_gradient,
     random_corpus,
+    reference_buckets,
 )
 
 from kgtyper import (
@@ -471,23 +472,6 @@ def test_pipeline_determinism(tmp_path):
     )
 
 
-def _reference_fnv1a_32(text: str) -> int:
-    value = 0x811C9DC5
-    for byte in text.encode("utf-8"):
-        value ^= byte
-        value = (value * 0x01000193) & 0xFFFFFFFF
-    return value
-
-
-def _reference_ngrams(token: str, n_min: int, n_max: int) -> list[str]:
-    wrapped = f"<{token}>"
-    return [
-        wrapped[i : i + n]
-        for n in range(n_min, n_max + 1)
-        for i in range(len(wrapped) - n + 1)
-    ]
-
-
 def test_fasttext_oov_composition():
     corpus = [
         ("republic", "of", "austria"),
@@ -504,10 +488,7 @@ def test_fasttext_oov_composition():
 
     token = "kingdomland"
     assert token not in vocab
-    bucket_ids = [
-        _reference_fnv1a_32(gram) % ngram_config.bucket_count
-        for gram in _reference_ngrams(token, ngram_config.n_min, ngram_config.n_max)
-    ]
+    bucket_ids = reference_buckets(token, ngram_config)
     expected = model.ngrams.vectors(bucket_ids).mean(axis=0)
     actual = model.vector_of(token)
     difference = float(np.max(np.abs(actual - expected)))

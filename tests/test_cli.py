@@ -164,6 +164,33 @@ def test_lenient_mode_skips_malformed_line(capsys, tmp_path):
     assert table(out)["parse_errors"] == "1"
 
 
+SURROGATE_NT = (
+    "<http://x.org/a> <http://x.org/p> <http://x.org/b> .\n"
+    "<http://x.org/a\\uD800b> <http://x.org/p> <http://x.org/c> .\n"
+)
+
+
+def test_strict_corpus_names_the_line_of_a_surrogate_escape(capsys, tmp_path):
+    bad = tmp_path / "bad.nt"
+    bad.write_text(SURROGATE_NT)
+    code, _, err = run(capsys, "corpus", "--in", str(bad), "--out", str(tmp_path / "c.txt"))
+    assert code == 2
+    assert "line 2: invalid \\u escape in IRI" in err
+
+
+def test_lenient_corpus_skips_a_surrogate_escape(capsys, caplog, tmp_path):
+    bad = tmp_path / "bad.nt"
+    bad.write_text(SURROGATE_NT)
+    out_path = tmp_path / "c.txt"
+    code, out, _ = run(capsys, "--lenient", "corpus", "--in", str(bad), "--out", str(out_path))
+    assert code == 0
+    assert table(out)["sentences"] == "1"
+    assert "skipped 1 malformed lines" in caplog.text
+    assert out_path.read_text(encoding="utf-8").splitlines() == [
+        "http://x.org/a http://x.org/p http://x.org/b"
+    ]
+
+
 def test_lenient_via_environment(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.nt"
     bad.write_text("<http://a> <http://b> <http://c> .\nnonsense\n")

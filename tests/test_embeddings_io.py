@@ -20,15 +20,17 @@ from kgtyper.errors import NumericalError
 
 
 class DictModel:
-    """Minimal save_embeddings source: vocabulary + vector_of."""
+    """Minimal save_embeddings source: vocabulary, vector_of and vocabulary_vectors."""
 
     def __init__(self, vectors: dict[str, list[float]]):
         self.store = FixedVectors(vectors)
         self.vocabulary = build_vocabulary([tuple(vectors)])
-        self.dimension = len(next(iter(vectors.values())))
 
     def vector_of(self, token: str) -> np.ndarray:
         return self.store.vector_of(token)
+
+    def vocabulary_vectors(self) -> np.ndarray:
+        return np.array([self.vector_of(token) for token in self.vocabulary.id_to_token])
 
 
 def test_written_file_layout(tmp_path):

@@ -10,11 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import block_of, check_block_gradients
+from conftest import (
+    block_of, check_block_gradients, reference_buckets, reference_fnv1a_32, reference_ngrams,
+)
+from hypothesis import given, strategies as st
 
 import kgtyper
-from kgtyper.corpus import build_vocabulary
+from kgtyper.corpus import Vocabulary, build_vocabulary
 from kgtyper.embeddings import (
+    EmbeddingMatrix,
+    FastTextEmbeddings,
     NGramConfig,
     NGramTable,
     TokenNotFoundError,
@@ -23,26 +28,8 @@ from kgtyper.embeddings import (
 )
 from kgtyper.embeddings.base import init_input_vectors
 from kgtyper.embeddings.cbow import encode_training_corpus, train_negative_sampling
-from kgtyper.embeddings.fasttext import fnv1a_32, ngrams_of, subword_compositions
+from kgtyper.embeddings.fasttext import ngram_buckets, subword_compositions
 from kgtyper.errors import DataError
-
-
-def reference_fnv1a_32(text: str) -> int:
-    """Independent FNV-1a reimplementation for cross-checking."""
-    value = 0x811C9DC5
-    for byte in text.encode("utf-8"):
-        value ^= byte
-        value = (value * 0x01000193) % 2**32
-    return value
-
-
-def reference_ngrams(token: str, n_min: int, n_max: int) -> list[str]:
-    wrapped = f"<{token}>"
-    grams = []
-    for n in range(n_min, n_max + 1):
-        for i in range(len(wrapped) - n + 1):
-            grams.append(wrapped[i : i + n])
-    return grams
 
 
 def tiny_corpus(sentences: int, alphabet: int, seed: int):
@@ -58,20 +45,25 @@ SMALL_NGRAMS = NGramConfig(n_min=2, n_max=3, bucket_count=101)
 
 
 def test_trigrams_of_three_letter_token():
-    assert ngrams_of("abc", 3, 3) == ["<ab", "abc", "bc>"]
+    assert reference_ngrams("abc", 3, 3) == ["<ab", "abc", "bc>"]
 
 
 def test_ngram_range_covers_all_lengths():
-    assert ngrams_of("ab", 2, 3) == ["<a", "ab", "b>", "<ab", "ab>"]
+    assert reference_ngrams("ab", 2, 3) == ["<a", "ab", "b>", "<ab", "ab>"]
 
 
 def test_duplicate_ngrams_are_kept():
-    grams = ngrams_of("aaa", 2, 2)
+    grams = reference_ngrams("aaa", 2, 2)
     assert grams == ["<a", "aa", "aa", "a>"]
+    buckets, counts = ngram_buckets(["aaa"], NGramConfig(2, 2, 2**32))
+    assert counts.tolist() == [4] and buckets[1] == buckets[2]
 
 
 def test_too_short_token_has_no_ngrams():
-    assert ngrams_of("a", 4, 6) == []
+    assert reference_ngrams("a", 4, 6) == []
+    buckets, counts = ngram_buckets(["a", "", "abcd"], NGramConfig(4, 6, 101))
+    assert counts.tolist() == [0, 0, 3 + 2 + 1]
+    assert buckets.tolist() == reference_buckets("abcd", NGramConfig(4, 6, 101))
 
 
 @pytest.mark.parametrize(
@@ -83,12 +75,36 @@ def test_too_short_token_has_no_ngrams():
     ],
 )
 def test_fnv1a_published_vectors(text, expected):
-    assert fnv1a_32(text) == expected
+    assert reference_fnv1a_32(text) == expected
 
 
 def test_fnv1a_matches_independent_reimplementation():
-    for text in ["", "a", "kg", "http://dbpedia.org/resource/Berlin", "日本語"]:
-        assert fnv1a_32(text) == reference_fnv1a_32(text)
+    tokens = ["", "a", "kg", "http://dbpedia.org/resource/Berlin", "日本語", "ü€𝄞"]
+    for config in (NGramConfig(1, 9, 2**32), NGramConfig(3, 6, 2_000_000)):
+        buckets, counts = ngram_buckets(tokens, config)
+        assert counts.tolist() == [len(reference_buckets(token, config)) for token in tokens]
+        assert buckets.tolist() == [b for token in tokens for b in reference_buckets(token, config)]
+
+
+@given(
+    tokens=st.lists(st.text(st.characters(exclude_categories=("Cs",)), max_size=12), max_size=6),
+    n_min=st.integers(1, 7),
+    extra=st.integers(0, 4),
+    bucket_count=st.sampled_from([1, 2_000_003, 2**32 + 15]),
+)
+def test_array_hash_equals_scalar_reference(tokens, n_min, extra, bucket_count):
+    config = NGramConfig(n_min, n_min + extra, bucket_count)
+    buckets, counts = ngram_buckets(tokens, config)
+    assert counts.tolist() == [len(reference_buckets(token, config)) for token in tokens]
+    assert buckets.tolist() == [b for token in tokens for b in reference_buckets(token, config)]
+
+
+def test_unencodable_token_is_refused():
+    with pytest.raises(UnicodeEncodeError):
+        ngram_buckets(["ok", "a\ud800"], SMALL_NGRAMS)
+    table = NGramTable(SMALL_NGRAMS, ["ok"], np.random.default_rng(0), 2)
+    with pytest.raises(UnicodeEncodeError):
+        table.bucket_indices("a\ud800")
 
 
 def trained_model(seed: int = 1, epochs: int = 2):
@@ -101,8 +117,7 @@ def trained_model(seed: int = 1, epochs: int = 2):
 def test_oov_vector_is_bucket_mean_recomputed_independently():
     _, _, model = trained_model()
     oov = "tok999"
-    grams = reference_ngrams(oov, SMALL_NGRAMS.n_min, SMALL_NGRAMS.n_max)
-    indices = [reference_fnv1a_32(g) % SMALL_NGRAMS.bucket_count for g in grams]
+    indices = reference_buckets(oov, SMALL_NGRAMS)
     expected = model.ngrams.vectors(indices).mean(axis=0)
     assert oov not in model.vocabulary
     assert np.allclose(model.vector_of(oov), expected, rtol=0, atol=1e-12)
@@ -111,13 +126,35 @@ def test_oov_vector_is_bucket_mean_recomputed_independently():
 def test_in_vocabulary_vector_is_word_plus_bucket_mean():
     _, vocab, model = trained_model()
     token = vocab.token_of(0)
-    grams = reference_ngrams(token, SMALL_NGRAMS.n_min, SMALL_NGRAMS.n_max)
-    indices = [reference_fnv1a_32(g) % SMALL_NGRAMS.bucket_count for g in grams]
+    indices = reference_buckets(token, SMALL_NGRAMS)
     word = model.matrix.input_vectors[0]
     expected = (word + model.ngrams.vectors(indices).sum(axis=0)) / (1 + len(indices))
     assert np.allclose(model.vector_of(token), expected, rtol=0, atol=1e-12)
     # Composition genuinely differs from the raw word row.
     assert not np.allclose(model.vector_of(token), word)
+
+
+def test_batched_export_sums_each_occurrence_in_order():
+    config = NGramConfig(n_min=3, n_max=6, bucket_count=101)
+    tokens = ["aaaa", "", "ab", *(f"http://example.org/entity/e{i}" for i in range(20))]
+    vocab = Vocabulary([(token, 1) for token in tokens], total_tokens=len(tokens))
+    rng = np.random.default_rng(3)
+    table = NGramTable(config, tokens, rng, 5, words=np.zeros((len(tokens), 5)))
+    table.inputs[:] = rng.normal(size=table.inputs.shape)
+    words = table.inputs[: len(tokens)]
+    model = FastTextEmbeddings(EmbeddingMatrix(words, np.zeros_like(words), vocab), table)
+    exported = model.vocabulary_vectors()
+    for t, token in enumerate(tokens):
+        buckets = reference_buckets(token, config)
+        expected = (table.inputs[t] + table.vectors(buckets).sum(axis=0)) / (1 + len(buckets))
+        assert np.array_equal(exported[t], expected), token
+        assert np.array_equal(model.vector_of(token), expected)
+    assert len(set(reference_buckets("aaaa", config))) < len(reference_buckets("aaaa", config))
+    assert reference_buckets("", config) == []
+    oov = "http://example.org/entity/x"  # not among the table's tokens: a cache miss
+    assert np.array_equal(
+        model.vector_of(oov), table.vectors(reference_buckets(oov, config)).mean(axis=0)
+    )
 
 
 def test_identical_strings_share_all_buckets():
@@ -161,8 +198,7 @@ def full_table_fasttext(corpus, vocab, config, ngram_config):
     inputs = np.concatenate((w_word, buckets))
     token_buckets, compositions = [], []
     for i in range(len(vocab)):
-        grams = reference_ngrams(vocab.token_of(i), ngram_config.n_min, ngram_config.n_max)
-        ids = np.asarray([reference_fnv1a_32(g) % ngram_config.bucket_count for g in grams], np.intp)
+        ids = np.asarray(reference_buckets(vocab.token_of(i), ngram_config), np.intp)
         rows, counts = np.unique(ids, return_counts=True)
         weights = np.concatenate(([1.0], counts)) / (1 + len(ids))
         compositions.append((np.concatenate(([i], len(vocab) + rows)), weights))

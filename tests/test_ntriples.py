@@ -70,6 +70,9 @@ NEGATIVE = [
     ("<http://a a> <http://b> <http://c> .", "forbidden character"),
     ('<http://a> <http://b> "bad\\qescape" .', "unknown escape"),
     ('<http://a> <http://b> "trunc\\u00" .', "truncated"),
+    ("<http://a\\uD800b> <http://b> <http://c> .", "invalid \\u escape in IRI"),
+    ('<http://a> <http://b> "x\\uDFFF" .', "invalid \\u escape in literal"),
+    ('<http://a> <http://b> "x\\U0000DC00" .', "invalid \\U escape in literal"),
     ("http://a <http://b> <http://c> .", "expected '<'"),
 ]
 
