@@ -20,12 +20,15 @@ input side, as minibatch word2vec does (Ji et al. 2016, arXiv
 the same accuracy; blocks of 256 overflow in ``exp`` at learning rate
 0.15.
 
-A composition is data: ``compositions[t]`` holds the input rows token
-``t`` is made of and their weights, and its composed vector is
-``weights @ inputs[rows]``. CBOW makes each token of its own row, weight 1
-(``word_compositions``); the subword trainer adds the token's n-gram
-bucket rows (``fasttext.py``). A position's hidden vector is the mean of
-its context tokens' composed vectors.
+A composition is data: token ``t`` is made of some input rows, each with
+a weight, and composes to ``weights @ inputs[rows]``. CBOW makes each token
+of its own row, weight 1 (``word_compositions``); the subword trainer adds
+the token's n-gram bucket rows (``fasttext.py``). A position's hidden
+vector is the mean of its context tokens' composed vectors. A
+``CompositionTable``, built once per run, holds every token's rows: a
+block composes and updates its one-row tokens that share no row (every
+CBOW token) by one gather and one scatter, and every other token by its
+own product, in token order, as a per-token loop does.
 
 The exported CBOW vector of a token is the sum of its input and output
 rows, the same convention the co-occurrence trainer uses for w + w-tilde;
@@ -45,7 +48,6 @@ from .base import (
     EmbeddingMatrix,
     TrainingConfig,
     UnigramSampler,
-    distinct_counts,
     encode_corpus,
     init_input_vectors,
     linear_lr,
@@ -53,14 +55,28 @@ from .base import (
 
 BLOCK_POSITIONS = 64  # positions per block step
 
-# The input rows one token is composed of, and the weight of each.
-Composition = tuple[np.ndarray, np.ndarray]
+
+class CompositionTable:
+    """Each token's input rows and weights, ``parts[t] = (rows, weights)``,
+    and, as arrays, which tokens a block may gather at once: ``single[t]``
+    marks a token of one row, ``first_row[t]``, of weight 1, that no other
+    token uses. ``slots`` holds a scratch cell per id."""
+
+    def __init__(self, parts: Sequence[tuple[np.ndarray, np.ndarray]]):
+        self.parts = tuple(parts)
+        rows, weights = zip(*self.parts)
+        starts = np.cumsum([0, *map(len, rows)])
+        rows, weights = np.concatenate(rows), np.concatenate(weights)
+        self.first_row, first_weight = rows[starts[:-1]], weights[starts[:-1]]
+        self.single = (np.diff(starts) == 1) & (first_weight == 1.0)
+        self.single &= np.bincount(rows)[self.first_row] == 1
+        self.slots = np.empty(len(self.single), dtype=np.intp)
 
 
-def word_compositions(count: int) -> list[Composition]:
+def word_compositions(count: int) -> CompositionTable:
     """CBOW's compositions: token ``t`` is input row ``t``, weight 1."""
     one = np.ones(1)
-    return [(np.array([t]), one) for t in range(count)]
+    return CompositionTable([(np.array([t]), one) for t in range(count)])
 
 
 def encode_training_corpus(corpus: Iterable[Sentence], vocab: Vocabulary) -> list[np.ndarray]:
@@ -105,19 +121,21 @@ def position_table(
 
 
 def _row_weights(
-    ids: np.ndarray, columns: np.ndarray, weights: np.ndarray, width: int
+    ids: np.ndarray, columns: np.ndarray, weights: np.ndarray, width: int, slots: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``ids`` and a ``(len(distinct), width)`` matrix that sums
-    each ``weights[n]`` into the row of ``ids[n]`` and column ``columns[n]``."""
-    distinct, _ = distinct_counts(ids)
-    flat = np.searchsorted(distinct, ids) * width + columns
+    """The distinct ``ids`` and a ``(len(distinct), width)`` matrix that sums each
+    ``weights[n]`` into row ``ids[n]``, column ``columns[n]``, using ``slots``."""
+    ordered = np.sort(ids)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    slots[distinct] = np.arange(len(distinct))  # a lookup, where a binary search mispredicts
+    flat = slots[ids] * width + columns
     return distinct, np.bincount(flat, weights, len(distinct) * width).reshape(-1, width)
 
 
 def ns_block(
     inputs: np.ndarray,
     w_out: np.ndarray,
-    compositions: Sequence[Composition],
+    compositions: CompositionTable,
     centers: np.ndarray,
     negatives: np.ndarray,
     contexts: np.ndarray,
@@ -138,11 +156,16 @@ def ns_block(
     into_inputs, into_out = (inputs, w_out) if into is None else into
     present = np.arange(contexts.shape[1]) < lengths[:, None]
     tokens, share = _row_weights(
-        contexts[present], np.nonzero(present)[0], np.repeat(1.0 / lengths, lengths), len(centers)
+        contexts[present], np.nonzero(present)[0], np.repeat(1.0 / lengths, lengths),
+        len(centers), compositions.slots,
     )
+    single = compositions.single[tokens]
+    one_rows = compositions.first_row[tokens[single]]
+    several = [(i, tokens[i]) for i in np.flatnonzero(~single).tolist()]
     composed = np.empty((len(tokens), inputs.shape[1]))
-    for i, token in enumerate(tokens.tolist()):
-        rows, weights = compositions[token]
+    composed[single] = inputs[one_rows]
+    for i, token in several:
+        rows, weights = compositions.parts[token]
         composed[i] = weights @ inputs[rows]
     hidden = share.T @ composed
 
@@ -158,16 +181,21 @@ def ns_block(
     coef[:, 0] -= 1.0
     coef *= kept
     g_tokens = share @ np.matmul(coef[:, None, :], u)[:, 0]
+    del u
 
     out_rows, g_out = _row_weights(
         targets.ravel(), np.repeat(np.arange(len(centers)), targets.shape[1]), coef.ravel(),
-        len(centers),
+        len(centers), compositions.slots,
     )
-    into_out[out_rows] -= lr * (g_out @ hidden)
+    delta = g_out @ hidden
+    del g_out
+    delta *= lr  # in place: one more temporary this size makes glibc trim and regrow the heap
+    into_out[out_rows] -= delta
     g_tokens *= lr
-    for token, g in zip(tokens.tolist(), g_tokens):
-        rows, weights = compositions[token]
-        into_inputs[rows] -= np.multiply.outer(weights, g)
+    into_inputs[one_rows] -= g_tokens[single]
+    for i, token in several:
+        rows, weights = compositions.parts[token]
+        into_inputs[rows] -= np.multiply.outer(weights, g_tokens[i])
     return loss
 
 
@@ -177,7 +205,7 @@ def train_negative_sampling(
     config: TrainingConfig,
     rng: np.random.Generator,
     inputs: np.ndarray,
-    compositions: Sequence[Composition],
+    compositions: CompositionTable,
 ) -> tuple[np.ndarray, list[float]]:
     """Train ``inputs`` in place; return the output rows and epoch losses.
 

@@ -24,8 +24,9 @@ that holds the word rows and, after them, the kept bucket rows. A token's
 composition lists its word row with weight ``1 / (1 + n)`` and each
 distinct n-gram row with weight ``multiplicity / (1 + n)``, for ``n``
 n-gram occurrences; so a row whose n-gram repeats (``"aaaa"``) takes its
-share once per occurrence. A token's exported vector is that same mean;
-``FastTextEmbeddings.vocabulary_vectors`` builds all of them at once.
+share once per occurrence; ``subword_compositions`` lays them out in one
+``cbow.CompositionTable`` per run. A token's exported vector is that same
+mean; ``FastTextEmbeddings.vocabulary_vectors`` builds all of them at once.
 
 N-grams run over the full IRI string, as there is no reliable way to
 segment a URI into words. On synthetic graphs whose entity IRIs do not
@@ -45,7 +46,7 @@ from ..errors import NumericalError
 from .base import (
     EmbeddingMatrix, TokenNotFoundError, TrainingConfig, distinct_counts, init_input_vectors,
 )
-from .cbow import Composition, encode_training_corpus, train_negative_sampling
+from .cbow import CompositionTable, encode_training_corpus, train_negative_sampling
 
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
@@ -232,17 +233,17 @@ class FastTextEmbeddings:
         return self.ngrams.vectors(buckets).mean(axis=0)
 
 
-def subword_compositions(table: NGramTable, tokens: Sequence[str]) -> list[Composition]:
+def subword_compositions(table: NGramTable, tokens: Sequence[str]) -> CompositionTable:
     """Token ``t``'s composition: word row ``t`` with weight ``1 / (1 + n)``,
     then each distinct n-gram row with weight ``multiplicity / (1 + n)``; the
     bucket rows follow the ``len(tokens)`` word rows in ``table.inputs``."""
-    compositions = []
+    parts = []
     for t, token in enumerate(tokens):
         buckets = table.bucket_indices(token)
         rows, counts = distinct_counts(np.searchsorted(table.bucket_ids, buckets))
         weights = np.concatenate(([1.0], counts)) / (1 + len(buckets))
-        compositions.append((np.concatenate(([t], len(tokens) + rows)), weights))
-    return compositions
+        parts.append((np.concatenate(([t], len(tokens) + rows)), weights))
+    return CompositionTable(parts)
 
 
 def train_fasttext(

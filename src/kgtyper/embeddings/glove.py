@@ -21,9 +21,10 @@ trainers' vectors.
 
 The trainer keeps its state in float32: ``w``, ``wt``, their AdaGrad
 accumulators, the rate, and the per-entry ``log X_ij`` and ``f(X_ij)``
-(computed per scalar in float64, then cast). Each bias is the last column
-of its side, ``b`` of ``w`` and ``bt`` of ``wt``, in the accumulators too,
-so one AdaGrad update per side covers vector and bias.
+(computed on arrays in float64, then cast; they equal the per-scalar
+values of ``tests/conftest.py`` after the cast). Each bias is the last
+column of its side, ``b`` of ``w`` and ``bt`` of ``wt``, in the
+accumulators too, so one AdaGrad update per side covers vector and bias.
 
 Each epoch's result is that of visiting the shuffled entries one at a
 time in float32 (``tests/conftest.py`` spells that visit out), bit for
@@ -46,7 +47,7 @@ float64 sum sequentially in shuffled order, so no rounding changes.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -135,9 +136,9 @@ def build_cooccurrence(
     return CooccurrenceMatrix(size, distinct // size, distinct % size, sums)
 
 
-def glove_weight(x: float, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_ALPHA) -> float:
-    """The least-squares weighting function f."""
-    return (x / x_max) ** alpha if x < x_max else 1.0
+def glove_weight(x, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
+    """The least-squares weighting function f, elementwise over a float or an array."""
+    return np.where(x < x_max, (x / x_max) ** alpha, 1.0)
 
 
 def check_weighting(x_max: float, alpha: float) -> None:
@@ -146,16 +147,6 @@ def check_weighting(x_max: float, alpha: float) -> None:
         raise ValueError(f"x_max must be finite and > 0, got {x_max}")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-
-
-def _entry_constants(
-    counts: Sequence[float], x_max: float, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-entry ``log X_ij`` and ``f(X_ij)``, computed one scalar at a time
-    (the array versions of log and power may round differently)."""
-    log_x = np.fromiter(map(math.log, counts), np.float64, len(counts))
-    f = np.fromiter((glove_weight(x, x_max, alpha) for x in counts), np.float64, len(counts))
-    return log_x, f
 
 
 def entry_block(
@@ -177,27 +168,6 @@ def entry_block(
     g_wt = coef[:, None] * w_rows
     g_w[:, -1] = g_wt[:, -1] = coef
     return losses, g_w, g_wt
-
-
-def glove_loss_and_grads(
-    w: np.ndarray,
-    wt: np.ndarray,
-    entries: list[tuple[int, int, float]],
-    x_max: float = DEFAULT_X_MAX,
-    alpha: float = DEFAULT_ALPHA,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus dense analytic gradients over the given entries; ``w`` and
-    ``wt`` hold each bias as their last column."""
-    i, j, x = zip(*entries)
-    i = np.asarray(i, dtype=np.intp)
-    j = np.asarray(j, dtype=np.intp)
-    log_x, f = _entry_constants(x, x_max, alpha)
-    losses, rows_w, rows_wt = entry_block(w[i], wt[j], log_x, f)
-    g_w = np.zeros_like(w)
-    g_wt = np.zeros_like(wt)
-    np.add.at(g_w, i, rows_w)
-    np.add.at(g_wt, j, rows_wt)
-    return float(losses.sum()), g_w, g_wt
 
 
 def entry_levels(i: np.ndarray, j: np.ndarray, size: int) -> np.ndarray:
@@ -240,7 +210,7 @@ def train_glove(
     acc_w = np.ones_like(w)
     acc_wt = np.ones_like(w)
     lr = np.float32(config.initial_learning_rate)
-    log_x, f = (c.astype(np.float32) for c in _entry_constants(x.tolist(), x_max, alpha))
+    log_x, f = np.log(x).astype(np.float32), glove_weight(x, x_max, alpha).astype(np.float32)
 
     epoch_losses: list[float] = []
     for _ in range(config.epochs):

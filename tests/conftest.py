@@ -10,9 +10,9 @@ import pytest
 from hypothesis import settings
 
 from kgtyper.embeddings import EmbeddingMatrix
-from kgtyper.embeddings.base import init_input_vectors
+from kgtyper.embeddings.base import distinct_counts, init_input_vectors
 from kgtyper.embeddings.cbow import ns_block
-from kgtyper.embeddings.glove import DEFAULT_ALPHA, DEFAULT_X_MAX, glove_weight
+from kgtyper.embeddings.glove import DEFAULT_ALPHA, DEFAULT_X_MAX, entry_block, glove_weight
 from kgtyper.graph import KnowledgeGraph, build_hierarchy
 from kgtyper.ntriples import parse_ntriples
 
@@ -231,6 +231,76 @@ def check_block_gradients(inputs, w_out, compositions, block) -> None:
         assert_gradients_close(grad, numeric_gradient(loss, array))
 
 
+def _reference_row_weights(ids, columns, weights, width):
+    distinct, _ = distinct_counts(ids)
+    flat = np.searchsorted(distinct, ids) * width + columns
+    return distinct, np.bincount(flat, weights, len(distinct) * width).reshape(-1, width)
+
+
+def reference_ns_block(inputs, w_out, parts, centers, negatives, contexts, lengths, lr) -> float:
+    """``ns_block`` with one Python iteration per distinct context token: the
+    definition the array form must match bit for bit. Token ``t`` is made of
+    the input rows ``parts[t][0]`` with the weights ``parts[t][1]``; it is
+    composed by one ``weights @ inputs[rows]`` and updated by one
+    ``np.multiply.outer``, token by token in ascending order."""
+    present = np.arange(contexts.shape[1]) < lengths[:, None]
+    tokens, share = _reference_row_weights(
+        contexts[present], np.nonzero(present)[0], np.repeat(1.0 / lengths, lengths), len(centers)
+    )
+    composed = np.empty((len(tokens), inputs.shape[1]))
+    for i, token in enumerate(tokens.tolist()):
+        rows, weights = parts[token]
+        composed[i] = weights @ inputs[rows]
+    hidden = share.T @ composed
+
+    targets = np.column_stack((centers, negatives))
+    u = w_out[targets]
+    scores = np.matmul(u, hidden[:, :, None])[:, :, 0]
+    kept = targets != targets[:, :1]
+    kept[:, 0] = True
+    signed = scores.copy()
+    signed[:, 0] *= -1.0
+    loss = float(np.logaddexp(0.0, signed)[kept].sum())
+    coef = 1.0 / (1.0 + np.exp(-scores))
+    coef[:, 0] -= 1.0
+    coef *= kept
+    g_tokens = share @ np.matmul(coef[:, None, :], u)[:, 0]
+
+    out_rows, g_out = _reference_row_weights(
+        targets.ravel(), np.repeat(np.arange(len(centers)), targets.shape[1]), coef.ravel(),
+        len(centers),
+    )
+    w_out[out_rows] -= lr * (g_out @ hidden)
+    g_tokens *= lr
+    for token, g in zip(tokens.tolist(), g_tokens):
+        rows, weights = parts[token]
+        inputs[rows] -= np.multiply.outer(weights, g)
+    return loss
+
+
+def reference_entry_constants(counts, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_ALPHA):
+    """Per-entry ``log X`` and ``f(X)`` in float64, one Python scalar at a
+    time: what the trainer's array form must equal once cast to float32."""
+    log_x = np.array([math.log(x) for x in counts], dtype=np.float64)
+    f = np.array([(x / x_max) ** alpha if x < x_max else 1.0 for x in counts], dtype=np.float64)
+    return log_x, f
+
+
+def glove_loss_and_grads(
+    w, wt, entries, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_ALPHA
+):
+    """Loss plus dense analytic gradients over the ``(i, j, x)`` entries: the
+    trainer's own ``log X``, ``f`` and ``entry_block``, plus a scatter-add. ``w`` and
+    ``wt`` hold each bias as their last column."""
+    i, j, x = (np.asarray(column) for column in zip(*entries))
+    losses, rows_w, rows_wt = entry_block(w[i], wt[j], np.log(x), glove_weight(x, x_max, alpha))
+    g_w = np.zeros_like(w)
+    g_wt = np.zeros_like(wt)
+    np.add.at(g_w, i, rows_w)
+    np.add.at(g_wt, j, rows_wt)
+    return float(losses.sum()), g_w, g_wt
+
+
 def reference_train_glove(
     cooc, vocab, config, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_ALPHA
 ) -> EmbeddingMatrix:
@@ -255,8 +325,8 @@ def reference_train_glove(
     acc_bt = np.ones(size, dtype=np.float32)
     lr = np.float32(config.initial_learning_rate)
 
-    log_x = [np.float32(math.log(x)) for _, _, x in entries]
-    weights = [np.float32(glove_weight(x, x_max, alpha)) for _, _, x in entries]
+    counts = [x for _, _, x in entries]
+    log_x, weights = (c.astype(np.float32) for c in reference_entry_constants(counts, x_max, alpha))
 
     epoch_losses = []
     for _ in range(config.epochs):

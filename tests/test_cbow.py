@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (
     block_loss_and_grads,
     block_of,
     check_block_gradients,
+    reference_ns_block,
     reference_ns_position_grads,
 )
 
@@ -21,7 +24,7 @@ from kgtyper.embeddings import (
     train_fasttext,
 )
 from kgtyper.embeddings.base import UnigramSampler, encode_corpus, linear_lr
-from kgtyper.embeddings.cbow import ns_block, position_table, word_compositions
+from kgtyper.embeddings.cbow import CompositionTable, ns_block, position_table, word_compositions
 from kgtyper.embeddings.fasttext import subword_compositions
 from kgtyper.errors import DataError
 
@@ -308,3 +311,86 @@ def test_block_step_applies_rate_times_gradient():
     ns_block(stepped_in, stepped_out, word_compositions(5), *block, 0.3)
     assert np.allclose(stepped_in, inputs - 0.3 * g_inputs, rtol=0, atol=1e-15)
     assert np.allclose(stepped_out, w_out - 0.3 * g_out, rtol=0, atol=1e-15)
+
+
+# "aaaa" repeats the n-gram "aaa" (one row, weight 2 / 5); "" has no n-gram,
+# so its word row alone makes it.
+EXACT_TOKENS = ["aaaa", "abab", "xyz", "", "b", "cd"]
+
+
+def exact_case(kind: str, rng: np.random.Generator, dim: int):
+    """``(inputs, compositions, parts)``: the trainer's table and, built
+    independently, each token's ``(rows, weights)`` for the reference."""
+    size = len(EXACT_TOKENS)
+    words = rng.normal(0.0, 0.5, size=(size, dim))
+    if kind == "word":
+        return words, word_compositions(size), [(np.array([t]), np.ones(1)) for t in range(size)]
+    if kind == "hand-built":
+        # Only token 3 is a single: tokens 1 and 5 are both row 1 alone,
+        # token 0's row 2 is one of token 2's rows too, and token 4 owns
+        # row 5 but weighs it by 2.
+        parts = [
+            (np.array([2]), np.array([0.5])),
+            (np.array([1]), np.ones(1)),
+            (np.array([2, 0, 4]), np.array([0.25, 0.5, 0.25])),
+            (np.array([3]), np.ones(1)),
+            (np.array([5]), np.array([2.0])),
+            (np.array([1]), np.ones(1)),
+        ]
+        compositions = CompositionTable(parts)
+        assert compositions.single.tolist() == [False, False, False, True, False, False]
+        return words, compositions, parts
+    table = NGramTable(NGramConfig(3, 4, 11), EXACT_TOKENS, rng, dim, words=words)
+    table.inputs[size:] = rng.normal(0.0, 0.5, size=table.rows.shape)
+    parts = []
+    for t, token in enumerate(EXACT_TOKENS):
+        buckets = table.bucket_indices(token)
+        rows, counts = np.unique(np.searchsorted(table.bucket_ids, buckets), return_counts=True)
+        weights = np.concatenate(([1.0], counts)) / (1 + len(buckets))
+        parts.append((np.concatenate(([t], size + rows)), weights))
+    assert parts[0][1].max() > parts[0][1][0] and len(parts[3][0]) == 1
+    return table.inputs, subword_compositions(table, EXACT_TOKENS), parts
+
+
+@pytest.mark.parametrize("kind", ["word", "subword", "hand-built"])
+def test_block_steps_equal_per_token_reference_exactly(kind):
+    """Several blocks leave ``inputs`` and ``w_out`` exactly as the per-token
+    reference step leaves them, and return the same losses."""
+    rng = np.random.default_rng(12)
+    inputs, compositions, parts = exact_case(kind, rng, 8)
+    size = len(EXACT_TOKENS)
+    w_out = rng.normal(0.0, 0.5, size=(size, 8))
+    ref_inputs, ref_out = inputs.copy(), w_out.copy()
+    for lr in (0.4, 0.3, 0.2, 0.1):
+        block = (
+            rng.integers(0, size, size=16),
+            rng.integers(0, size, size=(16, 3)),
+            rng.integers(0, size, size=(16, 4)),
+            rng.integers(1, 5, size=16),
+        )
+        loss = ns_block(inputs, w_out, compositions, *block, lr)
+        assert loss == reference_ns_block(ref_inputs, ref_out, parts, *block, lr)
+        assert np.array_equal(inputs, ref_inputs)
+        assert np.array_equal(w_out, ref_out)
+
+
+def test_block_step_keeps_at_most_three_output_gathers_alive():
+    """A 64-position block at dimension 100 with 5 negatives, every output row
+    distinct, peaks below three arrays the size of its (64, 6, 100) gather of
+    output rows: that gather, or the output update plus the row gather its
+    subtraction makes."""
+    positions, k, dim, size = 64, 5, 100, 1000
+    rng = np.random.default_rng(3)
+    inputs = rng.normal(0.0, 0.1, size=(size, dim))
+    w_out = rng.normal(0.0, 0.1, size=(size, dim))
+    targets = rng.permutation(size)[: positions * (1 + k)].reshape(positions, 1 + k)
+    contexts = rng.integers(0, 20, size=(positions, 4))
+    lengths = np.full(positions, 4)
+    compositions = word_compositions(size)
+    tracemalloc.start()
+    try:
+        ns_block(inputs, w_out, compositions, targets[:, 0], targets[:, 1:], contexts, lengths, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * positions * (1 + k) * dim * 8, f"peak {peak / 1024:.0f} KB"

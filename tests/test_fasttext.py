@@ -27,7 +27,7 @@ from kgtyper.embeddings import (
     train_fasttext,
 )
 from kgtyper.embeddings.base import init_input_vectors
-from kgtyper.embeddings.cbow import encode_training_corpus, train_negative_sampling
+from kgtyper.embeddings.cbow import CompositionTable, encode_training_corpus, train_negative_sampling
 from kgtyper.embeddings.fasttext import ngram_buckets, subword_compositions
 from kgtyper.errors import DataError
 
@@ -196,13 +196,14 @@ def full_table_fasttext(corpus, vocab, config, ngram_config):
     w_word = init_input_vectors(rng, len(vocab), config.dimension)
     buckets = init_input_vectors(rng, ngram_config.bucket_count, config.dimension)
     inputs = np.concatenate((w_word, buckets))
-    token_buckets, compositions = [], []
+    token_buckets, parts = [], []
     for i in range(len(vocab)):
         ids = np.asarray(reference_buckets(vocab.token_of(i), ngram_config), np.intp)
         rows, counts = np.unique(ids, return_counts=True)
         weights = np.concatenate(([1.0], counts)) / (1 + len(ids))
-        compositions.append((np.concatenate(([i], len(vocab) + rows)), weights))
+        parts.append((np.concatenate(([i], len(vocab) + rows)), weights))
         token_buckets.append(ids)
+    compositions = CompositionTable(parts)
     w_out, epoch_losses = train_negative_sampling(encoded, vocab, config, rng, inputs, compositions)
     return inputs[: len(vocab)], inputs[len(vocab) :], w_out, epoch_losses, token_buckets
 

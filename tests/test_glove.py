@@ -8,8 +8,10 @@ from conftest import (
     assert_gradients_close,
     cooccurrence_events,
     cooccurrence_oracle,
+    glove_loss_and_grads,
     numeric_gradient,
     random_corpus,
+    reference_entry_constants,
     reference_train_glove,
 )
 
@@ -22,7 +24,7 @@ from kgtyper.embeddings import (
     train_glove,
 )
 from kgtyper.embeddings.base import init_input_vectors
-from kgtyper.embeddings.glove import BLOCK_ENTRIES, entry_levels, glove_loss_and_grads
+from kgtyper.embeddings.glove import BLOCK_ENTRIES, entry_levels
 from kgtyper.errors import DataError
 
 
@@ -158,6 +160,21 @@ def test_weight_function_shape():
     assert glove_weight(250.0, x_max=100.0, alpha=0.75) == 1.0
     assert glove_weight(50.0, x_max=100.0, alpha=0.75) == pytest.approx(0.5**0.75)
     assert glove_weight(1.0, x_max=100.0, alpha=0.75) == pytest.approx(0.01**0.75)
+
+
+@pytest.mark.parametrize("window", [2, 5])
+def test_entry_constants_equal_scalar_reference_in_float32(window):
+    """``np.log`` and ``glove_weight`` on arrays equal the per-scalar values
+    once cast to float32, as the trainer holds them, on a corpus whose weights sum
+    thirds, quarters and fifths, and on counts at, around and above x_max."""
+    corpus = sentences(np.random.default_rng(6), 40, 3000)
+    _, _, x = build_cooccurrence(corpus, build_vocabulary(corpus), window).arrays()
+    x = np.concatenate((x, [1e-3, 0.2, 1.0, 99.99999, 100.0, 100.5, 250.0, 1e6]))
+    for x_max, alpha in ((100.0, 0.75), (10.0, 0.5), (3.0, 1.0)):
+        arrays = np.log(x), glove_weight(x, x_max, alpha)
+        scalars = reference_entry_constants(x.tolist(), x_max, alpha)
+        for got, want in zip(arrays, scalars):
+            assert np.array_equal(got.astype(np.float32), want.astype(np.float32))
 
 
 def test_gradient_check_on_real_cooccurrence():
