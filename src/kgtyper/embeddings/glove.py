@@ -176,7 +176,8 @@ def entry_levels(i: np.ndarray, j: np.ndarray, size: int) -> np.ndarray:
     last_w = [0] * size
     last_wt = [0] * size
     levels = []
-    for row, col in zip(i.tolist(), j.tolist()):
+    # Memoryviews hand out one int at a time, where tolist() holds them all.
+    for row, col in zip(memoryview(i), memoryview(j)):
         level = 1 + (last_w[row] if last_w[row] > last_wt[col] else last_wt[col])
         last_w[row] = last_wt[col] = level
         levels.append(level)

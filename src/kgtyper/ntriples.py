@@ -7,8 +7,11 @@ rejected in strict mode and skipped in lenient mode; the embedding
 pipeline only consumes IRIs.
 
 No external RDF library is used: the dumps we care about are plain
-line-per-statement files, and a hand-rolled scanner keeps error positions
-exact and the dependency footprint at zero.
+line-per-statement files. Each line is read with one compiled regular
+expression match per term (subject, predicate, object, terminal '.'),
+every error names its line, and the dependency footprint stays at zero.
+One parse keeps one ``Iri`` per distinct IRI text, so the triples of a
+dump where IRIs recur hold each IRI once.
 """
 
 from __future__ import annotations
@@ -25,8 +28,20 @@ RDFS_SUBCLASSOF = "http://www.w3.org/2000/01/rdf-schema#subClassOf"
 OWL_THING = "http://www.w3.org/2002/07/owl#Thing"
 DBO_AGENT = "http://dbpedia.org/ontology/Agent"
 
-_WS = " \t"
 _IRI_FORBIDDEN = re.compile(r'[ \t\n\r<>"]')
+# A statement line is read with one match per term, each starting where the
+# last ended and skipping spaces and tabs first. A term that does not match
+# is looked at again only to name the error.
+_SKIPPED_LINE = re.compile(r"\s*(?:#|\Z)")  # blank or comment
+_SPACE = re.compile(r"[ \t]*")
+_IRI_TERM = re.compile(r"[ \t]*<([^>]*)>")
+# An IRI, or a literal (a backslash escapes any next character) with a
+# language tag (the characters str.isalnum accepts, and '-') or a datatype.
+_OBJECT_TERM = re.compile(
+    r'[ \t]*(?:<([^>]*)>|"([^"\\]*(?:\\.[^"\\]*)*)"(?:@((?:[^\W_]|-)*)|\^\^<([^>]*)>)?)', re.S
+)
+_TERMINAL = re.compile(r"[ \t]*\.[ \t]*")
+_LANGTAG = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")  # N-Triples' LANGTAG, after the '@'
 
 
 class NTriplesError(DataError):
@@ -130,141 +145,123 @@ def escape_literal(text: str) -> str:
     return "".join(_SERIALIZE_ESCAPES.get(c, c) for c in text)
 
 
-class _LineScanner:
-    """Cursor over a single statement line."""
+def _unescape(raw: str, what: str, line_number: int) -> str:
+    if "\\" not in raw:
+        return raw
+    out, done = [], 0
+    while (i := raw.find("\\", done)) >= 0:
+        out.append(raw[done:i])
+        tag = raw[i + 1 : i + 2]
+        width = {"u": 4, "U": 8}.get(tag, 0)
+        hexpart = raw[i + 2 : i + 2 + width]
+        done = i + 2 + width
+        if not tag:
+            raise NTriplesError(f"dangling escape in {what}", line_number)
+        if tag in _ESCAPES:
+            out.append(_ESCAPES[tag])
+        elif not width:
+            raise NTriplesError(f"unknown escape '\\{tag}' in {what}", line_number)
+        elif len(hexpart) != width:
+            raise NTriplesError(f"truncated \\{tag} escape in {what}", line_number)
+        else:
+            try:
+                char = chr(int(hexpart, 16))
+                char.encode("utf-8")  # refuses a surrogate code point
+            except ValueError:  # UnicodeEncodeError included
+                raise NTriplesError(f"invalid \\{tag} escape in {what}", line_number) from None
+            out.append(char)
+    return "".join(out) + raw[done:]
 
-    def __init__(self, line: str, line_number: int):
-        self.line = line
-        self.pos = 0
-        self.line_number = line_number
 
-    def error(self, message: str) -> NTriplesError:
-        return NTriplesError(message, self.line_number)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.line) and self.line[self.pos] in _WS:
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.line[self.pos] if self.pos < len(self.line) else ""
-
-    def _unescape(self, raw: str, what: str) -> str:
-        if "\\" not in raw:
-            return raw
-        out, done = [], 0
-        while (i := raw.find("\\", done)) >= 0:
-            out.append(raw[done:i])
-            tag = raw[i + 1 : i + 2]
-            width = {"u": 4, "U": 8}.get(tag, 0)
-            hexpart = raw[i + 2 : i + 2 + width]
-            done = i + 2 + width
-            if not tag:
-                raise self.error(f"dangling escape in {what}")
-            if tag in _ESCAPES:
-                out.append(_ESCAPES[tag])
-            elif not width:
-                raise self.error(f"unknown escape '\\{tag}' in {what}")
-            elif len(hexpart) != width:
-                raise self.error(f"truncated \\{tag} escape in {what}")
-            else:
-                try:
-                    char = chr(int(hexpart, 16))
-                    char.encode("utf-8")  # refuses a surrogate code point
-                except ValueError:  # UnicodeEncodeError included
-                    raise self.error(f"invalid \\{tag} escape in {what}") from None
-                out.append(char)
-        return "".join(out) + raw[done:]
-
-    def read_iri(self) -> Iri:
-        if self.peek() != "<":
-            raise self.error("expected '<'")
-        end = self.line.find(">", self.pos + 1)
-        if end < 0:
-            raise self.error("unbalanced '<': missing closing '>'")
-        raw = self.line[self.pos + 1 : end]
-        self.pos = end + 1
-        value = self._unescape(raw, "IRI")
+def _iri(raw: str, line_number: int, iris: dict[str, Iri]) -> Iri:
+    """The ``Iri`` of ``raw`` (the text between the brackets), made once per
+    distinct ``raw`` of a parse and kept in ``iris`` once it validated."""
+    iri = iris.get(raw)
+    if iri is None:
+        value = _unescape(raw, "IRI", line_number)
         try:
-            return Iri(value)
+            iri = Iri(value)
         except ValueError as exc:
-            raise self.error(str(exc)) from None
-
-    def read_literal(self) -> Literal:
-        # Scan to the closing quote, honouring backslash escapes.
-        assert self.peek() == '"'
-        i = self.pos + 1
-        while i < len(self.line):
-            c = self.line[i]
-            if c == "\\":
-                i += 2
-                continue
-            if c == '"':
-                break
-            i += 1
-        if i >= len(self.line):
-            raise self.error("unbalanced '\"': missing closing quote")
-        lexical = self._unescape(self.line[self.pos + 1 : i], "literal")
-        self.pos = i + 1
-        language = None
-        datatype = None
-        if self.peek() == "@":
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.line) and (
-                self.line[self.pos].isalnum() or self.line[self.pos] == "-"
-            ):
-                self.pos += 1
-            if self.pos == start:
-                raise self.error("empty language tag")
-            language = self.line[start : self.pos]
-        elif self.line.startswith("^^", self.pos):
-            self.pos += 2
-            datatype = self.read_iri().value
-        return Literal(lexical, language=language, datatype=datatype)
-
-    def read_object(self) -> RdfObject:
-        c = self.peek()
-        if c == "<":
-            return self.read_iri()
-        if c == '"':
-            return self.read_literal()
-        if self.line.startswith("_:", self.pos):
-            raise self.error("blank node not supported")
-        raise self.error("expected IRI or literal object")
+            raise NTriplesError(str(exc), line_number) from None
+        iris[raw] = iri
+    return iri
 
 
-def _parse_line(line: str, line_number: int) -> Triple | None:
+def _iri_error(line: str, pos: int, line_number: int) -> NTriplesError:
+    """Why no ``<...>`` starts at ``pos``."""
+    if line.startswith("<", pos):
+        return NTriplesError("unbalanced '<': missing closing '>'", line_number)
+    return NTriplesError("expected '<'", line_number)
+
+
+def _term_error(line: str, pos: int, line_number: int, term: str) -> NTriplesError:
+    """Why the subject, predicate or object term does not match at ``pos``."""
+    pos = _SPACE.match(line, pos).end()
+    if term != "predicate" and line.startswith("_:", pos):
+        return NTriplesError("blank node not supported", line_number)
+    if term == "object":
+        if line.startswith('"', pos):
+            return NTriplesError("unbalanced '\"': missing closing quote", line_number)
+        if not line.startswith("<", pos):
+            return NTriplesError("expected IRI or literal object", line_number)
+    return _iri_error(line, pos, line_number)
+
+
+def _parse_line(line: str, line_number: int, iris: dict[str, Iri]) -> Triple | None:
     """Parse one statement line; returns None for blank/comment lines."""
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
+    if _SKIPPED_LINE.match(line):
         return None
-    scanner = _LineScanner(line.rstrip("\n\r"), line_number)
-    scanner.skip_ws()
-    if scanner.line.startswith("_:", scanner.pos):
-        raise scanner.error("blank node not supported")
-    subject = scanner.read_iri()
-    scanner.skip_ws()
-    predicate = scanner.read_iri()
-    scanner.skip_ws()
-    obj = scanner.read_object()
-    scanner.skip_ws()
-    if scanner.peek() != ".":
-        raise scanner.error("missing terminal '.'")
-    scanner.pos += 1
-    scanner.skip_ws()
-    trailing = scanner.line[scanner.pos :]
+    line = line.rstrip("\n\r")
+    m = _IRI_TERM.match(line)
+    if m is None:
+        raise _term_error(line, 0, line_number, "subject")
+    subject = _iri(m[1], line_number, iris)
+    end = m.end()
+    m = _IRI_TERM.match(line, end)
+    if m is None:
+        raise _term_error(line, end, line_number, "predicate")
+    predicate = _iri(m[1], line_number, iris)
+    end = m.end()
+    m = _OBJECT_TERM.match(line, end)
+    if m is None:
+        raise _term_error(line, end, line_number, "object")
+    iri, lexical, language, datatype = m.groups()
+    if iri is not None:
+        obj = _iri(iri, line_number, iris)
+    else:
+        lexical = _unescape(lexical, "literal", line_number)
+        if language == "":
+            raise NTriplesError("empty language tag", line_number)
+        if language is not None and not _LANGTAG.fullmatch(language):
+            raise NTriplesError(f"invalid language tag {language!r}", line_number)
+        if datatype is not None:
+            datatype = _iri(datatype, line_number, iris).value
+        elif language is None and line.startswith("^^", m.end()):
+            raise _iri_error(line, m.end() + 2, line_number)  # no <...> after the '^^'
+        obj = Literal(lexical, language=language, datatype=datatype)
+    end = m.end()
+    m = _TERMINAL.match(line, end)
+    if m is None:
+        raise NTriplesError("missing terminal '.'", line_number)
+    trailing = line[m.end() :]
     if trailing and not trailing.startswith("#"):
-        raise scanner.error(f"unexpected trailing content: {trailing!r}")
+        raise NTriplesError(f"unexpected trailing content: {trailing!r}", line_number)
     return Triple(subject, predicate, obj)
 
 
 def _iter_lines(source: Iterable[str] | IO) -> Iterator[str]:
+    text = None
     if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        source = io.TextIOWrapper(source, encoding="utf-8")
-    for line in source:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        yield line
+        source = text = io.TextIOWrapper(source, encoding="utf-8")
+    try:
+        for line in source:  # not ``yield from``, whose close would close the wrapper
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            yield line
+    finally:
+        # A collected wrapper closes its stream; the caller's stays open.
+        if text is not None and not text.closed:
+            text.detach()
 
 
 def parse_ntriples(
@@ -276,11 +273,12 @@ def parse_ntriples(
 
     Yields triples in file order. Malformed lines raise
     :class:`NTriplesError` in strict mode; in lenient mode they are skipped
-    and recorded in ``stats``.
+    and recorded in ``stats``. Triples share one ``Iri`` per distinct IRI.
     """
+    iris: dict[str, Iri] = {}
     for line_number, line in enumerate(_iter_lines(source), start=1):
         try:
-            triple = _parse_line(line, line_number)
+            triple = _parse_line(line, line_number, iris)
         except NTriplesError as exc:
             if strict:
                 raise

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from kgtyper.embeddings.base import distinct_counts, init_input_vectors
 from kgtyper.embeddings.cbow import ns_block
 from kgtyper.embeddings.glove import DEFAULT_ALPHA, DEFAULT_X_MAX, entry_block, glove_weight
 from kgtyper.graph import KnowledgeGraph, build_hierarchy
-from kgtyper.ntriples import parse_ntriples
+from kgtyper.ntriples import Iri, Literal, NTriplesError, Triple, parse_ntriples
 
 # Derandomized examples, so that a CI failure reproduces locally: --hypothesis-profile ci
 settings.register_profile("ci", derandomize=True)
@@ -368,3 +369,156 @@ def reference_ns_position_grads(hidden, w_out, center, negatives):
     g_center = coef_pos * hidden
     g_negatives = np.outer(coef_neg, hidden)
     return loss, g_hidden, g_center, g_negatives
+
+
+_REFERENCE_ESCAPES = {
+    "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\",
+}
+_REFERENCE_LANGTAG = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
+
+
+class ReferenceLineScanner:
+    """A cursor over one statement line that reads it one character at a
+    time: the definition that ``parse_ntriples``' regular expressions must
+    agree with, triple for triple and error reason for error reason."""
+
+    def __init__(self, line: str, line_number: int):
+        self.line = line
+        self.pos = 0
+        self.line_number = line_number
+
+    def error(self, message: str) -> NTriplesError:
+        return NTriplesError(message, self.line_number)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.line) and self.line[self.pos] in " \t":
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.line[self.pos] if self.pos < len(self.line) else ""
+
+    def unescape(self, raw: str, what: str) -> str:
+        out, i = [], 0
+        while i < len(raw):
+            c = raw[i]
+            if c != "\\":
+                out.append(c)
+                i += 1
+                continue
+            tag = raw[i + 1 : i + 2]
+            width = {"u": 4, "U": 8}.get(tag, 0)
+            hexpart = raw[i + 2 : i + 2 + width]
+            i += 2 + width
+            if not tag:
+                raise self.error(f"dangling escape in {what}")
+            if tag in _REFERENCE_ESCAPES:
+                out.append(_REFERENCE_ESCAPES[tag])
+            elif not width:
+                raise self.error(f"unknown escape '\\{tag}' in {what}")
+            elif len(hexpart) != width:
+                raise self.error(f"truncated \\{tag} escape in {what}")
+            else:
+                try:
+                    char = chr(int(hexpart, 16))
+                    char.encode("utf-8")
+                except ValueError:
+                    raise self.error(f"invalid \\{tag} escape in {what}") from None
+                out.append(char)
+        return "".join(out)
+
+    def read_iri(self) -> Iri:
+        if self.peek() != "<":
+            raise self.error("expected '<'")
+        end = self.line.find(">", self.pos + 1)
+        if end < 0:
+            raise self.error("unbalanced '<': missing closing '>'")
+        raw = self.line[self.pos + 1 : end]
+        self.pos = end + 1
+        value = self.unescape(raw, "IRI")
+        try:
+            return Iri(value)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
+
+    def read_literal(self) -> Literal:
+        i = self.pos + 1
+        while i < len(self.line):
+            c = self.line[i]
+            if c == "\\":
+                i += 2
+                continue
+            if c == '"':
+                break
+            i += 1
+        if i >= len(self.line):
+            raise self.error("unbalanced '\"': missing closing quote")
+        lexical = self.unescape(self.line[self.pos + 1 : i], "literal")
+        self.pos = i + 1
+        language = None
+        datatype = None
+        if self.peek() == "@":
+            self.pos += 1
+            start = self.pos
+            while self.pos < len(self.line) and (
+                self.line[self.pos].isalnum() or self.line[self.pos] == "-"
+            ):
+                self.pos += 1
+            if self.pos == start:
+                raise self.error("empty language tag")
+            language = self.line[start : self.pos]
+            if not _REFERENCE_LANGTAG.fullmatch(language):
+                raise self.error(f"invalid language tag {language!r}")
+        elif self.line.startswith("^^", self.pos):
+            self.pos += 2
+            datatype = self.read_iri().value
+        return Literal(lexical, language=language, datatype=datatype)
+
+    def read_object(self):
+        c = self.peek()
+        if c == "<":
+            return self.read_iri()
+        if c == '"':
+            return self.read_literal()
+        if self.line.startswith("_:", self.pos):
+            raise self.error("blank node not supported")
+        raise self.error("expected IRI or literal object")
+
+
+def reference_parse_line(line: str, line_number: int) -> Triple | None:
+    """One line read by ``ReferenceLineScanner``; None for a blank or comment line."""
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    scanner = ReferenceLineScanner(line.rstrip("\n\r"), line_number)
+    scanner.skip_ws()
+    if scanner.line.startswith("_:", scanner.pos):
+        raise scanner.error("blank node not supported")
+    subject = scanner.read_iri()
+    scanner.skip_ws()
+    predicate = scanner.read_iri()
+    scanner.skip_ws()
+    obj = scanner.read_object()
+    scanner.skip_ws()
+    if scanner.peek() != ".":
+        raise scanner.error("missing terminal '.'")
+    scanner.pos += 1
+    scanner.skip_ws()
+    trailing = scanner.line[scanner.pos :]
+    if trailing and not trailing.startswith("#"):
+        raise scanner.error(f"unexpected trailing content: {trailing!r}")
+    return Triple(subject, predicate, obj)
+
+
+def reference_parse(lines) -> tuple[list[Triple], list[tuple[int, str]]]:
+    """The triples of ``lines`` and the ``(line_number, reason)`` of every
+    line the reference refuses, as a lenient parse reports them."""
+    triples, errors = [], []
+    for line_number, line in enumerate(lines, start=1):
+        try:
+            triple = reference_parse_line(line, line_number)
+        except NTriplesError as exc:
+            errors.append((line_number, exc.reason))
+            continue
+        if triple is not None:
+            triples.append(triple)
+    return triples, errors

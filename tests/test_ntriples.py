@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import io
+from itertools import product
 
 import pytest
+from conftest import reference_parse
+from hypothesis import given, settings, strategies as st
 
 from kgtyper.ntriples import (
     Iri,
@@ -55,6 +59,14 @@ POSITIVE = [
         "<http://a> <http://b> <http://c> . # trailing comment",
         Triple(Iri("http://a"), Iri("http://b"), Iri("http://c")),
     ),
+    (
+        '<http://a> <http://b> "x"@en-US .',
+        Triple(Iri("http://a"), Iri("http://b"), Literal("x", language="en-US")),
+    ),
+    (
+        '<http://a> <http://b> "x"@de-CH-1996 .',
+        Triple(Iri("http://a"), Iri("http://b"), Literal("x", language="de-CH-1996")),
+    ),
 ]
 
 # Each negative fixture: (input line, reason fragment expected in the error).
@@ -74,6 +86,12 @@ NEGATIVE = [
     ('<http://a> <http://b> "x\\uDFFF" .', "invalid \\u escape in literal"),
     ('<http://a> <http://b> "x\\U0000DC00" .', "invalid \\U escape in literal"),
     ("http://a <http://b> <http://c> .", "expected '<'"),
+    # Language tags follow N-Triples' LANGTAG: [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*
+    ('<http://a> <http://b> "x"@- .', "invalid language tag '-'"),
+    ('<http://a> <http://b> "x"@en- .', "invalid language tag 'en-'"),
+    ('<http://a> <http://b> "x"@1 .', "invalid language tag '1'"),
+    ('<http://a> <http://b> "x"@dé .', "invalid language tag 'dé'"),
+    ('<http://a> <http://b> "x"@en--US .', "invalid language tag 'en--US'"),
 ]
 
 
@@ -153,6 +171,26 @@ def test_parse_byte_stream():
     assert triple.object.lexical == "café"
 
 
+def test_byte_stream_stays_open(tmp_path):
+    """The caller's stream stays open after a full parse and after an
+    abandoned one; it is the caller's to close."""
+    data = "<http://a> <http://b> <http://c> .\n".encode("utf-8") * 3
+    raw = io.BytesIO(data)
+    assert len(list(parse_ntriples(raw))) == 3
+    assert not raw.closed
+    raw = io.BytesIO(data)
+    triples = parse_ntriples(raw)
+    next(triples)
+    del triples
+    gc.collect()
+    assert not raw.closed
+    path = tmp_path / "in.nt"
+    path.write_bytes(data)
+    with open(path, "rb") as handle:
+        assert len(list(parse_ntriples(handle))) == 3
+        assert not handle.closed
+
+
 def test_parse_file_strict_and_lenient(tmp_path):
     path = tmp_path / "in.nt"
     path.write_text(
@@ -190,3 +228,79 @@ def test_iri_rejects_each_forbidden_character(character):
 def test_iri_accepts_other_characters():
     value = "http://example.org/a%20b{c}|d\\e^f`g\x0bh\x0ci\u00e9"
     assert Iri(value).value == value
+
+
+def test_recurring_iris_share_one_object_each():
+    """Lines that repeat k IRIs yield exactly k distinct ``Iri`` objects,
+    and the triples the reference scanner reads."""
+    names = [f"<http://example.org/r{k}>" for k in range(4)]
+    lines = [f"{s} {p} {o} ." for s, p, o in product(names, repeat=3)]
+    triples = list(parse_ntriples(lines))
+    assert (triples, []) == reference_parse(lines)
+    terms = {id(term) for t in triples for term in (t.subject, t.predicate, t.object)}
+    assert len(terms) == len(names)
+
+
+# Generated lines: each part is well formed nine times in ten, so that
+# most lines reach their object and terminal, and otherwise one of the
+# inputs that steer the scanner: escapes (surrogates, truncated, unknown, a
+# backslash before the closing quote), blank nodes, tabs and mid-line
+# carriage returns, comments, missing or doubled terminals, trailing junk,
+# and language tags that break N-Triples' LANGTAG rule.
+def _mostly(good, bad):
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 0 else good)
+
+
+def _text(good, bad):
+    return st.lists(_mostly(st.sampled_from(good), st.sampled_from(bad)), max_size=5).map("".join)
+
+
+_GOOD_IRIS = [
+    "<http://a>", "<http://b/é>", "<http://c#x>", "<http://d\\u00E9>", "<http://e\\U0001F600>"
+]
+_BAD_IRI = st.builds(
+    "<{}{}".format,
+    _text(["http://a", "b", "é", "#", ".", "\\u00E9", "\\U0001F600"],
+          [" ", "\t", "\r", '"', "\\", "\\uD800", "\\U0000DC00", "\\u00", "\\n", "\\q", "\\>"]),
+    st.sampled_from([">", ">", ""]),
+)
+_IRI = _mostly(st.sampled_from(_GOOD_IRIS), _BAD_IRI)
+_LITERAL = st.builds(
+    '"{}{}{}'.format,
+    _text(["x", "é", " ", "\t", "#", "<", ">", "@", ".", '\\"', "\\\\", "\\u00e9", "\\U0001F600",
+           "\\t"],
+          ["\r", "\\", '"', "\\uDFFF", "\\U0000DC00", "\\u12", "\\q"]),
+    _mostly(st.just('"'), st.sampled_from(["", "\\"])),
+    st.one_of(
+        st.just(""),
+        st.sampled_from(["en", "en-US", "de-CH-1996", "EN", "x-1", "en_US", "-", "en-", "1", "dé",
+                         "en--US", "ру", "٣", "", "en- US"]).map("@{}".format),
+        _mostly(_IRI, st.sampled_from([" <http://t>", "x", "<http://t", ""])).map("^^{}".format),
+    ),
+)
+_JUNK = st.sampled_from(["_:b0", "_:", "x", "", "<>", "42", '"x'])
+_SPACE = _mostly(st.sampled_from([" ", " ", "\t", "", " \t "]), st.sampled_from(["\r", "\x0b"]))
+_END = _mostly(
+    st.sampled_from([".", " .", ". ", ". # c", ".#", " .\t"]),
+    st.sampled_from([". junk", "..", "", "\r", ".\r.", ".\x0b", ".\r"]),
+)
+_LINE = _mostly(
+    st.builds(
+        "{}{}{}{}{}{}{}{}{}".format,
+        _SPACE, _mostly(_IRI, _JUNK),
+        _SPACE, _mostly(_IRI, _JUNK),
+        _SPACE, _mostly(st.one_of(_IRI, _LITERAL), _JUNK),
+        _SPACE, _END, st.sampled_from(["", "\n", "\r\n"]),
+    ),
+    st.sampled_from(["", "\n", "  \t", "# comment", "  # indented", "\x0b# c", "\x0b<http://a>"]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_LINE, min_size=1, max_size=8))
+def test_parser_agrees_with_reference_scanner(lines):
+    """Every generated line gives the reference's triple, or its
+    ``(line_number, reason)``; IRIs recur across the lines of one parse."""
+    stats = ParseStats()
+    triples = list(parse_ntriples(lines, strict=False, stats=stats))
+    assert (triples, stats.errors) == reference_parse(lines)
