@@ -67,10 +67,12 @@ for name, model in (("word2vec", cbow), ("fasttext", fasttext), ("glove", glove)
     same, cross = class_separation(model)
     print(f"{name:<10} {same:>11.3f} {cross:>12.3f}")
 print("""\
-word2vec separates the classes cleanly. FastText's composed vectors are
-dominated by character n-grams shared across all these URL-like tokens
-(same scheme, host, and prefix), so every entity looks alike -- subword
-sharing helps morphology-rich words, not near-identical IRIs. GloVe's
+word2vec separates the classes cleanly. FastText's n-grams run over each
+IRI's local name, but these local names (c000_e0000, c001_e0003, ...)
+differ in a few digits only, so entities of every class share most of
+their n-grams and all look alike; same-class pairs still score slightly
+higher than cross-class ones. Subword sharing helps morphology-rich words,
+not near-identical names. GloVe's
 absolute similarities are small on a corpus this tiny, but the same-class
 signal is still an order of magnitude above cross-class.""")
 

@@ -1,23 +1,24 @@
 """Subword trainer: CBOW objective over word-plus-n-gram compositions.
 
 Each token's input vector is the mean of its own word vector and the
-bucket vectors of its character n-grams; the token string is wrapped in
-boundary markers before extraction, so token "abc" with n=3 contributes
-"<ab", "abc", "bc>". N-grams are hashed into ``bucket_count`` buckets with
-FNV-1a over their UTF-8 bytes (``ngram_buckets``, on arrays), which keeps
-the mapping stable across runs and gives unseen tokens a vector made
-purely of their n-gram buckets.
+bucket vectors of its character n-grams. N-grams run over the token's
+local name, the text after its last ``/`` or ``#`` (the whole token if it
+has neither), wrapped in boundary markers, so local name "abc" with n=3
+contributes "<ab", "abc", "bc>". A URI has no reliable word boundaries,
+and the local name is the nearest thing it has to a word (Bojanowski et
+al. 2017, arXiv 1607.04606, define subwords over words); over the whole
+IRI, the n-grams of a shared scheme, host and path swamp each token's
+own. N-grams are hashed into ``bucket_count`` buckets with FNV-1a over
+their UTF-8 bytes (``ngram_buckets``, on arrays), which keeps the mapping
+stable across runs and gives unseen tokens a vector made purely of their
+n-gram buckets.
 
 The bucket table holds a row only for the buckets the vocabulary's
-n-grams hash into; only those rows receive gradient. Every other bucket
-keeps its seeded initial vector, which an out-of-vocabulary lookup
-regenerates on demand. Each value equals what a full ``bucket_count`` ×
-dimension uniform table drawn at the same point would hold, and the
-draws after the table are unchanged. That rests on two properties of
-numpy's default generator: PCG64 can ``advance`` to any draw, and
-``Generator.uniform`` takes exactly one 64-bit draw per float64. The
-exactness test in ``tests/test_fasttext.py`` pins both against a
-full-table reference.
+n-grams hash into, drawn in one call right after the word rows; only
+those rows receive gradient. An out-of-vocabulary token's vector is the
+mean of its n-grams' rows, leaving out every n-gram whose bucket has no
+row: such a row would be an untrained random draw, only noise. A token
+with no n-gram in a kept bucket has no vector.
 
 Training runs the CBOW block step (``cbow.ns_block``) on one input array
 that holds the word rows and, after them, the kept bucket rows. A token's
@@ -26,12 +27,9 @@ distinct n-gram row with weight ``multiplicity / (1 + n)``, for ``n``
 n-gram occurrences; so a row whose n-gram repeats (``"aaaa"``) takes its
 share once per occurrence; ``subword_compositions`` lays them out in one
 ``cbow.CompositionTable`` per run. A token's exported vector is that same
-mean; ``FastTextEmbeddings.vocabulary_vectors`` builds all of them at once.
-
-N-grams run over the full IRI string, as there is no reliable way to
-segment a URI into words. On synthetic graphs whose entity IRIs do not
-name their class, this leaves the vectors at chance; n-grams over the
-local name alone did better there.
+composition, ``weights @ inputs[rows]`` as the block step forms it, read
+from the table the run trained with
+(``FastTextEmbeddings.vocabulary_vectors``).
 """
 
 from __future__ import annotations
@@ -68,13 +66,14 @@ class NGramConfig:
 def ngram_buckets(tokens: Sequence[str], config: NGramConfig) -> tuple[np.ndarray, np.ndarray]:
     """The bucket of every n-gram of ``tokens``, and the number of n-grams per token.
 
-    A token's n-grams are the substrings of ``f"<{token}>"`` by size, then
-    start, duplicates kept; a bucket is the FNV-1a hash of the UTF-8 bytes
-    modulo ``bucket_count`` (a lone surrogate raises ``UnicodeEncodeError``).
+    A token's n-grams are the substrings of ``f"<{name}>"`` by size, then
+    start, duplicates kept, where ``name`` is the text after the token's last
+    ``/`` or ``#``; a bucket is the FNV-1a hash of the UTF-8 bytes modulo
+    ``bucket_count`` (a lone surrogate raises ``UnicodeEncodeError``).
     The hashes from all start positions grow by one code point at a time,
     byte by byte; those of n-grams that cross a token boundary go unread.
     """
-    wrapped = [f"<{token}>" for token in tokens]
+    wrapped = [f"<{token[max(token.rfind('/'), token.rfind('#')) + 1 :]}>" for token in tokens]
     data = np.frombuffer("".join(wrapped).encode("utf-8") + bytes(4), dtype=np.uint8)
     offsets = np.flatnonzero((data[:-4] & 0xC0) != 0x80)  # where each code point starts
     count = len(offsets)
@@ -100,33 +99,13 @@ def ngram_buckets(tokens: Sequence[str], config: NGramConfig) -> tuple[np.ndarra
     return buckets, grams.sum(axis=1)
 
 
-def seeded_rows(state: dict, bucket_ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Fill ``rows`` with the initial vectors of the sorted, distinct ``bucket_ids``.
-
-    ``state`` is the PCG64 state at the first draw of the full table, so
-    bucket ``b`` starts ``b * dimension`` draws later; one generator walks
-    the ids with one ``advance`` per gap.
-    """
-    bit_generator = np.random.PCG64()
-    bit_generator.state = state
-    rng = np.random.Generator(bit_generator)
-    dimension = rows.shape[1]
-    drawn = 0
-    for row, bucket in enumerate(bucket_ids.tolist()):
-        bit_generator.advance(bucket * dimension - drawn)
-        rows[row] = init_input_vectors(rng, 1, dimension)[0]
-        drawn = (bucket + 1) * dimension
-    return rows
-
-
 class NGramTable:
     """Bucket vectors for the n-grams of a vocabulary, plus the deterministic hash.
 
     ``rows[i]`` is the trainable vector of bucket ``bucket_ids[i]``. It is a
     view of ``inputs``, which holds the given ``words`` rows first, so a
     trainer can update word and bucket rows as one array. The constructor
-    consumes from ``rng`` exactly the draws of a full ``bucket_count`` ×
-    ``dimension`` table, whichever buckets are kept.
+    draws every row from ``rng`` in one call.
     """
 
     def __init__(
@@ -142,13 +121,11 @@ class NGramTable:
         tokens = list(tokens)
         buckets, counts = ngram_buckets(tokens, config)
         self._cache = dict(zip(tokens, np.split(buckets, np.cumsum(counts)[:-1])))
-        self._initial_state = rng.bit_generator.state
         self.bucket_ids, _ = distinct_counts(buckets)
         words = np.empty((0, dimension)) if words is None else words
-        self.inputs = np.empty((len(words) + len(self.bucket_ids), dimension))
-        self.inputs[: len(words)] = words
-        self.rows = seeded_rows(self._initial_state, self.bucket_ids, self.inputs[len(words) :])
-        rng.bit_generator.advance(config.bucket_count * dimension)
+        rows = init_input_vectors(rng, len(self.bucket_ids), dimension)
+        self.inputs = np.concatenate((words, rows))
+        self.rows = self.inputs[len(words) :]
 
     @property
     def bucket_count(self) -> int:
@@ -162,31 +139,26 @@ class NGramTable:
         return cached
 
     def vectors(self, bucket_ids) -> np.ndarray:
-        """One vector per bucket id: its row if kept, else its initial vector."""
+        """The rows of the kept buckets among ``bucket_ids``, in order; a
+        bucket without a row is left out."""
         bucket_ids = np.asarray(bucket_ids, dtype=np.intp)
         if len(bucket_ids) and not 0 <= bucket_ids.min() <= bucket_ids.max() < self.bucket_count:
             raise IndexError(f"bucket ids must lie in [0, {self.bucket_count})")
         positions = np.searchsorted(self.bucket_ids, bucket_ids)
         kept = positions < len(self.bucket_ids)
         kept[kept] = self.bucket_ids[positions[kept]] == bucket_ids[kept]
-        out = np.empty((len(bucket_ids), self.rows.shape[1]))
-        out[kept] = self.rows[positions[kept]]
-        if not kept.all():
-            missing, _ = distinct_counts(bucket_ids[~kept])
-            initial = seeded_rows(
-                self._initial_state, missing, np.empty((len(missing), self.rows.shape[1]))
-            )
-            out[~kept] = initial[np.searchsorted(missing, bucket_ids[~kept])]
-        return out
+        return self.rows[positions[kept]]
 
 
 @dataclass
 class FastTextEmbeddings:
     """Trained word matrix together with its n-gram bucket table, which keeps
-    a row for every n-gram of the vocabulary."""
+    a row for every n-gram of the vocabulary, and the compositions the run
+    trained with."""
 
     matrix: EmbeddingMatrix
     ngrams: NGramTable
+    compositions: CompositionTable
     _composed: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -201,36 +173,24 @@ class FastTextEmbeddings:
         return token in self.vocabulary
 
     def vocabulary_vectors(self) -> np.ndarray:
-        """Row ``i``: token ``i``'s word row plus its ``n`` bucket vectors, over
-        ``1 + n``, added from 0.0 in occurrence order as ``sum(axis=0)`` adds
-        rows (except at dimension 1, where numpy sums pairwise); computed once."""
+        """Row ``t``: token ``t``'s composition, ``weights @ inputs[rows]``;
+        computed once."""
         if self._composed is None:
-            buckets = [self.ngrams.bucket_indices(t) for t in self.vocabulary.id_to_token]
-            counts = np.array([len(b) for b in buckets], dtype=np.intp)
-            rows = np.searchsorted(
-                self.ngrams.bucket_ids, np.concatenate([np.empty(0, np.intp), *buckets])
-            )
-            order = np.argsort(-counts, kind="stable")  # those with a k-th n-gram come first
-            starts = (np.cumsum(counts) - counts)[order]
-            sums = np.zeros((len(counts), self.matrix.dimension))
-            for k in range(counts.max(initial=0)):
-                has = np.count_nonzero(counts > k)
-                sums[:has] += self.ngrams.rows[rows[starts[:has] + k]]
-            del rows  # before the output is allocated, which keeps the peak RSS down
-            sums += self.matrix.input_vectors[order]
-            sums /= (1 + counts[order])[:, None]
-            self._composed = np.empty_like(sums)
-            self._composed[order] = sums
+            inputs = self.ngrams.inputs
+            self._composed = np.empty((len(self.compositions.parts), inputs.shape[1]))
+            for t, (rows, weights) in enumerate(self.compositions.parts):
+                self._composed[t] = weights @ inputs[rows]
         return self._composed
 
     def vector_of(self, token: str) -> np.ndarray:
-        """Word-plus-n-gram mean in vocabulary, pure n-gram mean otherwise."""
+        """Word-plus-n-gram mean in vocabulary, else the mean of the rows of
+        the token's n-grams whose bucket is kept."""
         if token in self.vocabulary:
             return self.vocabulary_vectors()[self.vocabulary.id_of(token)]
-        buckets = self.ngrams.bucket_indices(token)
-        if not len(buckets):
+        rows = self.ngrams.vectors(self.ngrams.bucket_indices(token))
+        if not len(rows):
             raise TokenNotFoundError(token)
-        return self.ngrams.vectors(buckets).mean(axis=0)
+        return rows.mean(axis=0)
 
 
 def subword_compositions(table: NGramTable, tokens: Sequence[str]) -> CompositionTable:
@@ -265,11 +225,12 @@ def train_fasttext(
     w_word = init_input_vectors(rng, len(vocab), config.dimension)
     tokens = [vocab.token_of(i) for i in range(len(vocab))]
     table = NGramTable(ngram_config, tokens, rng, config.dimension, words=w_word)
+    compositions = subword_compositions(table, tokens)
     w_out, epoch_losses = train_negative_sampling(
-        encoded, vocab, config, rng, table.inputs, subword_compositions(table, tokens)
+        encoded, vocab, config, rng, table.inputs, compositions
     )
     matrix = EmbeddingMatrix(table.inputs[: len(vocab)], w_out, vocab, epoch_losses)
     matrix.check_finite()
     if not np.all(np.isfinite(table.rows)):
         raise NumericalError("n-gram bucket vectors contain non-finite values")
-    return FastTextEmbeddings(matrix, table)
+    return FastTextEmbeddings(matrix, table, compositions)

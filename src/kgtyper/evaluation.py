@@ -46,13 +46,6 @@ class LabeledDataset:
     def test_examples(self) -> list[tuple[str, str]]:
         return [self.examples[i] for i in self.test_ids]
 
-    def members_by_class(self, ids: Sequence[int]) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for i in ids:
-            entity, class_iri = self.examples[i]
-            out.setdefault(class_iri, []).append(entity)
-        return out
-
 
 def most_specific_class(
     asserted: Iterable[str], hierarchy: ClassHierarchy

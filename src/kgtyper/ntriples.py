@@ -165,6 +165,9 @@ def _unescape(raw: str, what: str, line_number: int) -> str:
             raise NTriplesError(f"truncated \\{tag} escape in {what}", line_number)
         else:
             try:
+                # int() would also take a sign, spaces, "_" and non-ASCII digits
+                if hexpart.strip("0123456789abcdefABCDEF"):
+                    raise ValueError(hexpart)
                 char = chr(int(hexpart, 16))
                 char.encode("utf-8")  # refuses a surrogate code point
             except ValueError:  # UnicodeEncodeError included

@@ -123,9 +123,18 @@ def reference_ngrams(token: str, n_min: int, n_max: int) -> list[str]:
 
 
 def reference_buckets(token: str, config) -> list[int]:
-    """The bucket of each n-gram of ``token`` under an ``NGramConfig``."""
-    grams = reference_ngrams(token, config.n_min, config.n_max)
+    """The bucket of each n-gram of ``token``'s local name (the text after its
+    last ``/`` or ``#``) under an ``NGramConfig``."""
+    grams = reference_ngrams(re.split(r"[/#]", token)[-1], config.n_min, config.n_max)
     return [reference_fnv1a_32(gram) % config.bucket_count for gram in grams]
+
+
+def reference_kept_rows(token: str, vocabulary_tokens, config) -> np.ndarray:
+    """The row of each of ``token``'s n-grams whose bucket some vocabulary
+    token uses, from ``reference_buckets``: rows follow the sorted used ids,
+    and an n-gram whose bucket no vocabulary token uses is left out."""
+    used = sorted({b for t in vocabulary_tokens for b in reference_buckets(t, config)})
+    return np.array([used.index(b) for b in reference_buckets(token, config) if b in used], np.intp)
 
 
 def cooccurrence_events(corpus, vocab, window: int):
@@ -419,6 +428,8 @@ class ReferenceLineScanner:
                 raise self.error(f"truncated \\{tag} escape in {what}")
             else:
                 try:
+                    if any(c not in "0123456789abcdefABCDEF" for c in hexpart):
+                        raise ValueError(hexpart)
                     char = chr(int(hexpart, 16))
                     char.encode("utf-8")
                 except ValueError:

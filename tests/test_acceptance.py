@@ -27,6 +27,7 @@ from conftest import (
     numeric_gradient,
     random_corpus,
     reference_buckets,
+    reference_kept_rows,
 )
 
 from kgtyper import (
@@ -67,7 +68,7 @@ CNN_LEARNING_RATE = 0.2
 SWEEP_SEEDS = (1, 2, 3, 4, 5)
 
 
-def _run_experiment(root, seed: int):
+def _run_experiment(root, seed: int, trainer: str = "word2vec"):
     """The timed synthetic end-to-end experiment at one seed."""
     synth = generate_synthetic_kg(
         root / f"kg_{seed}",
@@ -79,7 +80,8 @@ def _run_experiment(root, seed: int):
     )
     config = PipelineConfig(
         input_nt=synth.kg_path,
-        out_dir=root / f"run_{seed}",
+        out_dir=root / f"run_{trainer}_{seed}",
+        trainer=trainer,
         embedding=TrainingConfig(
             dimension=100,
             window=2,
@@ -112,17 +114,26 @@ def experiment(sweep):
     return sweep[1]
 
 
-def test_synthetic_end_to_end_recovery(experiment):
-    result, elapsed = experiment
+def _check_recovery(name: str, result, elapsed: float) -> None:
     cnn_accuracy = result.metrics["cnn"]["accuracy"]
     hits3 = result.metrics["similarity"]["hits@3"]
     hits1 = result.metrics["similarity"]["hits@1"]
     acceptance(
         cnn_accuracy >= 0.90 and hits3 >= 0.90 and hits1 >= 0.70 and elapsed < 300.0,
-        "synthetic end-to-end recovery (10 classes x 50 entities, noise 0.1): "
+        f"{name} (10 classes x 50 entities, noise 0.1): "
         f"cnn accuracy {cnn_accuracy:.3f} (>= 0.90), similarity hits@3 {hits3:.3f} "
         f"(>= 0.90), hits@1 {hits1:.3f} (>= 0.70), runtime {elapsed:.0f}s (< 300s)",
     )
+
+
+def test_synthetic_end_to_end_recovery(experiment):
+    _check_recovery("synthetic end-to-end recovery", *experiment)
+
+
+def test_fasttext_end_to_end_recovery(tmp_path):
+    """The same experiment and thresholds at seed 1, with fastText vectors
+    (default n-gram sizes 3-6 and 2M hash buckets)."""
+    _check_recovery("fasttext end-to-end recovery", *_run_experiment(tmp_path, 1, "fasttext"))
 
 
 def test_seed_sweep(sweep):
@@ -489,12 +500,13 @@ def test_fasttext_oov_composition():
     token = "kingdomland"
     assert token not in vocab
     bucket_ids = reference_buckets(token, ngram_config)
-    expected = model.ngrams.vectors(bucket_ids).mean(axis=0)
+    rows = reference_kept_rows(token, vocab.id_to_token, ngram_config)
+    expected = model.ngrams.rows[rows].mean(axis=0)
     actual = model.vector_of(token)
     difference = float(np.max(np.abs(actual - expected)))
     acceptance(
-        difference <= 1e-12 and len(bucket_ids) >= 2,
-        f"fasttext out-of-vocabulary vector equals the mean of its "
-        f"{len(bucket_ids)} n-gram bucket vectors (independent FNV-1a "
-        f"recomputation, max |difference| {difference:.1e})",
+        difference <= 1e-12 and len(rows) >= 2,
+        f"fasttext out-of-vocabulary vector equals the mean of the rows of its "
+        f"{len(rows)} of {len(bucket_ids)} n-grams whose bucket has a row (independent "
+        f"FNV-1a recomputation, max |difference| {difference:.1e})",
     )

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
-    block_of, check_block_gradients, reference_buckets, reference_fnv1a_32, reference_ngrams,
+    block_of, check_block_gradients, reference_buckets, reference_fnv1a_32, reference_kept_rows,
+    reference_ngrams,
 )
 from hypothesis import given, strategies as st
 
@@ -115,26 +116,29 @@ def trained_model(seed: int = 1, epochs: int = 2):
 
 
 def test_oov_vector_is_bucket_mean_recomputed_independently():
-    _, _, model = trained_model()
+    _, vocab, model = trained_model()
     oov = "tok999"
-    indices = reference_buckets(oov, SMALL_NGRAMS)
-    expected = model.ngrams.vectors(indices).mean(axis=0)
-    assert oov not in model.vocabulary
+    rows = reference_kept_rows(oov, vocab.id_to_token, SMALL_NGRAMS)
+    assert oov not in model.vocabulary and len(rows) >= 2
+    expected = model.ngrams.rows[rows].mean(axis=0)
     assert np.allclose(model.vector_of(oov), expected, rtol=0, atol=1e-12)
 
 
 def test_in_vocabulary_vector_is_word_plus_bucket_mean():
     _, vocab, model = trained_model()
     token = vocab.token_of(0)
-    indices = reference_buckets(token, SMALL_NGRAMS)
+    rows = reference_kept_rows(token, vocab.id_to_token, SMALL_NGRAMS)
     word = model.matrix.input_vectors[0]
-    expected = (word + model.ngrams.vectors(indices).sum(axis=0)) / (1 + len(indices))
+    expected = (word + model.ngrams.rows[rows].sum(axis=0)) / (1 + len(rows))
     assert np.allclose(model.vector_of(token), expected, rtol=0, atol=1e-12)
     # Composition genuinely differs from the raw word row.
     assert not np.allclose(model.vector_of(token), word)
 
 
 def test_batched_export_sums_each_occurrence_in_order():
+    """The export composes each token from the run's own compositions, one
+    ``weights @ inputs[rows]`` per token, with a repeated n-gram's row
+    weighted once per occurrence."""
     config = NGramConfig(n_min=3, n_max=6, bucket_count=101)
     tokens = ["aaaa", "", "ab", *(f"http://example.org/entity/e{i}" for i in range(20))]
     vocab = Vocabulary([(token, 1) for token in tokens], total_tokens=len(tokens))
@@ -142,19 +146,51 @@ def test_batched_export_sums_each_occurrence_in_order():
     table = NGramTable(config, tokens, rng, 5, words=np.zeros((len(tokens), 5)))
     table.inputs[:] = rng.normal(size=table.inputs.shape)
     words = table.inputs[: len(tokens)]
-    model = FastTextEmbeddings(EmbeddingMatrix(words, np.zeros_like(words), vocab), table)
+    matrix = EmbeddingMatrix(words, np.zeros_like(words), vocab)
+    model = FastTextEmbeddings(matrix, table, subword_compositions(table, tokens))
     exported = model.vocabulary_vectors()
     for t, token in enumerate(tokens):
-        buckets = reference_buckets(token, config)
-        expected = (table.inputs[t] + table.vectors(buckets).sum(axis=0)) / (1 + len(buckets))
+        rows, counts = np.unique(reference_kept_rows(token, tokens, config), return_counts=True)
+        weights = np.concatenate(([1.0], counts)) / (1 + counts.sum())
+        expected = weights @ table.inputs[np.concatenate(([t], len(tokens) + rows))]
         assert np.array_equal(exported[t], expected), token
         assert np.array_equal(model.vector_of(token), expected)
     assert len(set(reference_buckets("aaaa", config))) < len(reference_buckets("aaaa", config))
     assert reference_buckets("", config) == []
     oov = "http://example.org/entity/x"  # not among the table's tokens: a cache miss
     assert np.array_equal(
-        model.vector_of(oov), table.vectors(reference_buckets(oov, config)).mean(axis=0)
+        model.vector_of(oov), table.rows[reference_kept_rows(oov, tokens, config)].mean(axis=0)
     )
+
+
+def test_oov_vector_leaves_out_buckets_without_a_row():
+    corpus = [("http://x.org/abcd", "http://x.org/p", "http://x.org/wxyz")] * 3
+    vocab = build_vocabulary(corpus)
+    config = NGramConfig(2, 3, 2_000_000)
+    model = train_fasttext(corpus, vocab, TrainingConfig(dimension=4, epochs=2), config)
+    mixed = "http://y.org/abqq"  # "<a", "ab", "<ab" are kept; the n-grams with "q" are not
+    rows = reference_kept_rows(mixed, vocab.id_to_token, config)
+    assert 0 < len(rows) < len(reference_buckets(mixed, config))
+    assert np.array_equal(model.vector_of(mixed), model.ngrams.rows[rows].mean(axis=0))
+    assert len(model.ngrams.vectors(reference_buckets(mixed, config))) == len(rows)
+    unkept = "http://y.org/qqq"
+    assert len(reference_buckets(unkept, config)) and not len(
+        reference_kept_rows(unkept, vocab.id_to_token, config)
+    )
+    with pytest.raises(TokenNotFoundError):
+        model.vector_of(unkept)
+
+
+def test_ngrams_run_over_the_local_name():
+    config = NGramConfig(3, 6, 2_000_000)
+    tokens = ["http://a.org/x/abcd", "http://b.org#abcd", "abcd", "http://c.org/a#b/abcd"]
+    buckets, counts = ngram_buckets(tokens, config)
+    assert counts.tolist() == [len(reference_buckets("abcd", config))] * len(tokens)
+    first = buckets[: counts[0]]
+    assert first.tolist() == reference_buckets("abcd", config)
+    assert np.array_equal(buckets.reshape(len(tokens), -1), np.tile(first, (len(tokens), 1)))
+    table = NGramTable(config, tokens[:1], np.random.default_rng(0), 4)
+    assert np.array_equal(table.bucket_indices("http://b.org#abcd"), first)
 
 
 def test_identical_strings_share_all_buckets():
@@ -189,52 +225,44 @@ def test_gradient_check_word_buckets_and_output():
     check_block_gradients(inputs, w_out, subword_compositions(table, ["ab", "cd"]), block)
 
 
-def full_table_fasttext(corpus, vocab, config, ngram_config):
-    """Reference trainer: a seeded row for every bucket, indexed by raw hash id."""
+def reference_fasttext(corpus, vocab, config, ngram_config):
+    """Reference trainer: the word rows, then one row per used bucket drawn in
+    one call, and compositions from the independent FNV-1a."""
     encoded = encode_training_corpus(corpus, vocab)
     rng = np.random.default_rng(config.seed)
     w_word = init_input_vectors(rng, len(vocab), config.dimension)
-    buckets = init_input_vectors(rng, ngram_config.bucket_count, config.dimension)
-    inputs = np.concatenate((w_word, buckets))
-    token_buckets, parts = [], []
-    for i in range(len(vocab)):
-        ids = np.asarray(reference_buckets(vocab.token_of(i), ngram_config), np.intp)
-        rows, counts = np.unique(ids, return_counts=True)
+    token_buckets = [reference_buckets(token, ngram_config) for token in vocab.id_to_token]
+    used = np.unique(np.concatenate([np.array(b, np.intp) for b in token_buckets]))
+    inputs = np.concatenate((w_word, init_input_vectors(rng, len(used), config.dimension)))
+    parts = []
+    for i, ids in enumerate(token_buckets):
+        rows, counts = np.unique(np.searchsorted(used, ids), return_counts=True)
         weights = np.concatenate(([1.0], counts)) / (1 + len(ids))
         parts.append((np.concatenate(([i], len(vocab) + rows)), weights))
-        token_buckets.append(ids)
-    compositions = CompositionTable(parts)
-    w_out, epoch_losses = train_negative_sampling(encoded, vocab, config, rng, inputs, compositions)
-    return inputs[: len(vocab)], inputs[len(vocab) :], w_out, epoch_losses, token_buckets
+    w_out, epoch_losses = train_negative_sampling(
+        encoded, vocab, config, rng, inputs, CompositionTable(parts)
+    )
+    exported = np.array([weights @ inputs[rows] for rows, weights in parts])
+    return inputs[: len(vocab)], inputs[len(vocab) :], w_out, epoch_losses, used, exported
 
 
 @pytest.mark.parametrize("seed", [1, 4])
-def test_kept_rows_match_full_table_reference_exactly(seed):
+def test_kept_rows_match_reference_trainer_exactly(seed):
     corpus = [s[: 1 + i % 3] for i, s in enumerate(tiny_corpus(60, 6, seed=5))]
     vocab = build_vocabulary(corpus)
     config = TrainingConfig(dimension=4, window=2, epochs=2, seed=seed)
     model = train_fasttext(corpus, vocab, config, SMALL_NGRAMS)
-    w_word, buckets, w_out, epoch_losses, token_buckets = full_table_fasttext(
+    w_word, rows, w_out, epoch_losses, used, exported = reference_fasttext(
         corpus, vocab, config, SMALL_NGRAMS
     )
-    table = model.ngrams
-    used = np.unique(np.concatenate(token_buckets))
-    assert np.array_equal(table.bucket_ids, used)
+    assert np.array_equal(model.ngrams.bucket_ids, used)
     assert np.array_equal(model.matrix.input_vectors, w_word)
+    assert np.array_equal(model.ngrams.rows, rows)
     assert np.array_equal(model.matrix.output_vectors, w_out)
     assert model.epoch_losses == epoch_losses
-    assert np.array_equal(table.vectors(table.bucket_ids), buckets[used])
-    # Unkept buckets keep their seeded initial vector.
-    assert np.array_equal(table.vectors(np.arange(SMALL_NGRAMS.bucket_count)), buckets)
-    for i, idx in enumerate(token_buckets):
-        expected = (w_word[i] + buckets[idx].sum(axis=0)) / (1 + len(idx))
-        assert np.array_equal(model.vector_of(vocab.token_of(i)), expected)
-    oov = ["tok999", "kot7", "ok", "tok0tok1"]
-    assert any(not set(table.bucket_indices(t).tolist()) <= set(used.tolist()) for t in oov)
-    for token in oov:
-        assert token not in vocab
-        expected = buckets[table.bucket_indices(token)].mean(axis=0)
-        assert np.array_equal(model.vector_of(token), expected)
+    assert np.array_equal(model.vocabulary_vectors(), exported)
+    for i in range(len(vocab)):
+        assert np.array_equal(model.vector_of(vocab.token_of(i)), exported[i])
 
 
 def test_lookup_rejects_bucket_ids_outside_the_table():

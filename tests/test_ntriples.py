@@ -92,6 +92,11 @@ NEGATIVE = [
     ('<http://a> <http://b> "x"@1 .', "invalid language tag '1'"),
     ('<http://a> <http://b> "x"@dé .', "invalid language tag 'dé'"),
     ('<http://a> <http://b> "x"@en--US .', "invalid language tag 'en--US'"),
+    # A \u or \U escape takes hex digits only; int(..., 16) would also take
+    # a sign, surrounding spaces and underscores.
+    ('<http://a> <http://b> "x\\u 0e9" .', "invalid \\u escape in literal"),
+    ('<http://a> <http://b> "x\\u+0e9" .', "invalid \\u escape in literal"),
+    ("<http://a\\u0_e9> <http://b> <http://c> .", "invalid \\u escape in IRI"),
 ]
 
 
