@@ -103,15 +103,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_bool(raw: str, env_name: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in _TRUE_WORDS:
-        return True
-    if lowered in _FALSE_WORDS:
-        return False
-    raise ValueError(f"{env_name}: expected a boolean, got {raw!r}")
-
-
 class _Given(argparse.Action):
     """Store the value and note that the flag was given on the command line."""
 
@@ -151,22 +142,25 @@ def _opt(parser, flag: str, *aliases: str, **kwargs) -> None:
         parser.add_argument(flag, *aliases, **kwargs)
         return
     kind = kwargs.get("action")
-    if kind in ("store_true", "store_false"):
-        # A true value turns the flag on, which clears a store_false dest.
-        value = _parse_bool(raw, env_name) == (kind == "store_true")
-    elif kind == "append":
-        value = raw.split()  # an IRI holds no whitespace, but ':' appears in most
-        kwargs["action"] = _Replacing
-    else:
-        try:
+    try:
+        if kind in ("store_true", "store_false"):
+            lowered = raw.strip().lower()
+            if lowered not in _TRUE_WORDS | _FALSE_WORDS:
+                raise ValueError("expected a boolean")
+            # A true value turns the flag on, which clears a store_false dest.
+            value = (lowered in _TRUE_WORDS) == (kind == "store_true")
+        elif kind == "append":
+            value = raw.split()  # an IRI holds no whitespace, but ':' appears in most
+            kwargs["action"] = _Replacing
+        else:
             value = kwargs.get("type", str)(raw)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{env_name}: cannot parse {raw!r}") from exc
-        if "choices" in kwargs and value not in kwargs["choices"]:
-            # Refused only if this subcommand runs, so that it does not
-            # break the subcommands that lack the option.
-            message = f"{env_name}: {raw!r} is not one of {', '.join(kwargs['choices'])}"
-            parser.set_defaults(env_error=message)
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                raise ValueError(f"not one of {', '.join(kwargs['choices'])}")
+    except ValueError as exc:
+        # Refused only if this subcommand runs, so that it does not break
+        # the subcommands that lack the option.
+        parser.set_defaults(env_error=f"{env_name}: cannot use {raw!r}: {exc}")
+        value = kwargs.get("default")
     if value != []:  # an empty list leaves a required option required
         kwargs.pop("required", None)
     action = parser.add_argument(flag, *aliases, **kwargs)

@@ -63,9 +63,9 @@ class EmbeddingMatrix:
     """Dense token-id -> vector map plus the context-side matrix.
 
     ``input_vectors`` holds whatever composition the trainer exports as
-    its final vectors (CBOW: input + output sums; co-occurrence: w plus
-    w-tilde); ``output_vectors`` keeps the raw context side for
-    inspection.
+    its final vectors (CBOW: input + output sums; subword: word-plus-n-gram
+    compositions; co-occurrence: w plus w-tilde); ``output_vectors`` keeps
+    the raw context side for inspection.
     """
 
     input_vectors: np.ndarray
@@ -80,10 +80,6 @@ class EmbeddingMatrix:
         if token not in self.vocabulary:
             raise TokenNotFoundError(token)
         return self.input_vectors[self.vocabulary.id_of(token)]
-
-    def vocabulary_vectors(self) -> np.ndarray:
-        """Row ``i`` is the vector of token ``i``."""
-        return self.input_vectors
 
     @property
     def dimension(self) -> int:

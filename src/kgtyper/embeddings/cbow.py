@@ -57,26 +57,26 @@ BLOCK_POSITIONS = 64  # positions per block step
 
 
 class CompositionTable:
-    """Each token's input rows and weights, ``parts[t] = (rows, weights)``,
-    and, as arrays, which tokens a block may gather at once: ``single[t]``
-    marks a token of one row, ``first_row[t]``, of weight 1, that no other
-    token uses. ``slots`` holds a scratch cell per id."""
+    """Each token's input rows and weights, from flat arrays in which token
+    ``t`` owns the next ``counts[t]`` entries of ``rows`` and ``weights``;
+    ``parts[t] = (rows, weights)`` are its slices. As arrays, which tokens a
+    block may gather at once: ``single[t]`` marks a token of one row,
+    ``first_row[t]``, of weight 1, that no other token uses. ``slots`` holds
+    a scratch cell per id."""
 
-    def __init__(self, parts: Sequence[tuple[np.ndarray, np.ndarray]]):
-        self.parts = tuple(parts)
-        rows, weights = zip(*self.parts)
-        starts = np.cumsum([0, *map(len, rows)])
-        rows, weights = np.concatenate(rows), np.concatenate(weights)
-        self.first_row, first_weight = rows[starts[:-1]], weights[starts[:-1]]
-        self.single = (np.diff(starts) == 1) & (first_weight == 1.0)
+    def __init__(self, rows: np.ndarray, weights: np.ndarray, counts: np.ndarray):
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        self.parts = [(rows[a:b], weights[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
+        self.first_row, first_weight = rows[starts], weights[starts]
+        self.single = (counts == 1) & (first_weight == 1.0)
         self.single &= np.bincount(rows)[self.first_row] == 1
         self.slots = np.empty(len(self.single), dtype=np.intp)
 
 
 def word_compositions(count: int) -> CompositionTable:
     """CBOW's compositions: token ``t`` is input row ``t``, weight 1."""
-    one = np.ones(1)
-    return CompositionTable([(np.array([t]), one) for t in range(count)])
+    return CompositionTable(np.arange(count), np.ones(count), np.ones(count, dtype=np.intp))
 
 
 def encode_training_corpus(corpus: Iterable[Sentence], vocab: Vocabulary) -> list[np.ndarray]:

@@ -26,10 +26,10 @@ composition lists its word row with weight ``1 / (1 + n)`` and each
 distinct n-gram row with weight ``multiplicity / (1 + n)``, for ``n``
 n-gram occurrences; so a row whose n-gram repeats (``"aaaa"``) takes its
 share once per occurrence; ``subword_compositions`` lays them out in one
-``cbow.CompositionTable`` per run. A token's exported vector is that same
-composition, ``weights @ inputs[rows]`` as the block step forms it, read
-from the table the run trained with
-(``FastTextEmbeddings.vocabulary_vectors``).
+``cbow.CompositionTable`` per run. The trained model is an
+``EmbeddingMatrix`` (``FastTextEmbeddings``) whose vectors are those same
+compositions, each formed once at the end of training as
+``weights @ inputs[rows]``, the product the block step forms.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..corpus import Sentence, Vocabulary
-from ..errors import NumericalError
 from .base import (
     EmbeddingMatrix, TokenNotFoundError, TrainingConfig, distinct_counts, init_input_vectors,
 )
@@ -102,6 +101,7 @@ def ngram_buckets(tokens: Sequence[str], config: NGramConfig) -> tuple[np.ndarra
 class NGramTable:
     """Bucket vectors for the n-grams of a vocabulary, plus the deterministic hash.
 
+    ``buckets`` and ``counts`` are ``ngram_buckets`` of the given tokens, and
     ``rows[i]`` is the trainable vector of bucket ``bucket_ids[i]``. It is a
     view of ``inputs``, which holds the given ``words`` rows first, so a
     trainer can update word and bucket rows as one array. The constructor
@@ -111,17 +111,16 @@ class NGramTable:
     def __init__(
         self,
         config: NGramConfig,
-        tokens: Iterable[str],
+        tokens: Sequence[str],
         rng: np.random.Generator,
         dimension: int,
         words: np.ndarray | None = None,
     ):
         config.validate()
         self.config = config
-        tokens = list(tokens)
-        buckets, counts = ngram_buckets(tokens, config)
-        self._cache = dict(zip(tokens, np.split(buckets, np.cumsum(counts)[:-1])))
-        self.bucket_ids, _ = distinct_counts(buckets)
+        self.buckets, self.counts = ngram_buckets(tokens, config)
+        self._cache = dict(zip(tokens, np.split(self.buckets, np.cumsum(self.counts)[:-1])))
+        self.bucket_ids, _ = distinct_counts(self.buckets)
         words = np.empty((0, dimension)) if words is None else words
         rows = init_input_vectors(rng, len(self.bucket_ids), dimension)
         self.inputs = np.concatenate((words, rows))
@@ -151,59 +150,36 @@ class NGramTable:
 
 
 @dataclass
-class FastTextEmbeddings:
-    """Trained word matrix together with its n-gram bucket table, which keeps
-    a row for every n-gram of the vocabulary, and the compositions the run
-    trained with."""
+class FastTextEmbeddings(EmbeddingMatrix):
+    """Vectors whose rows are the vocabulary's word-plus-n-gram compositions,
+    plus the n-gram table that gives an out-of-vocabulary token a vector."""
 
-    matrix: EmbeddingMatrix
-    ngrams: NGramTable
-    compositions: CompositionTable
-    _composed: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def vocabulary(self) -> Vocabulary:
-        return self.matrix.vocabulary
-
-    @property
-    def epoch_losses(self) -> list[float]:
-        return self.matrix.epoch_losses
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vocabulary
-
-    def vocabulary_vectors(self) -> np.ndarray:
-        """Row ``t``: token ``t``'s composition, ``weights @ inputs[rows]``;
-        computed once."""
-        if self._composed is None:
-            inputs = self.ngrams.inputs
-            self._composed = np.empty((len(self.compositions.parts), inputs.shape[1]))
-            for t, (rows, weights) in enumerate(self.compositions.parts):
-                self._composed[t] = weights @ inputs[rows]
-        return self._composed
+    ngrams: NGramTable = field(kw_only=True)
 
     def vector_of(self, token: str) -> np.ndarray:
-        """Word-plus-n-gram mean in vocabulary, else the mean of the rows of
-        the token's n-grams whose bucket is kept."""
+        """The token's composition in vocabulary, else the mean of the rows of
+        its n-grams whose bucket is kept."""
         if token in self.vocabulary:
-            return self.vocabulary_vectors()[self.vocabulary.id_of(token)]
+            return super().vector_of(token)
         rows = self.ngrams.vectors(self.ngrams.bucket_indices(token))
         if not len(rows):
             raise TokenNotFoundError(token)
         return rows.mean(axis=0)
 
 
-def subword_compositions(table: NGramTable, tokens: Sequence[str]) -> CompositionTable:
+def subword_compositions(table: NGramTable) -> CompositionTable:
     """Token ``t``'s composition: word row ``t`` with weight ``1 / (1 + n)``,
-    then each distinct n-gram row with weight ``multiplicity / (1 + n)``; the
-    bucket rows follow the ``len(tokens)`` word rows in ``table.inputs``."""
-    parts = []
-    for t, token in enumerate(tokens):
-        buckets = table.bucket_indices(token)
-        rows, counts = distinct_counts(np.searchsorted(table.bucket_ids, buckets))
-        weights = np.concatenate(([1.0], counts)) / (1 + len(buckets))
-        parts.append((np.concatenate(([t], len(tokens) + rows)), weights))
-    return CompositionTable(parts)
+    then each distinct n-gram row with weight ``multiplicity / (1 + n)``, for
+    the ``n`` n-grams of the table's token ``t``; the bucket rows follow the
+    word rows in ``table.inputs``."""
+    size = len(table.counts)
+    span = size + len(table.bucket_ids)  # token t's row r has the key t * span + r
+    keys = np.repeat(np.arange(size) * span + size, table.counts)
+    keys += np.searchsorted(table.bucket_ids, table.buckets)
+    keys, multiplicity = distinct_counts(np.concatenate((np.arange(size) * (span + 1), keys)))
+    tokens, rows = np.divmod(keys, span)
+    weights = multiplicity / (1 + table.counts[tokens])
+    return CompositionTable(rows, weights, np.bincount(tokens, minlength=size))
 
 
 def train_fasttext(
@@ -223,14 +199,14 @@ def train_fasttext(
     encoded = encode_training_corpus(corpus, vocab)
     rng = np.random.default_rng(config.seed)
     w_word = init_input_vectors(rng, len(vocab), config.dimension)
-    tokens = [vocab.token_of(i) for i in range(len(vocab))]
-    table = NGramTable(ngram_config, tokens, rng, config.dimension, words=w_word)
-    compositions = subword_compositions(table, tokens)
+    table = NGramTable(ngram_config, vocab.id_to_token, rng, config.dimension, words=w_word)
+    compositions = subword_compositions(table)
     w_out, epoch_losses = train_negative_sampling(
         encoded, vocab, config, rng, table.inputs, compositions
     )
-    matrix = EmbeddingMatrix(table.inputs[: len(vocab)], w_out, vocab, epoch_losses)
-    matrix.check_finite()
-    if not np.all(np.isfinite(table.rows)):
-        raise NumericalError("n-gram bucket vectors contain non-finite values")
-    return FastTextEmbeddings(matrix, table, compositions)
+    # Every word and kept bucket row weighs in some composition, so a
+    # non-finite row shows in the composed vectors.
+    composed = np.array([weights @ table.inputs[rows] for rows, weights in compositions.parts])
+    model = FastTextEmbeddings(composed, w_out, vocab, epoch_losses, ngrams=table)
+    model.check_finite()
+    return model

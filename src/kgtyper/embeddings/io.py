@@ -24,10 +24,10 @@ class EmbeddingFormatError(DataError):
 
 
 def save_embeddings(model, path) -> None:
-    """Write one vector per vocabulary token, from ``model.vocabulary_vectors()``
-    (plain matrices and subword models alike; subword composition is baked in)."""
+    """Write one vector per vocabulary token, row ``i`` of ``model.input_vectors``
+    for token ``i`` (a subword model's rows are its compositions)."""
     tokens = model.vocabulary.id_to_token
-    vectors = model.vocabulary_vectors()
+    vectors = model.input_vectors
     dimension = vectors.shape[1]
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
@@ -57,7 +57,7 @@ def load_embeddings(path) -> EmbeddingMatrix:
             raise EmbeddingFormatError("non-integer header fields", 1) from None
         if vocab_size < 0 or dimension < 1:
             raise EmbeddingFormatError("header counts out of range", 1)
-        tokens: list[tuple[str, int]] = []
+        first_line: dict[str, int] = {}  # line of each token, in file order
         vectors = np.empty((vocab_size, dimension))
         row = 0
         line_number = 1
@@ -78,12 +78,17 @@ def load_embeddings(path) -> EmbeddingMatrix:
                 vectors[row] = [float(x) for x in fields[1:]]
             except ValueError:
                 raise EmbeddingFormatError("non-numeric component", line_number) from None
-            tokens.append((fields[0], 1))
+            token = fields[0]
+            if token in first_line:
+                raise EmbeddingFormatError(
+                    f"duplicate token {token!r}, first on line {first_line[token]}", line_number
+                )
+            first_line[token] = line_number
             row += 1
         if row != vocab_size:
             raise EmbeddingFormatError(
                 f"header declared {vocab_size} rows but file has {row}",
                 line_number if row else 1,
             )
-    vocab = Vocabulary(tokens, total_tokens=len(tokens))
+    vocab = Vocabulary([(token, 1) for token in first_line], total_tokens=row)
     return EmbeddingMatrix(vectors, np.zeros_like(vectors), vocab)

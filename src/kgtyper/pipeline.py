@@ -77,6 +77,8 @@ class PipelineConfig:
             raise ValueError(f"unknown trainer {self.trainer!r}; choose from {TRAINERS}")
         if self.trainer == "glove":
             check_weighting(self.x_max, self.alpha)
+        elif self.trainer == "fasttext":
+            self.ngram.validate()
         self.embedding.validate()
         self.cnn.validate()
         # One seed drives every seeded component; copies leave the caller's

@@ -12,7 +12,7 @@ from hypothesis import settings
 
 from kgtyper.embeddings import EmbeddingMatrix
 from kgtyper.embeddings.base import distinct_counts, init_input_vectors
-from kgtyper.embeddings.cbow import ns_block
+from kgtyper.embeddings.cbow import CompositionTable, ns_block
 from kgtyper.embeddings.glove import DEFAULT_ALPHA, DEFAULT_X_MAX, entry_block, glove_weight
 from kgtyper.graph import KnowledgeGraph, build_hierarchy
 from kgtyper.ntriples import Iri, Literal, NTriplesError, Triple, parse_ntriples
@@ -135,6 +135,26 @@ def reference_kept_rows(token: str, vocabulary_tokens, config) -> np.ndarray:
     and an n-gram whose bucket no vocabulary token uses is left out."""
     used = sorted({b for t in vocabulary_tokens for b in reference_buckets(t, config)})
     return np.array([used.index(b) for b in reference_buckets(token, config) if b in used], np.intp)
+
+
+def composition_table(parts) -> CompositionTable:
+    """The ``CompositionTable`` of per-token ``(rows, weights)`` pairs."""
+    rows, weights = zip(*parts)
+    counts = np.array([len(r) for r in rows], dtype=np.intp)
+    return CompositionTable(np.concatenate(rows), np.concatenate(weights), counts)
+
+
+def reference_subword_compositions(table, tokens) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each token's ``(rows, weights)`` under an ``NGramTable`` built over
+    ``tokens``, one token at a time: word row ``t`` with weight ``1 / (1 + n)``,
+    then each distinct n-gram row with weight ``multiplicity / (1 + n)``."""
+    parts = []
+    for t, token in enumerate(tokens):
+        buckets = table.bucket_indices(token)
+        rows, counts = distinct_counts(np.searchsorted(table.bucket_ids, buckets))
+        weights = np.concatenate(([1.0], counts)) / (1 + len(buckets))
+        parts.append((np.concatenate(([t], len(tokens) + rows)), weights))
+    return parts
 
 
 def cooccurrence_events(corpus, vocab, window: int):

@@ -22,6 +22,7 @@ from conftest import (
     acceptance_report,
     block_loss_and_grads,
     block_of,
+    composition_table,
     cooccurrence_oracle,
     glove_loss_and_grads,
     numeric_gradient,
@@ -54,7 +55,7 @@ from kgtyper import (
     write_ntriples,
 )
 from kgtyper.cnn import CnnModel
-from kgtyper.embeddings.cbow import CompositionTable, word_compositions
+from kgtyper.embeddings.cbow import word_compositions
 
 # Free knobs of the synthetic experiment, frozen after validating the
 # thresholds with a nearest-centroid oracle (Hits@1 ~ 0.95, Hits@3 = 1.0
@@ -210,7 +211,7 @@ def _check_fasttext_gradients() -> tuple[float, int]:
     # 0, 2, 2, 3 (bucket 2 twice), token 1 the buckets 1, 2, 4.
     inputs = rng.normal(0.0, 0.1, (7, 2))
     w_out = rng.normal(0.0, 0.1, (2, 2))
-    compositions = CompositionTable([
+    compositions = composition_table([
         (np.array([0, 2, 4, 5]), np.array([1.0, 1.0, 2.0, 1.0]) / 5),
         (np.array([1, 3, 4, 6]), np.full(4, 1.0 / 4)),
     ])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     block_loss_and_grads,
     block_of,
     check_block_gradients,
+    composition_table,
     reference_ns_block,
     reference_ns_position_grads,
 )
@@ -24,7 +26,7 @@ from kgtyper.embeddings import (
     train_fasttext,
 )
 from kgtyper.embeddings.base import UnigramSampler, encode_corpus, linear_lr
-from kgtyper.embeddings.cbow import CompositionTable, ns_block, position_table, word_compositions
+from kgtyper.embeddings.cbow import ns_block, position_table, word_compositions
 from kgtyper.embeddings.fasttext import subword_compositions
 from kgtyper.errors import DataError
 
@@ -108,13 +110,19 @@ def mixed_length_corpus():
     ]
 
 
+def trained_rows(model):
+    """A fastText model whose ``input_vectors`` are its trained word rows and,
+    after them, its bucket rows."""
+    return replace(model, input_vectors=model.ngrams.inputs)
+
+
 @pytest.mark.parametrize(
     "train",
     [
         lambda corpus, vocab, config: train_cbow(corpus, vocab, config),
-        lambda corpus, vocab, config: train_fasttext(
-            corpus, vocab, config, NGramConfig(2, 4, 53)
-        ).matrix,
+        lambda corpus, vocab, config: trained_rows(
+            train_fasttext(corpus, vocab, config, NGramConfig(2, 4, 53))
+        ),
     ],
     ids=["cbow", "fasttext"],
 )
@@ -284,7 +292,7 @@ def test_block_step_equals_sum_over_positions(kind):
         table = NGramTable(NGramConfig(1, 3, 11), BLOCK_TOKENS, rng, dim, words=words)
         inputs = table.inputs
         inputs[size:] = rng.normal(0.0, 0.5, size=table.rows.shape)
-        compositions = subword_compositions(table, BLOCK_TOKENS)
+        compositions = subword_compositions(table)
         token_rows = [
             [t, *(size + np.searchsorted(table.bucket_ids, table.bucket_indices(token)))]
             for t, token in enumerate(BLOCK_TOKENS)
@@ -337,7 +345,7 @@ def exact_case(kind: str, rng: np.random.Generator, dim: int):
             (np.array([5]), np.array([2.0])),
             (np.array([1]), np.ones(1)),
         ]
-        compositions = CompositionTable(parts)
+        compositions = composition_table(parts)
         assert compositions.single.tolist() == [False, False, False, True, False, False]
         return words, compositions, parts
     table = NGramTable(NGramConfig(3, 4, 11), EXACT_TOKENS, rng, dim, words=words)
@@ -349,7 +357,16 @@ def exact_case(kind: str, rng: np.random.Generator, dim: int):
         weights = np.concatenate(([1.0], counts)) / (1 + len(buckets))
         parts.append((np.concatenate(([t], size + rows)), weights))
     assert parts[0][1].max() > parts[0][1][0] and len(parts[3][0]) == 1
-    return table.inputs, subword_compositions(table, EXACT_TOKENS), parts
+    return table.inputs, subword_compositions(table), parts
+
+
+@pytest.mark.parametrize("count", [1, 6])
+def test_word_compositions_are_one_owned_row_each(count):
+    compositions = word_compositions(count)
+    assert compositions.single.tolist() == [True] * count
+    assert np.array_equal(compositions.first_row, np.arange(count))
+    for t, (rows, weights) in enumerate(compositions.parts):
+        assert rows.tolist() == [t] and weights.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("kind", ["word", "subword", "hand-built"])

@@ -544,6 +544,31 @@ def test_unparseable_environment_value_is_usage_error(capsys, monkeypatch):
     assert "KGTYPER_DIM" in err
 
 
+@pytest.mark.parametrize(
+    "variable,value,command,expected",
+    [
+        ("KGTYPER_DIM", "abc", "synth", 0),
+        ("KGTYPER_RESUME", "maybe", "synth", 0),
+        ("KGTYPER_RESUME", "maybe", "pipeline", 1),
+    ],
+)
+def test_unparseable_environment_value_stops_only_its_subcommands(
+    capsys, workspace, tmp_path, monkeypatch, variable, value, command, expected
+):
+    monkeypatch.setenv(variable, value)
+    out_dir = tmp_path / "out"
+    argv = {
+        "synth": [
+            "synth", "--out-dir", str(out_dir), "--num-classes", "2", "--entities-per-class", "2",
+        ],
+        "pipeline": ["pipeline", "--in", str(workspace["kg"]), "--out-dir", str(out_dir)],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == expected
+    assert (variable in err) == (expected == 1)
+    assert out_dir.exists() == (expected == 0)
+
+
 def test_seed_changes_vectors(capsys, workspace, tmp_path):
     paths = []
     for seed in ("3", "4"):
@@ -582,6 +607,22 @@ def test_bad_glove_weighting_exits_one_before_training(capsys, workspace, tmp_pa
     assert code == 1
     assert option[0].lstrip("-").replace("-", "_") in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["train-embeddings", "pipeline"])
+def test_bad_ngram_config_exits_one_before_any_stage(capsys, workspace, tmp_path, command):
+    out = tmp_path / "out"
+    argv = {
+        "train-embeddings": [
+            "train-embeddings", "--in", str(workspace["corpus"]), "--out", str(out),
+            "--dim", "6", "--epochs", "1",
+        ],
+        "pipeline": ["pipeline", "--in", str(workspace["kg"]), "--out-dir", str(out)],
+    }[command]
+    code, _, err = run(capsys, *argv, "--trainer", "fasttext", "--n-min", "0")
+    assert code == 1
+    assert "n_min" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

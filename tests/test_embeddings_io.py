@@ -20,7 +20,7 @@ from kgtyper.errors import NumericalError
 
 
 class DictModel:
-    """Minimal save_embeddings source: vocabulary, vector_of and vocabulary_vectors."""
+    """Minimal save_embeddings source: vocabulary, vector_of and input_vectors."""
 
     def __init__(self, vectors: dict[str, list[float]]):
         self.store = FixedVectors(vectors)
@@ -29,7 +29,8 @@ class DictModel:
     def vector_of(self, token: str) -> np.ndarray:
         return self.store.vector_of(token)
 
-    def vocabulary_vectors(self) -> np.ndarray:
+    @property
+    def input_vectors(self) -> np.ndarray:
         return np.array([self.vector_of(token) for token in self.vocabulary.id_to_token])
 
 
@@ -104,7 +105,7 @@ def test_subword_composition_is_baked_into_saved_vectors(tmp_path):
     for token in vocab.id_to_token:
         assert np.abs(loaded.vector_of(token) - model.vector_of(token)).max() <= 1e-6
         # The composed vector, not the raw word row, is what persists.
-        raw = model.matrix.input_vectors[vocab.id_of(token)]
+        raw = model.ngrams.inputs[vocab.id_of(token)]
         assert not np.allclose(loaded.vector_of(token), raw)
 
 
@@ -156,3 +157,12 @@ def test_header_row_count_mismatch_message(tmp_path):
     with pytest.raises(EmbeddingFormatError) as excinfo:
         load_embeddings(path)
     assert "declared 3" in str(excinfo.value)
+
+
+def test_repeated_token_names_its_line_and_first_line(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_text("3 1\na 1\nb 2\n\na 3\n")
+    with pytest.raises(EmbeddingFormatError) as excinfo:
+        load_embeddings(path)
+    assert excinfo.value.line_number == 5
+    assert str(excinfo.value) == "line 5: duplicate token 'a', first on line 2"

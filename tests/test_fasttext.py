@@ -6,20 +6,20 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import (
-    block_of, check_block_gradients, reference_buckets, reference_fnv1a_32, reference_kept_rows,
-    reference_ngrams,
+    block_of, check_block_gradients, composition_table, reference_buckets, reference_fnv1a_32,
+    reference_kept_rows, reference_ngrams, reference_subword_compositions,
 )
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import kgtyper
 from kgtyper.corpus import Vocabulary, build_vocabulary
 from kgtyper.embeddings import (
-    EmbeddingMatrix,
     FastTextEmbeddings,
     NGramConfig,
     NGramTable,
@@ -28,7 +28,7 @@ from kgtyper.embeddings import (
     train_fasttext,
 )
 from kgtyper.embeddings.base import init_input_vectors
-from kgtyper.embeddings.cbow import CompositionTable, encode_training_corpus, train_negative_sampling
+from kgtyper.embeddings.cbow import encode_training_corpus, train_negative_sampling
 from kgtyper.embeddings.fasttext import ngram_buckets, subword_compositions
 from kgtyper.errors import DataError
 
@@ -128,7 +128,7 @@ def test_in_vocabulary_vector_is_word_plus_bucket_mean():
     _, vocab, model = trained_model()
     token = vocab.token_of(0)
     rows = reference_kept_rows(token, vocab.id_to_token, SMALL_NGRAMS)
-    word = model.matrix.input_vectors[0]
+    word = model.ngrams.inputs[0]
     expected = (word + model.ngrams.rows[rows].sum(axis=0)) / (1 + len(rows))
     assert np.allclose(model.vector_of(token), expected, rtol=0, atol=1e-12)
     # Composition genuinely differs from the raw word row.
@@ -136,19 +136,20 @@ def test_in_vocabulary_vector_is_word_plus_bucket_mean():
 
 
 def test_batched_export_sums_each_occurrence_in_order():
-    """The export composes each token from the run's own compositions, one
-    ``weights @ inputs[rows]`` per token, with a repeated n-gram's row
-    weighted once per occurrence."""
+    """A token's composition from ``subword_compositions``, one
+    ``weights @ inputs[rows]`` as the trainer forms its export, weights a
+    repeated n-gram's row once per occurrence, and a model over those
+    vectors serves them."""
     config = NGramConfig(n_min=3, n_max=6, bucket_count=101)
     tokens = ["aaaa", "", "ab", *(f"http://example.org/entity/e{i}" for i in range(20))]
     vocab = Vocabulary([(token, 1) for token in tokens], total_tokens=len(tokens))
     rng = np.random.default_rng(3)
     table = NGramTable(config, tokens, rng, 5, words=np.zeros((len(tokens), 5)))
     table.inputs[:] = rng.normal(size=table.inputs.shape)
-    words = table.inputs[: len(tokens)]
-    matrix = EmbeddingMatrix(words, np.zeros_like(words), vocab)
-    model = FastTextEmbeddings(matrix, table, subword_compositions(table, tokens))
-    exported = model.vocabulary_vectors()
+    exported = np.array(
+        [weights @ table.inputs[rows] for rows, weights in subword_compositions(table).parts]
+    )
+    model = FastTextEmbeddings(exported, np.zeros_like(exported), vocab, ngrams=table)
     for t, token in enumerate(tokens):
         rows, counts = np.unique(reference_kept_rows(token, tokens, config), return_counts=True)
         weights = np.concatenate(([1.0], counts)) / (1 + counts.sum())
@@ -222,7 +223,38 @@ def test_gradient_check_word_buckets_and_output():
     w_out = rng.normal(0.0, 0.4, size=(2, 2))
     # Position 1 draws its own center as a negative, which is masked out.
     block = block_of([(0, np.array([1]), np.array([1, 1])), (1, np.array([0, 0]), np.array([1, 0]))])
-    check_block_gradients(inputs, w_out, subword_compositions(table, ["ab", "cd"]), block)
+    check_block_gradients(inputs, w_out, subword_compositions(table), block)
+
+
+COMPOSITION_TOKENS = ["aaaa", "aaaaa", "http://x/", "a", "ab", "日本語", "http://e.org/ü€𝄞"]
+
+
+# "aaaa" and "aaaaa" repeat an n-gram; "http://x/" has an empty local name,
+# and "a" no n-gram once n_min exceeds 3.
+@example(tokens=COMPOSITION_TOKENS, n_min=3, extra=3, bucket_count=2_000_000)
+@example(tokens=COMPOSITION_TOKENS, n_min=4, extra=1, bucket_count=3)
+@given(
+    tokens=st.lists(
+        st.sampled_from(COMPOSITION_TOKENS)
+        | st.text(st.characters(exclude_categories=("Cs",)), max_size=10),
+        min_size=1, max_size=8, unique=True,
+    ),
+    n_min=st.integers(1, 5),
+    extra=st.integers(0, 3),
+    bucket_count=st.sampled_from([3, 101, 2_000_000]),
+)
+def test_array_compositions_equal_per_token_reference(tokens, n_min, extra, bucket_count):
+    config = NGramConfig(n_min, n_min + extra, bucket_count)
+    table = NGramTable(config, tokens, np.random.default_rng(0), 2, words=np.zeros((len(tokens), 2)))
+    compositions = subword_compositions(table)
+    parts = reference_subword_compositions(table, tokens)
+    assert len(compositions.parts) == len(parts)
+    for (rows, weights), (ref_rows, ref_weights) in zip(compositions.parts, parts):
+        assert rows.tolist() == ref_rows.tolist() and weights.tolist() == ref_weights.tolist()
+    uses = Counter(row for rows, _ in parts for row in rows.tolist())
+    single = [len(rows) == 1 and w[0] == 1.0 and uses[rows[0]] == 1 for rows, w in parts]
+    assert compositions.single.tolist() == single
+    assert compositions.first_row.tolist() == [rows[0] for rows, _ in parts]
 
 
 def reference_fasttext(corpus, vocab, config, ngram_config):
@@ -240,7 +272,7 @@ def reference_fasttext(corpus, vocab, config, ngram_config):
         weights = np.concatenate(([1.0], counts)) / (1 + len(ids))
         parts.append((np.concatenate(([i], len(vocab) + rows)), weights))
     w_out, epoch_losses = train_negative_sampling(
-        encoded, vocab, config, rng, inputs, CompositionTable(parts)
+        encoded, vocab, config, rng, inputs, composition_table(parts)
     )
     exported = np.array([weights @ inputs[rows] for rows, weights in parts])
     return inputs[: len(vocab)], inputs[len(vocab) :], w_out, epoch_losses, used, exported
@@ -256,11 +288,11 @@ def test_kept_rows_match_reference_trainer_exactly(seed):
         corpus, vocab, config, SMALL_NGRAMS
     )
     assert np.array_equal(model.ngrams.bucket_ids, used)
-    assert np.array_equal(model.matrix.input_vectors, w_word)
+    assert np.array_equal(model.ngrams.inputs[: len(vocab)], w_word)
     assert np.array_equal(model.ngrams.rows, rows)
-    assert np.array_equal(model.matrix.output_vectors, w_out)
+    assert np.array_equal(model.output_vectors, w_out)
     assert model.epoch_losses == epoch_losses
-    assert np.array_equal(model.vocabulary_vectors(), exported)
+    assert np.array_equal(model.input_vectors, exported)
     for i in range(len(vocab)):
         assert np.array_equal(model.vector_of(vocab.token_of(i)), exported[i])
 
@@ -321,7 +353,8 @@ def test_epoch_loss_decreases_over_training():
 def test_same_seed_is_bitwise_identical():
     _, _, first = trained_model(seed=7)
     _, _, second = trained_model(seed=7)
-    assert np.array_equal(first.matrix.input_vectors, second.matrix.input_vectors)
+    words = slice(len(first.vocabulary))
+    assert np.array_equal(first.ngrams.inputs[words], second.ngrams.inputs[words])
     assert np.array_equal(first.ngrams.rows, second.ngrams.rows)
     assert first.epoch_losses == second.epoch_losses
 
@@ -329,7 +362,8 @@ def test_same_seed_is_bitwise_identical():
 def test_different_seeds_differ():
     _, _, first = trained_model(seed=1)
     _, _, second = trained_model(seed=2)
-    assert not np.array_equal(first.matrix.input_vectors, second.matrix.input_vectors)
+    words = slice(len(first.vocabulary))
+    assert not np.array_equal(first.ngrams.inputs[words], second.ngrams.inputs[words])
 
 
 def test_empty_corpus_rejected():
