@@ -16,7 +16,6 @@ import numpy as np
 from kgtyper import (
     RDF_TYPE,
     KnowledgeGraph,
-    NGramConfig,
     TrainingConfig,
     build_cooccurrence,
     build_vocabulary,
@@ -44,7 +43,12 @@ for line in gold_lines:
     gold[entity] = class_iri
 entities = sorted(gold)
 
-config = TrainingConfig(dimension=16, window=2, epochs=20, initial_learning_rate=0.1, seed=1)
+# One config serves all three trainers; each reads the settings of its own
+# method (the n-gram sizes and hash buckets are fastText's alone).
+config = TrainingConfig(
+    dimension=16, window=2, epochs=20, initial_learning_rate=0.1, seed=1,
+    n_min=3, n_max=6, bucket_count=5000,
+)
 
 
 def class_separation(model) -> tuple[float, float]:
@@ -58,7 +62,7 @@ def class_separation(model) -> tuple[float, float]:
 
 
 cbow = train_cbow(corpus, vocab, config)
-fasttext = train_fasttext(corpus, vocab, config, NGramConfig(n_min=3, n_max=6, bucket_count=5000))
+fasttext = train_fasttext(corpus, vocab, config)
 matrix = build_cooccurrence(corpus, vocab, window=2)
 glove = train_glove(matrix, vocab, config)
 

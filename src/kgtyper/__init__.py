@@ -15,7 +15,6 @@ from .embeddings import (
     CooccurrenceMatrix,
     EmbeddingMatrix,
     FastTextEmbeddings,
-    NGramConfig,
     TrainingConfig,
     build_cooccurrence,
     load_embeddings,
@@ -81,7 +80,6 @@ __all__ = [
     "KnowledgeGraph",
     "LabeledDataset",
     "Literal",
-    "NGramConfig",
     "NTriplesError",
     "NumericalError",
     "OWL_THING",

@@ -9,11 +9,14 @@ wrong), ``predict`` exits 2 with a message that names the entity.
 
 Every flag with a long name can be overridden by an environment variable
 ``KGTYPER_<NAME>`` (dashes become underscores, e.g. ``KGTYPER_DIM=200``).
-Precedence: explicit flag, then environment, then built-in default. A
-repeatable option (``--root``, ``--entity``) takes a whitespace-separated
-list from the environment, which its flags replace. ``KGTYPER_EPOCHS`` and
-``KGTYPER_LR`` set both ``train-embeddings`` and ``train-classifier``;
-``pipeline``'s classifier reads ``KGTYPER_CNN_EPOCHS`` and ``KGTYPER_CNN_LR``.
+Precedence: explicit flag, then environment, then built-in default, settled
+once after parsing, so a flag also wins over an environment value that could
+not be read; such a value is a usage error that names its variable, for the
+subcommands that have the option. A repeatable option (``--root``,
+``--entity``) takes a whitespace-separated list from the environment, which
+its flags replace. ``KGTYPER_EPOCHS`` and ``KGTYPER_LR`` set both
+``train-embeddings`` and ``train-classifier``; ``pipeline``'s classifier
+reads ``KGTYPER_CNN_EPOCHS`` and ``KGTYPER_CNN_LR``.
 ``KGTYPER_TRAINER`` sets the trainer of ``train-embeddings`` and ``pipeline``
 (``train-embeddings`` also takes ``--model`` as a second spelling of
 ``--trainer``), and ``KGTYPER_MODEL`` only ``predict``'s model path.
@@ -21,8 +24,10 @@ list from the environment, which its flags replace. ``KGTYPER_EPOCHS`` and
 ``--negative`` is read only by the word2vec and fasttext trainers,
 ``--n-min``, ``--n-max`` and ``--buckets`` only by fasttext, ``--x-max`` and
 ``--alpha`` only by glove. Given on the command line with another trainer,
-they are a usage error rather than a silent no-op; set through the
-environment, they stay defaults that other trainers ignore.
+they are a usage error rather than a silent no-op. Set through the
+environment, a valid value stays a default that other trainers ignore; an
+invalid one (``KGTYPER_N_MIN=0``) is refused whichever trainer runs, as
+every setting of ``TrainingConfig`` is checked.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 numerical
 failure.
@@ -39,7 +44,7 @@ from pathlib import Path
 
 from .cnn import CnnConfig, CnnModel, train_cnn
 from .corpus import read_corpus
-from .embeddings import NGramConfig, TrainingConfig, load_embeddings
+from .embeddings import TrainingConfig, load_embeddings
 from .errors import DataError, KgTyperError, NumericalError, StageError
 from .evaluation import external_overlap, read_label_map, read_labels, read_rankings, write_rankings
 from .ntriples import write_ntriples
@@ -77,11 +82,11 @@ _OPTIONS = {
         ("--negative", TrainingConfig, "negative_samples", "negative samples per position",
          "word2vec", "fasttext"),
         ("--min-count", PipelineConfig, "min_count", "vocabulary frequency floor"),
-        ("--n-min", NGramConfig, "n_min", "shortest character n-gram", "fasttext"),
-        ("--n-max", NGramConfig, "n_max", "longest character n-gram", "fasttext"),
-        ("--buckets", NGramConfig, "bucket_count", "n-gram hash buckets", "fasttext"),
-        ("--x-max", PipelineConfig, "x_max", "co-occurrence weight cap", "glove"),
-        ("--alpha", PipelineConfig, "alpha", "co-occurrence weight exponent", "glove"),
+        ("--n-min", TrainingConfig, "n_min", "shortest character n-gram", "fasttext"),
+        ("--n-max", TrainingConfig, "n_max", "longest character n-gram", "fasttext"),
+        ("--buckets", TrainingConfig, "bucket_count", "n-gram hash buckets", "fasttext"),
+        ("--x-max", TrainingConfig, "x_max", "co-occurrence weight cap", "glove"),
+        ("--alpha", TrainingConfig, "alpha", "co-occurrence weight exponent", "glove"),
     ),
     "classifier": (
         ("--epochs", CnnConfig, "epochs", "training epochs"),
@@ -91,39 +96,71 @@ _OPTIONS = {
     ),
 }
 
-# Options that only some embedding trainers read, with those trainers.
-_TRAINER_ONLY = {row[0]: row[4:] for row in _OPTIONS["embedding"] if row[4:]}
+# Options that only some embedding trainers read, by destination: the flag
+# and those trainers.
+_TRAINER_ONLY = {
+    f"{owner.__name__}.{name}": (flag, trainers)
+    for flag, owner, name, _, *trainers in _OPTIONS["embedding"] if trainers
+}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage by default; the contract here is 1."""
+    """argparse exits 2 on bad usage by default; the contract here is 1.
+
+    An option added by ``_opt`` takes its value from the command line, else
+    from its environment variable, else from its default, all settled in one
+    pass after parsing; ``given`` on the result names the destinations that
+    the command line set.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.settings = []  # (action, environment variable, default) per ``_opt`` option
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse calls this for the chosen subcommand's parser too, and
+        # copies the subcommand's namespace into the top level's.
+        namespace, extras = super().parse_known_args(args, namespace)
+        given = {action.dest for action, _, _ in self.settings if hasattr(namespace, action.dest)}
+        for action, env_name, default in self.settings:
+            if action.dest in given:
+                continue
+            raw = os.environ.get(env_name)
+            if raw is not None:  # of two options on one destination, the later wins
+                setattr(namespace, action.dest, _environment_value(action, env_name, raw))
+            elif not hasattr(namespace, action.dest):
+                setattr(namespace, action.dest, default)
+        namespace.given = getattr(namespace, "given", set()) | given
+        return namespace, extras
 
-class _Given(argparse.Action):
-    """Store the value and note that the flag was given on the command line."""
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        given = getattr(namespace, "given_flags", set())
-        namespace.given_flags = given | {self.option_strings[0]}
-
-
-class _Replacing(argparse.Action):
-    """Append, except that the first flag replaces the environment's list."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, self.dest)
-        setattr(namespace, self.dest, ([] if items is self.default else items) + [values])
+def _environment_value(action, env_name: str, raw: str):
+    """``raw`` read as the argument of ``action``'s flag: a boolean for a
+    switch, a whitespace-separated list for a repeatable option."""
+    try:
+        if action.nargs == 0:  # store_true or store_false
+            lowered = raw.strip().lower()
+            if lowered not in _TRUE_WORDS | _FALSE_WORDS:
+                raise ValueError("expected a boolean")
+            # A true value turns the flag on, which clears a store_false dest.
+            return (lowered in _TRUE_WORDS) == action.const
+        if isinstance(action, argparse._AppendAction):
+            return raw.split()  # an IRI holds no whitespace, but ':' appears in most
+        value = (action.type or str)(raw)
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"not one of {', '.join(action.choices)}")
+        return value
+    except ValueError as exc:
+        raise ValueError(f"{env_name}: cannot use {raw!r}: {exc}") from None
 
 
 def _reject_other_trainer_flags(args, trainer: str) -> None:
     """A flag that the chosen trainer ignores is a usage error, not a no-op."""
-    for flag in sorted(getattr(args, "given_flags", ())):
-        owners = _TRAINER_ONLY[flag]
+    for flag, owners in sorted(_TRAINER_ONLY[dest] for dest in args.given & _TRAINER_ONLY.keys()):
         if trainer not in owners:
             owner = " and ".join(owners)
             raise ValueError(f"{flag} applies only to the {owner} trainer, not {trainer}")
@@ -133,38 +170,17 @@ def _name(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_").upper()
 
 
-def _opt(parser, flag: str, *aliases: str, **kwargs) -> None:
-    """add_argument with the default overridable from the environment
-    variable named after ``flag``, not after its ``aliases``."""
+def _opt(parser, flag: str, *aliases: str, group=None, **kwargs) -> None:
+    """add_argument (to ``group`` of ``parser`` if given), registered with the
+    environment variable named after ``flag``, not after its ``aliases``,
+    and with its default."""
+    action = (group or parser).add_argument(flag, *aliases, **kwargs)
     env_name = ENV_PREFIX + _name(flag)
     raw = os.environ.get(env_name)
-    if raw is None:
-        parser.add_argument(flag, *aliases, **kwargs)
-        return
-    kind = kwargs.get("action")
-    try:
-        if kind in ("store_true", "store_false"):
-            lowered = raw.strip().lower()
-            if lowered not in _TRUE_WORDS | _FALSE_WORDS:
-                raise ValueError("expected a boolean")
-            # A true value turns the flag on, which clears a store_false dest.
-            value = (lowered in _TRUE_WORDS) == (kind == "store_true")
-        elif kind == "append":
-            value = raw.split()  # an IRI holds no whitespace, but ':' appears in most
-            kwargs["action"] = _Replacing
-        else:
-            value = kwargs.get("type", str)(raw)
-            if "choices" in kwargs and value not in kwargs["choices"]:
-                raise ValueError(f"not one of {', '.join(kwargs['choices'])}")
-    except ValueError as exc:
-        # Refused only if this subcommand runs, so that it does not break
-        # the subcommands that lack the option.
-        parser.set_defaults(env_error=f"{env_name}: cannot use {raw!r}: {exc}")
-        value = kwargs.get("default")
-    if value != []:  # an empty list leaves a required option required
-        kwargs.pop("required", None)
-    action = parser.add_argument(flag, *aliases, **kwargs)
-    parser.set_defaults(**{action.dest: value})
+    if raw is not None and (raw.split() or not isinstance(action, argparse._AppendAction)):
+        action.required = False  # the environment gives a value
+    parser.settings.append((action, env_name, action.default))
+    action.default = argparse.SUPPRESS  # an option left unset stays off the namespace
 
 
 def _add_options(parser, section: str, renamed=None, help_prefix: str = "") -> None:
@@ -173,12 +189,11 @@ def _add_options(parser, section: str, renamed=None, help_prefix: str = "") -> N
     for flag, owner, name, text, *trainers in _OPTIONS[section]:
         flag = (renamed or {}).get(flag, flag)
         default = getattr(owner, name)
-        extra = {"action": _Given} if trainers else {}
         if trainers:
             text += f" ({' and '.join(trainers)} only)"
         _opt(
             parser, flag, dest=f"{owner.__name__}.{name}", metavar=_name(flag),
-            type=type(default), default=default, help=help_prefix + text, **extra,
+            type=type(default), default=default, help=help_prefix + text,
         )
 
 
@@ -242,7 +257,7 @@ def _cmd_train_embeddings(args) -> int:
     config = TrainingConfig(**_fields(args, TrainingConfig), seed=args.seed)
     model = train_embeddings(
         args.trainer, read_corpus(args.infile), args.out, embedding=config,
-        ngram=NGramConfig(**_fields(args, NGramConfig)), **_fields(args, PipelineConfig),
+        **_fields(args, PipelineConfig),
     )
     print(f"saved\t{len(model.vocabulary)}\tvectors\tdim\t{config.dimension}\t{args.out}")
     return EXIT_OK
@@ -304,13 +319,6 @@ def _parse_metric_names(raw: str) -> list[str]:
     names = [token.strip() for token in raw.split(",") if token.strip()]
     if not names:
         raise ValueError("--metrics must name at least one metric")
-    for name in names:
-        if name != "accuracy" and not name.startswith("hits@"):
-            raise ValueError(f"unknown metric {name!r}")
-        if name.startswith("hits@"):
-            k = name[len("hits@") :]
-            if not k.isdigit() or int(k) < 1:
-                raise ValueError(f"unknown metric {name!r}")
     return names
 
 
@@ -358,7 +366,7 @@ def _cmd_pipeline(args) -> int:
         input_nt=args.infile, out_dir=args.out_dir, trainer=args.trainer, roots=_roots(args),
         strict=args.strict, hold_out_type_triples=not args.keep_type_triples,
         embedding=TrainingConfig(**_fields(args, TrainingConfig)),
-        ngram=NGramConfig(**_fields(args, NGramConfig)), cnn=CnnConfig(**_fields(args, CnnConfig)),
+        cnn=CnnConfig(**_fields(args, CnnConfig)),
         seed=args.seed, resume=args.resume, **_fields(args, PipelineConfig),
     )
     result = run_pipeline(config)
@@ -378,11 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode = parser.add_mutually_exclusive_group()
     _opt(
-        mode, "--strict", action="store_true", default=PipelineConfig.strict,
+        parser, "--strict", group=mode, action="store_true", default=PipelineConfig.strict,
         help="fail on the first malformed input line (default)",
     )
     _opt(
-        mode, "--lenient", dest="strict", action="store_false",
+        parser, "--lenient", group=mode, dest="strict", action="store_false",
         help="skip malformed input lines with a warning",
     )
     _opt(parser, "--verbose", action="store_true", default=False, help="log progress to stderr")
@@ -478,8 +486,6 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        if getattr(args, "env_error", None):
-            raise ValueError(args.env_error)
     except SystemExit as exc:  # argparse printed usage or help already
         return int(exc.code or 0)
     except ValueError as exc:

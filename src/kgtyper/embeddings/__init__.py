@@ -4,7 +4,7 @@ default and share the text persistence format in :mod:`.io`."""
 
 from .base import EmbeddingMatrix, TokenNotFoundError, TrainingConfig
 from .cbow import train_cbow
-from .fasttext import FastTextEmbeddings, NGramConfig, NGramTable, train_fasttext
+from .fasttext import FastTextEmbeddings, NGramTable, train_fasttext
 from .glove import CooccurrenceMatrix, build_cooccurrence, glove_weight, train_glove
 from .io import load_embeddings, save_embeddings
 
@@ -12,7 +12,6 @@ __all__ = [
     "CooccurrenceMatrix",
     "EmbeddingMatrix",
     "FastTextEmbeddings",
-    "NGramConfig",
     "NGramTable",
     "TokenNotFoundError",
     "TrainingConfig",

@@ -25,11 +25,14 @@ NEGATIVE_POWER = 0.75
 
 @dataclass
 class TrainingConfig:
-    """Hyperparameters shared by all trainers.
+    """Hyperparameters of every trainer.
 
     The vector dimension is the headline setting; the rest are standard
     defaults for the underlying methods (a 3-token sentence is fully
-    covered by window 2).
+    covered by window 2). ``negative_samples`` is read only by CBOW and
+    fastText, the n-gram sizes and ``bucket_count`` only by fastText, and
+    the weighting cap ``x_max`` and exponent ``alpha`` only by GloVe;
+    ``validate`` checks every field whichever trainer runs.
     """
 
     dimension: int = 100
@@ -38,6 +41,11 @@ class TrainingConfig:
     initial_learning_rate: float = 0.05
     negative_samples: int = 5
     seed: int = 1
+    n_min: int = 3
+    n_max: int = 6
+    bucket_count: int = 2_000_000
+    x_max: float = 100.0
+    alpha: float = 0.75
 
     def validate(self) -> None:
         if self.dimension < 1:
@@ -50,6 +58,14 @@ class TrainingConfig:
             raise ValueError("initial_learning_rate must be finite and > 0")
         if self.negative_samples < 1:
             raise ValueError("negative_samples must be >= 1")
+        if not 1 <= self.n_min <= self.n_max:
+            raise ValueError("need 1 <= n_min <= n_max")
+        if self.bucket_count < 1:
+            raise ValueError("bucket_count must be >= 1")
+        if not (math.isfinite(self.x_max) and self.x_max > 0):
+            raise ValueError(f"x_max must be finite and > 0, got {self.x_max}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
 class TokenNotFoundError(DataError):
@@ -103,8 +119,8 @@ def init_input_vectors(
 class UnigramSampler:
     """Negative sampler over the vocabulary's unigram^(3/4) distribution."""
 
-    def __init__(self, vocab: Vocabulary, power: float = NEGATIVE_POWER):
-        weights = np.asarray(vocab.frequency, dtype=np.float64) ** power
+    def __init__(self, vocab: Vocabulary):
+        weights = np.asarray(vocab.frequency, dtype=np.float64) ** NEGATIVE_POWER
         total = weights.sum()
         if total <= 0:
             raise DataError("cannot build negative sampler over empty vocabulary")

@@ -8,10 +8,11 @@ contributes "<ab", "abc", "bc>". A URI has no reliable word boundaries,
 and the local name is the nearest thing it has to a word (Bojanowski et
 al. 2017, arXiv 1607.04606, define subwords over words); over the whole
 IRI, the n-grams of a shared scheme, host and path swamp each token's
-own. N-grams are hashed into ``bucket_count`` buckets with FNV-1a over
-their UTF-8 bytes (``ngram_buckets``, on arrays), which keeps the mapping
-stable across runs and gives unseen tokens a vector made purely of their
-n-gram buckets.
+own. N-grams of ``n_min`` to ``n_max`` code points are hashed into
+``bucket_count`` buckets, all three fields of the ``TrainingConfig``, with
+FNV-1a over their UTF-8 bytes (``ngram_buckets``, on arrays), which keeps
+the mapping stable across runs and gives unseen tokens a vector made
+purely of their n-gram buckets.
 
 The bucket table holds a row only for the buckets the vocabulary's
 n-grams hash into, drawn in one call right after the word rows; only
@@ -49,26 +50,14 @@ _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
 
 
-@dataclass
-class NGramConfig:
-    n_min: int = 3
-    n_max: int = 6
-    bucket_count: int = 2_000_000
-
-    def validate(self) -> None:
-        if not 1 <= self.n_min <= self.n_max:
-            raise ValueError("need 1 <= n_min <= n_max")
-        if self.bucket_count < 1:
-            raise ValueError("bucket_count must be >= 1")
-
-
-def ngram_buckets(tokens: Sequence[str], config: NGramConfig) -> tuple[np.ndarray, np.ndarray]:
+def ngram_buckets(tokens: Sequence[str], config: TrainingConfig) -> tuple[np.ndarray, np.ndarray]:
     """The bucket of every n-gram of ``tokens``, and the number of n-grams per token.
 
-    A token's n-grams are the substrings of ``f"<{name}>"`` by size, then
-    start, duplicates kept, where ``name`` is the text after the token's last
-    ``/`` or ``#``; a bucket is the FNV-1a hash of the UTF-8 bytes modulo
-    ``bucket_count`` (a lone surrogate raises ``UnicodeEncodeError``).
+    A token's n-grams are the substrings of ``f"<{name}>"`` of sizes
+    ``config.n_min`` to ``config.n_max``, by size, then start, duplicates
+    kept, where ``name`` is the text after the token's last ``/`` or ``#``;
+    a bucket is the FNV-1a hash of the UTF-8 bytes modulo
+    ``config.bucket_count`` (a lone surrogate raises ``UnicodeEncodeError``).
     The hashes from all start positions grow by one code point at a time,
     byte by byte; those of n-grams that cross a token boundary go unread.
     """
@@ -102,18 +91,17 @@ class NGramTable:
     """Bucket vectors for the n-grams of a vocabulary, plus the deterministic hash.
 
     ``buckets`` and ``counts`` are ``ngram_buckets`` of the given tokens, and
-    ``rows[i]`` is the trainable vector of bucket ``bucket_ids[i]``. It is a
-    view of ``inputs``, which holds the given ``words`` rows first, so a
-    trainer can update word and bucket rows as one array. The constructor
-    draws every row from ``rng`` in one call.
+    ``rows[i]`` is the trainable vector of bucket ``bucket_ids[i]``, of
+    ``config.dimension``. It is a view of ``inputs``, which holds the given
+    ``words`` rows first, so a trainer can update word and bucket rows as
+    one array. The constructor draws every row from ``rng`` in one call.
     """
 
     def __init__(
         self,
-        config: NGramConfig,
+        config: TrainingConfig,
         tokens: Sequence[str],
         rng: np.random.Generator,
-        dimension: int,
         words: np.ndarray | None = None,
     ):
         config.validate()
@@ -121,8 +109,8 @@ class NGramTable:
         self.buckets, self.counts = ngram_buckets(tokens, config)
         self._cache = dict(zip(tokens, np.split(self.buckets, np.cumsum(self.counts)[:-1])))
         self.bucket_ids, _ = distinct_counts(self.buckets)
-        words = np.empty((0, dimension)) if words is None else words
-        rows = init_input_vectors(rng, len(self.bucket_ids), dimension)
+        words = np.empty((0, config.dimension)) if words is None else words
+        rows = init_input_vectors(rng, len(self.bucket_ids), config.dimension)
         self.inputs = np.concatenate((words, rows))
         self.rows = self.inputs[len(words) :]
 
@@ -183,23 +171,19 @@ def subword_compositions(table: NGramTable) -> CompositionTable:
 
 
 def train_fasttext(
-    corpus: Iterable[Sentence],
-    vocab: Vocabulary,
-    config: TrainingConfig,
-    ngram_config: NGramConfig | None = None,
+    corpus: Iterable[Sentence], vocab: Vocabulary, config: TrainingConfig
 ) -> FastTextEmbeddings:
-    """Same objective and schedule as the CBOW trainer, with composed inputs.
+    """Same objective and schedule as the CBOW trainer, with composed inputs
+    over the n-grams and buckets that ``config`` sets.
 
     Gradients on a composed context vector distribute to the word vector
     and every constituent bucket vector, scaled by the composition mean.
     """
     config.validate()
-    ngram_config = ngram_config or NGramConfig()
-    ngram_config.validate()
     encoded = encode_training_corpus(corpus, vocab)
     rng = np.random.default_rng(config.seed)
     w_word = init_input_vectors(rng, len(vocab), config.dimension)
-    table = NGramTable(ngram_config, vocab.id_to_token, rng, config.dimension, words=w_word)
+    table = NGramTable(config, vocab.id_to_token, rng, words=w_word)
     compositions = subword_compositions(table)
     w_out, epoch_losses = train_negative_sampling(
         encoded, vocab, config, rng, table.inputs, compositions

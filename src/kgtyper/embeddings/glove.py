@@ -14,7 +14,8 @@ The trainer then minimizes
 
     sum_ij f(X_ij) (w_i . wt_j + b_i + bt_j - log X_ij)^2
 
-with f(x) = (x / x_max)^alpha below x_max and 1 above, using per-parameter
+with f(x) = (x / x_max)^alpha below x_max and 1 above (``x_max`` and
+``alpha`` from the ``TrainingConfig``), using per-parameter
 adaptive-gradient (AdaGrad) steps over the shuffled nonzero entries. The
 final vector of token i is w_i + wt_i, returned in float64 like the other
 trainers' vectors.
@@ -46,7 +47,6 @@ float64 sum sequentially in shuffled order, so no rounding changes.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
@@ -55,8 +55,6 @@ from ..corpus import Sentence, Vocabulary
 from ..errors import DataError
 from .base import EmbeddingMatrix, TrainingConfig, distinct_counts, init_input_vectors
 
-DEFAULT_X_MAX = 100.0
-DEFAULT_ALPHA = 0.75
 BLOCK_ENTRIES = 128  # entries per numpy block; wider levels are split
 
 
@@ -136,17 +134,9 @@ def build_cooccurrence(
     return CooccurrenceMatrix(size, distinct // size, distinct % size, sums)
 
 
-def glove_weight(x, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
+def glove_weight(x, x_max: float, alpha: float) -> np.ndarray:
     """The least-squares weighting function f, elementwise over a float or an array."""
     return np.where(x < x_max, (x / x_max) ** alpha, 1.0)
-
-
-def check_weighting(x_max: float, alpha: float) -> None:
-    """Reject a weighting f that is not a power of x below a positive cap."""
-    if not (math.isfinite(x_max) and x_max > 0):
-        raise ValueError(f"x_max must be finite and > 0, got {x_max}")
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
 
 
 def entry_block(
@@ -185,11 +175,7 @@ def entry_levels(i: np.ndarray, j: np.ndarray, size: int) -> np.ndarray:
 
 
 def train_glove(
-    cooc: CooccurrenceMatrix,
-    vocab: Vocabulary,
-    config: TrainingConfig,
-    x_max: float = DEFAULT_X_MAX,
-    alpha: float = DEFAULT_ALPHA,
+    cooc: CooccurrenceMatrix, vocab: Vocabulary, config: TrainingConfig
 ) -> EmbeddingMatrix:
     """AdaGrad over shuffled nonzero entries for ``config.epochs`` passes.
 
@@ -197,7 +183,6 @@ def train_glove(
     configured rate. Mean per-entry loss is recorded per epoch.
     """
     config.validate()
-    check_weighting(x_max, alpha)
     if len(cooc) == 0:
         raise DataError("cannot train on an empty co-occurrence matrix")
     i, j, x = cooc.arrays()
@@ -211,7 +196,8 @@ def train_glove(
     acc_w = np.ones_like(w)
     acc_wt = np.ones_like(w)
     lr = np.float32(config.initial_learning_rate)
-    log_x, f = np.log(x).astype(np.float32), glove_weight(x, x_max, alpha).astype(np.float32)
+    log_x = np.log(x).astype(np.float32)
+    f = glove_weight(x, config.x_max, config.alpha).astype(np.float32)
 
     epoch_losses: list[float] = []
     for _ in range(config.epochs):

@@ -16,7 +16,6 @@ dump where IRIs recur hold each IRI once.
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
@@ -252,34 +251,19 @@ def _parse_line(line: str, line_number: int, iris: dict[str, Iri]) -> Triple | N
     return Triple(subject, predicate, obj)
 
 
-def _iter_lines(source: Iterable[str] | IO) -> Iterator[str]:
-    text = None
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        source = text = io.TextIOWrapper(source, encoding="utf-8")
-    try:
-        for line in source:  # not ``yield from``, whose close would close the wrapper
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
-            yield line
-    finally:
-        # A collected wrapper closes its stream; the caller's stays open.
-        if text is not None and not text.closed:
-            text.detach()
-
-
 def parse_ntriples(
-    source: Iterable[str] | IO,
+    source: Iterable[str],
     strict: bool = True,
     stats: ParseStats | None = None,
 ) -> Iterator[Triple]:
-    """Parse N-Triples statements from lines, a text stream, or a byte stream.
+    """Parse N-Triples statements from lines or a text stream.
 
     Yields triples in file order. Malformed lines raise
     :class:`NTriplesError` in strict mode; in lenient mode they are skipped
     and recorded in ``stats``. Triples share one ``Iri`` per distinct IRI.
     """
     iris: dict[str, Iri] = {}
-    for line_number, line in enumerate(_iter_lines(source), start=1):
+    for line_number, line in enumerate(source, start=1):
         try:
             triple = _parse_line(line, line_number, iris)
         except NTriplesError as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,10 +25,9 @@ import numpy as np
 from .cnn import CnnConfig, CnnModel, train_cnn
 from .corpus import build_vocabulary, read_corpus, triples_to_corpus, write_corpus
 from .embeddings import (
-    NGramConfig, TrainingConfig, build_cooccurrence, load_embeddings, save_embeddings,
-    train_cbow, train_fasttext, train_glove,
+    TrainingConfig, build_cooccurrence, load_embeddings, save_embeddings, train_cbow,
+    train_fasttext, train_glove,
 )
-from .embeddings.glove import DEFAULT_ALPHA, DEFAULT_X_MAX, check_weighting
 from .errors import DataError, StageError
 from .evaluation import (
     LabeledDataset, accuracy, align_predictions, build_dataset, hits_at_k,
@@ -60,9 +60,6 @@ class PipelineConfig:
     hold_out_type_triples: bool = True
     min_count: int = 1
     embedding: TrainingConfig = field(default_factory=TrainingConfig)
-    ngram: NGramConfig = field(default_factory=NGramConfig)
-    x_max: float = DEFAULT_X_MAX
-    alpha: float = DEFAULT_ALPHA
     cnn: CnnConfig = field(default_factory=CnnConfig)
     num_classes: int = 10
     entities_per_class: int = 50
@@ -75,10 +72,6 @@ class PipelineConfig:
         self.out_dir = Path(self.out_dir)
         if self.trainer not in TRAINERS:
             raise ValueError(f"unknown trainer {self.trainer!r}; choose from {TRAINERS}")
-        if self.trainer == "glove":
-            check_weighting(self.x_max, self.alpha)
-        elif self.trainer == "fasttext":
-            self.ngram.validate()
         self.embedding.validate()
         self.cnn.validate()
         # One seed drives every seeded component; copies leave the caller's
@@ -144,8 +137,7 @@ def write_sentences(kg: KnowledgeGraph, path, hold_out_type_triples: bool):
 
 
 def train_embeddings(
-    trainer: str, sentences: list, path, min_count: int, embedding: TrainingConfig,
-    ngram: NGramConfig, x_max: float, alpha: float,
+    trainer: str, sentences: list, path, min_count: int, embedding: TrainingConfig
 ):
     """Train the model named by ``trainer`` (one of ``TRAINERS``) over the
     tokens seen at least ``min_count`` times, and save its vectors to ``path``."""
@@ -153,10 +145,10 @@ def train_embeddings(
     if trainer == "word2vec":
         model = train_cbow(sentences, vocab, embedding)
     elif trainer == "fasttext":
-        model = train_fasttext(sentences, vocab, embedding, ngram)
+        model = train_fasttext(sentences, vocab, embedding)
     else:
         cooc = build_cooccurrence(sentences, vocab, embedding.window)
-        model = train_glove(cooc, vocab, embedding, x_max, alpha)
+        model = train_glove(cooc, vocab, embedding)
     save_embeddings(model, path)
     return model
 
@@ -219,13 +211,19 @@ def score(
     gold: Mapping[str, str], predictions: Sequence[Prediction],
     metrics: Iterable[str] = DEFAULT_METRICS,
 ) -> dict[str, float]:
-    """Each named metric (``accuracy`` or ``hits@k``) of the predictions
-    against ``gold``; a gold entity without a prediction counts as wrong."""
+    """Each named metric of the predictions against ``gold``: ``accuracy``, or
+    ``hits@k`` for ``k`` >= 1 in ASCII digits; a gold entity without a
+    prediction counts as wrong."""
+    ks = {}  # by metric name, the k of hits@k, or None for accuracy
+    for name in metrics:
+        hits = re.fullmatch("hits@([0-9]+)", name)
+        if name != "accuracy" and not (hits and int(hits[1]) >= 1):
+            raise ValueError(f"unknown metric {name!r}")
+        ks[name] = int(hits[1]) if hits else None
     aligned = align_predictions(gold, predictions)
     return {
-        name: accuracy(aligned, gold) if name == "accuracy"
-        else hits_at_k(aligned, gold, int(name[len("hits@") :]))
-        for name in metrics
+        name: accuracy(aligned, gold) if k is None else hits_at_k(aligned, gold, k)
+        for name, k in ks.items()
     }
 
 
@@ -248,8 +246,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     with _stage("embed"):
         if not (config.resume and path("vectors.txt").exists()):
             train_embeddings(
-                config.trainer, sentences, path("vectors.txt"), config.min_count,
-                config.embedding, config.ngram, config.x_max, config.alpha,
+                config.trainer, sentences, path("vectors.txt"), config.min_count, config.embedding
             )
         # Downstream stages consume the persisted text format, resumed or not.
         embeddings = load_embeddings(path("vectors.txt"))

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from kgtyper.embeddings import EmbeddingMatrix
+from kgtyper.embeddings import EmbeddingMatrix, TrainingConfig
 from kgtyper.embeddings.base import distinct_counts, init_input_vectors
 from kgtyper.embeddings.cbow import CompositionTable, ns_block
-from kgtyper.embeddings.glove import DEFAULT_ALPHA, DEFAULT_X_MAX, entry_block, glove_weight
+from kgtyper.embeddings.glove import entry_block, glove_weight
 from kgtyper.graph import KnowledgeGraph, build_hierarchy
 from kgtyper.ntriples import Iri, Literal, NTriplesError, Triple, parse_ntriples
 
@@ -124,7 +124,7 @@ def reference_ngrams(token: str, n_min: int, n_max: int) -> list[str]:
 
 def reference_buckets(token: str, config) -> list[int]:
     """The bucket of each n-gram of ``token``'s local name (the text after its
-    last ``/`` or ``#``) under an ``NGramConfig``."""
+    last ``/`` or ``#``) under the n-gram settings of a ``TrainingConfig``."""
     grams = reference_ngrams(re.split(r"[/#]", token)[-1], config.n_min, config.n_max)
     return [reference_fnv1a_32(gram) % config.bucket_count for gram in grams]
 
@@ -308,7 +308,9 @@ def reference_ns_block(inputs, w_out, parts, centers, negatives, contexts, lengt
     return loss
 
 
-def reference_entry_constants(counts, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_ALPHA):
+def reference_entry_constants(
+    counts, x_max: float = TrainingConfig.x_max, alpha: float = TrainingConfig.alpha
+):
     """Per-entry ``log X`` and ``f(X)`` in float64, one Python scalar at a
     time: what the trainer's array form must equal once cast to float32."""
     log_x = np.array([math.log(x) for x in counts], dtype=np.float64)
@@ -317,7 +319,7 @@ def reference_entry_constants(counts, x_max: float = DEFAULT_X_MAX, alpha: float
 
 
 def glove_loss_and_grads(
-    w, wt, entries, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_ALPHA
+    w, wt, entries, x_max: float = TrainingConfig.x_max, alpha: float = TrainingConfig.alpha
 ):
     """Loss plus dense analytic gradients over the ``(i, j, x)`` entries: the
     trainer's own ``log X``, ``f`` and ``entry_block``, plus a scatter-add. ``w`` and
@@ -331,9 +333,7 @@ def glove_loss_and_grads(
     return float(losses.sum()), g_w, g_wt
 
 
-def reference_train_glove(
-    cooc, vocab, config, x_max: float = DEFAULT_X_MAX, alpha: float = DEFAULT_ALPHA
-) -> EmbeddingMatrix:
+def reference_train_glove(cooc, vocab, config) -> EmbeddingMatrix:
     """The GloVe trainer one entry at a time, in shuffled order: the
     sequential definition that ``train_glove`` must match bit for bit.
 
@@ -356,7 +356,8 @@ def reference_train_glove(
     lr = np.float32(config.initial_learning_rate)
 
     counts = [x for _, _, x in entries]
-    log_x, weights = (c.astype(np.float32) for c in reference_entry_constants(counts, x_max, alpha))
+    constants = reference_entry_constants(counts, config.x_max, config.alpha)
+    log_x, weights = (c.astype(np.float32) for c in constants)
 
     epoch_losses = []
     for _ in range(config.epochs):

@@ -36,7 +36,6 @@ from kgtyper import (
     Iri,
     KnowledgeGraph,
     Literal,
-    NGramConfig,
     NTriplesError,
     PipelineConfig,
     Prediction,
@@ -491,17 +490,15 @@ def test_fasttext_oov_composition():
         ("kingdom", "of", "spain"),
     ] * 3
     vocab = build_vocabulary(corpus)
-    ngram_config = NGramConfig(n_min=3, n_max=5, bucket_count=64)
-    model = train_fasttext(
-        corpus, vocab,
-        TrainingConfig(dimension=8, window=2, epochs=2, seed=1),
-        ngram_config,
+    config = TrainingConfig(
+        dimension=8, window=2, epochs=2, seed=1, n_min=3, n_max=5, bucket_count=64
     )
+    model = train_fasttext(corpus, vocab, config)
 
     token = "kingdomland"
     assert token not in vocab
-    bucket_ids = reference_buckets(token, ngram_config)
-    rows = reference_kept_rows(token, vocab.id_to_token, ngram_config)
+    bucket_ids = reference_buckets(token, config)
+    rows = reference_kept_rows(token, vocab.id_to_token, config)
     expected = model.ngrams.rows[rows].mean(axis=0)
     actual = model.vector_of(token)
     difference = float(np.max(np.abs(actual - expected)))

@@ -18,7 +18,6 @@ from conftest import (
 
 from kgtyper.corpus import build_vocabulary
 from kgtyper.embeddings import (
-    NGramConfig,
     NGramTable,
     TokenNotFoundError,
     TrainingConfig,
@@ -121,7 +120,7 @@ def trained_rows(model):
     [
         lambda corpus, vocab, config: train_cbow(corpus, vocab, config),
         lambda corpus, vocab, config: trained_rows(
-            train_fasttext(corpus, vocab, config, NGramConfig(2, 4, 53))
+            train_fasttext(corpus, vocab, replace(config, n_min=2, n_max=4, bucket_count=53))
         ),
     ],
     ids=["cbow", "fasttext"],
@@ -289,7 +288,8 @@ def test_block_step_equals_sum_over_positions(kind):
         token_rows = [[t] for t in range(size)]
     else:
         words = rng.normal(0.0, 0.5, size=(size, dim))
-        table = NGramTable(NGramConfig(1, 3, 11), BLOCK_TOKENS, rng, dim, words=words)
+        config = TrainingConfig(dimension=dim, n_min=1, n_max=3, bucket_count=11)
+        table = NGramTable(config, BLOCK_TOKENS, rng, words=words)
         inputs = table.inputs
         inputs[size:] = rng.normal(0.0, 0.5, size=table.rows.shape)
         compositions = subword_compositions(table)
@@ -348,7 +348,8 @@ def exact_case(kind: str, rng: np.random.Generator, dim: int):
         compositions = composition_table(parts)
         assert compositions.single.tolist() == [False, False, False, True, False, False]
         return words, compositions, parts
-    table = NGramTable(NGramConfig(3, 4, 11), EXACT_TOKENS, rng, dim, words=words)
+    config = TrainingConfig(dimension=dim, n_min=3, n_max=4, bucket_count=11)
+    table = NGramTable(config, EXACT_TOKENS, rng, words=words)
     table.inputs[size:] = rng.normal(0.0, 0.5, size=table.rows.shape)
     parts = []
     for t, token in enumerate(EXACT_TOKENS):

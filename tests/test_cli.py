@@ -13,7 +13,7 @@ from conftest import LAWFIRM_NT, LAWFIRM, COMPANY
 from kgtyper import cli
 from kgtyper.cli import build_parser, main
 from kgtyper.cnn import CnnConfig
-from kgtyper.embeddings import NGramConfig, TrainingConfig, load_embeddings
+from kgtyper.embeddings import TrainingConfig, load_embeddings
 from kgtyper.graph import KnowledgeGraph
 from kgtyper.pipeline import PipelineConfig
 
@@ -448,6 +448,21 @@ def test_evaluate_rejects_unknown_metric(capsys, workspace, tmp_path):
     assert "precision" in err
 
 
+@pytest.mark.parametrize("metric", ["hits@\uff12", "hits@ 2", "hits@0"])  # \uff12: a full-width 2
+def test_evaluate_rejects_malformed_hits_metric(capsys, workspace, tmp_path, metric):
+    rankings = tmp_path / "rankings.tsv"
+    rankings.write_text("e\tc\n")
+    json_path = tmp_path / "metrics.json"
+    code, out, err = run(
+        capsys, "evaluate", "--predictions", str(rankings),
+        "--gold", str(workspace["gold"]), "--metrics", f"accuracy,{metric}",
+        "--json", str(json_path),
+    )
+    assert code == 1
+    assert metric in err
+    assert out == "" and not json_path.exists()
+
+
 def test_compare_external_counts(capsys, workspace, tmp_path):
     external = tmp_path / "external.tsv"
     gold_lines = workspace["gold"].read_text().splitlines()
@@ -567,6 +582,49 @@ def test_unparseable_environment_value_stops_only_its_subcommands(
     assert code == expected
     assert (variable in err) == (expected == 1)
     assert out_dir.exists() == (expected == 0)
+
+
+@pytest.mark.parametrize(
+    "variable,value,argv",
+    [
+        ("KGTYPER_DIM", "abc", ["train-embeddings", "--dim", "6"]),
+        ("KGTYPER_TRAINER", "bogus", ["train-embeddings", "--trainer", "word2vec"]),
+        ("KGTYPER_TRAINER", "bogus", ["pipeline", "--trainer", "word2vec"]),
+        ("KGTYPER_RESUME", "maybe", ["pipeline", "--resume"]),
+    ],
+)
+def test_flag_beats_unparseable_environment_value(
+    capsys, workspace, tmp_path, monkeypatch, variable, value, argv
+):
+    monkeypatch.setenv(variable, value)
+    out = tmp_path / "out"
+    command, *flags = argv
+    paths = {
+        "train-embeddings": ["--in", str(workspace["corpus"]), "--out", str(out), "--epochs", "1"],
+        "pipeline": [
+            "--in", str(workspace["kg"]), "--out-dir", str(out), "--num-classes", "3",
+            "--entities-per-class", "8", "--dim", "6", "--epochs", "1", "--cnn-epochs", "1",
+        ],
+    }[command]
+    code, _, err = run(capsys, command, *paths, *flags)
+    assert code == 0, err
+    assert out.exists()
+
+
+@pytest.mark.parametrize("trainer", ["word2vec", "glove"])
+def test_invalid_environment_value_of_another_trainer_is_refused(
+    capsys, workspace, tmp_path, monkeypatch, trainer
+):
+    # Valid, it would stay a default that this trainer ignores; invalid, it is refused.
+    monkeypatch.setenv("KGTYPER_N_MIN", "0")
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys, "pipeline", "--in", str(workspace["kg"]), "--out-dir", str(out_dir),
+        "--trainer", trainer,
+    )
+    assert code == 1
+    assert "n_min" in err
+    assert not out_dir.exists()
 
 
 def test_seed_changes_vectors(capsys, workspace, tmp_path):
@@ -831,9 +889,7 @@ def test_required_flags_alone_give_the_config_defaults(monkeypatch):
     embed = calls["train_embeddings"]
     assert embed["trainer"] == defaults.trainer
     assert replace(embed["embedding"], seed=TrainingConfig.seed) == TrainingConfig()
-    assert embed["ngram"] == NGramConfig()
-    for name in ("min_count", "x_max", "alpha"):
-        assert embed[name] == getattr(defaults, name), name
+    assert embed["min_count"] == defaults.min_count
     for name in ("num_classes", "entities_per_class", "train_fraction", "seed"):
         assert calls["write_dataset"][name] == getattr(defaults, name), name
     assert replace(calls["train_cnn"]["config"], seed=CnnConfig.seed) == CnnConfig()

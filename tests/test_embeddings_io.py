@@ -14,7 +14,6 @@ from kgtyper.embeddings import (
     train_cbow,
     train_fasttext,
 )
-from kgtyper.embeddings.fasttext import NGramConfig
 from kgtyper.embeddings.io import EmbeddingFormatError
 from kgtyper.errors import NumericalError
 
@@ -96,9 +95,8 @@ def test_round_trip_of_trained_cbow(tmp_path):
 def test_subword_composition_is_baked_into_saved_vectors(tmp_path):
     corpus = [("ab", "cd", "ef"), ("cd", "ef", "gh")] * 5
     vocab = build_vocabulary(corpus)
-    model = train_fasttext(
-        corpus, vocab, TrainingConfig(dimension=4, epochs=1, seed=1), NGramConfig(2, 3, 53)
-    )
+    config = TrainingConfig(dimension=4, epochs=1, seed=1, n_min=2, n_max=3, bucket_count=53)
+    model = train_fasttext(corpus, vocab, config)
     path = tmp_path / "vectors.txt"
     save_embeddings(model, path)
     loaded = load_embeddings(path)

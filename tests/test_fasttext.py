@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ import kgtyper
 from kgtyper.corpus import Vocabulary, build_vocabulary
 from kgtyper.embeddings import (
     FastTextEmbeddings,
-    NGramConfig,
     NGramTable,
     TokenNotFoundError,
     TrainingConfig,
@@ -42,7 +42,7 @@ def tiny_corpus(sentences: int, alphabet: int, seed: int):
     ]
 
 
-SMALL_NGRAMS = NGramConfig(n_min=2, n_max=3, bucket_count=101)
+SMALL_NGRAMS = TrainingConfig(n_min=2, n_max=3, bucket_count=101)
 
 
 def test_trigrams_of_three_letter_token():
@@ -56,15 +56,16 @@ def test_ngram_range_covers_all_lengths():
 def test_duplicate_ngrams_are_kept():
     grams = reference_ngrams("aaa", 2, 2)
     assert grams == ["<a", "aa", "aa", "a>"]
-    buckets, counts = ngram_buckets(["aaa"], NGramConfig(2, 2, 2**32))
+    buckets, counts = ngram_buckets(["aaa"], TrainingConfig(n_min=2, n_max=2, bucket_count=2**32))
     assert counts.tolist() == [4] and buckets[1] == buckets[2]
 
 
 def test_too_short_token_has_no_ngrams():
     assert reference_ngrams("a", 4, 6) == []
-    buckets, counts = ngram_buckets(["a", "", "abcd"], NGramConfig(4, 6, 101))
+    config = TrainingConfig(n_min=4, n_max=6, bucket_count=101)
+    buckets, counts = ngram_buckets(["a", "", "abcd"], config)
     assert counts.tolist() == [0, 0, 3 + 2 + 1]
-    assert buckets.tolist() == reference_buckets("abcd", NGramConfig(4, 6, 101))
+    assert buckets.tolist() == reference_buckets("abcd", config)
 
 
 @pytest.mark.parametrize(
@@ -81,7 +82,10 @@ def test_fnv1a_published_vectors(text, expected):
 
 def test_fnv1a_matches_independent_reimplementation():
     tokens = ["", "a", "kg", "http://dbpedia.org/resource/Berlin", "日本語", "ü€𝄞"]
-    for config in (NGramConfig(1, 9, 2**32), NGramConfig(3, 6, 2_000_000)):
+    for config in (
+        TrainingConfig(n_min=1, n_max=9, bucket_count=2**32),
+        TrainingConfig(n_min=3, n_max=6, bucket_count=2_000_000),
+    ):
         buckets, counts = ngram_buckets(tokens, config)
         assert counts.tolist() == [len(reference_buckets(token, config)) for token in tokens]
         assert buckets.tolist() == [b for token in tokens for b in reference_buckets(token, config)]
@@ -94,7 +98,7 @@ def test_fnv1a_matches_independent_reimplementation():
     bucket_count=st.sampled_from([1, 2_000_003, 2**32 + 15]),
 )
 def test_array_hash_equals_scalar_reference(tokens, n_min, extra, bucket_count):
-    config = NGramConfig(n_min, n_min + extra, bucket_count)
+    config = TrainingConfig(n_min=n_min, n_max=n_min + extra, bucket_count=bucket_count)
     buckets, counts = ngram_buckets(tokens, config)
     assert counts.tolist() == [len(reference_buckets(token, config)) for token in tokens]
     assert buckets.tolist() == [b for token in tokens for b in reference_buckets(token, config)]
@@ -103,7 +107,7 @@ def test_array_hash_equals_scalar_reference(tokens, n_min, extra, bucket_count):
 def test_unencodable_token_is_refused():
     with pytest.raises(UnicodeEncodeError):
         ngram_buckets(["ok", "a\ud800"], SMALL_NGRAMS)
-    table = NGramTable(SMALL_NGRAMS, ["ok"], np.random.default_rng(0), 2)
+    table = NGramTable(replace(SMALL_NGRAMS, dimension=2), ["ok"], np.random.default_rng(0))
     with pytest.raises(UnicodeEncodeError):
         table.bucket_indices("a\ud800")
 
@@ -111,8 +115,8 @@ def test_unencodable_token_is_refused():
 def trained_model(seed: int = 1, epochs: int = 2):
     corpus = tiny_corpus(60, 6, seed=5)
     vocab = build_vocabulary(corpus)
-    config = TrainingConfig(dimension=4, epochs=epochs, seed=seed)
-    return corpus, vocab, train_fasttext(corpus, vocab, config, SMALL_NGRAMS)
+    config = replace(SMALL_NGRAMS, dimension=4, epochs=epochs, seed=seed)
+    return corpus, vocab, train_fasttext(corpus, vocab, config)
 
 
 def test_oov_vector_is_bucket_mean_recomputed_independently():
@@ -140,11 +144,11 @@ def test_batched_export_sums_each_occurrence_in_order():
     ``weights @ inputs[rows]`` as the trainer forms its export, weights a
     repeated n-gram's row once per occurrence, and a model over those
     vectors serves them."""
-    config = NGramConfig(n_min=3, n_max=6, bucket_count=101)
+    config = TrainingConfig(dimension=5, n_min=3, n_max=6, bucket_count=101)
     tokens = ["aaaa", "", "ab", *(f"http://example.org/entity/e{i}" for i in range(20))]
     vocab = Vocabulary([(token, 1) for token in tokens], total_tokens=len(tokens))
     rng = np.random.default_rng(3)
-    table = NGramTable(config, tokens, rng, 5, words=np.zeros((len(tokens), 5)))
+    table = NGramTable(config, tokens, rng, words=np.zeros((len(tokens), 5)))
     table.inputs[:] = rng.normal(size=table.inputs.shape)
     exported = np.array(
         [weights @ table.inputs[rows] for rows, weights in subword_compositions(table).parts]
@@ -167,8 +171,8 @@ def test_batched_export_sums_each_occurrence_in_order():
 def test_oov_vector_leaves_out_buckets_without_a_row():
     corpus = [("http://x.org/abcd", "http://x.org/p", "http://x.org/wxyz")] * 3
     vocab = build_vocabulary(corpus)
-    config = NGramConfig(2, 3, 2_000_000)
-    model = train_fasttext(corpus, vocab, TrainingConfig(dimension=4, epochs=2), config)
+    config = TrainingConfig(dimension=4, epochs=2, n_min=2, n_max=3, bucket_count=2_000_000)
+    model = train_fasttext(corpus, vocab, config)
     mixed = "http://y.org/abqq"  # "<a", "ab", "<ab" are kept; the n-grams with "q" are not
     rows = reference_kept_rows(mixed, vocab.id_to_token, config)
     assert 0 < len(rows) < len(reference_buckets(mixed, config))
@@ -183,21 +187,21 @@ def test_oov_vector_leaves_out_buckets_without_a_row():
 
 
 def test_ngrams_run_over_the_local_name():
-    config = NGramConfig(3, 6, 2_000_000)
+    config = TrainingConfig(dimension=4, n_min=3, n_max=6, bucket_count=2_000_000)
     tokens = ["http://a.org/x/abcd", "http://b.org#abcd", "abcd", "http://c.org/a#b/abcd"]
     buckets, counts = ngram_buckets(tokens, config)
     assert counts.tolist() == [len(reference_buckets("abcd", config))] * len(tokens)
     first = buckets[: counts[0]]
     assert first.tolist() == reference_buckets("abcd", config)
     assert np.array_equal(buckets.reshape(len(tokens), -1), np.tile(first, (len(tokens), 1)))
-    table = NGramTable(config, tokens[:1], np.random.default_rng(0), 4)
+    table = NGramTable(config, tokens[:1], np.random.default_rng(0))
     assert np.array_equal(table.bucket_indices("http://b.org#abcd"), first)
 
 
 def test_identical_strings_share_all_buckets():
     _, _, model = trained_model()
     first = model.ngrams.bucket_indices("tok0")
-    fresh = NGramTable(SMALL_NGRAMS, [], np.random.default_rng(0), 4)
+    fresh = NGramTable(replace(SMALL_NGRAMS, dimension=4), [], np.random.default_rng(0))
     second = fresh.bucket_indices("tok0")
     assert np.array_equal(first, second)
 
@@ -206,17 +210,17 @@ def test_oov_without_extractable_ngrams_raises():
     corpus = tiny_corpus(20, 4, seed=5)
     vocab = build_vocabulary(corpus)
     model = train_fasttext(
-        corpus, vocab, TrainingConfig(dimension=4, epochs=1), NGramConfig(4, 5, 101)
+        corpus, vocab, TrainingConfig(dimension=4, epochs=1, n_min=4, n_max=5, bucket_count=101)
     )
     with pytest.raises(TokenNotFoundError):
         model.vector_of("a")  # wrapped form "<a>" is shorter than n_min
 
 
 def test_gradient_check_word_buckets_and_output():
-    config = NGramConfig(n_min=2, n_max=3, bucket_count=5)
+    config = TrainingConfig(dimension=2, n_min=2, n_max=3, bucket_count=5)
     # 2 word rows + 5 bucket rows, dimension 2, plus a 2x2 output side: 18
     # parameters. "ab" and "cd" hash into all 5 buckets.
-    table = NGramTable(config, ["ab", "cd"], np.random.default_rng(0), 2, words=np.zeros((2, 2)))
+    table = NGramTable(config, ["ab", "cd"], np.random.default_rng(0), words=np.zeros((2, 2)))
     assert np.array_equal(table.bucket_ids, np.arange(5))
     rng = np.random.default_rng(9)
     inputs = rng.normal(0.0, 0.4, size=table.inputs.shape)
@@ -244,8 +248,10 @@ COMPOSITION_TOKENS = ["aaaa", "aaaaa", "http://x/", "a", "ab", "日本語", "htt
     bucket_count=st.sampled_from([3, 101, 2_000_000]),
 )
 def test_array_compositions_equal_per_token_reference(tokens, n_min, extra, bucket_count):
-    config = NGramConfig(n_min, n_min + extra, bucket_count)
-    table = NGramTable(config, tokens, np.random.default_rng(0), 2, words=np.zeros((len(tokens), 2)))
+    config = TrainingConfig(
+        dimension=2, n_min=n_min, n_max=n_min + extra, bucket_count=bucket_count
+    )
+    table = NGramTable(config, tokens, np.random.default_rng(0), words=np.zeros((len(tokens), 2)))
     compositions = subword_compositions(table)
     parts = reference_subword_compositions(table, tokens)
     assert len(compositions.parts) == len(parts)
@@ -257,13 +263,13 @@ def test_array_compositions_equal_per_token_reference(tokens, n_min, extra, buck
     assert compositions.first_row.tolist() == [rows[0] for rows, _ in parts]
 
 
-def reference_fasttext(corpus, vocab, config, ngram_config):
+def reference_fasttext(corpus, vocab, config):
     """Reference trainer: the word rows, then one row per used bucket drawn in
     one call, and compositions from the independent FNV-1a."""
     encoded = encode_training_corpus(corpus, vocab)
     rng = np.random.default_rng(config.seed)
     w_word = init_input_vectors(rng, len(vocab), config.dimension)
-    token_buckets = [reference_buckets(token, ngram_config) for token in vocab.id_to_token]
+    token_buckets = [reference_buckets(token, config) for token in vocab.id_to_token]
     used = np.unique(np.concatenate([np.array(b, np.intp) for b in token_buckets]))
     inputs = np.concatenate((w_word, init_input_vectors(rng, len(used), config.dimension)))
     parts = []
@@ -282,11 +288,9 @@ def reference_fasttext(corpus, vocab, config, ngram_config):
 def test_kept_rows_match_reference_trainer_exactly(seed):
     corpus = [s[: 1 + i % 3] for i, s in enumerate(tiny_corpus(60, 6, seed=5))]
     vocab = build_vocabulary(corpus)
-    config = TrainingConfig(dimension=4, window=2, epochs=2, seed=seed)
-    model = train_fasttext(corpus, vocab, config, SMALL_NGRAMS)
-    w_word, rows, w_out, epoch_losses, used, exported = reference_fasttext(
-        corpus, vocab, config, SMALL_NGRAMS
-    )
+    config = replace(SMALL_NGRAMS, dimension=4, window=2, epochs=2, seed=seed)
+    model = train_fasttext(corpus, vocab, config)
+    w_word, rows, w_out, epoch_losses, used, exported = reference_fasttext(corpus, vocab, config)
     assert np.array_equal(model.ngrams.bucket_ids, used)
     assert np.array_equal(model.ngrams.inputs[: len(vocab)], w_word)
     assert np.array_equal(model.ngrams.rows, rows)
@@ -308,14 +312,14 @@ def test_lookup_rejects_bucket_ids_outside_the_table():
 MEMORY_PROBE = """
 import json, resource
 from kgtyper.corpus import build_vocabulary
-from kgtyper.embeddings import NGramConfig, TrainingConfig, train_fasttext
+from kgtyper.embeddings import TrainingConfig, train_fasttext
 corpus = [
     (f"http://example.org/entity/e{i}", f"http://example.org/ontology/p{i % 3}",
      f"http://example.org/entity/e{(i * 7) % 10}")
     for i in range(10)
 ]
 vocab = build_vocabulary(corpus)
-model = train_fasttext(corpus, vocab, TrainingConfig(dimension=100, epochs=1), NGramConfig())
+model = train_fasttext(corpus, vocab, TrainingConfig(dimension=100, epochs=1))
 used = set()
 for i in range(len(vocab)):
     used.update(model.ngrams.bucket_indices(vocab.token_of(i)).tolist())
@@ -344,8 +348,8 @@ def test_default_bucket_table_memory_scales_with_vocabulary():
 def test_epoch_loss_decreases_over_training():
     corpus = tiny_corpus(200, 8, seed=2)
     vocab = build_vocabulary(corpus)
-    config = TrainingConfig(dimension=6, epochs=10, seed=1)
-    model = train_fasttext(corpus, vocab, config, SMALL_NGRAMS)
+    config = replace(SMALL_NGRAMS, dimension=6, epochs=10, seed=1)
+    model = train_fasttext(corpus, vocab, config)
     assert len(model.epoch_losses) == 10
     assert model.epoch_losses[9] < model.epoch_losses[0]
 
@@ -369,26 +373,24 @@ def test_different_seeds_differ():
 def test_empty_corpus_rejected():
     vocab = build_vocabulary([("a", "b", "c")])
     with pytest.raises(DataError):
-        train_fasttext([], vocab, TrainingConfig(dimension=4, epochs=1), SMALL_NGRAMS)
+        train_fasttext([], vocab, replace(SMALL_NGRAMS, dimension=4, epochs=1))
 
 
 def test_empty_vocabulary_rejected():
     vocab = build_vocabulary([])
     with pytest.raises(DataError):
-        train_fasttext(
-            [("a", "b", "c")], vocab, TrainingConfig(dimension=4, epochs=1), SMALL_NGRAMS
-        )
+        train_fasttext([("a", "b", "c")], vocab, replace(SMALL_NGRAMS, dimension=4, epochs=1))
 
 
 @pytest.mark.parametrize(
     "bad",
     [
-        NGramConfig(n_min=0, n_max=3, bucket_count=10),
-        NGramConfig(n_min=4, n_max=3, bucket_count=10),
-        NGramConfig(n_min=2, n_max=3, bucket_count=0),
+        TrainingConfig(dimension=4, epochs=1, n_min=0, n_max=3, bucket_count=10),
+        TrainingConfig(dimension=4, epochs=1, n_min=4, n_max=3, bucket_count=10),
+        TrainingConfig(dimension=4, epochs=1, n_min=2, n_max=3, bucket_count=0),
     ],
 )
 def test_invalid_ngram_config_rejected(bad):
     vocab = build_vocabulary([("ab", "cd", "ef")])
     with pytest.raises(ValueError):
-        train_fasttext([("ab", "cd", "ef")], vocab, TrainingConfig(dimension=4, epochs=1), bad)
+        train_fasttext([("ab", "cd", "ef")], vocab, bad)

@@ -213,9 +213,9 @@ def sentences(rng, alphabet: int, count: int):
     ]
 
 
-def assert_matches_reference(matrix, vocab, config, **weighting):
-    blocked = train_glove(matrix, vocab, config, **weighting)
-    sequential = reference_train_glove(matrix, vocab, config, **weighting)
+def assert_matches_reference(matrix, vocab, config):
+    blocked = train_glove(matrix, vocab, config)
+    sequential = reference_train_glove(matrix, vocab, config)
     assert np.array_equal(blocked.input_vectors, sequential.input_vectors)
     assert np.array_equal(blocked.output_vectors, sequential.output_vectors)
     assert blocked.epoch_losses == sequential.epoch_losses
@@ -229,12 +229,12 @@ def test_blocked_trainer_matches_sequential_reference_exactly(seed, window):
     vocab = build_vocabulary(corpus)
     matrix = build_cooccurrence(corpus, vocab, window)
     assert any(i == j for i, j, _ in matrix.items())  # a token within its own window
+    # x_max 2 saturates part of the weights.
     config = TrainingConfig(
         dimension=int(rng.integers(1, 12)), window=window, epochs=3,
-        initial_learning_rate=0.1, seed=seed,
+        initial_learning_rate=0.1, seed=seed, x_max=2.0 if seed % 2 else 100.0,
     )
-    # x_max 2 saturates part of the weights.
-    assert_matches_reference(matrix, vocab, config, x_max=2.0 if seed % 2 else 100.0)
+    assert_matches_reference(matrix, vocab, config)
 
 
 def test_blocked_trainer_matches_reference_when_levels_are_split():
@@ -300,18 +300,20 @@ def test_bad_weighting_rejected_before_training(weighting):
     vocab = build_vocabulary(corpus)
     matrix = build_cooccurrence(corpus, vocab, window=2)
     with pytest.raises(ValueError):
-        train_glove(matrix, vocab, TrainingConfig(dimension=4), **weighting)
+        train_glove(matrix, vocab, TrainingConfig(dimension=4, **weighting))
 
 
 def test_single_entry_converges():
     vocab = build_vocabulary([("a", "b", "pad")])
     a, b = sorted(ids(vocab, "a", "b"))
     matrix = CooccurrenceMatrix(len(vocab), [a, b], [b, a], [4.0, 4.0])  # log target != 0
-    config = TrainingConfig(dimension=5, epochs=300, initial_learning_rate=0.05, seed=1)
     # With x_max=1 every weight is 1, so the epoch loss is the mean squared
     # residual of the log-count fit; convergence within 1e-3 means the
     # residual itself is below 1e-3.
-    model = train_glove(matrix, vocab, config, x_max=1.0)
+    config = TrainingConfig(
+        dimension=5, epochs=300, initial_learning_rate=0.05, seed=1, x_max=1.0
+    )
+    model = train_glove(matrix, vocab, config)
     assert model.epoch_losses[0] > 1e-2
     assert model.epoch_losses[-1] < 1e-6
 

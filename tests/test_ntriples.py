@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import io
 from itertools import product
 
@@ -168,32 +167,6 @@ def test_object_tag_is_explicit():
 def test_literal_rejects_language_and_datatype_together():
     with pytest.raises(ValueError):
         Literal("x", language="en", datatype="http://dt")
-
-
-def test_parse_byte_stream():
-    raw = io.BytesIO('<http://a> <http://b> "café" .\n'.encode("utf-8"))
-    (triple,) = list(parse_ntriples(raw))
-    assert triple.object.lexical == "café"
-
-
-def test_byte_stream_stays_open(tmp_path):
-    """The caller's stream stays open after a full parse and after an
-    abandoned one; it is the caller's to close."""
-    data = "<http://a> <http://b> <http://c> .\n".encode("utf-8") * 3
-    raw = io.BytesIO(data)
-    assert len(list(parse_ntriples(raw))) == 3
-    assert not raw.closed
-    raw = io.BytesIO(data)
-    triples = parse_ntriples(raw)
-    next(triples)
-    del triples
-    gc.collect()
-    assert not raw.closed
-    path = tmp_path / "in.nt"
-    path.write_bytes(data)
-    with open(path, "rb") as handle:
-        assert len(list(parse_ntriples(handle))) == 3
-        assert not handle.closed
 
 
 def test_parse_file_strict_and_lenient(tmp_path):

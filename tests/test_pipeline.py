@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ from kgtyper.cnn import CnnConfig
 from kgtyper.embeddings import TrainingConfig
 from kgtyper.errors import StageError
 from kgtyper.ntriples import RDF_TYPE
-from kgtyper.pipeline import PipelineConfig, run_pipeline
+from kgtyper.pipeline import PipelineConfig, run_pipeline, score
+from kgtyper.prediction import Prediction
 from kgtyper.synth import generate_synthetic_kg
 
 ARTIFACTS = [
@@ -82,6 +84,24 @@ def test_report_text_lists_method_metric_value(tmp_path):
     first = lines[0].split("\t")
     assert first[0] == "cnn" and first[1] == "accuracy"
     float(first[2])  # numeric
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("accuracy", 0.5), ("hits@1", 0.5), ("hits@2", 1.0), ("hits@02", 1.0),
+        ("hits@ 2", None), ("hits@\uff12", None), ("hits@0", None), ("hits@", None),
+        ("hits@-1", None), ("Accuracy", None), ("bogus", None),
+    ],
+)
+def test_score_reads_only_accuracy_and_hits_at_ascii_k(name, value):
+    gold = {"a": "X", "b": "Y"}
+    predictions = [Prediction("a", ranking=["X", "Y"]), Prediction("b", ranking=["X", "Y"])]
+    if value is None:
+        with pytest.raises(ValueError, match=re.escape(f"unknown metric {name!r}")):
+            score(gold, predictions, ["accuracy", name])
+    else:
+        assert score(gold, predictions, [name]) == {name: value}
 
 
 def test_missing_input_fails_in_ingest_stage(tmp_path):
@@ -168,7 +188,7 @@ def test_unknown_trainer_rejected(tmp_path):
 @pytest.mark.parametrize("weighting", [{"x_max": 0.0}, {"alpha": float("nan")}])
 def test_bad_glove_weighting_rejected_before_any_stage(tmp_path, weighting):
     with pytest.raises(ValueError):
-        small_config(tmp_path, trainer="glove", **weighting)
+        small_config(tmp_path, trainer="glove", embedding=TrainingConfig(**weighting))
 
 
 def test_type_triples_held_out_by_default(tmp_path):
@@ -186,12 +206,13 @@ def test_type_triples_kept_when_requested(tmp_path):
 
 
 def test_fasttext_and_glove_trainers_run_end_to_end(tmp_path):
-    from kgtyper.embeddings import NGramConfig
-
     for trainer in ("fasttext", "glove"):
         config = small_config(
             tmp_path, f"run_{trainer}", trainer=trainer,
-            ngram=NGramConfig(n_min=3, n_max=4, bucket_count=211),
+            embedding=TrainingConfig(
+                dimension=12, window=2, epochs=8, initial_learning_rate=0.1,
+                n_min=3, n_max=4, bucket_count=211,
+            ),
         )
         result = run_pipeline(config)
         assert "cnn" in result.metrics and "similarity" in result.metrics
@@ -201,16 +222,16 @@ NUMPY_MA_PROBE = """
 import sys
 from pathlib import Path
 from kgtyper.cnn import CnnConfig
-from kgtyper.embeddings import NGramConfig, TrainingConfig
-from kgtyper.pipeline import PipelineConfig, run_pipeline
+from kgtyper.embeddings import TrainingConfig
+from kgtyper.pipeline import PipelineConfig, run_pipeline, score
+from kgtyper.prediction import Prediction
 from kgtyper.synth import generate_synthetic_kg
 out, trainer = Path(sys.argv[1]), sys.argv[2]
 generate_synthetic_kg(out / "synth", num_classes=3, entities_per_class=6,
                       predicates_per_class=2, noise_fraction=0.0, seed=3)
 run_pipeline(PipelineConfig(
     input_nt=out / "synth" / "kg.nt", out_dir=out / "run", trainer=trainer,
-    embedding=TrainingConfig(dimension=8, epochs=2),
-    ngram=NGramConfig(n_min=3, n_max=4, bucket_count=211),
+    embedding=TrainingConfig(dimension=8, epochs=2, n_min=3, n_max=4, bucket_count=211),
     cnn=CnnConfig(filters_per_width=4, hidden_units=8, batch_size=4, epochs=2),
     num_classes=3, entities_per_class=6,
 ))
