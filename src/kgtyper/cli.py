@@ -255,11 +255,12 @@ def _cmd_corpus(args) -> int:
 def _cmd_train_embeddings(args) -> int:
     _reject_other_trainer_flags(args, args.trainer)
     config = TrainingConfig(**_fields(args, TrainingConfig), seed=args.seed)
-    model = train_embeddings(
+    config.validate()  # before reading, so a bad setting is a usage error
+    embeddings = train_embeddings(
         args.trainer, read_corpus(args.infile), args.out, embedding=config,
         **_fields(args, PipelineConfig),
     )
-    print(f"saved\t{len(model.vocabulary)}\tvectors\tdim\t{config.dimension}\t{args.out}")
+    print(f"saved\t{len(embeddings.vocabulary)}\tvectors\tdim\t{config.dimension}\t{args.out}")
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """End-to-end orchestration: ingest through metrics report.
 
 Every stage writes a plain-text artifact (N-Triples, sentence corpus,
-vector text, TSV, JSON) and downstream stages consume the persisted file,
+vector text, TSV, JSON) and downstream stages consume what the file holds,
 so each stage is independently inspectable and the whole run is resumable.
 Identical config and seed give byte-identical artifacts. Each stage is a
 public function with explicit arguments, which the CLI's stage subcommands
@@ -140,7 +140,8 @@ def train_embeddings(
     trainer: str, sentences: list, path, min_count: int, embedding: TrainingConfig
 ):
     """Train the model named by ``trainer`` (one of ``TRAINERS``) over the
-    tokens seen at least ``min_count`` times, and save its vectors to ``path``."""
+    tokens seen at least ``min_count`` times, save its vectors to ``path``,
+    and return them as the file holds them (see ``save_embeddings``)."""
     vocab = build_vocabulary(sentences, min_count=min_count)
     if trainer == "word2vec":
         model = train_cbow(sentences, vocab, embedding)
@@ -149,8 +150,7 @@ def train_embeddings(
     else:
         cooc = build_cooccurrence(sentences, vocab, embedding.window)
         model = train_glove(cooc, vocab, embedding)
-    save_embeddings(model, path)
-    return model
+    return save_embeddings(model, path)
 
 
 def write_dataset(
@@ -244,12 +244,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             build = write_sentences(kg, path("corpus.txt"), config.hold_out_type_triples)
             sentences = build.sentences
     with _stage("embed"):
-        if not (config.resume and path("vectors.txt").exists()):
-            train_embeddings(
+        # Downstream stages see the vectors as the file holds them, resumed or
+        # not: a fresh run's are the ones it wrote, with no re-reading.
+        if config.resume and path("vectors.txt").exists():
+            embeddings = load_embeddings(path("vectors.txt"))
+        else:
+            embeddings = train_embeddings(
                 config.trainer, sentences, path("vectors.txt"), config.min_count, config.embedding
             )
-        # Downstream stages consume the persisted text format, resumed or not.
-        embeddings = load_embeddings(path("vectors.txt"))
     with _stage("dataset"):
         write_dataset(
             kg, hierarchy, config.out_dir, config.num_classes,

@@ -627,6 +627,20 @@ def test_invalid_environment_value_of_another_trainer_is_refused(
     assert not out_dir.exists()
 
 
+def test_invalid_environment_value_is_refused_before_reading_the_corpus(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("KGTYPER_N_MIN", "0")
+    out_path = tmp_path / "v.txt"
+    code, _, err = run(
+        capsys, "train-embeddings", "--trainer", "fasttext",
+        "--in", str(tmp_path / "missing.txt"), "--out", str(out_path),
+    )
+    assert code == 1
+    assert "n_min" in err
+    assert not out_path.exists()
+
+
 def test_seed_changes_vectors(capsys, workspace, tmp_path):
     paths = []
     for seed in ("3", "4"):

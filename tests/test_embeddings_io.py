@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import FixedVectors
+from hypothesis import given
+from hypothesis import strategies as st
 
-from kgtyper.corpus import build_vocabulary
+from kgtyper.corpus import Vocabulary, build_vocabulary
 from kgtyper.embeddings import (
+    EmbeddingMatrix,
     TrainingConfig,
     load_embeddings,
     save_embeddings,
@@ -58,6 +63,66 @@ def test_rows_print_as_per_component_format(tmp_path):
     )
     assert " -0.000000 " in expected and " 1000000.000000 " in expected
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def matrix_of(tokens: list[str], vectors: np.ndarray) -> EmbeddingMatrix:
+    vocab = Vocabulary([(token, 1) for token in tokens], total_tokens=len(tokens))
+    return EmbeddingMatrix(vectors, np.zeros_like(vectors), vocab)
+
+
+def half_way(m: int) -> st.SearchStrategy[float]:
+    """The float nearest to (m + 0.5) / 1e6, or one of its two neighbours."""
+    x = (m + 0.5) / 1e6
+    return st.sampled_from([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+COMPONENTS = st.one_of(
+    st.integers(-(10**9), 10**9).flatmap(half_way),
+    st.integers(-999, 999).flatmap(half_way),
+    st.sampled_from([0.0, -0.0, -4e-7, -5e-7, 5e-7, 1e3, -1e3, 999.0, 999.9999995]),
+    st.floats(-5e-7, -1e-300),  # prints -0.000000
+    st.floats(-2.3e-308, 2.3e-308),  # subnormals among them
+    st.floats(-2e3, 2e3),  # both sides of the writer's 999 bound
+    st.floats(-123456789.1234567, 123456789.1234567),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+TOKENS = st.text(st.characters(categories=("L", "N")), min_size=1, max_size=6)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(TOKENS, st.lists(COMPONENTS, min_size=3, max_size=3)),
+        min_size=1, max_size=70, unique_by=lambda row: row[0],
+    ),
+)
+def test_saved_text_and_values_are_exact(tmp_path_factory, rows):
+    tokens = [token for token, _ in rows]
+    vectors = np.array([components for _, components in rows])
+    path = tmp_path_factory.mktemp("exact") / "vectors.txt"
+    saved = save_embeddings(matrix_of(tokens, vectors), path)
+    expected = f"{len(rows)} 3\n" + "".join(
+        token + " " + " ".join(f"{x:.6f}" for x in components) + "\n"
+        for token, components in rows
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+    loaded = load_embeddings(path)
+    assert loaded.vocabulary.id_to_token == saved.vocabulary.id_to_token == tokens
+    assert saved.input_vectors.tobytes() == loaded.input_vectors.tobytes()
+
+
+def test_save_holds_no_matrix_sized_temporary(tmp_path):
+    # The large-glove workload's vocabulary at the benchmark's dimension.
+    rows, dimension = 3454, 100
+    vectors = np.random.default_rng(5).normal(0.0, 0.5, size=(rows, dimension))
+    model = matrix_of([f"http://example.org/resource/e{i}" for i in range(rows)], vectors)
+    tracemalloc.start()
+    try:
+        saved = save_embeddings(model, tmp_path / "vectors.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    beyond = peak - saved.input_vectors.nbytes  # the returned matrix itself
+    assert beyond < 1_000_000, f"{beyond / 1e6:.2f} MB beyond the returned matrix"
 
 
 def test_load_small_file(tmp_path):

@@ -149,16 +149,20 @@ def test_configs_sharing_stage_configs_keep_their_own_seeds(tmp_path):
     assert (embedding.seed, cnn.seed) == (1, 1)  # the caller's objects are left as they were
 
 
-def test_resume_reuses_persisted_artifacts(tmp_path):
-    config = small_config(tmp_path)
+@pytest.mark.parametrize("trainer", ["word2vec", "fasttext", "glove"])
+def test_resume_reuses_persisted_artifacts(tmp_path, trainer):
+    # A fresh run goes on with the vectors it saved, a resumed one with the
+    # vectors it reads from vectors.txt; the classifier, retrained on the
+    # latter, and every later artifact must come out the same.
+    config = small_config(tmp_path, trainer=trainer)
     fresh = run_pipeline(config)
-    vectors_before = (config.out_dir / "vectors.txt").read_bytes()
-    model_before = (config.out_dir / "model.bin").read_bytes()
+    before = {name: (config.out_dir / name).read_bytes() for name in ARTIFACTS}
+    for name in ("model.bin", "pred_cnn.tsv", "pred_similarity.tsv", "metrics.json"):
+        (config.out_dir / name).unlink()
 
-    resumed_config = small_config(tmp_path, resume=True)
-    resumed = run_pipeline(resumed_config)
-    assert (config.out_dir / "vectors.txt").read_bytes() == vectors_before
-    assert (config.out_dir / "model.bin").read_bytes() == model_before
+    resumed = run_pipeline(small_config(tmp_path, trainer=trainer, resume=True))
+    after = {name: (config.out_dir / name).read_bytes() for name in ARTIFACTS}
+    assert [name for name in ARTIFACTS if after[name] != before[name]] == []
     assert resumed.metrics == fresh.metrics
 
 
