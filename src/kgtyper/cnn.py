@@ -161,20 +161,27 @@ class CnnModel:
         return {"inputs": inputs, "features": features, "hidden": hidden, "logits": logits}
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Per-class sigmoid scores for a batch of entity vectors (N, dim)."""
+        """Per-class sigmoid scores for entity vectors (N, dim), or stacks of them."""
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        if inputs.shape[1] != self.input_dim:
+        if inputs.shape[-1] != self.input_dim:
             raise DataError(
-                f"{inputs.shape[1]}-dimensional vectors given to a classifier of "
+                f"{inputs.shape[-1]}-dimensional vectors given to a classifier of "
                 f"{self.input_dim}-dimensional vectors"
             )
         return _sigmoid(self._forward_cached(inputs)["logits"])
 
-    def predict(self, entity: str, vector: np.ndarray) -> Prediction:
-        scores = self.forward(vector)[0]
-        return Prediction.from_scores(
-            entity, {c: float(scores[i]) for i, c in enumerate(self.classes)}
-        )
+    def predict(self, entities: list[str], vectors: np.ndarray) -> list[Prediction]:
+        """Each entity's ranking from its row of ``vectors`` (an (N, dim) array
+        or N rows). The rows go in as stacks of one-row batches, (batch size,
+        1, dim), so that each gets the BLAS calls of its own one-row forward,
+        and bit for bit its scores."""
+        names = sorted(self.classes)
+        columns = [self.class_index[c] for c in names]
+        scores, step = np.empty((len(entities), len(names))), self.config.batch_size
+        for start in range(0, len(entities), step):
+            rows = np.asarray(vectors[start:start + step])[:, None]
+            scores[start:start + step] = self.forward(rows)[:, 0, columns]
+        return Prediction.from_rows(entities, names, scores)
 
     def loss_and_grads(
         self, inputs: np.ndarray, targets: np.ndarray

@@ -102,6 +102,21 @@ def _text_chunks(tokens: list[str], vectors: np.ndarray, values: np.ndarray):
         )
 
 
+def _parse_rows(out: np.ndarray, pending: list[tuple[int, list[str]]]) -> None:
+    """Set ``out`` to the components of the ``(line number, components)`` rows
+    in ``pending``, each read as ``float()`` reads it, and empty ``pending``."""
+    try:  # numpy converts a str to float64 by float()
+        out[:] = np.array([row for _, row in pending], dtype=np.float64).reshape(out.shape)
+    except ValueError:
+        for line_number, row in pending:
+            try:
+                [float(x) for x in row]
+            except ValueError:
+                raise EmbeddingFormatError("non-numeric component", line_number) from None
+        raise
+    pending.clear()
+
+
 def save_embeddings(model, path) -> EmbeddingMatrix:
     """Write one vector per vocabulary token, row ``i`` of ``model.input_vectors``
     for token ``i`` (a subword model's rows are its compositions).
@@ -147,31 +162,35 @@ def load_embeddings(path) -> EmbeddingMatrix:
         first_line: dict[str, int] = {}  # line of each token, in file order
         vectors = np.empty((vocab_size, dimension))
         row = 0
+        pending: list[tuple[int, list[str]]] = []  # (line, components) of rows to convert
         line_number = 1
-        for line_number, line in enumerate(handle, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            if row >= vocab_size:
-                raise EmbeddingFormatError(
-                    f"more rows than the declared {vocab_size}", line_number
-                )
-            if len(fields) != dimension + 1:
-                raise EmbeddingFormatError(
-                    f"expected {dimension} components, got {len(fields) - 1}",
-                    line_number,
-                )
-            try:
-                vectors[row] = [float(x) for x in fields[1:]]
-            except ValueError:
-                raise EmbeddingFormatError("non-numeric component", line_number) from None
-            token = fields[0]
-            if token in first_line:
-                raise EmbeddingFormatError(
-                    f"duplicate token {token!r}, first on line {first_line[token]}", line_number
-                )
-            first_line[token] = line_number
-            row += 1
+        try:
+            for line_number, line in enumerate(handle, start=2):
+                fields = line.split()
+                if not fields:
+                    continue
+                if row >= vocab_size:
+                    raise EmbeddingFormatError(
+                        f"more rows than the declared {vocab_size}", line_number
+                    )
+                if len(fields) != dimension + 1:
+                    raise EmbeddingFormatError(
+                        f"expected {dimension} components, got {len(fields) - 1}",
+                        line_number,
+                    )
+                pending.append((line_number, fields[1:]))
+                row += 1
+                token = fields[0]
+                if token in first_line:
+                    raise EmbeddingFormatError(
+                        f"duplicate token {token!r}, first on line {first_line[token]}",
+                        line_number,
+                    )
+                first_line[token] = line_number
+                if len(pending) == ROWS_PER_CHUNK:
+                    _parse_rows(vectors[row - len(pending):row], pending)
+        finally:  # also on an error, which a non-numeric component before it replaces
+            _parse_rows(vectors[row - len(pending):row], pending)
         if row != vocab_size:
             raise EmbeddingFormatError(
                 f"header declared {vocab_size} rows but file has {row}",

@@ -295,9 +295,10 @@ def write_rankings(path, predictions: Iterable[Prediction], top_k: int | None = 
     """Persist rankings as repeated (entity, class) rows in rank order."""
     with open(path, "w", encoding="utf-8") as handle:
         for prediction in predictions:
-            ranking = prediction.ranking if top_k is None else prediction.ranking[:top_k]
-            for class_iri in ranking:
-                handle.write(f"{prediction.entity}\t{class_iri}\n")
+            ranking = prediction.ranking[:top_k]
+            if ranking:
+                head = f"{prediction.entity}\t"
+                handle.write(head + f"\n{head}".join(ranking) + "\n")
 
 
 def read_rankings(path) -> list[Prediction]:

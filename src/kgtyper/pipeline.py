@@ -7,7 +7,8 @@ Identical config and seed give byte-identical artifacts. Each stage is a
 public function with explicit arguments, which the CLI's stage subcommands
 call too. Stages call each layer through the name imported into this
 module, so a profiler that replaces ``kgtyper.pipeline.<name>`` sees every
-layer call.
+layer call. The predict stage scores every test entity in one call per
+route, ``CnnModel.predict`` and ``similarity_rank``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .cnn import CnnConfig, CnnModel, train_cnn
 from .corpus import build_vocabulary, read_corpus, triples_to_corpus, write_corpus
@@ -170,13 +169,13 @@ def write_dataset(
 
 
 def cnn_predictions(entities: Iterable[str], model: CnnModel, embeddings) -> list[Prediction]:
-    """The classifier's ranking of each entity; one without a vector gets an
-    empty ranking."""
-    return [
-        model.predict(entity, embeddings.vector_of(entity)) if entity in embeddings
-        else Prediction(entity)
-        for entity in entities
-    ]
+    """The classifier's ranking of each entity, from one ``predict`` over those
+    with a vector; one without a vector gets an empty ranking."""
+    entities = list(entities)
+    known = [entity for entity in entities if entity in embeddings]
+    vectors = [embeddings.vector_of(entity) for entity in known]
+    ranked = dict(zip(known, model.predict(known, vectors)))
+    return [ranked[entity] if entity in ranked else Prediction(entity) for entity in entities]
 
 
 def similarity_predictions(
@@ -184,27 +183,33 @@ def similarity_predictions(
     kg: KnowledgeGraph, hierarchy: ClassHierarchy, embeddings,
 ) -> list[Prediction]:
     """Rank each entity's refinement candidates by cosine against the mean
-    vector of each class's training members.
+    vector of each class's training members, in one ``similarity_rank``.
 
-    An entity without a vector, a known asserted type, or a candidate with
-    a class vector gets an empty ranking.
+    An entity's candidates are the classes with a class vector below the
+    coarse ancestor of its asserted type, one pool per ancestor. An entity
+    without a vector, a known asserted type, or a candidate gets an empty
+    ranking.
     """
+    entities = list(entities)
     members_by_class: dict[str, list[str]] = {}
     for entity, class_iri in train_examples:
         members_by_class.setdefault(class_iri, []).append(entity)
     class_vectors = build_class_vectors(members_by_class, embeddings)
-    class_norms = {class_iri: np.linalg.norm(v) for class_iri, v in class_vectors.items()}
-    predictions = []
+    pools: dict[str, frozenset] = {}  # by coarse ancestor
+    ranked, candidates = [], []
     for entity in entities:
         coarse = most_specific_class(kg.type_assertions.get(entity, ()), hierarchy)
-        scored = set()
-        if coarse is not None and entity in embeddings:
-            scored = fine_grained_candidates(hierarchy, coarse) & set(class_vectors)
-        predictions.append(
-            similarity_rank(entity, scored, class_vectors, embeddings, class_norms) if scored
-            else Prediction(entity)
-        )
-    return predictions
+        if coarse is None or entity not in embeddings:
+            continue
+        ancestor = hierarchy.coarse_ancestor(coarse)
+        if ancestor not in pools:
+            pool = fine_grained_candidates(hierarchy, ancestor) & class_vectors.keys()
+            pools[ancestor] = frozenset(pool)
+        if pools[ancestor]:
+            ranked.append(entity)
+            candidates.append(pools[ancestor])
+    rankings = dict(zip(ranked, similarity_rank(ranked, candidates, class_vectors, embeddings)))
+    return [rankings[entity] if entity in rankings else Prediction(entity) for entity in entities]
 
 
 def score(

@@ -5,12 +5,18 @@ vectors. To refine an entity's known type, the hierarchy is climbed to
 the coarse ancestor (the last class before a root), all classes below
 that ancestor become candidates, and the candidates are ranked by cosine
 similarity to the entity vector.
+
+All of it runs on arrays, bit for bit as one entity or pair at a time:
+each class sum adds its members in order, and the entities that share a
+pool are scored as one matrix of ``u @ v / (|u| |v|)``, with one BLAS dot
+per pair and each norm the square root of a row's dot with itself, as
+``np.linalg.norm`` computes it.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,70 +35,87 @@ class ClassVectorError(DataError):
 
 def class_vector(class_iri: str, members: Iterable[str], embeddings) -> np.ndarray:
     """Mean of the member vectors; members without vectors are skipped."""
-    total = None
-    resolved = 0
-    skipped = 0
-    for entity in members:
-        if entity not in embeddings:
-            skipped += 1
-            continue
-        vector = embeddings.vector_of(entity)
-        total = vector.copy() if total is None else total + vector
-        resolved += 1
-    if total is None:
+    vectors = build_class_vectors({class_iri: members}, embeddings)
+    if class_iri not in vectors:
         raise ClassVectorError(class_iri)
-    if skipped:
-        logger.warning("class %s: %d members without vectors", class_iri, skipped)
-    return total / resolved
+    return vectors[class_iri]
 
 
 def build_class_vectors(
     members_by_class: Mapping[str, Iterable[str]], embeddings
 ) -> dict[str, np.ndarray]:
-    return {
-        class_iri: class_vector(class_iri, members, embeddings)
-        for class_iri, members in sorted(members_by_class.items())
-    }
+    """Each class's mean member vector, by class in sorted order; members
+    without vectors are skipped, and a class with none is left out, with a
+    warning. Each sum adds its members in the order given, as a loop would."""
+    classes, resolved = [], []  # the classes with a member vector, and those members
+    for class_iri, members in sorted(members_by_class.items()):
+        members = list(members)
+        known = [entity for entity in members if entity in embeddings]
+        if not known:
+            logger.warning("class %s: no member has a vector; left out of every pool", class_iri)
+            continue
+        if len(known) < len(members):
+            skipped = len(members) - len(known)
+            logger.warning("class %s: %d members without vectors", class_iri, skipped)
+        classes.append(class_iri)
+        resolved.append(known)
+    if not classes:
+        return {}
+    counts = [len(known) for known in resolved]
+    sums = np.array([embeddings.vector_of(known[0]) for known in resolved])
+    for j in range(1, max(counts)):  # each class's j-th member, in the order given
+        more = [k for k, count in enumerate(counts) if count > j]
+        sums[more] += [embeddings.vector_of(resolved[k][j]) for k in more]
+    return dict(zip(classes, sums / np.array(counts)[:, None]))
+
+
+def _cosines(vectors: np.ndarray, class_vectors: np.ndarray) -> np.ndarray:
+    """Cosine of each row of ``vectors`` (N, dim) with each row of
+    ``class_vectors`` (K, dim), as an (N, K) matrix."""
+    norms, class_norms = (np.sqrt(np.matmul(m[:, None], m[:, :, None])[:, 0, 0])
+                          for m in (vectors, class_vectors))
+    if not (norms.all() and class_norms.all()):
+        raise DataError("cosine similarity undefined for zero-norm vector")
+    dots = np.matmul(vectors[:, None, None], class_vectors[None, :, :, None])[:, :, 0, 0]
+    return dots / np.multiply.outer(norms, class_norms)
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    return _cosine(u, v, np.linalg.norm(u), np.linalg.norm(v))
-
-
-def _cosine(u: np.ndarray, v: np.ndarray, norm_u: float, norm_v: float) -> float:
-    if norm_u == 0.0 or norm_v == 0.0:
-        raise DataError("cosine similarity undefined for zero-norm vector")
-    return float(u @ v / (norm_u * norm_v))
+    u, v = (np.array(x, ndmin=2, dtype=np.float64) for x in (u, v))
+    return float(_cosines(u, v)[0, 0])
 
 
 def similarity_rank(
-    entity: str,
-    candidates: AbstractSet[str],
+    entities: Sequence[str],
+    candidates: Sequence[AbstractSet[str]],
     class_vectors: Mapping[str, np.ndarray],
     embeddings,
-    class_norms: Mapping[str, float] | None = None,
-) -> Prediction:
-    """Rank candidate classes by cosine similarity to the entity vector.
+) -> list[Prediction]:
+    """Rank each entity's candidate classes by cosine similarity to its vector.
 
-    ``class_norms`` may hold ``np.linalg.norm`` of class vectors computed
-    once for many rankings; other norms are computed here. Each score
-    equals ``cosine_similarity`` of the two vectors exactly.
+    ``candidates[i]`` holds the classes to rank for ``entities[i]``; each
+    needs a class vector. The entities that share a pool are scored as one
+    matrix, and one stable sort per pool ranks them as
+    ``Prediction.from_scores`` does. Each score equals ``cosine_similarity``
+    of the two vectors exactly.
     """
-    if not candidates:
-        raise DataError(f"no candidate classes for entity {entity}")
-    vector = embeddings.vector_of(entity)
-    norm = np.linalg.norm(vector)
-    class_norms = class_norms or {}
-    scores = {}
-    for class_iri in candidates:
-        if class_iri not in class_vectors:
-            raise DataError(f"no class vector for candidate {class_iri}")
-        class_vector = class_vectors[class_iri]
-        class_norm = (
-            class_norms[class_iri] if class_iri in class_norms else np.linalg.norm(class_vector)
-        )
-        scores[class_iri] = _cosine(vector, class_vector, norm, class_norm)
-    return Prediction.from_scores(entity, scores)
+    pools: dict[frozenset, list[int]] = {}  # frozenset() of a frozenset is that frozenset
+    for i, (entity, pool) in enumerate(zip(entities, candidates)):
+        if not pool:
+            raise DataError(f"no candidate classes for entity {entity}")
+        pools.setdefault(frozenset(pool), []).append(i)
+    predictions = [None] * len(entities)
+    for pool, members in pools.items():
+        names = sorted(pool)
+        for class_iri in names:
+            if class_iri not in class_vectors:
+                raise DataError(f"no class vector for candidate {class_iri}")
+        vectors = np.array([embeddings.vector_of(entities[i]) for i in members])
+        scores = _cosines(vectors, np.array([class_vectors[c] for c in names]))
+        ranked = Prediction.from_rows([entities[i] for i in members], names, scores)
+        for i, prediction in zip(members, ranked):
+            predictions[i] = prediction
+    return predictions
 
 
 def fine_grained_candidates(

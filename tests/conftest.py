@@ -11,11 +11,16 @@ import pytest
 from hypothesis import settings
 
 from kgtyper.embeddings import EmbeddingMatrix, TrainingConfig
+from kgtyper.errors import DataError
+from kgtyper.evaluation import most_specific_class
 from kgtyper.embeddings.base import distinct_counts, init_input_vectors
 from kgtyper.embeddings.cbow import CompositionTable, ns_block
+from kgtyper.embeddings.io import EmbeddingFormatError
 from kgtyper.embeddings.glove import entry_block, glove_weight
 from kgtyper.graph import KnowledgeGraph, build_hierarchy
 from kgtyper.ntriples import Iri, Literal, NTriplesError, Triple, parse_ntriples
+from kgtyper.prediction import Prediction
+from kgtyper.similarity import fine_grained_candidates
 
 # Derandomized examples, so that a CI failure reproduces locally: --hypothesis-profile ci
 settings.register_profile("ci", derandomize=True)
@@ -100,6 +105,115 @@ class FixedVectors:
 @pytest.fixture
 def fixed_vectors():
     return FixedVectors
+
+
+def reference_class_vectors(members_by_class, embeddings) -> dict[str, np.ndarray]:
+    """Each class's mean vector, its members added one at a time in the
+    order given; a class none of whose members has a vector is left out."""
+    vectors = {}
+    for class_iri, members in sorted(members_by_class.items()):
+        total, resolved = None, 0
+        for entity in members:
+            if entity in embeddings:
+                vector = embeddings.vector_of(entity)
+                total = vector.copy() if total is None else total + vector
+                resolved += 1
+        if total is not None:
+            vectors[class_iri] = total / resolved
+    return vectors
+
+
+def reference_similarity_rank(entity, candidates, class_vectors, embeddings) -> Prediction:
+    """One entity's ranking by the per-pair definition: ``u @ v / (|u| |v|)``
+    for each candidate, ranked by ``Prediction.from_scores``."""
+    if not candidates:
+        raise DataError(f"no candidate classes for entity {entity}")
+    u = embeddings.vector_of(entity)
+    scores = {}
+    for class_iri in candidates:
+        if class_iri not in class_vectors:
+            raise DataError(f"no class vector for candidate {class_iri}")
+        v = class_vectors[class_iri]
+        norm_u, norm_v = np.linalg.norm(u), np.linalg.norm(v)
+        if norm_u == 0.0 or norm_v == 0.0:
+            raise DataError("cosine similarity undefined for zero-norm vector")
+        scores[class_iri] = float(u @ v / (norm_u * norm_v))
+    return Prediction.from_scores(entity, scores)
+
+
+def reference_similarity_predictions(entities, train_examples, kg, hierarchy, embeddings):
+    """The similarity route one entity at a time: the definition that
+    ``similarity_predictions`` must match, score for score and rank for rank."""
+    members_by_class: dict[str, list[str]] = {}
+    for entity, class_iri in train_examples:
+        members_by_class.setdefault(class_iri, []).append(entity)
+    class_vectors = reference_class_vectors(members_by_class, embeddings)
+    predictions = []
+    for entity in entities:
+        coarse = most_specific_class(kg.type_assertions.get(entity, ()), hierarchy)
+        pool = set()
+        if coarse is not None and entity in embeddings:
+            pool = fine_grained_candidates(hierarchy, coarse) & set(class_vectors)
+        predictions.append(
+            reference_similarity_rank(entity, pool, class_vectors, embeddings) if pool
+            else Prediction(entity)
+        )
+    return predictions
+
+
+def reference_cnn_predictions(entities, model, embeddings) -> list[Prediction]:
+    """The classifier's ranking from one one-row ``forward`` per entity; an
+    entity without a vector gets an empty ranking."""
+    predictions = []
+    for entity in entities:
+        if entity not in embeddings:
+            predictions.append(Prediction(entity))
+            continue
+        scores = model.forward(embeddings.vector_of(entity))[0]
+        predictions.append(Prediction.from_scores(
+            entity, {c: float(scores[i]) for i, c in enumerate(model.classes)}
+        ))
+    return predictions
+
+
+def prediction_bits(prediction: Prediction):
+    """A prediction's entity, ranking, and each score's exact bits."""
+    return prediction.entity, prediction.ranking, {c: s.hex() for c, s in prediction.scores.items()}
+
+
+def reference_load_rows(path) -> tuple[list[str], np.ndarray]:
+    """The tokens and vectors of a vector file, read a line at a time and a
+    component at a time by ``float()``; raises ``EmbeddingFormatError`` at
+    the first line that is wrong, as ``load_embeddings`` must."""
+    with open(path, encoding="utf-8") as handle:
+        vocab_size, dimension = (int(x) for x in handle.readline().split())
+        first_line, rows, line_number = {}, [], 1
+        for line_number, line in enumerate(handle, start=2):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(rows) >= vocab_size:
+                raise EmbeddingFormatError(f"more rows than the declared {vocab_size}", line_number)
+            if len(fields) != dimension + 1:
+                raise EmbeddingFormatError(
+                    f"expected {dimension} components, got {len(fields) - 1}", line_number
+                )
+            try:
+                rows.append([float(x) for x in fields[1:]])
+            except ValueError:
+                raise EmbeddingFormatError("non-numeric component", line_number) from None
+            if fields[0] in first_line:
+                raise EmbeddingFormatError(
+                    f"duplicate token {fields[0]!r}, first on line {first_line[fields[0]]}",
+                    line_number,
+                )
+            first_line[fields[0]] = line_number
+    if len(rows) != vocab_size:
+        raise EmbeddingFormatError(
+            f"header declared {vocab_size} rows but file has {len(rows)}",
+            line_number if rows else 1,
+        )
+    return list(first_line), np.array(rows, dtype=np.float64).reshape(vocab_size, dimension)
 
 
 def reference_fnv1a_32(text: str) -> int:

@@ -52,7 +52,7 @@ def test_forward_matches_hand_computation():
 
 def test_predict_ranks_classes_by_score():
     model = hand_model()
-    prediction = model.predict("e", np.array([5.0, 3.0, 1.0, 2.0, 4.0]))
+    [prediction] = model.predict(["e"], np.array([[5.0, 3.0, 1.0, 2.0, 4.0]]))
     assert prediction.entity == "e"
     assert prediction.ranking == ["c0", "c1"]
     assert prediction.scores["c0"] > prediction.scores["c1"]
@@ -174,9 +174,10 @@ def test_separable_fixture_reaches_full_training_accuracy_within_200_epochs():
         seed=1,
     )
     model = train_cnn(examples, vectors, config)
+    entities = [entity for entity, _ in examples]
+    predictions = model.predict(entities, [vectors.vector_of(entity) for entity in entities])
     correct = sum(
-        model.predict(entity, vectors.vector_of(entity)).top == gold
-        for entity, gold in examples
+        prediction.top == gold for prediction, (_, gold) in zip(predictions, examples)
     )
     assert correct == len(examples)
     assert model.epoch_losses[-1] < model.epoch_losses[0]
@@ -225,9 +226,10 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.feature_shift, model.feature_shift)
     assert np.array_equal(loaded.feature_scale, model.feature_scale)
 
-    entity = examples[0][0]
-    vector = vectors.vector_of(entity)
-    assert model.predict(entity, vector).scores == loaded.predict(entity, vector).scores
+    entities = [entity for entity, _ in examples]
+    rows = np.array([vectors.vector_of(entity) for entity in entities])
+    for ours, theirs in zip(model.predict(entities, rows), loaded.predict(entities, rows)):
+        assert ours.scores == theirs.scores
 
 
 def test_hand_built_model_round_trips_without_conditioning(tmp_path):

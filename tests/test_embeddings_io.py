@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import FixedVectors
+from conftest import FixedVectors, reference_load_rows
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -212,6 +212,42 @@ def test_malformed_files_name_the_line(tmp_path, content, bad_line):
         load_embeddings(path)
     assert excinfo.value.line_number == bad_line
     assert f"line {bad_line}:" in str(excinfo.value)
+
+
+# Spellings that float() reads (some of them unusual) and some it refuses.
+READABLE = ["0.125000", "-0.000000", "1_0", "inf", "-Infinity", "nan", "-nan", "\u0661\u0662",
+            "1e-320", "+.5", "5.", "1E5"]
+REFUSED = ["0x10", "1e", "nan1", "--1", "1__0", "\u00b2", "."]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_load_matches_per_component_reference(tmp_path, seed):
+    """Values, and the first error's line and message, equal those of a
+    loader that calls float() once per component, across chunk boundaries."""
+    rng = np.random.default_rng(seed)
+    dimension = int(rng.integers(1, 5))
+    rows = int(rng.integers(0, 90))
+    lines = []
+    for i in range(rows):
+        width = dimension + (int(rng.integers(-1, 2)) if rng.random() < 0.01 else 0)
+        pool = REFUSED if rng.random() < 0.01 else READABLE
+        components = [pool[int(rng.integers(len(pool)))] if rng.random() < 0.2
+                      else f"{rng.normal():.6f}" for _ in range(width)]
+        token = f"t{int(rng.integers(rows)) if rng.random() < 0.005 else i}"
+        lines += [" ".join([token, *components])] + [""] * int(rng.random() < 0.05)
+    declared = rows + (int(rng.integers(-2, 3)) if rng.random() < 0.2 else 0)
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"{max(declared, 0)} {dimension}\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        tokens, vectors = reference_load_rows(path)
+    except EmbeddingFormatError as expected:
+        with pytest.raises(EmbeddingFormatError) as got:
+            load_embeddings(path)
+        assert (got.value.line_number, str(got.value)) == (expected.line_number, str(expected))
+        return
+    loaded = load_embeddings(path)
+    assert loaded.vocabulary.id_to_token == tokens
+    assert loaded.input_vectors.tobytes() == vectors.tobytes()
 
 
 def test_header_row_count_mismatch_message(tmp_path):

@@ -72,7 +72,7 @@ def test_similarity_rank_orders_by_cosine():
         "far": np.array([0.0, 1.0]),
         "middling": np.array([1.0, 1.0]),
     }
-    prediction = similarity_rank("e", set(class_vectors), class_vectors, embeddings)
+    [prediction] = similarity_rank(["e"], [set(class_vectors)], class_vectors, embeddings)
     assert prediction.ranking == ["close", "middling", "far"]
     assert prediction.scores["close"] == pytest.approx(
         cosine_similarity(np.array([1.0, 0.1]), np.array([1.0, 0.0]))
@@ -85,11 +85,9 @@ def test_ranking_is_invariant_to_entity_vector_scale():
         "c2": np.array([1.0, 3.0]),
         "c3": np.array([-1.0, 2.0]),
     }
-    small = similarity_rank(
-        "e", set(class_vectors), class_vectors, FixedVectors({"e": [0.02, 0.01]})
-    )
-    large = similarity_rank(
-        "e", set(class_vectors), class_vectors, FixedVectors({"e": [200.0, 100.0]})
+    vectors = FixedVectors({"small": [0.02, 0.01], "large": [200.0, 100.0]})
+    small, large = similarity_rank(
+        ["small", "large"], [set(class_vectors)] * 2, class_vectors, vectors
     )
     assert small.ranking == large.ranking
     for c in class_vectors:
@@ -102,19 +100,19 @@ def test_equal_scores_break_ties_lexicographically():
         "zeta": np.array([2.0, 2.0]),
         "alpha": np.array([5.0, 5.0]),  # same cosine as zeta
     }
-    prediction = similarity_rank("e", {"zeta", "alpha"}, class_vectors, embeddings)
+    [prediction] = similarity_rank(["e"], [{"zeta", "alpha"}], class_vectors, embeddings)
     assert prediction.ranking == ["alpha", "zeta"]
 
 
 def test_empty_candidate_set_rejected():
     with pytest.raises(DataError):
-        similarity_rank("e", set(), {}, FixedVectors({"e": [1.0]}))
+        similarity_rank(["e"], [set()], {}, FixedVectors({"e": [1.0]}))
 
 
 def test_candidate_without_class_vector_rejected():
     embeddings = FixedVectors({"e": [1.0, 0.0]})
     with pytest.raises(DataError):
-        similarity_rank("e", {"missing"}, {}, embeddings)
+        similarity_rank(["e"], [{"missing"}], {}, embeddings)
 
 
 def test_lawfirm_candidates_are_company_and_lawfirm(lawfirm_hierarchy):
@@ -149,29 +147,32 @@ def test_unknown_class_rejected(lawfirm_hierarchy):
 def test_scores_equal_cosine_similarity_exactly():
     rng = np.random.default_rng(12)
     class_vectors = {
-        f"C{k}": rng.normal(size=7) * 10.0 ** int(rng.integers(-3, 4)) for k in range(12)
+        f"C{k}": rng.normal(size=33) * 10.0 ** int(rng.integers(-3, 4)) for k in range(12)
     }
-    norms = {c: np.linalg.norm(v) for c, v in class_vectors.items()}
-    for _ in range(20):
-        vector = rng.normal(size=7)
-        embeddings = FixedVectors({"e": vector})
+    entities = [f"e{i}" for i in range(20)]
+    embeddings = FixedVectors({entity: rng.normal(size=33) for entity in entities})
+    predictions = similarity_rank(
+        entities, [set(class_vectors)] * len(entities), class_vectors, embeddings
+    )
+    for entity, prediction in zip(entities, predictions):
+        vector = embeddings.vector_of(entity)
         # The definition, written out: one dot product over the product of norms.
         expected = {
             c: float(vector @ v / (np.linalg.norm(vector) * np.linalg.norm(v)))
             for c, v in class_vectors.items()
         }
         assert expected == {c: cosine_similarity(vector, v) for c, v in class_vectors.items()}
-        for class_norms in (norms, None, {"C0": norms["C0"]}):
-            prediction = similarity_rank(
-                "e", set(class_vectors), class_vectors, embeddings, class_norms
-            )
-            assert prediction.scores == expected
+        assert prediction.entity == entity
+        assert prediction.scores == expected
 
 
 def test_zero_norm_rejected_with_precomputed_norms():
     class_vectors = {"C": np.zeros(2), "D": np.ones(2)}
-    norms = {c: np.linalg.norm(v) for c, v in class_vectors.items()}
+    vectors = FixedVectors({"e": [1.0, 0.0], "zero": [0.0, 0.0]})
     with pytest.raises(DataError, match="zero-norm"):
-        similarity_rank("e", {"C", "D"}, class_vectors, FixedVectors({"e": [1.0, 0.0]}), norms)
+        similarity_rank(["e"], [{"C", "D"}], class_vectors, vectors)
     with pytest.raises(DataError, match="zero-norm"):
-        similarity_rank("e", {"D"}, class_vectors, FixedVectors({"e": [0.0, 0.0]}), norms)
+        similarity_rank(["e", "zero"], [{"D"}, {"D"}], class_vectors, vectors)
+    # A zero class vector outside every pool is never scored.
+    [prediction] = similarity_rank(["e"], [{"D"}], class_vectors, vectors)
+    assert prediction.ranking == ["D"]
