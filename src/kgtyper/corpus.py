@@ -8,7 +8,9 @@ concatenated across triples.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import AbstractSet, Iterable, Sequence
 
 from .errors import DataError
@@ -94,17 +96,24 @@ def build_vocabulary(corpus: Iterable[Sentence], min_count: int = 1) -> Vocabula
     """Count tokens and keep those occurring at least ``min_count`` times."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts: dict[str, int] = {}
-    total = 0
-    for sentence in corpus:
-        for token in sentence:
-            counts[token] = counts.get(token, 0) + 1
-            total += 1
+    counts = Counter(chain.from_iterable(corpus))
     kept = sorted(
         ((t, c) for t, c in counts.items() if c >= min_count),
         key=lambda item: (-item[1], item[0]),
     )
-    return Vocabulary(kept, total)
+    return Vocabulary(kept, sum(counts.values()))
+
+
+def split_fields(line: str) -> list[str]:
+    """The fields of one line of a corpus or vector file: the runs of text
+    between ASCII spaces and tabs, without the line break. ``str.split()``
+    would also split at U+00A0, U+2028 and the other whitespace an IRI may
+    hold. A line with single spaces between its fields, as the writers put
+    them, takes one ``split``."""
+    fields = line.rstrip("\n").split(" ")
+    if "" in fields or "\t" in line:  # a run of spaces, an edge space, or a tab
+        return [part for part in line.rstrip("\n").replace("\t", " ").split(" ") if part]
+    return fields
 
 
 def write_corpus(path, sentences: Iterable[Sentence]) -> int:
@@ -122,7 +131,7 @@ def read_corpus(path) -> list[Sentence]:
     sentences: list[Sentence] = []
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
-            tokens = tuple(line.split())
+            tokens = tuple(split_fields(line))
             if not tokens:
                 continue
             if len(tokens) != 3:

@@ -39,10 +39,13 @@ one-at-a-time visit leaves it: updated by every earlier entry that
 touches it (all on lower levels) and by no later one (all on higher
 levels). Each epoch lays the entries out in level order once, and the
 levels run in order, each in contiguous blocks of at most
-``BLOCK_ENTRIES``. Every elementwise operation is the scalar one applied
-per entry, each dot product is one BLAS dot per entry as in the
-one-at-a-time code, and the epoch loss adds the float32 terms to a
-float64 sum sequentially in shuffled order, so no rounding changes.
+``BLOCK_ENTRIES``. A block gathers its rows with ``ndarray.take``, and
+each side writes ``sqrt`` of its accumulators and its squared gradients
+into two scratch arrays allocated once per run, so the AdaGrad step
+makes no temporaries of its own. Every elementwise operation is the
+scalar one applied per entry, each dot product is one BLAS dot per entry
+as in the one-at-a-time code, and the epoch loss adds the float32 terms
+to a float64 sum sequentially in shuffled order, so no rounding changes.
 """
 
 from __future__ import annotations
@@ -199,6 +202,9 @@ def train_glove(
     log_x = np.log(x).astype(np.float32)
     f = glove_weight(x, config.x_max, config.alpha).astype(np.float32)
 
+    # Scratch rows for one side's sqrt(acc) and g * g in a block.
+    roots = np.empty((BLOCK_ENTRIES, dim + 1), dtype=np.float32)
+    squares = np.empty_like(roots)
     epoch_losses: list[float] = []
     for _ in range(config.epochs):
         order = rng.permutation(len(i))
@@ -212,15 +218,16 @@ def train_glove(
             for start in range(level_start, level_end, BLOCK_ENTRIES):
                 block = slice(start, min(start + BLOCK_ENTRIES, level_end))
                 r, c = rows[block], cols[block]
-                w_r, wt_c = w[r], wt[c]
+                w_r, wt_c = w.take(r, axis=0), wt.take(c, axis=0)
                 losses[block], g_w, g_wt = entry_block(w_r, wt_c, log_xs[block], fs[block])
                 # AdaGrad: each step divides by the squared gradients
                 # accumulated before it.
+                root, square = roots[:len(r)], squares[:len(r)]
                 sides = ((w, acc_w, r, w_r, g_w), (wt, acc_wt, c, wt_c, g_wt))
                 for param, acc, index, p, g in sides:
-                    a = acc[index]
-                    root = np.sqrt(a)
-                    a += g * g
+                    a = acc.take(index, axis=0)
+                    np.sqrt(a, out=root)
+                    a += np.multiply(g, g, out=square)
                     g *= lr
                     g /= root
                     p -= g

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..corpus import Vocabulary
+from ..corpus import Vocabulary, split_fields
 from ..errors import DataError, NumericalError
 from .base import EmbeddingMatrix
 
@@ -150,7 +150,7 @@ def load_embeddings(path) -> EmbeddingMatrix:
     """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline()
-        parts = header.split()
+        parts = split_fields(header)
         if len(parts) != 2:
             raise EmbeddingFormatError("header must be '<vocab_size> <dimension>'", 1)
         try:
@@ -166,7 +166,7 @@ def load_embeddings(path) -> EmbeddingMatrix:
         line_number = 1
         try:
             for line_number, line in enumerate(handle, start=2):
-                fields = line.split()
+                fields = split_fields(line)
                 if not fields:
                     continue
                 if row >= vocab_size:

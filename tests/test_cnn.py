@@ -202,6 +202,23 @@ def test_same_seed_trains_identically():
     assert first.epoch_losses == second.epoch_losses
 
 
+def test_entities_without_vectors_are_left_out_with_their_labels():
+    examples, vectors = separable_fixture()
+    # Unknown entities of either class, between the known ones, must drop out
+    # together with their labels: the model equals one trained without them.
+    padded = []
+    for k, example in enumerate(examples):
+        padded.append(example)
+        if k % 3 == 0:
+            padded.append((f"missing{k}", f"class{k % 2}"))
+    config = CnnConfig(filters_per_width=4, hidden_units=8, epochs=3, seed=3)
+    expected = train_cnn(examples, vectors, config)
+    actual = train_cnn(padded, vectors, config)
+    for name, value in expected.params.items():
+        assert np.array_equal(actual.params[name], value), name
+    assert actual.epoch_losses == expected.epoch_losses
+
+
 def test_different_seeds_train_differently():
     examples, vectors = separable_fixture()
     config = CnnConfig(filters_per_width=4, hidden_units=8, epochs=2, seed=1)

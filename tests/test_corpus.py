@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from kgtyper.corpus import (
     Vocabulary,
     build_vocabulary,
     read_corpus,
+    split_fields,
     triples_to_corpus,
     write_corpus,
 )
@@ -147,6 +149,24 @@ def test_corpus_file_round_trip(tmp_path):
     write_corpus(path, sentences)
     assert read_corpus(path) == sentences
     assert path.read_text(encoding="utf-8") == "a b c\nd e f\n"
+
+
+def test_corpus_round_trip_keeps_unicode_whitespace_inside_tokens(tmp_path):
+    # Fields are separated by ASCII spaces (tabs are read too); an IRI may
+    # hold any other whitespace character.
+    odd = "http://a\u00a0b\u2028c\x85d\x0be\x1cf\x1fg\u3000h"
+    path = tmp_path / "corpus.txt"
+    write_corpus(path, [(odd, "http://p", "http://o")])
+    assert read_corpus(path) == [(odd, "http://p", "http://o")]
+    path.write_text(f"  {odd}\thttp://p \t http://o\t\n", encoding="utf-8")
+    assert read_corpus(path) == [(odd, "http://p", "http://o")]
+
+
+@given(st.text("ab \t\xa0\u2028\x0b\r", max_size=12), st.sampled_from(["", "\n"]))
+def test_split_fields_splits_at_ascii_spaces_and_tabs_only(body, ending):
+    # Both the one-split path (single spaces) and the filtering one must
+    # give the runs between spaces, tabs and the line break.
+    assert split_fields(body + ending) == re.findall(r"[^ \t\n]+", body + ending)
 
 
 def test_read_corpus_rejects_wrong_token_count(tmp_path):

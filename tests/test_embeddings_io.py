@@ -185,6 +185,18 @@ def test_non_finite_vector_refused(tmp_path):
         save_embeddings(model, tmp_path / "vectors.txt")
 
 
+def test_token_with_unicode_whitespace_round_trips(tmp_path):
+    odd = "http://a\u00a0b\u2028c\x85d\x0be\x1cf"
+    matrix = matrix_of([odd, "b"], np.array([[0.5, -1.0], [2.0, 0.25]]))
+    path = tmp_path / "vectors.txt"
+    saved = save_embeddings(matrix, path)
+    loaded = load_embeddings(path)
+    assert loaded.vocabulary.id_to_token == [odd, "b"]
+    assert np.array_equal(loaded.input_vectors, saved.input_vectors)
+    path.write_text(f"2\t2\n{odd}\t0.5  -1\nb 2\t0.25\n", encoding="utf-8")
+    assert np.array_equal(load_embeddings(path).input_vectors, saved.input_vectors)
+
+
 def test_blank_lines_are_ignored(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text("2 2\na 1 2\n\nb 3 4\n\n")

@@ -10,6 +10,7 @@ from conftest import reference_parse
 from hypothesis import given, settings, strategies as st
 
 from kgtyper.ntriples import (
+    _IRI_STATEMENT,
     Iri,
     Literal,
     NTriplesError,
@@ -217,6 +218,81 @@ def test_recurring_iris_share_one_object_each():
     assert (triples, []) == reference_parse(lines)
     terms = {id(term) for t in triples for term in (t.subject, t.predicate, t.object)}
     assert len(terms) == len(names)
+
+
+# Lines of the three-IRI statement shape, which one match reads whole (one
+# holding '"' is read term by term instead): the spacing and comments it
+# allows, escapes, and IRI texts that the shape takes but Iri or the
+# unescaping refuses.
+IRI_STATEMENTS = [
+    "<http://a><http://b><http://c>.",
+    "<http://a>\t<http://b>\t\t<http://c>\t.\t",
+    " \t<http://a> <http://b> <http://c>.",
+    "<http://a> <http://b> <http://c> .#c",
+    "<http://a> <http://b> <http://c> . # c",
+    "<http://a> <http://b> <http://c>.# c <http://d> .",
+    "<http://caf\\u00E9> <http://b> <http://\\U0001F600> .",
+    "<http://a b> <http://b> <http://c> .",
+    "<http://a> <http://b\\q> <http://c> .",
+    "<http://a> <http://b> <http://c\\u00> .",
+    "<http://a> <http://b> <http://c\\uD800> .",
+    '<http://a> <http://b> <http://"c"> .',
+    "<http://a> <http://<b> <http://c> .",
+    "<http://a> <> <http://c> .",
+    "<http://a\\> <http://b> <http://c> .",
+]
+
+
+@pytest.mark.parametrize("line", IRI_STATEMENTS)
+@pytest.mark.parametrize("ending", ["", "\n", "\r\n"])
+def test_iri_statement_reads_as_the_reference_does(line, ending):
+    lines = ["<http://x> <http://y> <http://z> .", line + ending]
+    assert _IRI_STATEMENT.fullmatch(lines[1])
+    stats = ParseStats()
+    triples = list(parse_ntriples(lines, strict=False, stats=stats))
+    assert (triples, stats.errors) == reference_parse(lines)
+
+
+# Near misses of that shape, which the per-term reading must refuse or read.
+NEAR_IRI_STATEMENTS = [
+    "<http://a> <http://b> <http://c> .\x0b",
+    "<http://a> <http://b> <http://c> .\x0c# c",
+    "<http://a> <http://b> <http://c>\x0b.",
+    "\x0b<http://a> <http://b> <http://c> .",
+    "<http://a> <http://b> <http://c> .\r.",
+    "<http://a> <http://b> <http://c> . junk",
+    "<http://a> <http://b> <http://c> ..",
+    "<http://a> <http://b> <http://c>",
+    "<http://a> <http://b> <http://c .",
+    "<http://a> <http://b> <http://c> .\n# c\n",
+]
+
+
+@pytest.mark.parametrize("line", NEAR_IRI_STATEMENTS)
+def test_near_iri_statement_reads_as_the_reference_does(line):
+    lines = ["<http://x> <http://y> <http://z> .", line]
+    stats = ParseStats()
+    triples = list(parse_ntriples(lines, strict=False, stats=stats))
+    assert (triples, stats.errors) == reference_parse(lines)
+
+
+def test_iri_statement_shape_names_each_error_as_the_reference_does():
+    stats = ParseStats()
+    triples = list(parse_ntriples(IRI_STATEMENTS, strict=False, stats=stats))
+    assert (triples, stats.errors) == reference_parse(IRI_STATEMENTS)
+    assert [line for line, _ in stats.errors] == list(range(8, 16))
+    assert triples[-1] == Triple(Iri("http://café"), Iri("http://b"), Iri("http://\U0001f600"))
+
+
+def test_crlf_file_without_final_newline(tmp_path):
+    path = tmp_path / "in.nt"
+    lines = ["<http://a> <http://b> <http://c> .\r\n", "# c\r\n", "\r\n",
+             '<http://a> <http://b> "x" .\r\n', "<http://a> <http://b> <http://d> ."]
+    path.write_bytes("".join(lines).encode("utf-8"))
+    stats = ParseStats()
+    triples = list(parse_ntriples_file(path, strict=False, stats=stats))
+    assert (triples, stats.errors) == reference_parse(lines)
+    assert [t.object for t in triples] == [Iri("http://c"), Literal("x"), Iri("http://d")]
 
 
 # Generated lines: each part is well formed nine times in ten, so that

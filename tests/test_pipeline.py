@@ -166,6 +166,28 @@ def test_resume_reuses_persisted_artifacts(tmp_path, trainer):
     assert resumed.metrics == fresh.metrics
 
 
+def test_resume_reads_back_an_iri_that_holds_unicode_whitespace(tmp_path):
+    # Iri refuses only ASCII space, tab, CR, LF, '<', '>' and '"'; corpus.txt
+    # and vectors.txt separate fields by spaces, so no other whitespace in an
+    # IRI may split its token on the way back in.
+    config = small_config(tmp_path)
+    kg_path = config.input_nt
+    entity = "http://example.org/entity/c000_e0000"
+    odd = entity + "\u00a0\u2028\x85\x0b\x1c\x1f"
+    text = kg_path.read_text(encoding="utf-8")
+    assert f"<{entity}>" in text
+    kg_path.write_text(text.replace(f"<{entity}>", f"<{odd}>"), encoding="utf-8")
+    run_pipeline(config)
+    before = {name: (config.out_dir / name).read_bytes() for name in ARTIFACTS}
+    assert odd.encode() in before["corpus.txt"] and odd.encode() in before["vectors.txt"]
+    for name in ("model.bin", "pred_cnn.tsv", "pred_similarity.tsv", "metrics.json"):
+        (config.out_dir / name).unlink()
+
+    run_pipeline(small_config(tmp_path, resume=True))
+    after = {name: (config.out_dir / name).read_bytes() for name in ARTIFACTS}
+    assert [name for name in ARTIFACTS if after[name] != before[name]] == []
+
+
 def test_resume_skips_embedding_training(tmp_path, monkeypatch):
     config = small_config(tmp_path)
     run_pipeline(config)
