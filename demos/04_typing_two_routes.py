@@ -4,8 +4,9 @@ A synthetic knowledge graph provides ground truth. After training CBOW
 vectors, the classifier (a bank of filters as wide as the vector, a hidden
 layer and a sigmoid head) learns class scores from labeled entity vectors,
 while the similarity route represents each class by the mean vector of its
-training members and ranks the fine-grained candidates below the entity's
-coarse ancestor by cosine.
+training members and scores the fine-grained candidates below the entity's
+coarse ancestor by cosine. Each route gives one score matrix over all the
+test entities, and ``ScoreMatrix.predictions`` ranks its rows.
 """
 
 import tempfile
@@ -26,7 +27,7 @@ from kgtyper import (
     train_cnn,
     triples_to_corpus,
 )
-from kgtyper.pipeline import cnn_predictions, similarity_predictions
+from kgtyper.pipeline import cnn_scores, similarity_scores
 
 with tempfile.TemporaryDirectory(prefix="kgtyper_demo_") as out_dir:
     synth = generate_synthetic_kg(
@@ -58,23 +59,25 @@ def short(iri: str) -> str:
 
 
 entities = [entity for entity, _ in test]
-predictions = {
-    "cnn": cnn_predictions(entities, model, emb),
+matrices = {
+    "cnn": cnn_scores(entities, model, emb),
     # The similarity route refines a known coarse type: take the entity's
     # asserted class, collect the candidates below its coarse ancestor,
-    # and rank them by cosine against the mean vectors of the classes'
+    # and score them by cosine against the mean vectors of the classes'
     # training members.
-    "similarity": similarity_predictions(entities, train, kg, hierarchy, emb),
+    "similarity": similarity_scores(entities, train, kg, hierarchy, emb),
 }
+predictions = {method: matrix.predictions() for method, matrix in matrices.items()}
 correct = {
-    method: sum(p.top == gold for p, (_, gold) in zip(rows, test))
+    method: sum(p.ranking[:1] == [gold] for p, (_, gold) in zip(rows, test))
     for method, rows in predictions.items()
 }
 
 entity, gold = test[0]
 print(f"\nexample entity {short(entity)} (gold {short(gold)}):")
-for method, rows in predictions.items():
-    top2 = [(short(c), round(s, 3)) for c, s in rows[0].top_k(2)]
+for method, matrix in matrices.items():
+    row = dict(zip(matrix.classes, matrix.values[0]))
+    top2 = [(short(c), round(float(row[c]), 3)) for c in predictions[method][0].ranking[:2]]
     print(f"  {method + ' top-2:':<18}{top2}")
 
 print(f"\ntest accuracy — cnn: {correct['cnn']}/{len(test)}, "

@@ -9,10 +9,12 @@ artifacts are all plain text.
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from kgtyper import (
     CnnConfig,
     PipelineConfig,
-    Prediction,
+    ScoreMatrix,
     TrainingConfig,
     accuracy,
     external_overlap,
@@ -24,10 +26,9 @@ from kgtyper import (
 # Metrics on a hand-made fixture: gold class "A" for both entities, one
 # prediction ranks it first, the other second.
 gold = {"e1": "A", "e2": "A"}
-predictions = [
-    Prediction.from_scores("e1", {"A": 0.9, "B": 0.1}),
-    Prediction.from_scores("e2", {"A": 0.4, "B": 0.6}),
-]
+scores = ScoreMatrix(["e1", "e2"], ["A", "B"], np.array([[0.9, 0.1], [0.4, 0.6]]),
+                     np.ones((2, 2), dtype=bool))
+predictions = scores.predictions()
 print(f"accuracy {accuracy(predictions, gold):.2f}, "
       f"hits@1 {hits_at_k(predictions, gold, 1):.2f}, "
       f"hits@2 {hits_at_k(predictions, gold, 2):.2f}")

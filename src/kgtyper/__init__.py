@@ -54,10 +54,9 @@ from .ntriples import (
     write_ntriples,
 )
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline
-from .prediction import Prediction
+from .prediction import Prediction, ScoreMatrix
 from .similarity import (
     build_class_vectors,
-    class_vector,
     cosine_similarity,
     fine_grained_candidates,
     similarity_rank,
@@ -89,6 +88,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "Prediction",
+    "ScoreMatrix",
     "StageError",
     "TrainingConfig",
     "Triple",
@@ -99,7 +99,6 @@ __all__ = [
     "build_dataset",
     "build_hierarchy",
     "build_vocabulary",
-    "class_vector",
     "coarse_grained_stats",
     "cosine_similarity",
     "external_overlap",

@@ -13,10 +13,10 @@ Precedence: explicit flag, then environment, then built-in default, settled
 once after parsing, so a flag also wins over an environment value that could
 not be read; such a value is a usage error that names its variable, for the
 subcommands that have the option. A repeatable option (``--root``,
-``--entity``) takes a whitespace-separated list from the environment, which
-its flags replace. ``KGTYPER_EPOCHS`` and ``KGTYPER_LR`` set both
-``train-embeddings`` and ``train-classifier``; ``pipeline``'s classifier
-reads ``KGTYPER_CNN_EPOCHS`` and ``KGTYPER_CNN_LR``.
+``--entity``) takes from the environment a list separated by spaces, tabs or
+line breaks, which its flags replace. ``KGTYPER_EPOCHS`` and ``KGTYPER_LR``
+set both ``train-embeddings`` and ``train-classifier``; ``pipeline``'s
+classifier reads ``KGTYPER_CNN_EPOCHS`` and ``KGTYPER_CNN_LR``.
 ``KGTYPER_TRAINER`` sets the trainer of ``train-embeddings`` and ``pipeline``
 (``train-embeddings`` also takes ``--model`` as a second spelling of
 ``--trainer``), and ``KGTYPER_MODEL`` only ``predict``'s model path.
@@ -39,6 +39,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -49,8 +50,8 @@ from .errors import DataError, KgTyperError, NumericalError, StageError
 from .evaluation import external_overlap, read_label_map, read_labels, read_rankings, write_rankings
 from .ntriples import write_ntriples
 from .pipeline import (
-    DEFAULT_METRICS, TRAINERS, PipelineConfig, cnn_predictions, load_graph, run_pipeline, score,
-    similarity_predictions, train_embeddings, write_dataset, write_sentences,
+    DEFAULT_METRICS, TRAINERS, PipelineConfig, cnn_scores, load_graph, run_pipeline, score,
+    similarity_scores, train_embeddings, write_dataset, write_sentences,
 )
 from .synth import generate_synthetic_kg
 
@@ -60,6 +61,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+
+# The items of a repeatable option's environment list: the runs between
+# spaces, tabs, CRs and LFs, the whitespace an IRI cannot hold. ``str.split``
+# would also cut at U+00A0 and the other whitespace an IRI may hold.
+_list_items = re.compile(r"[^ \t\r\n]+").findall
 
 _TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
 _FALSE_WORDS = frozenset({"0", "false", "no", "off"})
@@ -140,7 +146,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _environment_value(action, env_name: str, raw: str):
     """``raw`` read as the argument of ``action``'s flag: a boolean for a
-    switch, a whitespace-separated list for a repeatable option."""
+    switch, a list for a repeatable option (see ``_list_items``)."""
     try:
         if action.nargs == 0:  # store_true or store_false
             lowered = raw.strip().lower()
@@ -149,7 +155,7 @@ def _environment_value(action, env_name: str, raw: str):
             # A true value turns the flag on, which clears a store_false dest.
             return (lowered in _TRUE_WORDS) == action.const
         if isinstance(action, argparse._AppendAction):
-            return raw.split()  # an IRI holds no whitespace, but ':' appears in most
+            return _list_items(raw)
         value = (action.type or str)(raw)
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"not one of {', '.join(action.choices)}")
@@ -177,7 +183,7 @@ def _opt(parser, flag: str, *aliases: str, group=None, **kwargs) -> None:
     action = (group or parser).add_argument(flag, *aliases, **kwargs)
     env_name = ENV_PREFIX + _name(flag)
     raw = os.environ.get(env_name)
-    if raw is not None and (raw.split() or not isinstance(action, argparse._AppendAction)):
+    if raw is not None and (_list_items(raw) or not isinstance(action, argparse._AppendAction)):
         action.required = False  # the environment gives a value
     parser.settings.append((action, env_name, action.default))
     action.default = argparse.SUPPRESS  # an option left unset stays off the namespace
@@ -294,25 +300,25 @@ def _cmd_predict(args) -> int:
     if args.method == "cnn":
         if args.model is None:
             raise ValueError("--model is required with --method cnn")
-        rows = cnn_predictions(args.entity, CnnModel.load(args.model), embeddings)
+        matrix = cnn_scores(args.entity, CnnModel.load(args.model), embeddings)
         reason = "it has no vector"
     else:
         if args.infile is None or args.train is None:
             raise ValueError("--in and --train are required with --method similarity")
         kg, hierarchy, _ = load_graph(args.infile, args.strict, _roots(args))
-        rows = similarity_predictions(
-            args.entity, read_labels(args.train), kg, hierarchy, embeddings
-        )
+        matrix = similarity_scores(args.entity, read_labels(args.train), kg, hierarchy, embeddings)
         reason = "it lacks a vector, a known asserted type or a candidate with a class vector"
+    rows = matrix.predictions()
     for prediction in rows:
         if not prediction.ranking:
             raise DataError(f"cannot rank entity {prediction.entity}: {reason}")
     if args.out is not None:
         write_rankings(args.out, rows, top_k=args.top_k)
     else:
-        for prediction in rows:
-            for class_iri, score in prediction.top_k(args.top_k):
-                print(f"{prediction.entity}\t{class_iri}\t{score:.6f}")
+        columns = {c: j for j, c in enumerate(matrix.classes)}
+        for prediction, values in zip(rows, matrix.values):
+            for class_iri in prediction.ranking[: args.top_k]:
+                print(f"{prediction.entity}\t{class_iri}\t{values[columns[class_iri]]:.6f}")
     return EXIT_OK
 
 

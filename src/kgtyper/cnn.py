@@ -6,7 +6,9 @@ that wide has a single position, so it is the convolution of Kim (2014) with
 its max pool over one value, i.e. a dense layer. One fully connected ReLU
 layer and a sigmoid output layer follow. Targets are one-hot over the
 fine-grained classes and the loss is the mean per-class binary
-cross-entropy; evaluation takes the argmax.
+cross-entropy. ``predict`` returns the sigmoid scores of many entities as
+one (N, num_classes) array; ranking them is ``ScoreMatrix.predictions``'s
+job, and evaluation takes the top-ranked class.
 
 Kim slides narrow filters over word positions, whose order carries meaning.
 The coordinates of an entity vector have no order, so a narrow window over
@@ -38,7 +40,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .prediction import Prediction
 
 logger = logging.getLogger(__name__)
 
@@ -170,18 +171,16 @@ class CnnModel:
             )
         return _sigmoid(self._forward_cached(inputs)["logits"])
 
-    def predict(self, entities: list[str], vectors: np.ndarray) -> list[Prediction]:
-        """Each entity's ranking from its row of ``vectors`` (an (N, dim) array
-        or N rows). The rows go in as stacks of one-row batches, (batch size,
-        1, dim), so that each gets the BLAS calls of its own one-row forward,
-        and bit for bit its scores."""
-        names = sorted(self.classes)
-        columns = [self.class_index[c] for c in names]
-        scores, step = np.empty((len(entities), len(names))), self.config.batch_size
-        for start in range(0, len(entities), step):
+    def predict(self, vectors) -> np.ndarray:
+        """The (N, num_classes) scores of the rows of ``vectors`` (an (N, dim)
+        array or N rows), columns as in ``classes``. The rows go in as stacks
+        of one-row batches, (batch size, 1, dim), so that each gets the BLAS
+        calls of its own one-row forward, and bit for bit its scores."""
+        scores, step = np.empty((len(vectors), self.num_classes)), self.config.batch_size
+        for start in range(0, len(vectors), step):
             rows = np.asarray(vectors[start:start + step])[:, None]
-            scores[start:start + step] = self.forward(rows)[:, 0, columns]
-        return Prediction.from_rows(entities, names, scores)
+            scores[start:start + step] = self.forward(rows)[:, 0]
+        return scores
 
     def loss_and_grads(
         self, inputs: np.ndarray, targets: np.ndarray

@@ -93,9 +93,10 @@ class EmbeddingMatrix:
         return token in self.vocabulary
 
     def vector_of(self, token: str) -> np.ndarray:
-        if token not in self.vocabulary:
+        row = self.vocabulary.token_to_id.get(token)
+        if row is None:
             raise TokenNotFoundError(token)
-        return self.input_vectors[self.vocabulary.id_of(token)]
+        return self.input_vectors[row]
 
     @property
     def dimension(self) -> int:

@@ -306,8 +306,4 @@ def read_rankings(path) -> list[Prediction]:
     rankings: dict[str, list[str]] = {}
     for entity, class_iri in read_labels(path):
         rankings.setdefault(entity, []).append(class_iri)
-    return [
-        # Scores are not stored in the format; synthesize rank-consistent ones.
-        Prediction(entity, {c: float(len(ranking) - i) for i, c in enumerate(ranking)}, ranking)
-        for entity, ranking in rankings.items()
-    ]
+    return [Prediction(entity, ranking) for entity, ranking in rankings.items()]

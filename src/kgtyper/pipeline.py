@@ -8,7 +8,8 @@ public function with explicit arguments, which the CLI's stage subcommands
 call too. Stages call each layer through the name imported into this
 module, so a profiler that replaces ``kgtyper.pipeline.<name>`` sees every
 layer call. The predict stage scores every test entity in one call per
-route, ``CnnModel.predict`` and ``similarity_rank``.
+route, ``CnnModel.predict`` and ``similarity_rank``, into one ``ScoreMatrix``
+per route, which ``ScoreMatrix.predictions`` ranks.
 """
 
 from __future__ import annotations
@@ -18,8 +19,11 @@ import logging
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .cnn import CnnConfig, CnnModel, train_cnn
 from .corpus import build_vocabulary, read_corpus, triples_to_corpus, write_corpus
@@ -34,7 +38,7 @@ from .evaluation import (
 )
 from .graph import DEFAULT_ROOTS, ClassHierarchy, KnowledgeGraph, build_hierarchy
 from .ntriples import RDF_TYPE, ParseStats, parse_ntriples_file
-from .prediction import Prediction
+from .prediction import Prediction, ScoreMatrix
 from .similarity import build_class_vectors, fine_grained_candidates, similarity_rank
 
 logger = logging.getLogger(__name__)
@@ -168,27 +172,27 @@ def write_dataset(
     return dataset
 
 
-def cnn_predictions(entities: Iterable[str], model: CnnModel, embeddings) -> list[Prediction]:
-    """The classifier's ranking of each entity, from one ``predict`` over those
-    with a vector; one without a vector gets an empty ranking."""
+def cnn_scores(entities: Iterable[str], model: CnnModel, embeddings) -> ScoreMatrix:
+    """The classifier's scores of each entity, from one ``predict`` over those
+    with a vector; one without a vector is left unranked."""
     entities = list(entities)
-    known = [entity for entity in entities if entity in embeddings]
-    vectors = [embeddings.vector_of(entity) for entity in known]
-    ranked = dict(zip(known, model.predict(known, vectors)))
-    return [ranked[entity] if entity in ranked else Prediction(entity) for entity in entities]
+    known = np.array([entity in embeddings for entity in entities], dtype=bool)
+    values = np.zeros((len(entities), model.num_classes))
+    values[known] = model.predict([embeddings.vector_of(e) for e in compress(entities, known)])
+    ranked = np.repeat(known[:, None], model.num_classes, axis=1)
+    return ScoreMatrix(entities, model.classes, values, ranked)
 
 
-def similarity_predictions(
+def similarity_scores(
     entities: Iterable[str], train_examples: Iterable[tuple[str, str]],
     kg: KnowledgeGraph, hierarchy: ClassHierarchy, embeddings,
-) -> list[Prediction]:
-    """Rank each entity's refinement candidates by cosine against the mean
+) -> ScoreMatrix:
+    """Score each entity's refinement candidates by cosine against the mean
     vector of each class's training members, in one ``similarity_rank``.
 
     An entity's candidates are the classes with a class vector below the
     coarse ancestor of its asserted type, one pool per ancestor. An entity
-    without a vector, a known asserted type, or a candidate gets an empty
-    ranking.
+    without a vector, a known asserted type, or a candidate is left unranked.
     """
     entities = list(entities)
     members_by_class: dict[str, list[str]] = {}
@@ -196,20 +200,18 @@ def similarity_predictions(
         members_by_class.setdefault(class_iri, []).append(entity)
     class_vectors = build_class_vectors(members_by_class, embeddings)
     pools: dict[str, frozenset] = {}  # by coarse ancestor
-    ranked, candidates = [], []
+    candidates = []
     for entity in entities:
         coarse = most_specific_class(kg.type_assertions.get(entity, ()), hierarchy)
-        if coarse is None or entity not in embeddings:
-            continue
-        ancestor = hierarchy.coarse_ancestor(coarse)
-        if ancestor not in pools:
-            pool = fine_grained_candidates(hierarchy, ancestor) & class_vectors.keys()
-            pools[ancestor] = frozenset(pool)
-        if pools[ancestor]:
-            ranked.append(entity)
-            candidates.append(pools[ancestor])
-    rankings = dict(zip(ranked, similarity_rank(ranked, candidates, class_vectors, embeddings)))
-    return [rankings[entity] if entity in rankings else Prediction(entity) for entity in entities]
+        pool = frozenset()
+        if coarse is not None and entity in embeddings:
+            ancestor = hierarchy.coarse_ancestor(coarse)
+            if ancestor not in pools:
+                below = fine_grained_candidates(hierarchy, ancestor)
+                pools[ancestor] = frozenset(below & class_vectors.keys())
+            pool = pools[ancestor]
+        candidates.append(pool)
+    return similarity_rank(entities, candidates, class_vectors, embeddings)
 
 
 def score(
@@ -272,10 +274,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         test = read_labels(path("test.tsv"))
         entities = [entity for entity, _ in test]
         predictions = {
-            "cnn": cnn_predictions(entities, classifier, embeddings),
-            "similarity": similarity_predictions(
+            "cnn": cnn_scores(entities, classifier, embeddings).predictions(),
+            "similarity": similarity_scores(
                 entities, read_labels(path("train.tsv")), kg, hierarchy, embeddings
-            ),
+            ).predictions(),
         }
         for method, rows in predictions.items():
             write_rankings(path(f"pred_{method}.tsv"), rows)

@@ -3,12 +3,13 @@
 A class is represented by the arithmetic mean of its member entity
 vectors. To refine an entity's known type, the hierarchy is climbed to
 the coarse ancestor (the last class before a root), all classes below
-that ancestor become candidates, and the candidates are ranked by cosine
-similarity to the entity vector.
+that ancestor become candidates, and the candidates are scored by cosine
+similarity to the entity vector: one ``ScoreMatrix`` for all the entities,
+which ``ScoreMatrix.predictions`` ranks.
 
 All of it runs on arrays, bit for bit as one entity or pair at a time:
 each class sum adds its members in order, and the entities that share a
-pool are scored as one matrix of ``u @ v / (|u| |v|)``, with one BLAS dot
+pool are scored as one block of ``u @ v / (|u| |v|)``, with one BLAS dot
 per pair and each norm the square root of a row's dot with itself, as
 ``np.linalg.norm`` computes it.
 """
@@ -22,23 +23,9 @@ import numpy as np
 
 from .errors import DataError
 from .graph import ClassHierarchy
-from .prediction import Prediction
+from .prediction import ScoreMatrix
 
 logger = logging.getLogger(__name__)
-
-
-class ClassVectorError(DataError):
-    def __init__(self, class_iri: str):
-        super().__init__(f"no member of class {class_iri} has a vector")
-        self.class_iri = class_iri
-
-
-def class_vector(class_iri: str, members: Iterable[str], embeddings) -> np.ndarray:
-    """Mean of the member vectors; members without vectors are skipped."""
-    vectors = build_class_vectors({class_iri: members}, embeddings)
-    if class_iri not in vectors:
-        raise ClassVectorError(class_iri)
-    return vectors[class_iri]
 
 
 def build_class_vectors(
@@ -90,32 +77,34 @@ def similarity_rank(
     candidates: Sequence[AbstractSet[str]],
     class_vectors: Mapping[str, np.ndarray],
     embeddings,
-) -> list[Prediction]:
-    """Rank each entity's candidate classes by cosine similarity to its vector.
+) -> ScoreMatrix:
+    """Score each entity's candidate classes by cosine similarity to its vector.
 
     ``candidates[i]`` holds the classes to rank for ``entities[i]``; each
-    needs a class vector. The entities that share a pool are scored as one
-    matrix, and one stable sort per pool ranks them as
-    ``Prediction.from_scores`` does. Each score equals ``cosine_similarity``
-    of the two vectors exactly.
+    needs a class vector, and an entity with an empty set is left unranked,
+    its vector never looked up. The
+    columns are the sorted classes of every pool. The entities that share a
+    pool are scored as one matrix, each score equal to ``cosine_similarity``
+    of the two vectors exactly; a cell outside the entity's pool is 0.
     """
     pools: dict[frozenset, list[int]] = {}  # frozenset() of a frozenset is that frozenset
-    for i, (entity, pool) in enumerate(zip(entities, candidates)):
-        if not pool:
-            raise DataError(f"no candidate classes for entity {entity}")
-        pools.setdefault(frozenset(pool), []).append(i)
-    predictions = [None] * len(entities)
-    for pool, members in pools.items():
-        names = sorted(pool)
-        for class_iri in names:
-            if class_iri not in class_vectors:
-                raise DataError(f"no class vector for candidate {class_iri}")
-        vectors = np.array([embeddings.vector_of(entities[i]) for i in members])
-        scores = _cosines(vectors, np.array([class_vectors[c] for c in names]))
-        ranked = Prediction.from_rows([entities[i] for i in members], names, scores)
-        for i, prediction in zip(members, ranked):
-            predictions[i] = prediction
-    return predictions
+    for i, pool in enumerate(candidates):
+        if pool:
+            pools.setdefault(frozenset(pool), []).append(i)
+    classes = sorted(frozenset().union(*pools))
+    for class_iri in classes:
+        if class_iri not in class_vectors:
+            raise DataError(f"no class vector for candidate {class_iri}")
+    columns = {c: j for j, c in enumerate(classes)}
+    class_matrix = np.array([class_vectors[c] for c in classes])
+    values = np.zeros((len(entities), len(classes)))
+    ranked = np.zeros(values.shape, dtype=bool)
+    for pool, rows in pools.items():
+        cols = [columns[c] for c in pool]
+        vectors = np.array([embeddings.vector_of(entities[i]) for i in rows])
+        values[np.ix_(rows, cols)] = _cosines(vectors, class_matrix[cols])
+        ranked[np.ix_(rows, cols)] = True
+    return ScoreMatrix(list(entities), classes, values, ranked)
 
 
 def fine_grained_candidates(

@@ -19,7 +19,6 @@ from kgtyper.embeddings.io import EmbeddingFormatError
 from kgtyper.embeddings.glove import entry_block, glove_weight
 from kgtyper.graph import KnowledgeGraph, build_hierarchy
 from kgtyper.ntriples import Iri, Literal, NTriplesError, Triple, parse_ntriples
-from kgtyper.prediction import Prediction
 from kgtyper.similarity import fine_grained_candidates
 
 # Derandomized examples, so that a CI failure reproduces locally: --hypothesis-profile ci
@@ -123,14 +122,17 @@ def reference_class_vectors(members_by_class, embeddings) -> dict[str, np.ndarra
     return vectors
 
 
-def reference_similarity_rank(entity, candidates, class_vectors, embeddings) -> Prediction:
-    """One entity's ranking by the per-pair definition: ``u @ v / (|u| |v|)``
-    for each candidate, ranked by ``Prediction.from_scores``."""
-    if not candidates:
-        raise DataError(f"no candidate classes for entity {entity}")
-    u = embeddings.vector_of(entity)
+def reference_ranking(scores: dict[str, float]) -> list[str]:
+    """The tie rule: classes by descending score, equal scores by class name."""
+    return sorted(scores, key=lambda c: (-scores[c], c))
+
+
+def reference_cosines(entity, candidates, class_vectors, embeddings) -> dict:
+    """One entity's scores by the per-pair definition: ``u @ v / (|u| |v|)``
+    for each candidate."""
     scores = {}
     for class_iri in candidates:
+        u = embeddings.vector_of(entity)
         if class_iri not in class_vectors:
             raise DataError(f"no class vector for candidate {class_iri}")
         v = class_vectors[class_iri]
@@ -138,47 +140,63 @@ def reference_similarity_rank(entity, candidates, class_vectors, embeddings) -> 
         if norm_u == 0.0 or norm_v == 0.0:
             raise DataError("cosine similarity undefined for zero-norm vector")
         scores[class_iri] = float(u @ v / (norm_u * norm_v))
-    return Prediction.from_scores(entity, scores)
+    return scores
 
 
-def reference_similarity_predictions(entities, train_examples, kg, hierarchy, embeddings):
+def reference_similarity_scores(entities, train_examples, kg, hierarchy, embeddings):
     """The similarity route one entity at a time: the definition that
-    ``similarity_predictions`` must match, score for score and rank for rank."""
+    ``similarity_scores`` must match, score for score. Each entity's
+    candidate scores, empty for an entity the route cannot rank."""
     members_by_class: dict[str, list[str]] = {}
     for entity, class_iri in train_examples:
         members_by_class.setdefault(class_iri, []).append(entity)
     class_vectors = reference_class_vectors(members_by_class, embeddings)
-    predictions = []
+    rows = []
     for entity in entities:
         coarse = most_specific_class(kg.type_assertions.get(entity, ()), hierarchy)
         pool = set()
         if coarse is not None and entity in embeddings:
             pool = fine_grained_candidates(hierarchy, coarse) & set(class_vectors)
-        predictions.append(
-            reference_similarity_rank(entity, pool, class_vectors, embeddings) if pool
-            else Prediction(entity)
-        )
-    return predictions
+        rows.append(reference_cosines(entity, pool, class_vectors, embeddings))
+    return rows
 
 
-def reference_cnn_predictions(entities, model, embeddings) -> list[Prediction]:
-    """The classifier's ranking from one one-row ``forward`` per entity; an
-    entity without a vector gets an empty ranking."""
-    predictions = []
+def reference_cnn_scores(entities, model, embeddings) -> list[dict]:
+    """The classifier's scores from one one-row ``forward`` per entity; empty
+    for an entity without a vector."""
+    rows = []
     for entity in entities:
         if entity not in embeddings:
-            predictions.append(Prediction(entity))
+            rows.append({})
             continue
         scores = model.forward(embeddings.vector_of(entity))[0]
-        predictions.append(Prediction.from_scores(
-            entity, {c: float(scores[i]) for i, c in enumerate(model.classes)}
-        ))
-    return predictions
+        rows.append({c: float(scores[i]) for i, c in enumerate(model.classes)})
+    return rows
 
 
-def prediction_bits(prediction: Prediction):
-    """A prediction's entity, ranking, and each score's exact bits."""
-    return prediction.entity, prediction.ranking, {c: s.hex() for c, s in prediction.scores.items()}
+def row_scores(matrix) -> list[dict]:
+    """Each row of a ``ScoreMatrix`` as its candidates' scores, by class."""
+    return [
+        {c: float(v) for c, v, candidate in zip(matrix.classes, values, ranked) if candidate}
+        for values, ranked in zip(matrix.values, matrix.ranked)
+    ]
+
+
+def matrix_bits(matrix) -> list[tuple]:
+    """Each entity of a ``ScoreMatrix``, its ranking by ``predictions()``,
+    and the exact bits of its candidates' scores."""
+    return [
+        (p.entity, p.ranking, {c: s.hex() for c, s in scores.items()})
+        for p, scores in zip(matrix.predictions(), row_scores(matrix))
+    ]
+
+
+def reference_bits(entities, rows) -> list[tuple]:
+    """``matrix_bits`` of reference scores, ranked by ``reference_ranking``."""
+    return [
+        (entity, reference_ranking(scores), {c: s.hex() for c, s in scores.items()})
+        for entity, scores in zip(entities, rows)
+    ]
 
 
 def reference_load_rows(path) -> tuple[list[str], np.ndarray]:

@@ -326,9 +326,7 @@ def test_metric_fixtures():
         order = [f"d{j}" for j in range(4)]
         if gold_rank is not None:
             order.insert(gold_rank - 1, "gold")
-        return Prediction.from_scores(
-            entity, {c: 1.0 - 0.1 * i for i, c in enumerate(order)}
-        )
+        return Prediction(entity, order)
 
     # Gold ranked first 7 times, second once, third once, absent once.
     ranks = [1, 1, 1, 1, 1, 1, 1, 2, 3, None]

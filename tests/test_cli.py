@@ -843,6 +843,18 @@ def test_entities_from_environment_split_on_whitespace(capsys, workspace, monkey
     assert [line.split("\t")[0] for line in out.splitlines()] == entities
 
 
+def test_environment_lists_keep_an_iri_with_a_no_break_space(monkeypatch):
+    """An environment list is cut only at the whitespace an IRI cannot hold:
+    U+00A0 and U+2028 stay inside their IRIs."""
+    iris = ["http://ex.org/A\u00a0B", "http://ex.org/C\u2028D", "http://ex.org/E"]
+    raw = f" {iris[0]} {iris[1]}\t\r\n{iris[2]}\n"
+    monkeypatch.setenv("KGTYPER_ROOT", raw)
+    monkeypatch.setenv("KGTYPER_ENTITY", raw)
+    assert build_parser().parse_args(["ingest", "--in", "kg.nt"]).root == iris
+    args = build_parser().parse_args(["predict", "--method", "cnn", "--vectors", "v.txt"])
+    assert args.entity == iris
+
+
 def test_empty_entity_list_from_environment_is_usage_error(capsys, workspace, monkeypatch):
     monkeypatch.setenv("KGTYPER_ENTITY", " ")
     code, out, err = run(

@@ -50,12 +50,13 @@ def test_forward_matches_hand_computation():
     assert np.allclose(scores, expected, rtol=0, atol=1e-12)
 
 
-def test_predict_ranks_classes_by_score():
+def test_predict_scores_each_row_in_class_order():
     model = hand_model()
-    [prediction] = model.predict(["e"], np.array([[5.0, 3.0, 1.0, 2.0, 4.0]]))
-    assert prediction.entity == "e"
-    assert prediction.ranking == ["c0", "c1"]
-    assert prediction.scores["c0"] > prediction.scores["c1"]
+    vector = np.array([5.0, 3.0, 1.0, 2.0, 4.0])
+    scores = model.predict(np.array([vector]))
+    assert model.classes == ["c0", "c1"]
+    assert scores.shape == (1, 2) and scores[0, 0] > scores[0, 1]
+    assert np.array_equal(scores, model.forward(vector))
 
 
 def test_zero_weights_score_half_for_every_class():
@@ -175,9 +176,9 @@ def test_separable_fixture_reaches_full_training_accuracy_within_200_epochs():
     )
     model = train_cnn(examples, vectors, config)
     entities = [entity for entity, _ in examples]
-    predictions = model.predict(entities, [vectors.vector_of(entity) for entity in entities])
+    scores = model.predict([vectors.vector_of(entity) for entity in entities])
     correct = sum(
-        prediction.top == gold for prediction, (_, gold) in zip(predictions, examples)
+        model.classes[best] == gold for best, (_, gold) in zip(scores.argmax(axis=1), examples)
     )
     assert correct == len(examples)
     assert model.epoch_losses[-1] < model.epoch_losses[0]
@@ -245,8 +246,7 @@ def test_save_load_round_trip(tmp_path):
 
     entities = [entity for entity, _ in examples]
     rows = np.array([vectors.vector_of(entity) for entity in entities])
-    for ours, theirs in zip(model.predict(entities, rows), loaded.predict(entities, rows)):
-        assert ours.scores == theirs.scores
+    assert np.array_equal(model.predict(rows), loaded.predict(rows))
 
 
 def test_hand_built_model_round_trips_without_conditioning(tmp_path):

@@ -32,8 +32,7 @@ from kgtyper.synth import generate_synthetic_kg
 
 
 def ranked(entity: str, classes: list[str]) -> Prediction:
-    scores = {c: float(len(classes) - i) for i, c in enumerate(classes)}
-    return Prediction(entity, scores, list(classes))
+    return Prediction(entity, list(classes))
 
 
 @pytest.fixture

@@ -14,15 +14,17 @@ import numpy as np
 import pytest
 from conftest import (
     FixedVectors,
-    prediction_bits,
-    reference_cnn_predictions,
-    reference_similarity_predictions,
+    matrix_bits,
+    reference_bits,
+    reference_cnn_scores,
+    reference_similarity_scores,
+    row_scores,
 )
 
 from kgtyper.cnn import CnnConfig, CnnModel
 from kgtyper.errors import DataError
 from kgtyper.graph import OWL_THING, KnowledgeGraph, build_hierarchy
-from kgtyper.pipeline import cnn_predictions, similarity_predictions
+from kgtyper.pipeline import cnn_scores, similarity_scores
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
@@ -114,20 +116,22 @@ def typing_problem(seed: int, zero: str | None = None):
 @pytest.mark.parametrize("seed", range(30))
 def test_similarity_route_matches_per_entity_reference(seed):
     problem = typing_problem(seed)
-    ours = similarity_predictions(*problem)
-    reference = reference_similarity_predictions(*problem)
-    assert [prediction_bits(p) for p in ours] == [prediction_bits(p) for p in reference]
-    by_entity = {p.entity: p for p in ours}
+    matrix = similarity_scores(*problem)
+    assert matrix.entities == problem[0]
+    assert matrix.classes == sorted(matrix.classes)
+    assert matrix_bits(matrix) == reference_bits(problem[0], reference_similarity_scores(*problem))
+    predictions = matrix.predictions()
+    by_entity = {p.entity: p for p in predictions}
     assert not by_entity["typed_novector"].ranking
     assert not by_entity["vector_untyped"].ranking
-    for prediction in ours:
+    for prediction, scores in zip(predictions, row_scores(matrix)):
         assert "B2" not in prediction.ranking  # no member vector: in no pool
         assert not ({"A1", "A2"} <= set(prediction.ranking) and "B1" in prediction.ranking)
         if {"A1", "A4"} <= set(prediction.ranking):  # duplicate class vectors tie
-            assert prediction.scores["A1"] == prediction.scores["A4"]
+            assert scores["A1"] == scores["A4"]
             assert prediction.ranking.index("A1") < prediction.ranking.index("A4")
         if {"B1", "B3"} <= set(prediction.ranking):  # parallel ones too
-            assert prediction.scores["B1"] == prediction.scores["B3"]
+            assert scores["B1"] == scores["B3"]
 
 
 @pytest.mark.parametrize(
@@ -143,14 +147,13 @@ def test_similarity_route_matches_per_entity_reference(seed):
 def test_zero_norm_error_exactly_when_in_some_pool(seed, zero, raises):
     problem = typing_problem(seed, zero)
     if not raises:
-        ours = similarity_predictions(*problem)
-        reference = reference_similarity_predictions(*problem)
-        assert [prediction_bits(p) for p in ours] == [prediction_bits(p) for p in reference]
+        reference = reference_similarity_scores(*problem)
+        assert matrix_bits(similarity_scores(*problem)) == reference_bits(problem[0], reference)
         return
     with pytest.raises(DataError, match="zero-norm") as expected:
-        reference_similarity_predictions(*problem)
+        reference_similarity_scores(*problem)
     with pytest.raises(DataError) as got:
-        similarity_predictions(*problem)
+        similarity_scores(*problem)
     assert str(got.value) == str(expected.value)
 
 
@@ -160,7 +163,7 @@ def test_class_without_member_vectors_leaves_the_others_ranked(caplog):
     entities, train, kg, hierarchy, vectors = typing_problem(3)
     train += [("A1_ghost", "A1")]
     with caplog.at_level(logging.WARNING, logger="kgtyper.similarity"):
-        predictions = similarity_predictions(entities, train, kg, hierarchy, vectors)
+        predictions = similarity_scores(entities, train, kg, hierarchy, vectors).predictions()
     left_out = [r.getMessage() for r in caplog.records if "no member has a vector" in r.getMessage()]
     assert left_out == ["class B2: no member has a vector; left out of every pool"]
     ranked = [p for p in predictions if p.ranking]
@@ -190,15 +193,17 @@ def test_cnn_route_matches_one_row_forward(seed):
     entities = [f"e{k}" for k in range(int(rng.integers(1, 40)))]
     vectors = FixedVectors({e: random_vector(rng, dim) for e in entities if rng.random() < 0.9})
     with np.errstate(over="ignore"):  # vectors of 1e3 saturate the sigmoid to exact ties at 0
-        ours = cnn_predictions(entities, model, vectors)
-        reference = reference_cnn_predictions(entities, model, vectors)
-    assert [prediction_bits(p) for p in ours] == [prediction_bits(p) for p in reference]
-    assert any(p.ranking for p in ours)
+        matrix = cnn_scores(entities, model, vectors)
+        reference = reference_cnn_scores(entities, model, vectors)
+    assert matrix.classes == model.classes  # not in sorted order
+    assert matrix_bits(matrix) == reference_bits(entities, reference)
+    assert any(p.ranking for p in matrix.predictions())
 
 
 def test_cnn_route_without_any_vector_ranks_nothing():
     model = random_model(np.random.default_rng(0), ["a", "b"], 3, conditioned=False)
-    assert [p.ranking for p in cnn_predictions(["x", "y"], model, FixedVectors({}))] == [[], []]
+    matrix = cnn_scores(["x", "y"], model, FixedVectors({}))
+    assert [p.ranking for p in matrix.predictions()] == [[], []]
 
 
 def test_tracer_sees_every_predict_stage_layer(tmp_path):

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
-from conftest import COMPANY, LAWFIRM, ORGANISATION, PERSON, FixedVectors
+from conftest import COMPANY, LAWFIRM, ORGANISATION, PERSON, FixedVectors, row_scores
 
 from kgtyper.errors import DataError
 from kgtyper.similarity import (
-    ClassVectorError,
     build_class_vectors,
-    class_vector,
     cosine_similarity,
     fine_grained_candidates,
     similarity_rank,
@@ -19,20 +19,28 @@ from kgtyper.similarity import (
 
 def test_class_vector_is_member_mean():
     vectors = FixedVectors({"e1": [1.0, 0.0], "e2": [3.0, 2.0], "e3": [2.0, 4.0]})
-    result = class_vector("C", ["e1", "e2", "e3"], vectors)
-    assert np.allclose(result, [2.0, 2.0])
+    result = build_class_vectors({"C": ["e1", "e2", "e3"]}, vectors)
+    assert np.allclose(result["C"], [2.0, 2.0])
 
 
-def test_class_vector_skips_members_without_vectors():
+def test_class_vector_skips_members_without_vectors(caplog):
     vectors = FixedVectors({"e1": [2.0, 0.0], "e2": [4.0, 2.0]})
-    result = class_vector("C", ["e1", "ghost", "e2"], vectors)
-    assert np.allclose(result, [3.0, 1.0])  # mean over the two resolved members
+    with caplog.at_level(logging.WARNING, logger="kgtyper.similarity"):
+        result = build_class_vectors({"C": ["e1", "ghost", "e2"]}, vectors)
+    assert np.allclose(result["C"], [3.0, 1.0])  # mean over the two resolved members
+    assert [r.getMessage() for r in caplog.records] == ["class C: 1 members without vectors"]
 
 
-def test_class_vector_with_no_resolved_members_raises():
-    with pytest.raises(ClassVectorError) as excinfo:
-        class_vector("http://example.org/C", ["ghost1", "ghost2"], FixedVectors({}))
-    assert "http://example.org/C" in str(excinfo.value)
+def test_class_with_no_resolved_members_is_left_out_with_a_warning(caplog):
+    vectors = FixedVectors({"e1": [2.0, 0.0]})
+    with caplog.at_level(logging.WARNING, logger="kgtyper.similarity"):
+        result = build_class_vectors(
+            {"http://example.org/C": ["ghost1", "ghost2"], "D": ["e1"]}, vectors
+        )
+    assert list(result) == ["D"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "class http://example.org/C: no member has a vector; left out of every pool"
+    ]
 
 
 def test_build_class_vectors_covers_every_class():
@@ -72,9 +80,10 @@ def test_similarity_rank_orders_by_cosine():
         "far": np.array([0.0, 1.0]),
         "middling": np.array([1.0, 1.0]),
     }
-    [prediction] = similarity_rank(["e"], [set(class_vectors)], class_vectors, embeddings)
+    matrix = similarity_rank(["e"], [set(class_vectors)], class_vectors, embeddings)
+    [prediction] = matrix.predictions()
     assert prediction.ranking == ["close", "middling", "far"]
-    assert prediction.scores["close"] == pytest.approx(
+    assert row_scores(matrix)[0]["close"] == pytest.approx(
         cosine_similarity(np.array([1.0, 0.1]), np.array([1.0, 0.0]))
     )
 
@@ -86,12 +95,12 @@ def test_ranking_is_invariant_to_entity_vector_scale():
         "c3": np.array([-1.0, 2.0]),
     }
     vectors = FixedVectors({"small": [0.02, 0.01], "large": [200.0, 100.0]})
-    small, large = similarity_rank(
-        ["small", "large"], [set(class_vectors)] * 2, class_vectors, vectors
-    )
+    matrix = similarity_rank(["small", "large"], [set(class_vectors)] * 2, class_vectors, vectors)
+    small, large = matrix.predictions()
     assert small.ranking == large.ranking
+    small_scores, large_scores = row_scores(matrix)
     for c in class_vectors:
-        assert small.scores[c] == pytest.approx(large.scores[c])
+        assert small_scores[c] == pytest.approx(large_scores[c])
 
 
 def test_equal_scores_break_ties_lexicographically():
@@ -100,13 +109,22 @@ def test_equal_scores_break_ties_lexicographically():
         "zeta": np.array([2.0, 2.0]),
         "alpha": np.array([5.0, 5.0]),  # same cosine as zeta
     }
-    [prediction] = similarity_rank(["e"], [{"zeta", "alpha"}], class_vectors, embeddings)
-    assert prediction.ranking == ["alpha", "zeta"]
+    matrix = similarity_rank(["e"], [{"zeta", "alpha"}], class_vectors, embeddings)
+    assert [p.ranking for p in matrix.predictions()] == [["alpha", "zeta"]]
 
 
-def test_empty_candidate_set_rejected():
-    with pytest.raises(DataError):
-        similarity_rank(["e"], [set()], {}, FixedVectors({"e": [1.0]}))
+def test_empty_candidate_set_leaves_the_entity_unranked():
+    """An entity with no candidate gets an unranked row, and its vector,
+    which it need not have, is never looked up."""
+    class_vectors = {"C": np.array([1.0, 0.0]), "D": np.array([0.0, 1.0])}
+    vectors = FixedVectors({"e": [1.0, 0.5]})
+    matrix = similarity_rank(["novector", "e"], [set(), {"D"}], class_vectors, vectors)
+    assert matrix.classes == ["D"]
+    assert matrix.ranked.tolist() == [[False], [True]]
+    assert [p.ranking for p in matrix.predictions()] == [[], ["D"]]
+    nothing = similarity_rank(["e"], [set()], {}, vectors)
+    assert nothing.classes == [] and nothing.values.shape == (1, 0)
+    assert [p.ranking for p in nothing.predictions()] == [[]]
 
 
 def test_candidate_without_class_vector_rejected():
@@ -151,10 +169,11 @@ def test_scores_equal_cosine_similarity_exactly():
     }
     entities = [f"e{i}" for i in range(20)]
     embeddings = FixedVectors({entity: rng.normal(size=33) for entity in entities})
-    predictions = similarity_rank(
+    matrix = similarity_rank(
         entities, [set(class_vectors)] * len(entities), class_vectors, embeddings
     )
-    for entity, prediction in zip(entities, predictions):
+    assert matrix.entities == entities
+    for entity, scores in zip(entities, row_scores(matrix)):
         vector = embeddings.vector_of(entity)
         # The definition, written out: one dot product over the product of norms.
         expected = {
@@ -162,8 +181,7 @@ def test_scores_equal_cosine_similarity_exactly():
             for c, v in class_vectors.items()
         }
         assert expected == {c: cosine_similarity(vector, v) for c, v in class_vectors.items()}
-        assert prediction.entity == entity
-        assert prediction.scores == expected
+        assert scores == expected
 
 
 def test_zero_norm_rejected_with_precomputed_norms():
@@ -174,5 +192,5 @@ def test_zero_norm_rejected_with_precomputed_norms():
     with pytest.raises(DataError, match="zero-norm"):
         similarity_rank(["e", "zero"], [{"D"}, {"D"}], class_vectors, vectors)
     # A zero class vector outside every pool is never scored.
-    [prediction] = similarity_rank(["e"], [{"D"}], class_vectors, vectors)
-    assert prediction.ranking == ["D"]
+    matrix = similarity_rank(["e"], [{"D"}], class_vectors, vectors)
+    assert [p.ranking for p in matrix.predictions()] == [["D"]]
