@@ -8,7 +8,8 @@ layer and a sigmoid output layer follow. Targets are one-hot over the
 fine-grained classes and the loss is the mean per-class binary
 cross-entropy. ``predict`` returns the sigmoid scores of many entities as
 one (N, num_classes) array; ranking them is ``ScoreMatrix.predictions``'s
-job, and evaluation takes the top-ranked class.
+job, and evaluation takes the top-ranked class. The trainer reads its
+entities' vectors with one ``EmbeddingMatrix.lookup``, as the CNN route does.
 
 Kim slides narrow filters over word positions, whose order carries meaning.
 The coordinates of an entity vector have no order, so a narrow window over
@@ -289,31 +290,24 @@ def sgd_step(params, grads: dict[str, np.ndarray], learning_rate: float) -> None
 def train_cnn(examples, embeddings, config: CnnConfig) -> CnnModel:
     """Mini-batch SGD over a seeded shuffle of the labeled entities.
 
-    ``examples`` is a sequence of (entity IRI, gold class IRI) pairs;
-    entities without a vector are skipped and counted on the returned
-    model. Mean per-element loss is recorded per epoch.
+    ``examples`` is a sequence of (entity IRI, gold class IRI) pairs; an
+    entity without a row in ``embeddings`` is skipped and counted on the
+    returned model. Mean per-element loss is recorded per epoch.
     """
     examples = list(examples)
     if not examples:
         raise DataError("empty training split")
-    vectors = []
-    labels = []
-    skipped = 0
-    for entity, class_iri in examples:
-        if entity not in embeddings:
-            skipped += 1
-            continue
-        vectors.append(np.asarray(embeddings.vector_of(entity), dtype=np.float64))
-        labels.append(class_iri)
-    if not vectors:
+    known, inputs = embeddings.lookup([entity for entity, _ in examples])
+    labels = [class_iri for (_, class_iri), has_row in zip(examples, known.tolist()) if has_row]
+    if not labels:
         raise DataError("no training entity has an embedding vector")
+    skipped = len(examples) - len(labels)
     if skipped:
         logger.warning("skipped %d training entities without vectors", skipped)
 
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise DataError("training requires at least 2 distinct classes")
-    inputs = np.vstack(vectors)
 
     rng = np.random.default_rng(config.seed)
     model = CnnModel.initialize(config, classes, inputs.shape[1], rng)

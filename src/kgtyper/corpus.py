@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import AbstractSet, Iterable, Sequence
+
+import numpy as np
 
 from .errors import DataError
 from .graph import KnowledgeGraph
@@ -90,6 +92,10 @@ class Vocabulary:
 
     def token_of(self, token_id: int) -> str:
         return self.id_to_token[token_id]
+
+    def ids(self, tokens: Iterable[str]) -> np.ndarray:
+        """The id of each token, in order, -1 for a token not in the vocabulary."""
+        return np.fromiter(map(self.token_to_id.get, tokens, repeat(-1)), np.intp)
 
 
 def build_vocabulary(corpus: Iterable[Sentence], min_count: int = 1) -> Vocabulary:

@@ -6,6 +6,10 @@ in float64. Every trainer starts its input vectors uniform in
 [-0.5/dim, +0.5/dim] from a seeded generator and keeps the output/context
 side at zero. Negative samples are drawn from the unigram distribution
 raised to 3/4.
+
+Every reader of entity vectors learns from ``EmbeddingMatrix.lookup``
+which tokens have a row (those of the vocabulary) and gets those rows in
+one gather; ``vector_of`` serves one token.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..corpus import Sentence, Vocabulary
+from ..corpus import Vocabulary
 from ..errors import DataError, NumericalError
 
 LR_FLOOR_FACTOR = 1e-4  # learning rate decays linearly to 1e-4 of initial
@@ -92,11 +96,21 @@ class EmbeddingMatrix:
     def __contains__(self, token: str) -> bool:
         return token in self.vocabulary
 
+    def lookup(self, tokens: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+        """``(known, vectors)``: a bool mask of the tokens in the vocabulary,
+        and their rows in order, one gather of ``input_vectors``."""
+        ids = self.vocabulary.ids(tokens)
+        known = ids >= 0
+        return known, self.input_vectors[ids[known]]
+
     def vector_of(self, token: str) -> np.ndarray:
+        """One token's vector: its row, else ``vector_without_row``'s."""
         row = self.vocabulary.token_to_id.get(token)
-        if row is None:
-            raise TokenNotFoundError(token)
-        return self.input_vectors[row]
+        return self.vector_without_row(token) if row is None else self.input_vectors[row]
+
+    def vector_without_row(self, token: str) -> np.ndarray:
+        """The vector of a token not in the vocabulary: none."""
+        raise TokenNotFoundError(token)
 
     @property
     def dimension(self) -> int:
@@ -130,16 +144,6 @@ class UnigramSampler:
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return np.searchsorted(self._cumulative, rng.random(count), side="right")
-
-
-def encode_corpus(corpus: Iterable[Sentence], vocab: Vocabulary) -> list[np.ndarray]:
-    """Map sentences to id arrays, dropping out-of-vocabulary tokens."""
-    token_to_id = vocab.token_to_id
-    encoded = []
-    for sentence in corpus:
-        ids = [token_to_id[t] for t in sentence if t in token_to_id]
-        encoded.append(np.asarray(ids, dtype=np.intp))
-    return encoded
 
 
 def distinct_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -38,19 +38,15 @@ corpora where each entity token is seen only a handful of times.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
 from ..corpus import Sentence, Vocabulary
 from ..errors import DataError
 from .base import (
-    EmbeddingMatrix,
-    TrainingConfig,
-    UnigramSampler,
-    encode_corpus,
-    init_input_vectors,
-    linear_lr,
+    EmbeddingMatrix, TrainingConfig, UnigramSampler, init_input_vectors, linear_lr,
 )
 
 BLOCK_POSITIONS = 64  # positions per block step
@@ -79,21 +75,27 @@ def word_compositions(count: int) -> CompositionTable:
     return CompositionTable(np.arange(count), np.ones(count), np.ones(count, dtype=np.intp))
 
 
-def encode_training_corpus(corpus: Iterable[Sentence], vocab: Vocabulary) -> list[np.ndarray]:
-    """Encoded sentences, rejecting a corpus that leaves nothing to train."""
+def encode_training_corpus(
+    corpus: Iterable[Sentence], vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray]:
+    """The corpus's in-vocabulary token ids, in corpus order, and how many
+    of them each sentence holds (0 for a sentence without one); rejects a
+    corpus that leaves nothing to train."""
     sentences = list(corpus)
     if not sentences:
         raise DataError("cannot train on an empty corpus")
     if len(vocab) == 0:
         raise DataError("cannot train with an empty vocabulary")
-    encoded = encode_corpus(sentences, vocab)
-    if not any(len(ids) for ids in encoded):
+    ids = vocab.ids(chain.from_iterable(sentences))
+    known = ids >= 0
+    if not known.any():
         raise DataError("corpus and vocabulary share no tokens")
-    return encoded
+    sentence_of = np.repeat(np.arange(len(sentences)), [len(s) for s in sentences])
+    return ids[known], np.bincount(sentence_of[known], minlength=len(sentences))
 
 
 def position_table(
-    encoded: Sequence[np.ndarray], window: int
+    ids: np.ndarray, sizes: np.ndarray, window: int
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The positions of one epoch that have a context, in corpus order.
 
@@ -104,8 +106,6 @@ def position_table(
     count. A position without context trains nothing, but still advances
     the learning-rate schedule.
     """
-    ids = np.concatenate(encoded)
-    sizes = np.array([len(sentence) for sentence in encoded])
     first = np.repeat(np.cumsum(sizes) - sizes, sizes)
     stop = first + np.repeat(sizes, sizes)
     reach = min(window, int(sizes.max()) - 1)  # no context lies further away
@@ -200,14 +200,15 @@ def ns_block(
 
 
 def train_negative_sampling(
-    encoded: Sequence[np.ndarray],
+    encoded: tuple[np.ndarray, np.ndarray],
     vocab: Vocabulary,
     config: TrainingConfig,
     rng: np.random.Generator,
     inputs: np.ndarray,
     compositions: CompositionTable,
 ) -> tuple[np.ndarray, list[float]]:
-    """Train ``inputs`` in place; return the output rows and epoch losses.
+    """Train ``inputs`` in place over the ``encode_training_corpus`` pair
+    ``encoded``; return the output rows and epoch losses.
 
     The learning rate decays linearly over ``total positions x epochs``
     down to 1e-4 of the initial rate; a block takes the rate of its first
@@ -215,7 +216,7 @@ def train_negative_sampling(
     """
     w_out = np.zeros((len(vocab), config.dimension))
     sampler = UnigramSampler(vocab)
-    positions, steps, centers, contexts, lengths = position_table(encoded, config.window)
+    positions, steps, centers, contexts, lengths = position_table(*encoded, config.window)
     total_steps = positions * config.epochs
     k = config.negative_samples
 

@@ -31,6 +31,11 @@ share once per occurrence; ``subword_compositions`` lays them out in one
 ``EmbeddingMatrix`` (``FastTextEmbeddings``) whose vectors are those same
 compositions, each formed once at the end of training as
 ``weights @ inputs[rows]``, the product the block step forms.
+
+As for every matrix, ``in`` and ``lookup`` admit exactly the vocabulary's
+tokens, those a ``vectors.txt`` of the model holds, so both prediction
+routes leave any other entity unranked; only ``vector_of`` of one token
+goes on to the n-gram vector.
 """
 
 from __future__ import annotations
@@ -140,15 +145,12 @@ class NGramTable:
 @dataclass
 class FastTextEmbeddings(EmbeddingMatrix):
     """Vectors whose rows are the vocabulary's word-plus-n-gram compositions,
-    plus the n-gram table that gives an out-of-vocabulary token a vector."""
+    plus the n-gram table behind ``vector_of`` of an out-of-vocabulary token."""
 
     ngrams: NGramTable = field(kw_only=True)
 
-    def vector_of(self, token: str) -> np.ndarray:
-        """The token's composition in vocabulary, else the mean of the rows of
-        its n-grams whose bucket is kept."""
-        if token in self.vocabulary:
-            return super().vector_of(token)
+    def vector_without_row(self, token: str) -> np.ndarray:
+        """The mean of the rows of the token's n-grams whose bucket is kept."""
         rows = self.ngrams.vectors(self.ngrams.bucket_indices(token))
         if not len(rows):
             raise TokenNotFoundError(token)

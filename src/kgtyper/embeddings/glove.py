@@ -50,6 +50,7 @@ to a float64 sum sequentially in shuffled order, so no rounding changes.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -90,14 +91,6 @@ class CooccurrenceMatrix:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def items(self) -> list[tuple[int, int, float]]:
-        """Entries as (i, j, weight), sorted."""
-        return list(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Entries as arrays ``(i, j, weight)`` in the order of ``items()``."""
-        return self.rows, self.cols, self.weights
-
 
 def build_cooccurrence(
     corpus: Iterable[Sentence], vocab: Vocabulary, window: int
@@ -113,9 +106,8 @@ def build_cooccurrence(
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    get = vocab.token_to_id.get
     sentences = list(corpus)
-    ids = np.fromiter((get(token, -1) for sentence in sentences for token in sentence), np.intp)
+    ids = vocab.ids(chain.from_iterable(sentences))
     lengths = np.fromiter(map(len, sentences), np.intp, len(sentences))
     sentence_of = np.repeat(np.arange(len(sentences)), lengths)
     size = len(vocab)
@@ -188,7 +180,7 @@ def train_glove(
     config.validate()
     if len(cooc) == 0:
         raise DataError("cannot train on an empty co-occurrence matrix")
-    i, j, x = cooc.arrays()
+    i, j, x = cooc.rows, cooc.cols, cooc.weights
     rng = np.random.default_rng(config.seed)
     dim = config.dimension
     size = len(vocab)

@@ -19,7 +19,6 @@ import logging
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -174,11 +173,11 @@ def write_dataset(
 
 def cnn_scores(entities: Iterable[str], model: CnnModel, embeddings) -> ScoreMatrix:
     """The classifier's scores of each entity, from one ``predict`` over those
-    with a vector; one without a vector is left unranked."""
+    with a row in ``embeddings``; one without a row is left unranked."""
     entities = list(entities)
-    known = np.array([entity in embeddings for entity in entities], dtype=bool)
+    known, vectors = embeddings.lookup(entities)
     values = np.zeros((len(entities), model.num_classes))
-    values[known] = model.predict([embeddings.vector_of(e) for e in compress(entities, known)])
+    values[known] = model.predict(vectors)
     ranked = np.repeat(known[:, None], model.num_classes, axis=1)
     return ScoreMatrix(entities, model.classes, values, ranked)
 
@@ -192,7 +191,7 @@ def similarity_scores(
 
     An entity's candidates are the classes with a class vector below the
     coarse ancestor of its asserted type, one pool per ancestor. An entity
-    without a vector, a known asserted type, or a candidate is left unranked.
+    without a row, a known asserted type, or a candidate is left unranked.
     """
     entities = list(entities)
     members_by_class: dict[str, list[str]] = {}
@@ -204,7 +203,7 @@ def similarity_scores(
     for entity in entities:
         coarse = most_specific_class(kg.type_assertions.get(entity, ()), hierarchy)
         pool = frozenset()
-        if coarse is not None and entity in embeddings:
+        if coarse is not None:
             ancestor = hierarchy.coarse_ancestor(coarse)
             if ancestor not in pools:
                 below = fine_grained_candidates(hierarchy, ancestor)
@@ -265,10 +264,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             config.entities_per_class, config.train_fraction, config.seed,
         )
     with _stage("train"):
+        train = read_labels(path("train.tsv"))
         if config.resume and path("model.bin").exists():
             classifier = CnnModel.load(path("model.bin"))
         else:
-            classifier = train_cnn(read_labels(path("train.tsv")), embeddings, config.cnn)
+            classifier = train_cnn(train, embeddings, config.cnn)
             classifier.save(path("model.bin"))
     with _stage("predict"):
         test = read_labels(path("test.tsv"))
@@ -276,7 +276,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         predictions = {
             "cnn": cnn_scores(entities, classifier, embeddings).predictions(),
             "similarity": similarity_scores(
-                entities, read_labels(path("train.tsv")), kg, hierarchy, embeddings
+                entities, train, kg, hierarchy, embeddings
             ).predictions(),
         }
         for method, rows in predictions.items():

@@ -5,7 +5,8 @@ vectors. To refine an entity's known type, the hierarchy is climbed to
 the coarse ancestor (the last class before a root), all classes below
 that ancestor become candidates, and the candidates are scored by cosine
 similarity to the entity vector: one ``ScoreMatrix`` for all the entities,
-which ``ScoreMatrix.predictions`` ranks.
+which ``ScoreMatrix.predictions`` ranks. Both read their vectors through
+one ``EmbeddingMatrix.lookup``; an entity without a row is left unranked.
 
 All of it runs on arrays, bit for bit as one entity or pair at a time:
 each class sum adds its members in order, and the entities that share a
@@ -17,6 +18,7 @@ per pair and each norm the square root of a row's dot with itself, as
 from __future__ import annotations
 
 import logging
+from itertools import chain
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,26 +36,23 @@ def build_class_vectors(
     """Each class's mean member vector, by class in sorted order; members
     without vectors are skipped, and a class with none is left out, with a
     warning. Each sum adds its members in the order given, as a loop would."""
-    classes, resolved = [], []  # the classes with a member vector, and those members
-    for class_iri, members in sorted(members_by_class.items()):
-        members = list(members)
-        known = [entity for entity in members if entity in embeddings]
-        if not known:
+    classes = sorted(members_by_class)
+    members = [list(members_by_class[c]) for c in classes]
+    known, vectors = embeddings.lookup(chain.from_iterable(members))
+    class_of = np.repeat(np.arange(len(members)), [len(group) for group in members])
+    counts = np.bincount(class_of[known], minlength=len(members))
+    for class_iri, group, count in zip(classes, members, counts.tolist()):
+        if not count:
             logger.warning("class %s: no member has a vector; left out of every pool", class_iri)
-            continue
-        if len(known) < len(members):
-            skipped = len(members) - len(known)
-            logger.warning("class %s: %d members without vectors", class_iri, skipped)
-        classes.append(class_iri)
-        resolved.append(known)
-    if not classes:
-        return {}
-    counts = [len(known) for known in resolved]
-    sums = np.array([embeddings.vector_of(known[0]) for known in resolved])
-    for j in range(1, max(counts)):  # each class's j-th member, in the order given
-        more = [k for k, count in enumerate(counts) if count > j]
-        sums[more] += [embeddings.vector_of(resolved[k][j]) for k in more]
-    return dict(zip(classes, sums / np.array(counts)[:, None]))
+        elif count < len(group):
+            logger.warning("class %s: %d members without vectors", class_iri, len(group) - count)
+    kept = np.flatnonzero(counts)
+    counts, starts = counts[kept], (np.cumsum(counts) - counts)[kept]
+    sums = vectors[starts]
+    for j in range(1, counts.max(initial=0)):  # each class's j-th member, in the order given
+        more = counts > j
+        sums[more] += vectors[starts[more] + j]
+    return dict(zip([classes[k] for k in kept.tolist()], sums / counts[:, None]))
 
 
 def _cosines(vectors: np.ndarray, class_vectors: np.ndarray) -> np.ndarray:
@@ -81,15 +80,17 @@ def similarity_rank(
     """Score each entity's candidate classes by cosine similarity to its vector.
 
     ``candidates[i]`` holds the classes to rank for ``entities[i]``; each
-    needs a class vector, and an entity with an empty set is left unranked,
-    its vector never looked up. The
-    columns are the sorted classes of every pool. The entities that share a
-    pool are scored as one matrix, each score equal to ``cosine_similarity``
-    of the two vectors exactly; a cell outside the entity's pool is 0.
+    needs a class vector, and an entity with an empty set or without a row
+    in ``embeddings`` is left unranked. The columns are the sorted classes of
+    the pools of the other entities, and the entities that share a pool are
+    scored as one matrix, each score equal to ``cosine_similarity`` of the two
+    vectors exactly; a cell outside the entity's pool is 0.
     """
+    known, vectors = embeddings.lookup(entities)
+    row_of = np.cumsum(known) - 1  # each known entity's row of ``vectors``
     pools: dict[frozenset, list[int]] = {}  # frozenset() of a frozenset is that frozenset
-    for i, pool in enumerate(candidates):
-        if pool:
+    for i, (pool, has_row) in enumerate(zip(candidates, known.tolist())):
+        if pool and has_row:
             pools.setdefault(frozenset(pool), []).append(i)
     classes = sorted(frozenset().union(*pools))
     for class_iri in classes:
@@ -97,12 +98,11 @@ def similarity_rank(
             raise DataError(f"no class vector for candidate {class_iri}")
     columns = {c: j for j, c in enumerate(classes)}
     class_matrix = np.array([class_vectors[c] for c in classes])
-    values = np.zeros((len(entities), len(classes)))
+    values = np.zeros((len(known), len(classes)))
     ranked = np.zeros(values.shape, dtype=bool)
     for pool, rows in pools.items():
         cols = [columns[c] for c in pool]
-        vectors = np.array([embeddings.vector_of(entities[i]) for i in rows])
-        values[np.ix_(rows, cols)] = _cosines(vectors, class_matrix[cols])
+        values[np.ix_(rows, cols)] = _cosines(vectors[row_of[rows]], class_matrix[cols])
         ranked[np.ix_(rows, cols)] = True
     return ScoreMatrix(list(entities), classes, values, ranked)
 

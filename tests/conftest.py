@@ -1,4 +1,4 @@
-"""Shared fixtures: tiny graphs, corpora, and embedding stand-ins."""
+"""Shared fixtures: tiny graphs, corpora, and hand-made embedding matrices."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from kgtyper.corpus import Vocabulary
 from kgtyper.embeddings import EmbeddingMatrix, TrainingConfig
 from kgtyper.errors import DataError
 from kgtyper.evaluation import most_specific_class
@@ -88,22 +89,15 @@ def lawfirm_hierarchy(lawfirm_kg):
     return build_hierarchy(lawfirm_kg)
 
 
-class FixedVectors:
-    """Embedding stand-in over a plain dict of precomputed vectors."""
-
-    def __init__(self, vectors: dict[str, np.ndarray]):
-        self.vectors = {k: np.asarray(v, dtype=np.float64) for k, v in vectors.items()}
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
-    def vector_of(self, token: str) -> np.ndarray:
-        return self.vectors[token]
-
-
-@pytest.fixture
-def fixed_vectors():
-    return FixedVectors
+def embedding_matrix(vectors: dict, dimension: int = 1) -> EmbeddingMatrix:
+    """A real ``EmbeddingMatrix`` over the tokens of ``vectors``, in order, each
+    with its vector as its row; ``dimension`` is the width of an empty one."""
+    tokens = list(vectors)
+    rows = np.array([vectors[t] for t in tokens], dtype=np.float64) if tokens else np.empty(
+        (0, dimension)
+    )
+    vocab = Vocabulary([(token, 1) for token in tokens], total_tokens=len(tokens))
+    return EmbeddingMatrix(rows, np.zeros_like(rows), vocab)
 
 
 def reference_class_vectors(members_by_class, embeddings) -> dict[str, np.ndarray]:
@@ -317,6 +311,11 @@ def cooccurrence_oracle(corpus, vocab, window: int) -> list[tuple[int, int, floa
     return sorted((a, b, weight) for (a, b), weight in entries.items())
 
 
+def cooc_entries(cooc) -> list[tuple[int, int, float]]:
+    """A ``CooccurrenceMatrix``'s entries as ``(i, j, weight)``, in its order."""
+    return list(zip(cooc.rows.tolist(), cooc.cols.tolist(), cooc.weights.tolist()))
+
+
 def random_corpus(rng: np.random.Generator, max_tokens: int = 1000):
     """Random three-token sentences, at most ``max_tokens`` tokens total."""
     alphabet = [f"t{i}" for i in range(int(rng.integers(3, 20)))]
@@ -473,7 +472,7 @@ def reference_train_glove(cooc, vocab, config) -> EmbeddingMatrix:
     float32, as in the trainer; ``log X`` and ``f`` are computed in float64
     and then cast, and the epoch loss adds each float32 term to a float64
     running sum."""
-    entries = cooc.items()
+    entries = cooc_entries(cooc)
     rng = np.random.default_rng(config.seed)
     dim = config.dimension
     size = len(vocab)

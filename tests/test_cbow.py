@@ -15,6 +15,7 @@ from conftest import (
     reference_ns_block,
     reference_ns_position_grads,
 )
+from hypothesis import example, given, strategies as st
 
 from kgtyper.corpus import build_vocabulary
 from kgtyper.embeddings import (
@@ -24,8 +25,10 @@ from kgtyper.embeddings import (
     train_cbow,
     train_fasttext,
 )
-from kgtyper.embeddings.base import UnigramSampler, encode_corpus, linear_lr
-from kgtyper.embeddings.cbow import ns_block, position_table, word_compositions
+from kgtyper.embeddings.base import UnigramSampler, linear_lr
+from kgtyper.embeddings.cbow import (
+    encode_training_corpus, ns_block, position_table, word_compositions,
+)
 from kgtyper.embeddings.fasttext import subword_compositions
 from kgtyper.errors import DataError
 
@@ -87,7 +90,7 @@ def test_gradient_check_from_ten_sentence_corpus():
     corpus = tiny_corpus(10, 5, seed=11)
     vocab = build_vocabulary(corpus)
     assert len(vocab) == 5  # 5x5 input + 5x5 output = 50 parameters
-    _, _, centers, contexts, lengths = position_table(encode_corpus(corpus, vocab), 2)
+    _, _, centers, contexts, lengths = position_table(*encode_training_corpus(corpus, vocab), 2)
     negatives = UnigramSampler(vocab).draw(np.random.default_rng(23), len(centers) * 3)
     block = (centers, negatives.reshape(-1, 3), contexts, lengths)
     assert np.any(block[1] == centers[:, None])  # a masked negative
@@ -187,6 +190,52 @@ def test_unknown_token_raises(corpus200):
     matrix = train_cbow(corpus200, vocab, TrainingConfig(dimension=5, epochs=1, seed=1))
     with pytest.raises(TokenNotFoundError):
         matrix.vector_of("never-seen")
+
+
+def reference_positions(corpus, vocab, window: int):
+    """One sentence at a time: its in-vocabulary ids, then each position's
+    context (left neighbours, then right ones) within the window. Returns the
+    ids per sentence, the corpus's position count, and per position with a
+    context its step, center and context."""
+    encoded = [[vocab.token_to_id[t] for t in sentence if t in vocab] for sentence in corpus]
+    step, rows = 0, []
+    for ids in encoded:
+        for p, center in enumerate(ids):
+            context = ids[max(0, p - window):p] + ids[p + 1:p + 1 + window]
+            if context:
+                rows.append((step, center, context))
+            step += 1
+    return encoded, step, rows
+
+
+@given(
+    corpus=st.lists(st.lists(st.sampled_from("abcdef"), max_size=6).map(tuple), min_size=1,
+                    max_size=25),
+    min_count=st.integers(1, 4),
+    window=st.integers(1, 3),
+)
+@example(corpus=[("a", "b", "a"), ("x", "y", "z"), (), ("b", "a", "a")], min_count=2, window=2)
+def test_flat_encoding_matches_per_sentence_encoding(corpus, min_count, window):
+    """``encode_training_corpus`` and ``position_table`` equal the sentence by
+    sentence encoding, also where every token of a sentence falls below
+    ``min_count``."""
+    vocab = build_vocabulary(corpus, min_count)
+    encoded, positions, rows = reference_positions(corpus, vocab, window)
+    if not any(encoded):
+        with pytest.raises(DataError):
+            encode_training_corpus(corpus, vocab)
+        return
+    ids, sizes = encode_training_corpus(corpus, vocab)
+    assert ids.tolist() == [i for sentence in encoded for i in sentence]
+    assert sizes.tolist() == [len(sentence) for sentence in encoded]
+    count, steps, centers, contexts, lengths = position_table(ids, sizes, window)
+    assert count == positions
+    assert [
+        (step, center, context[:length])
+        for step, center, context, length in zip(
+            steps.tolist(), centers.tolist(), contexts.tolist(), lengths.tolist()
+        )
+    ] == rows
 
 
 def test_empty_corpus_rejected():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import FixedVectors, assert_gradients_close, numeric_gradient
+from conftest import assert_gradients_close, embedding_matrix, numeric_gradient
 
 import kgtyper
 from kgtyper.cnn import CnnConfig, CnnModel, parameter_shapes, sgd_step, train_cnn
@@ -161,7 +161,7 @@ def separable_fixture(per_class: int = 10, dim: int = 12, seed: int = 0):
             entity = f"e{class_id}_{k}"
             vectors[entity] = center + rng.normal(0.0, 0.3, size=dim)
             examples.append((entity, f"class{class_id}"))
-    return examples, FixedVectors(vectors)
+    return examples, embedding_matrix(vectors)
 
 
 def test_separable_fixture_reaches_full_training_accuracy_within_200_epochs():
@@ -309,18 +309,18 @@ def test_load_rejects_truncated_file(tmp_path):
 
 def test_empty_training_split_rejected():
     with pytest.raises(DataError):
-        train_cnn([], FixedVectors({}), CnnConfig())
+        train_cnn([], embedding_matrix({}), CnnConfig())
 
 
 def test_single_class_rejected():
-    vectors = FixedVectors({"a": np.ones(10), "b": np.ones(10)})
+    vectors = embedding_matrix({"a": np.ones(10), "b": np.ones(10)})
     with pytest.raises(DataError):
         train_cnn([("a", "only"), ("b", "only")], vectors, CnnConfig())
 
 
 def test_no_vectors_at_all_rejected():
     with pytest.raises(DataError):
-        train_cnn([("a", "x"), ("b", "y")], FixedVectors({}), CnnConfig())
+        train_cnn([("a", "x"), ("b", "y")], embedding_matrix({}), CnnConfig())
 
 
 def test_entities_without_vectors_are_skipped_and_counted():

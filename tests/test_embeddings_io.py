@@ -6,13 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import FixedVectors, reference_load_rows
+from conftest import embedding_matrix, reference_load_rows
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kgtyper.corpus import Vocabulary, build_vocabulary
+from kgtyper.corpus import build_vocabulary
 from kgtyper.embeddings import (
-    EmbeddingMatrix,
     TrainingConfig,
     load_embeddings,
     save_embeddings,
@@ -23,23 +22,8 @@ from kgtyper.embeddings.io import EmbeddingFormatError
 from kgtyper.errors import NumericalError
 
 
-class DictModel:
-    """Minimal save_embeddings source: vocabulary, vector_of and input_vectors."""
-
-    def __init__(self, vectors: dict[str, list[float]]):
-        self.store = FixedVectors(vectors)
-        self.vocabulary = build_vocabulary([tuple(vectors)])
-
-    def vector_of(self, token: str) -> np.ndarray:
-        return self.store.vector_of(token)
-
-    @property
-    def input_vectors(self) -> np.ndarray:
-        return np.array([self.vector_of(token) for token in self.vocabulary.id_to_token])
-
-
 def test_written_file_layout(tmp_path):
-    model = DictModel({"a": [1.0, 2.0], "b": [0.125, -3.5]})
+    model = embedding_matrix({"a": [1.0, 2.0], "b": [0.125, -3.5]})
     path = tmp_path / "vectors.txt"
     save_embeddings(model, path)
     lines = path.read_text().splitlines()
@@ -54,7 +38,7 @@ def test_rows_print_as_per_component_format(tmp_path):
     vectors = {f"tok{k:02d}": rng.normal(0.0, 10.0 ** (k % 7 - 3), size=len(edge)).tolist()
                for k in range(12)}
     vectors["edge"] = edge
-    model = DictModel(vectors)
+    model = embedding_matrix(vectors)
     path = tmp_path / "vectors.txt"
     save_embeddings(model, path)
     expected = f"{len(vectors)} {len(edge)}\n" + "".join(
@@ -63,11 +47,6 @@ def test_rows_print_as_per_component_format(tmp_path):
     )
     assert " -0.000000 " in expected and " 1000000.000000 " in expected
     assert path.read_bytes() == expected.encode("utf-8")
-
-
-def matrix_of(tokens: list[str], vectors: np.ndarray) -> EmbeddingMatrix:
-    vocab = Vocabulary([(token, 1) for token in tokens], total_tokens=len(tokens))
-    return EmbeddingMatrix(vectors, np.zeros_like(vectors), vocab)
 
 
 def half_way(m: int) -> st.SearchStrategy[float]:
@@ -99,7 +78,7 @@ def test_saved_text_and_values_are_exact(tmp_path_factory, rows):
     tokens = [token for token, _ in rows]
     vectors = np.array([components for _, components in rows])
     path = tmp_path_factory.mktemp("exact") / "vectors.txt"
-    saved = save_embeddings(matrix_of(tokens, vectors), path)
+    saved = save_embeddings(embedding_matrix(dict(zip(tokens, vectors))), path)
     expected = f"{len(rows)} 3\n" + "".join(
         token + " " + " ".join(f"{x:.6f}" for x in components) + "\n"
         for token, components in rows
@@ -114,7 +93,7 @@ def test_save_holds_no_matrix_sized_temporary(tmp_path):
     # The large-glove workload's vocabulary at the benchmark's dimension.
     rows, dimension = 3454, 100
     vectors = np.random.default_rng(5).normal(0.0, 0.5, size=(rows, dimension))
-    model = matrix_of([f"http://example.org/resource/e{i}" for i in range(rows)], vectors)
+    model = embedding_matrix({f"http://example.org/resource/e{i}": v for i, v in enumerate(vectors)})
     tracemalloc.start()
     try:
         saved = save_embeddings(model, tmp_path / "vectors.txt")
@@ -138,7 +117,7 @@ def test_load_small_file(tmp_path):
 def test_round_trip_within_1e6(tmp_path):
     rng = np.random.default_rng(4)
     vectors = {f"tok{i}": rng.normal(0, 1, size=5).tolist() for i in range(10)}
-    model = DictModel(vectors)
+    model = embedding_matrix(vectors)
     path = tmp_path / "vectors.txt"
     save_embeddings(model, path)
     loaded = load_embeddings(path)
@@ -180,14 +159,14 @@ def test_loaded_vocabulary_keeps_file_order(tmp_path):
 
 
 def test_non_finite_vector_refused(tmp_path):
-    model = DictModel({"a": [1.0, float("nan")]})
+    model = embedding_matrix({"a": [1.0, float("nan")]})
     with pytest.raises(NumericalError):
         save_embeddings(model, tmp_path / "vectors.txt")
 
 
 def test_token_with_unicode_whitespace_round_trips(tmp_path):
     odd = "http://a\u00a0b\u2028c\x85d\x0be\x1cf"
-    matrix = matrix_of([odd, "b"], np.array([[0.5, -1.0], [2.0, 0.25]]))
+    matrix = embedding_matrix({odd: [0.5, -1.0], "b": [2.0, 0.25]})
     path = tmp_path / "vectors.txt"
     saved = save_embeddings(matrix, path)
     loaded = load_embeddings(path)

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     assert_gradients_close,
     cooccurrence_events,
+    cooc_entries,
     cooccurrence_oracle,
     glove_loss_and_grads,
     numeric_gradient,
@@ -98,7 +99,7 @@ def test_matches_brute_force_oracle_exactly(seed):
     vocab = build_vocabulary(corpus, min_count=min_count)
     window = int(rng.integers(1, 3))
     matrix = build_cooccurrence(corpus, vocab, window)
-    assert matrix.items() == cooccurrence_oracle(corpus, vocab, window)
+    assert cooc_entries(matrix) == cooccurrence_oracle(corpus, vocab, window)
 
 
 def sequential_sum(weights) -> float:
@@ -136,7 +137,7 @@ def test_matches_oracle_where_summation_order_matters(window):
         sequential_sum(weights[::-1]) != sequential_sum(weights) for weights in events.values()
     )
     matrix = build_cooccurrence(corpus, vocab, window)
-    assert matrix.items() == cooccurrence_oracle(corpus, vocab, window)
+    assert cooc_entries(matrix) == cooccurrence_oracle(corpus, vocab, window)
 
 
 def test_entries_are_symmetric_on_random_corpus():
@@ -145,7 +146,7 @@ def test_entries_are_symmetric_on_random_corpus():
     vocab = build_vocabulary(corpus)
     matrix = build_cooccurrence(corpus, vocab, window=2)
     assert len(matrix) > 0
-    for i, j, weight in matrix.items():
+    for i, j, weight in cooc_entries(matrix):
         assert matrix.get(j, i) == weight
 
 
@@ -153,7 +154,7 @@ def test_items_are_deterministically_ordered():
     corpus = [("b", "a", "c"), ("c", "a", "b")]
     vocab = build_vocabulary(corpus)
     matrix = build_cooccurrence(corpus, vocab, window=2)
-    listed = matrix.items()
+    listed = cooc_entries(matrix)
     assert listed == sorted(listed)
 
 
@@ -170,7 +171,7 @@ def test_entry_constants_equal_scalar_reference_in_float32(window):
     once cast to float32, as the trainer holds them, on a corpus whose weights sum
     thirds, quarters and fifths, and on counts at, around and above x_max."""
     corpus = sentences(np.random.default_rng(6), 40, 3000)
-    _, _, x = build_cooccurrence(corpus, build_vocabulary(corpus), window).arrays()
+    x = build_cooccurrence(corpus, build_vocabulary(corpus), window).weights
     x = np.concatenate((x, [1e-3, 0.2, 1.0, 99.99999, 100.0, 100.5, 250.0, 1e6]))
     for x_max, alpha in ((100.0, 0.75), (10.0, 0.5), (3.0, 1.0)):
         arrays = np.log(x), glove_weight(x, x_max, alpha)
@@ -183,7 +184,7 @@ def test_gradient_check_on_real_cooccurrence():
     corpus = [("a", "b", "c"), ("c", "d", "e"), ("a", "e", "b")]
     vocab = build_vocabulary(corpus)
     matrix = build_cooccurrence(corpus, vocab, window=2)
-    entries = matrix.items()
+    entries = cooc_entries(matrix)
     rng = np.random.default_rng(3)
     # 5x2 + 5x2 + 5 + 5 = 30 parameters; each bias is its side's last column.
     w = rng.normal(0.0, 0.4, size=(5, 2))
@@ -228,7 +229,7 @@ def test_blocked_trainer_matches_sequential_reference_exactly(seed, window):
     corpus = sentences(rng, alphabet=int(rng.integers(3, 15)), count=80)
     vocab = build_vocabulary(corpus)
     matrix = build_cooccurrence(corpus, vocab, window)
-    assert any(i == j for i, j, _ in matrix.items())  # a token within its own window
+    assert any(i == j for i, j, _ in cooc_entries(matrix))  # a token within its own window
     # x_max 2 saturates part of the weights.
     config = TrainingConfig(
         dimension=int(rng.integers(1, 12)), window=window, epochs=3,
@@ -246,7 +247,7 @@ def test_blocked_trainer_matches_reference_when_levels_are_split():
     # The first epoch's shuffle, drawn as the trainer draws it.
     trainer_rng = np.random.default_rng(config.seed)
     init_input_vectors(trainer_rng, len(vocab), config.dimension)
-    i, j, _ = matrix.arrays()
+    i, j = matrix.rows, matrix.cols
     order = trainer_rng.permutation(len(matrix))
     widths = np.bincount(entry_levels(i[order], j[order], len(vocab)))
     assert widths.max() > BLOCK_ENTRIES
@@ -268,7 +269,8 @@ def test_entry_levels_hold_no_list_of_the_entries():
     rng = np.random.default_rng(4)
     corpus = sentences(rng, alphabet=1200, count=4000)
     vocab = build_vocabulary(corpus)
-    i, j, _ = build_cooccurrence(corpus, vocab, window=2).arrays()
+    matrix = build_cooccurrence(corpus, vocab, window=2)
+    i, j = matrix.rows, matrix.cols
     order = rng.permutation(len(i))[:20000]
     i, j = i[order], j[order]
     tracemalloc.start()
@@ -281,13 +283,16 @@ def test_entry_levels_hold_no_list_of_the_entries():
     assert peak < 32 * len(i), f"{peak / len(i):.1f} bytes per entry"
 
 
-def test_arrays_follow_items_order():
+def test_get_reads_every_entry_and_zero_elsewhere():
     rng = np.random.default_rng(8)
     corpus = sentences(rng, alphabet=9, count=30)
     vocab = build_vocabulary(corpus)
     matrix = build_cooccurrence(corpus, vocab, window=3)
-    i, j, x = matrix.arrays()
-    assert list(zip(i.tolist(), j.tolist(), x.tolist())) == matrix.items()
+    weights = {(i, j): x for i, j, x in cooc_entries(matrix)}
+    assert 0 < len(weights) < len(vocab) ** 2
+    for i in range(len(vocab)):
+        for j in range(len(vocab)):
+            assert matrix.get(i, j) == weights.get((i, j), 0.0)
 
 
 @pytest.mark.parametrize(

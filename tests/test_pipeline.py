@@ -200,6 +200,21 @@ def test_resume_skips_embedding_training(tmp_path, monkeypatch):
     run_pipeline(resumed)  # completes because vectors.txt is reused
 
 
+@pytest.mark.parametrize("resume", [False, True])
+def test_each_label_file_is_read_once_per_run(tmp_path, monkeypatch, resume):
+    """The train stage reads train.tsv for the classifier and the predict
+    stage reuses it for the class vectors, also when the model is resumed."""
+    if resume:
+        run_pipeline(small_config(tmp_path))
+    reads = []
+    read_labels = kgtyper.pipeline.read_labels
+    monkeypatch.setattr(
+        "kgtyper.pipeline.read_labels", lambda path: reads.append(Path(path).name) or read_labels(path)
+    )
+    run_pipeline(small_config(tmp_path, resume=resume))
+    assert sorted(reads) == ["test.tsv", "train.tsv"]
+
+
 def test_seed_propagates_to_every_seeded_component(tmp_path):
     config = small_config(tmp_path, seed=77)
     assert config.embedding.seed == 77

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
-    FixedVectors,
+    embedding_matrix,
     matrix_bits,
     reference_bits,
     reference_cnn_scores,
@@ -21,10 +21,13 @@ from conftest import (
     row_scores,
 )
 
-from kgtyper.cnn import CnnConfig, CnnModel
+from kgtyper.cnn import CnnConfig, CnnModel, train_cnn
+from kgtyper.corpus import build_vocabulary
+from kgtyper.embeddings import TrainingConfig, train_fasttext
 from kgtyper.errors import DataError
 from kgtyper.graph import OWL_THING, KnowledgeGraph, build_hierarchy
 from kgtyper.pipeline import cnn_scores, similarity_scores
+from kgtyper.similarity import build_class_vectors, similarity_rank
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
@@ -110,7 +113,7 @@ def typing_problem(seed: int, zero: str | None = None):
         vectors["zero"] = np.zeros(dim)
     kg = KnowledgeGraph(type_assertions=types, subclass_edges=SUBCLASS_EDGES)
     hierarchy = build_hierarchy(kg, roots={OWL_THING})
-    return entities, train, kg, hierarchy, FixedVectors(vectors)
+    return entities, train, kg, hierarchy, embedding_matrix(vectors)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -191,7 +194,7 @@ def test_cnn_route_matches_one_row_forward(seed):
     classes = [f"c{k}" for k in range(int(rng.integers(2, 9)))]
     model = random_model(rng, classes, dim, conditioned=bool(seed % 2))
     entities = [f"e{k}" for k in range(int(rng.integers(1, 40)))]
-    vectors = FixedVectors({e: random_vector(rng, dim) for e in entities if rng.random() < 0.9})
+    vectors = embedding_matrix({e: random_vector(rng, dim) for e in entities if rng.random() < 0.9})
     with np.errstate(over="ignore"):  # vectors of 1e3 saturate the sigmoid to exact ties at 0
         matrix = cnn_scores(entities, model, vectors)
         reference = reference_cnn_scores(entities, model, vectors)
@@ -202,8 +205,31 @@ def test_cnn_route_matches_one_row_forward(seed):
 
 def test_cnn_route_without_any_vector_ranks_nothing():
     model = random_model(np.random.default_rng(0), ["a", "b"], 3, conditioned=False)
-    matrix = cnn_scores(["x", "y"], model, FixedVectors({}))
+    matrix = cnn_scores(["x", "y"], model, embedding_matrix({}))
     assert [p.ranking for p in matrix.predictions()] == [[], []]
+
+
+def test_an_entity_outside_a_fasttext_vocabulary_is_unranked_on_both_routes():
+    """``vector_of`` gives the entity an n-gram vector, but it has no row in
+    the model, nor in the ``vectors.txt`` written from it, so neither route
+    ranks it; the entities with a row are ranked."""
+    names = ["alpha", "alpine", "bravo", "brave"]
+    corpus = [(f"http://x/{n}", "http://x/p", f"http://x/v{k % 2}") for k, n in enumerate(names)]
+    config = TrainingConfig(dimension=4, epochs=2, n_min=2, n_max=3, bucket_count=97)
+    embeddings = train_fasttext(corpus, build_vocabulary(corpus), config)
+    oov = "http://x/alphab"
+    assert oov not in embeddings and embeddings.vector_of(oov).shape == (4,)
+    members = {"c1": ["http://x/alpine"], "c2": ["http://x/brave"]}
+    train = [(entity, c) for c, group in members.items() for entity in group]
+    model = train_cnn(train, embeddings, CnnConfig(filters_per_width=3, hidden_units=3, epochs=2))
+    class_vectors = build_class_vectors(members, embeddings)
+    entities = [oov, "http://x/alpha", "http://x/bravo"]
+    routes = {
+        "cnn": cnn_scores(entities, model, embeddings),
+        "similarity": similarity_rank(entities, [{"c1", "c2"}] * 3, class_vectors, embeddings),
+    }
+    for route, matrix in routes.items():
+        assert [bool(p.ranking) for p in matrix.predictions()] == [False, True, True], route
 
 
 def test_tracer_sees_every_predict_stage_layer(tmp_path):

@@ -6,7 +6,7 @@ import logging
 
 import numpy as np
 import pytest
-from conftest import COMPANY, LAWFIRM, ORGANISATION, PERSON, FixedVectors, row_scores
+from conftest import COMPANY, LAWFIRM, ORGANISATION, PERSON, embedding_matrix, row_scores
 
 from kgtyper.errors import DataError
 from kgtyper.similarity import (
@@ -18,13 +18,13 @@ from kgtyper.similarity import (
 
 
 def test_class_vector_is_member_mean():
-    vectors = FixedVectors({"e1": [1.0, 0.0], "e2": [3.0, 2.0], "e3": [2.0, 4.0]})
+    vectors = embedding_matrix({"e1": [1.0, 0.0], "e2": [3.0, 2.0], "e3": [2.0, 4.0]})
     result = build_class_vectors({"C": ["e1", "e2", "e3"]}, vectors)
     assert np.allclose(result["C"], [2.0, 2.0])
 
 
 def test_class_vector_skips_members_without_vectors(caplog):
-    vectors = FixedVectors({"e1": [2.0, 0.0], "e2": [4.0, 2.0]})
+    vectors = embedding_matrix({"e1": [2.0, 0.0], "e2": [4.0, 2.0]})
     with caplog.at_level(logging.WARNING, logger="kgtyper.similarity"):
         result = build_class_vectors({"C": ["e1", "ghost", "e2"]}, vectors)
     assert np.allclose(result["C"], [3.0, 1.0])  # mean over the two resolved members
@@ -32,7 +32,7 @@ def test_class_vector_skips_members_without_vectors(caplog):
 
 
 def test_class_with_no_resolved_members_is_left_out_with_a_warning(caplog):
-    vectors = FixedVectors({"e1": [2.0, 0.0]})
+    vectors = embedding_matrix({"e1": [2.0, 0.0]})
     with caplog.at_level(logging.WARNING, logger="kgtyper.similarity"):
         result = build_class_vectors(
             {"http://example.org/C": ["ghost1", "ghost2"], "D": ["e1"]}, vectors
@@ -44,7 +44,7 @@ def test_class_with_no_resolved_members_is_left_out_with_a_warning(caplog):
 
 
 def test_build_class_vectors_covers_every_class():
-    vectors = FixedVectors({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    vectors = embedding_matrix({"a": [1.0, 0.0], "b": [0.0, 1.0]})
     result = build_class_vectors({"C1": ["a"], "C2": ["b"], "C3": ["a", "b"]}, vectors)
     assert set(result) == {"C1", "C2", "C3"}
     assert np.allclose(result["C3"], [0.5, 0.5])
@@ -74,7 +74,7 @@ def test_cosine_rejects_zero_vector():
 
 
 def test_similarity_rank_orders_by_cosine():
-    embeddings = FixedVectors({"e": [1.0, 0.1]})
+    embeddings = embedding_matrix({"e": [1.0, 0.1]})
     class_vectors = {
         "close": np.array([1.0, 0.0]),
         "far": np.array([0.0, 1.0]),
@@ -94,7 +94,7 @@ def test_ranking_is_invariant_to_entity_vector_scale():
         "c2": np.array([1.0, 3.0]),
         "c3": np.array([-1.0, 2.0]),
     }
-    vectors = FixedVectors({"small": [0.02, 0.01], "large": [200.0, 100.0]})
+    vectors = embedding_matrix({"small": [0.02, 0.01], "large": [200.0, 100.0]})
     matrix = similarity_rank(["small", "large"], [set(class_vectors)] * 2, class_vectors, vectors)
     small, large = matrix.predictions()
     assert small.ranking == large.ranking
@@ -104,7 +104,7 @@ def test_ranking_is_invariant_to_entity_vector_scale():
 
 
 def test_equal_scores_break_ties_lexicographically():
-    embeddings = FixedVectors({"e": [1.0, 1.0]})
+    embeddings = embedding_matrix({"e": [1.0, 1.0]})
     class_vectors = {
         "zeta": np.array([2.0, 2.0]),
         "alpha": np.array([5.0, 5.0]),  # same cosine as zeta
@@ -117,7 +117,7 @@ def test_empty_candidate_set_leaves_the_entity_unranked():
     """An entity with no candidate gets an unranked row, and its vector,
     which it need not have, is never looked up."""
     class_vectors = {"C": np.array([1.0, 0.0]), "D": np.array([0.0, 1.0])}
-    vectors = FixedVectors({"e": [1.0, 0.5]})
+    vectors = embedding_matrix({"e": [1.0, 0.5]})
     matrix = similarity_rank(["novector", "e"], [set(), {"D"}], class_vectors, vectors)
     assert matrix.classes == ["D"]
     assert matrix.ranked.tolist() == [[False], [True]]
@@ -128,7 +128,7 @@ def test_empty_candidate_set_leaves_the_entity_unranked():
 
 
 def test_candidate_without_class_vector_rejected():
-    embeddings = FixedVectors({"e": [1.0, 0.0]})
+    embeddings = embedding_matrix({"e": [1.0, 0.0]})
     with pytest.raises(DataError):
         similarity_rank(["e"], [{"missing"}], {}, embeddings)
 
@@ -168,7 +168,7 @@ def test_scores_equal_cosine_similarity_exactly():
         f"C{k}": rng.normal(size=33) * 10.0 ** int(rng.integers(-3, 4)) for k in range(12)
     }
     entities = [f"e{i}" for i in range(20)]
-    embeddings = FixedVectors({entity: rng.normal(size=33) for entity in entities})
+    embeddings = embedding_matrix({entity: rng.normal(size=33) for entity in entities})
     matrix = similarity_rank(
         entities, [set(class_vectors)] * len(entities), class_vectors, embeddings
     )
@@ -186,7 +186,7 @@ def test_scores_equal_cosine_similarity_exactly():
 
 def test_zero_norm_rejected_with_precomputed_norms():
     class_vectors = {"C": np.zeros(2), "D": np.ones(2)}
-    vectors = FixedVectors({"e": [1.0, 0.0], "zero": [0.0, 0.0]})
+    vectors = embedding_matrix({"e": [1.0, 0.0], "zero": [0.0, 0.0]})
     with pytest.raises(DataError, match="zero-norm"):
         similarity_rank(["e"], [{"C", "D"}], class_vectors, vectors)
     with pytest.raises(DataError, match="zero-norm"):
