@@ -29,7 +29,6 @@ from .evaluation import (
     OverlapReport,
     accuracy,
     build_dataset,
-    coarse_grained_stats,
     external_overlap,
     hits_at_k,
     most_specific_class,
@@ -99,7 +98,6 @@ __all__ = [
     "build_dataset",
     "build_hierarchy",
     "build_vocabulary",
-    "coarse_grained_stats",
     "cosine_similarity",
     "external_overlap",
     "fine_grained_candidates",

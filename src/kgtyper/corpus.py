@@ -84,12 +84,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
 
-    def id_of(self, token: str) -> int:
-        try:
-            return self.token_to_id[token]
-        except KeyError:
-            raise DataError(f"token not in vocabulary: {token}") from None
-
     def token_of(self, token_id: int) -> str:
         return self.id_to_token[token_id]
 
@@ -98,10 +92,14 @@ class Vocabulary:
         return np.fromiter(map(self.token_to_id.get, tokens, repeat(-1)), np.intp)
 
 
-def build_vocabulary(corpus: Iterable[Sentence], min_count: int = 1) -> Vocabulary:
-    """Count tokens and keep those occurring at least ``min_count`` times."""
+def check_min_count(min_count: int) -> None:
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
+
+
+def build_vocabulary(corpus: Iterable[Sentence], min_count: int = 1) -> Vocabulary:
+    """Count tokens and keep those occurring at least ``min_count`` times."""
+    check_min_count(min_count)
     counts = Counter(chain.from_iterable(corpus))
     kept = sorted(
         ((t, c) for t, c in counts.items() if c >= min_count),

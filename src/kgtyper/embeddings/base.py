@@ -80,21 +80,17 @@ class TokenNotFoundError(DataError):
 
 @dataclass
 class EmbeddingMatrix:
-    """Dense token-id -> vector map plus the context-side matrix.
+    """Dense token-id -> vector map.
 
     ``input_vectors`` holds whatever composition the trainer exports as
     its final vectors (CBOW: input + output sums; subword: word-plus-n-gram
-    compositions; co-occurrence: w plus w-tilde); ``output_vectors`` keeps
-    the raw context side for inspection.
+    compositions; co-occurrence: w plus w-tilde). The context side is a
+    training by-product and is not kept.
     """
 
     input_vectors: np.ndarray
-    output_vectors: np.ndarray
     vocabulary: Vocabulary
     epoch_losses: list[float] = field(default_factory=list)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vocabulary
 
     def lookup(self, tokens: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
         """``(known, vectors)``: a bool mask of the tokens in the vocabulary,
@@ -117,11 +113,8 @@ class EmbeddingMatrix:
         return self.input_vectors.shape[1]
 
     def check_finite(self) -> None:
-        if not (
-            np.all(np.isfinite(self.input_vectors))
-            and np.all(np.isfinite(self.output_vectors))
-        ):
-            raise NumericalError("embedding matrices contain non-finite values")
+        if not np.all(np.isfinite(self.input_vectors)):
+            raise NumericalError("embedding vectors contain non-finite values")
 
 
 def init_input_vectors(

@@ -250,6 +250,6 @@ def train_cbow(
     w_out, epoch_losses = train_negative_sampling(
         encoded, vocab, config, rng, w_in, word_compositions(len(vocab))
     )
-    matrix = EmbeddingMatrix(w_in + w_out, w_out, vocab, epoch_losses)
+    matrix = EmbeddingMatrix(w_in + w_out, vocab, epoch_losses)
     matrix.check_finite()
     return matrix

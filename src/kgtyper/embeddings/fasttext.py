@@ -32,10 +32,10 @@ share once per occurrence; ``subword_compositions`` lays them out in one
 compositions, each formed once at the end of training as
 ``weights @ inputs[rows]``, the product the block step forms.
 
-As for every matrix, ``in`` and ``lookup`` admit exactly the vocabulary's
-tokens, those a ``vectors.txt`` of the model holds, so both prediction
-routes leave any other entity unranked; only ``vector_of`` of one token
-goes on to the n-gram vector.
+As for every matrix, ``lookup`` admits exactly the vocabulary's tokens,
+those a ``vectors.txt`` of the model holds, so both prediction routes
+leave any other entity unranked; only ``vector_of`` of one token goes on
+to the n-gram vector.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..corpus import Sentence, Vocabulary
+from ..errors import NumericalError
 from .base import (
     EmbeddingMatrix, TokenNotFoundError, TrainingConfig, distinct_counts, init_input_vectors,
 )
@@ -191,8 +192,10 @@ def train_fasttext(
         encoded, vocab, config, rng, table.inputs, compositions
     )
     # Every word and kept bucket row weighs in some composition, so a
-    # non-finite row shows in the composed vectors.
+    # non-finite row shows in the composed vectors; the output rows do not.
+    if not np.all(np.isfinite(w_out)):
+        raise NumericalError("output vectors contain non-finite values")
     composed = np.array([weights @ table.inputs[rows] for rows, weights in compositions.parts])
-    model = FastTextEmbeddings(composed, w_out, vocab, epoch_losses, ngrams=table)
+    model = FastTextEmbeddings(composed, vocab, epoch_losses, ngrams=table)
     model.check_finite()
     return model

@@ -233,7 +233,7 @@ def train_glove(
         epoch_losses.append(np.add.accumulate(shuffled)[-1] / len(order))
         del order, levels, by_level, rows, cols, log_xs, fs, losses, shuffled
 
-    context = wt[:, :dim].astype(np.float64)
-    matrix = EmbeddingMatrix(w[:, :dim] + context, context, vocab, epoch_losses)
+    vectors = np.add(w[:, :dim], wt[:, :dim], dtype=np.float64)  # cast in chunks, no float64 copy
+    matrix = EmbeddingMatrix(vectors, vocab, epoch_losses)
     matrix.check_finite()
     return matrix

@@ -27,12 +27,6 @@ class EmbeddingFormatError(DataError):
         self.line_number = line_number
 
 
-def _lookup_matrix(vectors: np.ndarray, vocabulary: Vocabulary) -> EmbeddingMatrix:
-    """A matrix that only looks vectors up; its output side is a read-only
-    zero view, which takes no memory."""
-    return EmbeddingMatrix(vectors, np.broadcast_to(0.0, vectors.shape), vocabulary)
-
-
 def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The words of a component's text, which takes three: its sign and
     integer part, right aligned after NUL bytes; the point and three
@@ -138,15 +132,14 @@ def save_embeddings(model, path) -> EmbeddingMatrix:
     with open(path, "wb") as handle:
         handle.write(f"{len(tokens)} {dimension}\n".encode())
         handle.writelines(_text_chunks(tokens, vectors, values))
-    return _lookup_matrix(values, model.vocabulary)
+    return EmbeddingMatrix(values, model.vocabulary)
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
-    """Read a vector file back into a lookup-only matrix.
+    """Read a vector file back into a matrix.
 
     Frequencies are not stored in the format, so the reconstructed
-    vocabulary keeps the file's token order with unit counts; the output
-    side is zero-filled.
+    vocabulary keeps the file's token order with unit counts.
     """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline()
@@ -197,4 +190,4 @@ def load_embeddings(path) -> EmbeddingMatrix:
                 line_number if row else 1,
             )
     vocab = Vocabulary([(token, 1) for token in first_line], total_tokens=row)
-    return _lookup_matrix(vectors, vocab)
+    return EmbeddingMatrix(vectors, vocab)

@@ -31,14 +31,10 @@ class LabeledDataset:
     classes: set[str] = field(default_factory=set)
     train_ids: list[int] = field(default_factory=list)
     test_ids: list[int] = field(default_factory=list)
-    classes_requested: int = 0
 
     def __post_init__(self):
         if not self.classes:
             self.classes = {c for _, c in self.examples}
-
-    def gold(self) -> dict[str, str]:
-        return {entity: class_iri for entity, class_iri in self.examples}
 
     def train_examples(self) -> list[tuple[str, str]]:
         return [self.examples[i] for i in self.train_ids]
@@ -57,6 +53,18 @@ def most_specific_class(
     return min(known, key=lambda c: (-hierarchy.depth(c), c))
 
 
+def check_sample_sizes(num_classes: int, entities_per_class: int) -> None:
+    if entities_per_class < 1:
+        raise ValueError("entities_per_class must be >= 1")
+    if num_classes < 2:
+        raise ValueError("num_classes must be >= 2")
+
+
+def check_train_fraction(train_fraction: float) -> None:
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must be strictly between 0 and 1")
+
+
 def build_dataset(
     kg: KnowledgeGraph,
     hierarchy: ClassHierarchy,
@@ -72,10 +80,7 @@ def build_dataset(
     entities sampled with the seeded generator. Requesting more classes
     than qualify keeps the qualifying ones and logs the shortfall.
     """
-    if entities_per_class < 1:
-        raise ValueError("entities_per_class must be >= 1")
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
+    check_sample_sizes(num_classes, entities_per_class)
     if not kg.type_assertions:
         raise DataError("knowledge graph has no type assertions")
 
@@ -113,7 +118,6 @@ def build_dataset(
         examples,
         entities_per_class,
         classes=set(selected),
-        classes_requested=num_classes,
     )
 
 
@@ -123,8 +127,7 @@ def split(dataset: LabeledDataset, train_fraction: float, seed: int) -> LabeledD
     Returns a new dataset sharing the examples, with disjoint covering
     index sets. Every class needs at least 2 examples to stratify.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be strictly between 0 and 1")
+    check_train_fraction(train_fraction)
     by_class: dict[str, list[int]] = {}
     for i, (_, class_iri) in enumerate(dataset.examples):
         by_class.setdefault(class_iri, []).append(i)
@@ -147,7 +150,6 @@ def split(dataset: LabeledDataset, train_fraction: float, seed: int) -> LabeledD
         classes=set(dataset.classes),
         train_ids=sorted(train_ids),
         test_ids=sorted(test_ids),
-        classes_requested=dataset.classes_requested,
     )
 
 
@@ -186,35 +188,6 @@ def hits_at_k(
         if gold[prediction.entity] in prediction.ranking[:k]:
             hits += 1
     return hits / len(predictions)
-
-
-@dataclass
-class CoarseStats:
-    """How many entities of a class were never refined to a subclass."""
-
-    class_iri: str
-    total_entities: int
-    coarse_only: int
-
-    @property
-    def percentage(self) -> float:
-        return 100.0 * self.coarse_only / self.total_entities if self.total_entities else 0.0
-
-
-def coarse_grained_stats(
-    kg: KnowledgeGraph, hierarchy: ClassHierarchy, class_iri: str
-) -> CoarseStats:
-    """Count entities typed with ``class_iri`` or below, and the unrefined share."""
-    subtree = hierarchy.descendants(class_iri, include_self=True)
-    descendants = subtree - {class_iri}
-    total = 0
-    coarse_only = 0
-    for _, types in kg.type_assertions.items():
-        if types & subtree:
-            total += 1
-            if class_iri in types and not (types & descendants):
-                coarse_only += 1
-    return CoarseStats(class_iri, total, coarse_only)
 
 
 @dataclass

@@ -83,14 +83,6 @@ class KnowledgeGraph:
             out.add(parent)
         return out
 
-    def entities_of_class(self, class_iri: str) -> set[str]:
-        """Entities with a direct ``rdf:type`` assertion for ``class_iri``."""
-        return {
-            entity
-            for entity, types in self.type_assertions.items()
-            if class_iri in types
-        }
-
 
 class ClassHierarchy:
     """Single-parent subclass tree with designated traversal-stop roots.
@@ -139,13 +131,6 @@ class ClassHierarchy:
         if class_iri not in self._known:
             raise UnknownClassError(class_iri)
 
-    def parent_of(self, class_iri: str) -> str | None:
-        """Parent class, or None for roots."""
-        self._require(class_iri)
-        if class_iri in self.roots:
-            return None
-        return self.parent.get(class_iri, OWL_THING)
-
     def depth(self, class_iri: str) -> int:
         """Number of parent steps to the nearest root (roots have depth 0)."""
         self._require(class_iri)
@@ -172,10 +157,10 @@ class ClassHierarchy:
                 return node
             node = parent
 
-    def descendants(self, class_iri: str, include_self: bool = False) -> set[str]:
+    def descendants(self, class_iri: str) -> set[str]:
         """All classes reachable downward via children."""
         self._require(class_iri)
-        out: set[str] = {class_iri} if include_self else set()
+        out: set[str] = set()
         queue = deque(self.children.get(class_iri, ()))
         while queue:
             node = queue.popleft()

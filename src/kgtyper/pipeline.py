@@ -25,15 +25,16 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .cnn import CnnConfig, CnnModel, train_cnn
-from .corpus import build_vocabulary, read_corpus, triples_to_corpus, write_corpus
+from .corpus import build_vocabulary, check_min_count, read_corpus, triples_to_corpus, write_corpus
 from .embeddings import (
     TrainingConfig, build_cooccurrence, load_embeddings, save_embeddings, train_cbow,
     train_fasttext, train_glove,
 )
 from .errors import DataError, StageError
 from .evaluation import (
-    LabeledDataset, accuracy, align_predictions, build_dataset, hits_at_k,
-    most_specific_class, read_labels, split, write_labels, write_rankings,
+    LabeledDataset, accuracy, align_predictions, build_dataset, check_sample_sizes,
+    check_train_fraction, hits_at_k, most_specific_class, read_labels, split, write_labels,
+    write_rankings,
 )
 from .graph import DEFAULT_ROOTS, ClassHierarchy, KnowledgeGraph, build_hierarchy
 from .ntriples import RDF_TYPE, ParseStats, parse_ntriples_file
@@ -76,6 +77,10 @@ class PipelineConfig:
             raise ValueError(f"unknown trainer {self.trainer!r}; choose from {TRAINERS}")
         self.embedding.validate()
         self.cnn.validate()
+        # Refused before any stage writes a file.
+        check_min_count(self.min_count)
+        check_sample_sizes(self.num_classes, self.entities_per_class)
+        check_train_fraction(self.train_fraction)
         # One seed drives every seeded component; copies leave the caller's
         # configs as they were, so configs may share them.
         self.embedding = replace(self.embedding, seed=self.seed)

@@ -107,13 +107,11 @@ def similarity_rank(
     return ScoreMatrix(list(entities), classes, values, ranked)
 
 
-def fine_grained_candidates(
-    hierarchy: ClassHierarchy, coarse_type: str, include_ancestor: bool = False
-) -> set[str]:
+def fine_grained_candidates(hierarchy: ClassHierarchy, coarse_type: str) -> set[str]:
     """Candidate pool below the coarse ancestor of ``coarse_type``.
 
-    The ancestor itself is excluded by default: the task is refinement,
-    not re-deriving the type the entity already has.
+    The ancestor itself is excluded: the task is refinement, not
+    re-deriving the type the entity already has.
     """
     ancestor = hierarchy.coarse_ancestor(coarse_type)
-    return hierarchy.descendants(ancestor, include_self=include_ancestor)
+    return hierarchy.descendants(ancestor)

@@ -97,7 +97,7 @@ def embedding_matrix(vectors: dict, dimension: int = 1) -> EmbeddingMatrix:
         (0, dimension)
     )
     vocab = Vocabulary([(token, 1) for token in tokens], total_tokens=len(tokens))
-    return EmbeddingMatrix(rows, np.zeros_like(rows), vocab)
+    return EmbeddingMatrix(rows, vocab)
 
 
 def reference_class_vectors(members_by_class, embeddings) -> dict[str, np.ndarray]:
@@ -107,7 +107,7 @@ def reference_class_vectors(members_by_class, embeddings) -> dict[str, np.ndarra
     for class_iri, members in sorted(members_by_class.items()):
         total, resolved = None, 0
         for entity in members:
-            if entity in embeddings:
+            if entity in embeddings.vocabulary:
                 vector = embeddings.vector_of(entity)
                 total = vector.copy() if total is None else total + vector
                 resolved += 1
@@ -149,7 +149,7 @@ def reference_similarity_scores(entities, train_examples, kg, hierarchy, embeddi
     for entity in entities:
         coarse = most_specific_class(kg.type_assertions.get(entity, ()), hierarchy)
         pool = set()
-        if coarse is not None and entity in embeddings:
+        if coarse is not None and entity in embeddings.vocabulary:
             pool = fine_grained_candidates(hierarchy, coarse) & set(class_vectors)
         rows.append(reference_cosines(entity, pool, class_vectors, embeddings))
     return rows
@@ -160,7 +160,7 @@ def reference_cnn_scores(entities, model, embeddings) -> list[dict]:
     for an entity without a vector."""
     rows = []
     for entity in entities:
-        if entity not in embeddings:
+        if entity not in embeddings.vocabulary:
             rows.append({})
             continue
         scores = model.forward(embeddings.vector_of(entity))[0]
@@ -511,7 +511,7 @@ def reference_train_glove(cooc, vocab, config) -> EmbeddingMatrix:
             acc_bt[j] += coef * coef
         epoch_losses.append(epoch_loss / len(entries))
     w, wt = w.astype(np.float64), wt.astype(np.float64)
-    return EmbeddingMatrix(w + wt, wt, vocab, epoch_losses)
+    return EmbeddingMatrix(w + wt, vocab, epoch_losses)
 
 
 def reference_ns_position_grads(hidden, w_out, center, negatives):

@@ -724,6 +724,36 @@ def test_non_finite_classifier_learning_rate_exits_one_before_any_stage(
 
 
 @pytest.mark.parametrize(
+    "flag,value,stage_command",
+    [
+        ("--train-fraction", "1.5", "build-dataset"),
+        ("--num-classes", "1", "build-dataset"),
+        ("--entities-per-class", "0", "build-dataset"),
+        ("--min-count", "0", "train-embeddings"),
+    ],
+)
+def test_bad_dataset_or_vocabulary_setting_exits_one_before_any_stage(
+    capsys, workspace, tmp_path, flag, value, stage_command
+):
+    out_dir = tmp_path / "pipeline"
+    code, _, err = run(
+        capsys, "pipeline", "--in", str(workspace["kg"]), "--out-dir", str(out_dir), flag, value,
+    )
+    assert code == 1
+    assert not (out_dir / "corpus.txt").exists()
+    # The same message as the subcommand that runs that stage alone; the
+    # graph has 8 entities per class.
+    stage_argv = {
+        "build-dataset": [
+            "--in", str(workspace["kg"]), "--out-dir", str(tmp_path / "data"),
+            "--entities-per-class", "4",
+        ],
+        "train-embeddings": ["--in", str(workspace["corpus"]), "--out", str(tmp_path / "v.txt")],
+    }[stage_command]
+    assert run(capsys, stage_command, *stage_argv, flag, value)[::2] == (1, err)
+
+
+@pytest.mark.parametrize(
     "trainer,flag,value",
     [
         ("word2vec", "--x-max", "50"),

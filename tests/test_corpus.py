@@ -86,7 +86,7 @@ class TestVocabulary:
 
     def test_min_count_one_counts_every_token(self):
         vocab = build_vocabulary(self.CORPUS, min_count=1)
-        assert {t: vocab.frequency[vocab.id_of(t)] for t in "abcd"} == {
+        assert {t: vocab.frequency[vocab.token_to_id[t]] for t in "abcd"} == {
             "a": 2,
             "b": 2,
             "c": 1,
@@ -114,10 +114,9 @@ class TestVocabulary:
         for token, token_id in vocab.token_to_id.items():
             assert vocab.token_of(token_id) == token
 
-    def test_unknown_token_raises(self):
+    def test_unknown_token_has_id_minus_one(self):
         vocab = build_vocabulary(self.CORPUS)
-        with pytest.raises(DataError):
-            vocab.id_of("nope")
+        assert vocab.ids(["nope", "a", ""]).tolist() == [-1, vocab.token_to_id["a"], -1]
 
     def test_min_count_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -147,7 +147,7 @@ def test_subword_composition_is_baked_into_saved_vectors(tmp_path):
     for token in vocab.id_to_token:
         assert np.abs(loaded.vector_of(token) - model.vector_of(token)).max() <= 1e-6
         # The composed vector, not the raw word row, is what persists.
-        raw = model.ngrams.inputs[vocab.id_of(token)]
+        raw = model.ngrams.inputs[vocab.token_to_id[token]]
         assert not np.allclose(loaded.vector_of(token), raw)
 
 

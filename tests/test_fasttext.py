@@ -30,7 +30,7 @@ from kgtyper.embeddings import (
 from kgtyper.embeddings.base import init_input_vectors
 from kgtyper.embeddings.cbow import encode_training_corpus, train_negative_sampling
 from kgtyper.embeddings.fasttext import ngram_buckets, subword_compositions
-from kgtyper.errors import DataError
+from kgtyper.errors import DataError, NumericalError
 
 
 def tiny_corpus(sentences: int, alphabet: int, seed: int):
@@ -153,7 +153,7 @@ def test_batched_export_sums_each_occurrence_in_order():
     exported = np.array(
         [weights @ table.inputs[rows] for rows, weights in subword_compositions(table).parts]
     )
-    model = FastTextEmbeddings(exported, np.zeros_like(exported), vocab, ngrams=table)
+    model = FastTextEmbeddings(exported, vocab, ngrams=table)
     for t, token in enumerate(tokens):
         rows, counts = np.unique(reference_kept_rows(token, tokens, config), return_counts=True)
         weights = np.concatenate(([1.0], counts)) / (1 + counts.sum())
@@ -277,11 +277,11 @@ def reference_fasttext(corpus, vocab, config):
         rows, counts = np.unique(np.searchsorted(used, ids), return_counts=True)
         weights = np.concatenate(([1.0], counts)) / (1 + len(ids))
         parts.append((np.concatenate(([i], len(vocab) + rows)), weights))
-    w_out, epoch_losses = train_negative_sampling(
+    _, epoch_losses = train_negative_sampling(
         encoded, vocab, config, rng, inputs, composition_table(parts)
     )
     exported = np.array([weights @ inputs[rows] for rows, weights in parts])
-    return inputs[: len(vocab)], inputs[len(vocab) :], w_out, epoch_losses, used, exported
+    return inputs[: len(vocab)], inputs[len(vocab) :], epoch_losses, used, exported
 
 
 @pytest.mark.parametrize("seed", [1, 4])
@@ -290,15 +290,30 @@ def test_kept_rows_match_reference_trainer_exactly(seed):
     vocab = build_vocabulary(corpus)
     config = replace(SMALL_NGRAMS, dimension=4, window=2, epochs=2, seed=seed)
     model = train_fasttext(corpus, vocab, config)
-    w_word, rows, w_out, epoch_losses, used, exported = reference_fasttext(corpus, vocab, config)
+    w_word, rows, epoch_losses, used, exported = reference_fasttext(corpus, vocab, config)
     assert np.array_equal(model.ngrams.bucket_ids, used)
     assert np.array_equal(model.ngrams.inputs[: len(vocab)], w_word)
     assert np.array_equal(model.ngrams.rows, rows)
-    assert np.array_equal(model.output_vectors, w_out)
     assert model.epoch_losses == epoch_losses
     assert np.array_equal(model.input_vectors, exported)
     for i in range(len(vocab)):
         assert np.array_equal(model.vector_of(vocab.token_of(i)), exported[i])
+
+
+def test_non_finite_output_rows_are_refused(monkeypatch):
+    """The composed vectors hold no output row, so the trainer checks them."""
+    trained = kgtyper.embeddings.fasttext.train_negative_sampling
+
+    def diverged(*args):
+        w_out, epoch_losses = trained(*args)
+        w_out[1] = np.inf
+        return w_out, epoch_losses
+
+    monkeypatch.setattr(kgtyper.embeddings.fasttext, "train_negative_sampling", diverged)
+    corpus = tiny_corpus(20, 4, seed=2)
+    vocab = build_vocabulary(corpus)
+    with pytest.raises(NumericalError, match="output vectors contain non-finite values"):
+        train_fasttext(corpus, vocab, replace(SMALL_NGRAMS, dimension=4, epochs=1))
 
 
 def test_lookup_rejects_bucket_ids_outside_the_table():

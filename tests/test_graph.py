@@ -38,19 +38,12 @@ def test_classes_include_hierarchy_and_type_objects(lawfirm_kg):
     assert {LAWFIRM, COMPANY, ORGANISATION, AGENT, PERSON} <= lawfirm_kg.classes()
 
 
-def test_entities_of_class(lawfirm_kg):
-    assert lawfirm_kg.entities_of_class(LAWFIRM) == {
-        "http://dbpedia.org/resource/Baker_McKenzie"
-    }
-    assert lawfirm_kg.entities_of_class(PERSON) == set()
-
-
 class TestHierarchy:
     def test_worked_example_parent_chain(self, lawfirm_hierarchy):
         h = lawfirm_hierarchy
-        assert h.parent_of(LAWFIRM) == COMPANY
-        assert h.parent_of(COMPANY) == ORGANISATION
-        assert h.parent_of(ORGANISATION) == AGENT
+        assert h.parent[LAWFIRM] == COMPANY
+        assert h.parent[COMPANY] == ORGANISATION
+        assert h.parent[ORGANISATION] == AGENT
 
     def test_coarse_ancestor_stops_before_root(self, lawfirm_hierarchy):
         # Chain LawFirm -> Company -> Organisation -> Agent with Agent a root:
@@ -68,7 +61,6 @@ class TestHierarchy:
     def test_descendants(self, lawfirm_hierarchy):
         assert lawfirm_hierarchy.descendants(ORGANISATION) == {COMPANY, LAWFIRM}
         assert lawfirm_hierarchy.descendants(LAWFIRM) == set()
-        assert lawfirm_hierarchy.descendants(LAWFIRM, include_self=True) == {LAWFIRM}
 
     def test_descendants_unknown_class(self, lawfirm_hierarchy):
         with pytest.raises(UnknownClassError):
@@ -84,7 +76,7 @@ class TestHierarchy:
         ]
         kg = KnowledgeGraph.from_triples(parse_ntriples(lines))
         h = build_hierarchy(kg)
-        assert h.parent_of("http://C") == OWL_THING
+        assert h.parent["http://C"] == OWL_THING
         assert h.coarse_ancestor("http://C") == "http://C"
 
     def test_multiple_parents_first_in_file_order_wins(self):
@@ -94,7 +86,7 @@ class TestHierarchy:
         ]
         kg = KnowledgeGraph.from_triples(parse_ntriples(lines))
         h = build_hierarchy(kg)
-        assert h.parent_of("http://A") == "http://B"
+        assert h.parent["http://A"] == "http://B"
         assert h.dropped_parent_edges == 1
 
     def test_cycle_raises_with_members(self):
@@ -113,7 +105,7 @@ class TestHierarchy:
         ]
         kg = KnowledgeGraph.from_triples(parse_ntriples(lines))
         h = build_hierarchy(kg)
-        assert h.parent_of(AGENT) is None
+        assert AGENT not in h.parent
 
     def test_depth(self, lawfirm_hierarchy):
         assert lawfirm_hierarchy.depth(ORGANISATION) == 1
@@ -126,8 +118,8 @@ class TestHierarchy:
             if c in h.roots:
                 continue
             coarse = h.coarse_ancestor(c)
-            assert h.parent_of(coarse) in h.roots
-            assert c in h.descendants(coarse, include_self=True)
+            assert h.parent[coarse] in h.roots
+            assert c == coarse or c in h.descendants(coarse)
 
     def test_descendants_consistent_with_parent_chain(self, lawfirm_hierarchy):
         h = lawfirm_hierarchy
@@ -136,7 +128,7 @@ class TestHierarchy:
                 cursor = d
                 seen = False
                 while cursor is not None:
-                    cursor = h.parent_of(cursor)
+                    cursor = h.parent.get(cursor)
                     if cursor == c:
                         seen = True
                         break
@@ -151,4 +143,5 @@ def test_children_is_inverse_of_parent_and_orphans_attach_to_thing():
     h = ClassHierarchy(parent={"http://A": "http://B"}, roots=frozenset({OWL_THING}))
     assert h.children["http://B"] == ["http://A"]
     # B has no declared parent: implicitly a child of owl:Thing.
-    assert h.parent_of("http://B") == OWL_THING
+    assert "http://B" not in h.parent
+    assert h.depth("http://B") == 1 and h.depth("http://A") == 2

@@ -43,7 +43,7 @@ def matrices() -> dict:
 def test_the_nbsp_iri_has_a_row_in_every_matrix():
     for matrix in matrices().values():
         assert NBSP_IRI in matrix.vocabulary.token_to_id
-        assert "http://x/a" not in matrix
+        assert "http://x/a" not in matrix.vocabulary
 
 
 TOKENS = st.lists(st.sampled_from(sorted({t for s in CORPUS for t in s}) + UNKNOWN), max_size=12)
@@ -61,7 +61,7 @@ def test_lookup_agrees_with_the_per_token_answers(name, tokens):
     assert ids.tolist() == [matrix.vocabulary.token_to_id.get(t, -1) for t in tokens]
 
     known, vectors = matrix.lookup(tokens)
-    assert known.dtype == bool and known.tolist() == [t in matrix for t in tokens]
+    assert known.dtype == bool and known.tolist() == [t in matrix.vocabulary for t in tokens]
     assert vectors.shape == (int(known.sum()), matrix.dimension)
     expected = [matrix.vector_of(t) for t, has_row in zip(tokens, known.tolist()) if has_row]
     assert np.array_equal(vectors, np.array(expected).reshape(vectors.shape))
@@ -69,9 +69,9 @@ def test_lookup_agrees_with_the_per_token_answers(name, tokens):
 
 def test_fasttext_lookup_follows_the_vocabulary_and_vector_of_goes_further():
     """An out-of-vocabulary token has an n-gram vector by ``vector_of``, but
-    no row: ``in`` and ``lookup`` both refuse it."""
+    no row: the vocabulary and ``lookup`` both refuse it."""
     matrix = matrices()["fasttext"]
     token = "http://x/alphab"
     assert matrix.vector_of(token).shape == (CONFIG.dimension,)
     known, vectors = matrix.lookup([token])
-    assert token not in matrix and known.tolist() == [False] and vectors.shape == (0, 5)
+    assert token not in matrix.vocabulary and known.tolist() == [False] and vectors.shape == (0, 5)

@@ -218,7 +218,7 @@ def test_an_entity_outside_a_fasttext_vocabulary_is_unranked_on_both_routes():
     config = TrainingConfig(dimension=4, epochs=2, n_min=2, n_max=3, bucket_count=97)
     embeddings = train_fasttext(corpus, build_vocabulary(corpus), config)
     oov = "http://x/alphab"
-    assert oov not in embeddings and embeddings.vector_of(oov).shape == (4,)
+    assert oov not in embeddings.vocabulary and embeddings.vector_of(oov).shape == (4,)
     members = {"c1": ["http://x/alpine"], "c2": ["http://x/brave"]}
     train = [(entity, c) for c, group in members.items() for entity in group]
     model = train_cnn(train, embeddings, CnnConfig(filters_per_width=3, hidden_units=3, epochs=2))

@@ -6,7 +6,7 @@ import logging
 
 import numpy as np
 import pytest
-from conftest import COMPANY, LAWFIRM, ORGANISATION, PERSON, embedding_matrix, row_scores
+from conftest import COMPANY, LAWFIRM, PERSON, embedding_matrix, row_scores
 
 from kgtyper.errors import DataError
 from kgtyper.similarity import (
@@ -141,14 +141,6 @@ def test_lawfirm_candidates_are_company_and_lawfirm(lawfirm_hierarchy):
 
 def test_candidates_from_mid_hierarchy_class(lawfirm_hierarchy):
     assert fine_grained_candidates(lawfirm_hierarchy, COMPANY) == {COMPANY, LAWFIRM}
-
-
-def test_candidates_can_include_the_ancestor(lawfirm_hierarchy):
-    assert fine_grained_candidates(lawfirm_hierarchy, LAWFIRM, include_ancestor=True) == {
-        ORGANISATION,
-        COMPANY,
-        LAWFIRM,
-    }
 
 
 def test_leaf_child_of_root_has_no_candidates(lawfirm_hierarchy):

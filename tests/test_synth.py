@@ -27,7 +27,7 @@ def test_two_class_noiseless_shape(tmp_path):
     kg = load(result)
     assert kg.num_triples == result.num_triples
     for class_iri in result.classes:
-        assert len(kg.entities_of_class(class_iri)) == 3
+        assert sum(class_iri in types for types in kg.type_assertions.values()) == 3
     # Every entity carries exactly its 2 characteristic triples + 1 type.
     for entity, types in kg.type_assertions.items():
         assert len(types) == 1
@@ -107,9 +107,9 @@ def test_hierarchy_is_root_category_classes(tmp_path):
     )
     hierarchy = build_hierarchy(load(result), roots={SYNTH_ROOT})
     for class_iri in result.classes:
-        assert hierarchy.parent_of(class_iri) == SYNTH_CATEGORY
-    assert hierarchy.parent_of(SYNTH_CATEGORY) == SYNTH_ROOT
-    assert hierarchy.parent_of(SYNTH_ROOT) is None
+        assert hierarchy.parent[class_iri] == SYNTH_CATEGORY
+    assert hierarchy.parent[SYNTH_CATEGORY] == SYNTH_ROOT
+    assert SYNTH_ROOT not in hierarchy.parent
     assert hierarchy.coarse_ancestor(result.classes[0]) == SYNTH_CATEGORY
 
 
