@@ -50,8 +50,9 @@ from .errors import DataError, KgTyperError, NumericalError, StageError
 from .evaluation import external_overlap, read_label_map, read_labels, read_rankings, write_rankings
 from .ntriples import write_ntriples
 from .pipeline import (
-    DEFAULT_METRICS, TRAINERS, PipelineConfig, cnn_scores, load_graph, run_pipeline, score,
-    similarity_scores, train_embeddings, write_dataset, write_sentences,
+    DEFAULT_METRICS, TRAINERS, PipelineConfig, check_min_count, check_sample_sizes,
+    check_train_fraction, cnn_scores, load_graph, run_pipeline, score, similarity_scores,
+    train_embeddings, write_dataset, write_sentences,
 )
 from .synth import generate_synthetic_kg
 
@@ -261,20 +262,22 @@ def _cmd_corpus(args) -> int:
 def _cmd_train_embeddings(args) -> int:
     _reject_other_trainer_flags(args, args.trainer)
     config = TrainingConfig(**_fields(args, TrainingConfig), seed=args.seed)
+    settings = _fields(args, PipelineConfig)
     config.validate()  # before reading, so a bad setting is a usage error
+    check_min_count(settings["min_count"])
     embeddings = train_embeddings(
-        args.trainer, read_corpus(args.infile), args.out, embedding=config,
-        **_fields(args, PipelineConfig),
+        args.trainer, read_corpus(args.infile), args.out, embedding=config, **settings
     )
     print(f"saved\t{len(embeddings.vocabulary)}\tvectors\tdim\t{config.dimension}\t{args.out}")
     return EXIT_OK
 
 
 def _cmd_build_dataset(args) -> int:
+    settings = _fields(args, PipelineConfig)
+    check_sample_sizes(settings["num_classes"], settings["entities_per_class"])
+    check_train_fraction(settings["train_fraction"])
     kg, hierarchy, _ = load_graph(args.infile, args.strict, _roots(args))
-    dataset = write_dataset(
-        kg, hierarchy, args.out_dir, seed=args.seed, **_fields(args, PipelineConfig)
-    )
+    dataset = write_dataset(kg, hierarchy, args.out_dir, seed=args.seed, **settings)
     print(f"classes\t{len(dataset.classes)}")
     print(f"train\t{len(dataset.train_ids)}")
     print(f"test\t{len(dataset.test_ids)}")
@@ -282,13 +285,14 @@ def _cmd_build_dataset(args) -> int:
 
 
 def _cmd_train_classifier(args) -> int:
+    config = CnnConfig(**_fields(args, CnnConfig), seed=args.seed)
+    config.validate()
     embeddings = load_embeddings(args.vectors)
     examples = read_labels(args.dataset)
-    model = train_cnn(examples, embeddings, CnnConfig(**_fields(args, CnnConfig), seed=args.seed))
+    model = train_cnn(examples, embeddings, config)
     model.save(args.out)
-    final_loss = model.epoch_losses[-1] if model.epoch_losses else float("nan")
     print(f"classes\t{len(model.classes)}")
-    print(f"final_epoch_loss\t{final_loss:.6f}")
+    print(f"final_epoch_loss\t{model.epoch_losses[-1]:.6f}")
     print(f"model\t{args.out}")
     return EXIT_OK
 
@@ -353,12 +357,8 @@ def _cmd_compare_external(args) -> int:
 
 def _cmd_synth(args) -> int:
     result = generate_synthetic_kg(
-        args.out_dir,
-        args.num_classes,
-        args.entities_per_class,
-        args.predicates_per_class,
-        args.noise,
-        args.seed,
+        args.out_dir, args.num_classes, args.entities_per_class, args.predicates_per_class,
+        args.noise, args.seed,
     )
     print(f"kg\t{result.kg_path}")
     print(f"gold\t{result.gold_path}")

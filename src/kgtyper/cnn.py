@@ -28,7 +28,8 @@ hand-constructed models default to the identity.
 shapes and order. The model holds them in one dict, ``params``, and
 initialisation, SGD, the gradient checks and the model file all follow it.
 Backpropagation is hand-rolled in numpy so the analytic gradients can be
-validated against central finite differences.
+validated against central finite differences. Both passes compute in the
+dtype of their arrays: float32 in training, float64 everywhere else.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class CnnModel:
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Per-class sigmoid scores for entity vectors (N, dim), or stacks of them."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+        inputs = np.atleast_2d(np.asarray(inputs, dtype=self.params["filter_w"].dtype))
         if inputs.shape[-1] != self.input_dim:
             raise DataError(
                 f"{inputs.shape[-1]}-dimensional vectors given to a classifier of "
@@ -313,18 +314,22 @@ def train_cnn(examples, embeddings, config: CnnConfig) -> CnnModel:
     model = CnnModel.initialize(config, classes, inputs.shape[1], rng)
     model.fit_conditioning(inputs)
     model.skipped_examples = skipped
-    index = model.class_index
-    targets = np.zeros((len(labels), len(classes)))
-    targets[np.arange(len(labels)), [index[c] for c in labels]] = 1.0
+    # A float32 copy takes the steps on inputs conditioned here, so it conditions nothing.
+    inputs = model.condition(inputs).astype(np.float32)
+    trainee = CnnModel(config, classes, {n: a.astype(np.float32) for n, a in model.params.items()})
+    model.params = {}  # the float64 draws are not read again; freeing them lowers peak RSS
+    targets = np.zeros((len(labels), len(classes)), dtype=np.float32)
+    targets[np.arange(len(labels)), [model.class_index[c] for c in labels]] = 1.0
 
     for _ in range(config.epochs):
         order = rng.permutation(len(labels))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grads = model.loss_and_grads(inputs[batch], targets[batch])
-            sgd_step(model.params, grads, config.learning_rate)
+            loss, grads = trainee.loss_and_grads(inputs[batch], targets[batch])
+            sgd_step(trainee.params, grads, np.float32(config.learning_rate))
             epoch_loss += loss * len(batch)
         model.epoch_losses.append(epoch_loss / len(labels))
+    model.params = {name: array.astype(np.float64) for name, array in trainee.params.items()}
     model.check_finite()
     return model

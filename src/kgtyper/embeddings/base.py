@@ -1,11 +1,11 @@
 """Shared pieces of the embedding trainers.
 
-All trainers return float64 vectors. CBOW and fastText train in float64;
-GloVe trains in float32, and its gradient checks run its block function
-in float64. Every trainer starts its input vectors uniform in
-[-0.5/dim, +0.5/dim] from a seeded generator and keeps the output/context
-side at zero. Negative samples are drawn from the unigram distribution
-raised to 3/4.
+All trainers train in float32, as the reference word2vec and fastText codes
+do, and return float64 vectors; the gradient checks run their block functions
+in float64. Every trainer starts its input vectors uniform in [-0.5/dim,
++0.5/dim], drawn in float64 from a seeded generator and rounded to float32,
+and keeps the output/context side at zero. Negative samples are drawn from
+the unigram distribution raised to 3/4.
 
 Every reader of entity vectors learns from ``EmbeddingMatrix.lookup``
 which tokens have a row (those of the vocabulary) and gets those rows in
@@ -108,10 +108,6 @@ class EmbeddingMatrix:
         """The vector of a token not in the vocabulary: none."""
         raise TokenNotFoundError(token)
 
-    @property
-    def dimension(self) -> int:
-        return self.input_vectors.shape[1]
-
     def check_finite(self) -> None:
         if not np.all(np.isfinite(self.input_vectors)):
             raise NumericalError("embedding vectors contain non-finite values")
@@ -121,7 +117,7 @@ def init_input_vectors(
     rng: np.random.Generator, count: int, dimension: int
 ) -> np.ndarray:
     bound = 0.5 / dimension
-    return rng.uniform(-bound, bound, size=(count, dimension))
+    return rng.uniform(-bound, bound, size=(count, dimension)).astype(np.float32)
 
 
 class UnigramSampler:

@@ -30,10 +30,10 @@ block composes and updates its one-row tokens that share no row (every
 CBOW token) by one gather and one scatter, and every other token by its
 own product, in token order, as a per-token loop does.
 
-The exported CBOW vector of a token is the sum of its input and output
-rows, the same convention the co-occurrence trainer uses for w + w-tilde;
-the sum averages out per-side sampling noise, which matters on small
-corpora where each entity token is seen only a handful of times.
+The exported CBOW vector of a token is the float64 sum of its input and
+output rows, the same convention the co-occurrence trainer uses for w +
+w-tilde; the sum averages out per-side sampling noise, which matters on
+small corpora where each entity token is seen only a handful of times.
 """
 
 from __future__ import annotations
@@ -121,15 +121,16 @@ def position_table(
 
 
 def _row_weights(
-    ids: np.ndarray, columns: np.ndarray, weights: np.ndarray, width: int, slots: np.ndarray
+    ids: np.ndarray, columns: np.ndarray, weights: np.ndarray, width: int, slots: np.ndarray, dtype
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``ids`` and a ``(len(distinct), width)`` matrix that sums each
-    ``weights[n]`` into row ``ids[n]``, column ``columns[n]``, using ``slots``."""
+    """The distinct ``ids`` and a ``(len(distinct), width)`` ``dtype`` matrix that
+    sums each ``weights[n]`` into row ``ids[n]``, column ``columns[n]``, using ``slots``."""
     ordered = np.sort(ids)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     slots[distinct] = np.arange(len(distinct))  # a lookup, where a binary search mispredicts
     flat = slots[ids] * width + columns
-    return distinct, np.bincount(flat, weights, len(distinct) * width).reshape(-1, width)
+    sums = np.bincount(flat, weights, len(distinct) * width).astype(dtype, copy=False)
+    return distinct, sums.reshape(-1, width)
 
 
 def ns_block(
@@ -151,18 +152,19 @@ def ns_block(
     out. The step subtracts ``lr`` times the gradient of the summed loss
     from ``into``, a pair shaped like ``(inputs, w_out)`` that defaults to
     them. Every read comes before the first write, so a step of -1 into
-    zero arrays yields the gradient.
+    zero arrays yields the gradient. It computes in ``inputs.dtype`` (float32
+    in training, float64 in the gradient checks), that of an ``lr`` scalar too.
     """
     into_inputs, into_out = (inputs, w_out) if into is None else into
     present = np.arange(contexts.shape[1]) < lengths[:, None]
     tokens, share = _row_weights(
         contexts[present], np.nonzero(present)[0], np.repeat(1.0 / lengths, lengths),
-        len(centers), compositions.slots,
+        len(centers), compositions.slots, inputs.dtype,
     )
     single = compositions.single[tokens]
     one_rows = compositions.first_row[tokens[single]]
     several = [(i, tokens[i]) for i in np.flatnonzero(~single).tolist()]
-    composed = np.empty((len(tokens), inputs.shape[1]))
+    composed = np.empty((len(tokens), inputs.shape[1]), dtype=inputs.dtype)
     composed[single] = inputs[one_rows]
     for i, token in several:
         rows, weights = compositions.parts[token]
@@ -185,7 +187,7 @@ def ns_block(
 
     out_rows, g_out = _row_weights(
         targets.ravel(), np.repeat(np.arange(len(centers)), targets.shape[1]), coef.ravel(),
-        len(centers), compositions.slots,
+        len(centers), compositions.slots, inputs.dtype,
     )
     delta = g_out @ hidden
     del g_out
@@ -214,7 +216,7 @@ def train_negative_sampling(
     down to 1e-4 of the initial rate; a block takes the rate of its first
     position. The mean per-position loss is recorded per epoch.
     """
-    w_out = np.zeros((len(vocab), config.dimension))
+    w_out = np.zeros((len(vocab), config.dimension), dtype=inputs.dtype)
     sampler = UnigramSampler(vocab)
     positions, steps, centers, contexts, lengths = position_table(*encoded, config.window)
     total_steps = positions * config.epochs
@@ -225,7 +227,8 @@ def train_negative_sampling(
         epoch_loss = 0.0
         for start in range(0, len(steps), BLOCK_POSITIONS):
             block = slice(start, start + BLOCK_POSITIONS)
-            lr = linear_lr(config.initial_learning_rate, epoch * positions + steps[start], total_steps)
+            step = epoch * positions + steps[start]
+            lr = inputs.dtype.type(linear_lr(config.initial_learning_rate, step, total_steps))
             negatives = sampler.draw(rng, len(centers[block]) * k).reshape(-1, k)
             epoch_loss += ns_block(
                 inputs, w_out, compositions, centers[block], negatives,
@@ -250,6 +253,6 @@ def train_cbow(
     w_out, epoch_losses = train_negative_sampling(
         encoded, vocab, config, rng, w_in, word_compositions(len(vocab))
     )
-    matrix = EmbeddingMatrix(w_in + w_out, vocab, epoch_losses)
+    matrix = EmbeddingMatrix(np.add(w_in, w_out, dtype=np.float64), vocab, epoch_losses)
     matrix.check_finite()
     return matrix

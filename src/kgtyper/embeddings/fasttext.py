@@ -21,21 +21,21 @@ mean of its n-grams' rows, leaving out every n-gram whose bucket has no
 row: such a row would be an untrained random draw, only noise. A token
 with no n-gram in a kept bucket has no vector.
 
-Training runs the CBOW block step (``cbow.ns_block``) on one input array
-that holds the word rows and, after them, the kept bucket rows. A token's
-composition lists its word row with weight ``1 / (1 + n)`` and each
+Training runs the CBOW block step (``cbow.ns_block``) on one float32 input
+array that holds the word rows and, after them, the kept bucket rows. A
+token's composition lists its word row with weight ``1 / (1 + n)`` and each
 distinct n-gram row with weight ``multiplicity / (1 + n)``, for ``n``
 n-gram occurrences; so a row whose n-gram repeats (``"aaaa"``) takes its
 share once per occurrence; ``subword_compositions`` lays them out in one
 ``cbow.CompositionTable`` per run. The trained model is an
 ``EmbeddingMatrix`` (``FastTextEmbeddings``) whose vectors are those same
-compositions, each formed once at the end of training as
-``weights @ inputs[rows]``, the product the block step forms.
+compositions, each formed once at the end of training as ``weights @
+inputs[rows]``, the float32 product the block step forms, widened.
 
 As for every matrix, ``lookup`` admits exactly the vocabulary's tokens,
 those a ``vectors.txt`` of the model holds, so both prediction routes
 leave any other entity unranked; only ``vector_of`` of one token goes on
-to the n-gram vector.
+to the n-gram vector. Every vector the model serves is float64.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ class NGramTable:
         self.buckets, self.counts = ngram_buckets(tokens, config)
         self._cache = dict(zip(tokens, np.split(self.buckets, np.cumsum(self.counts)[:-1])))
         self.bucket_ids, _ = distinct_counts(self.buckets)
-        words = np.empty((0, config.dimension)) if words is None else words
         rows = init_input_vectors(rng, len(self.bucket_ids), config.dimension)
+        words = np.empty((0, config.dimension), dtype=rows.dtype) if words is None else words
         self.inputs = np.concatenate((words, rows))
         self.rows = self.inputs[len(words) :]
 
@@ -155,21 +155,21 @@ class FastTextEmbeddings(EmbeddingMatrix):
         rows = self.ngrams.vectors(self.ngrams.bucket_indices(token))
         if not len(rows):
             raise TokenNotFoundError(token)
-        return rows.mean(axis=0)
+        return rows.mean(axis=0).astype(np.float64)
 
 
 def subword_compositions(table: NGramTable) -> CompositionTable:
     """Token ``t``'s composition: word row ``t`` with weight ``1 / (1 + n)``,
     then each distinct n-gram row with weight ``multiplicity / (1 + n)``, for
     the ``n`` n-grams of the table's token ``t``; the bucket rows follow the
-    word rows in ``table.inputs``."""
+    word rows in ``table.inputs``, whose dtype the weights take."""
     size = len(table.counts)
     span = size + len(table.bucket_ids)  # token t's row r has the key t * span + r
     keys = np.repeat(np.arange(size) * span + size, table.counts)
     keys += np.searchsorted(table.bucket_ids, table.buckets)
     keys, multiplicity = distinct_counts(np.concatenate((np.arange(size) * (span + 1), keys)))
     tokens, rows = np.divmod(keys, span)
-    weights = multiplicity / (1 + table.counts[tokens])
+    weights = (multiplicity / (1 + table.counts[tokens])).astype(table.inputs.dtype)
     return CompositionTable(rows, weights, np.bincount(tokens, minlength=size))
 
 
@@ -196,6 +196,6 @@ def train_fasttext(
     if not np.all(np.isfinite(w_out)):
         raise NumericalError("output vectors contain non-finite values")
     composed = np.array([weights @ table.inputs[rows] for rows, weights in compositions.parts])
-    model = FastTextEmbeddings(composed, vocab, epoch_losses, ngrams=table)
+    model = FastTextEmbeddings(composed.astype(np.float64), vocab, epoch_losses, ngrams=table)
     model.check_finite()
     return model

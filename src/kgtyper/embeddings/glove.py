@@ -83,11 +83,6 @@ class CooccurrenceMatrix:
                 f"{self.weights[k]}"
             )
 
-    def get(self, i: int, j: int) -> float:
-        start, end = np.searchsorted(self.rows, (i, i + 1))
-        k = start + int(np.searchsorted(self.cols[start:end], j))
-        return float(self.weights[k]) if k < end and self.cols[k] == j else 0.0
-
     def __len__(self) -> int:
         return len(self.weights)
 

@@ -316,6 +316,11 @@ def cooc_entries(cooc) -> list[tuple[int, int, float]]:
     return list(zip(cooc.rows.tolist(), cooc.cols.tolist(), cooc.weights.tolist()))
 
 
+def cooc_weight(cooc, i: int, j: int) -> float:
+    """Entry ``(i, j)`` of a ``CooccurrenceMatrix``, 0.0 where it has none."""
+    return dict(((a, b), weight) for a, b, weight in cooc_entries(cooc)).get((i, j), 0.0)
+
+
 def random_corpus(rng: np.random.Generator, max_tokens: int = 1000):
     """Random three-token sentences, at most ``max_tokens`` tokens total."""
     alphabet = [f"t{i}" for i in range(int(rng.integers(3, 20)))]
@@ -392,10 +397,11 @@ def check_block_gradients(inputs, w_out, compositions, block) -> None:
         assert_gradients_close(grad, numeric_gradient(loss, array))
 
 
-def _reference_row_weights(ids, columns, weights, width):
+def _reference_row_weights(ids, columns, weights, width, dtype):
     distinct, _ = distinct_counts(ids)
     flat = np.searchsorted(distinct, ids) * width + columns
-    return distinct, np.bincount(flat, weights, len(distinct) * width).reshape(-1, width)
+    sums = np.bincount(flat, weights, len(distinct) * width).astype(dtype)
+    return distinct, sums.reshape(-1, width)
 
 
 def reference_ns_block(inputs, w_out, parts, centers, negatives, contexts, lengths, lr) -> float:
@@ -403,12 +409,16 @@ def reference_ns_block(inputs, w_out, parts, centers, negatives, contexts, lengt
     definition the array form must match bit for bit. Token ``t`` is made of
     the input rows ``parts[t][0]`` with the weights ``parts[t][1]``; it is
     composed by one ``weights @ inputs[rows]`` and updated by one
-    ``np.multiply.outer``, token by token in ascending order."""
+    ``np.multiply.outer``, token by token in ascending order. Everything is
+    in ``inputs.dtype`` (the trainers' float32): the share and gradient sums
+    are added in float64 and then rounded to it."""
+    dtype = inputs.dtype
     present = np.arange(contexts.shape[1]) < lengths[:, None]
     tokens, share = _reference_row_weights(
-        contexts[present], np.nonzero(present)[0], np.repeat(1.0 / lengths, lengths), len(centers)
+        contexts[present], np.nonzero(present)[0], np.repeat(1.0 / lengths, lengths), len(centers),
+        dtype,
     )
-    composed = np.empty((len(tokens), inputs.shape[1]))
+    composed = np.empty((len(tokens), inputs.shape[1]), dtype=dtype)
     for i, token in enumerate(tokens.tolist()):
         rows, weights = parts[token]
         composed[i] = weights @ inputs[rows]
@@ -429,7 +439,7 @@ def reference_ns_block(inputs, w_out, parts, centers, negatives, contexts, lengt
 
     out_rows, g_out = _reference_row_weights(
         targets.ravel(), np.repeat(np.arange(len(centers)), targets.shape[1]), coef.ravel(),
-        len(centers),
+        len(centers), dtype,
     )
     w_out[out_rows] -= lr * (g_out @ hidden)
     g_tokens *= lr

@@ -153,7 +153,6 @@ def test_epoch_loss_decreases_over_training(corpus200):
 def test_vectors_have_requested_dimension(corpus200):
     vocab = build_vocabulary(corpus200)
     matrix = train_cbow(corpus200, vocab, TrainingConfig(dimension=7, epochs=1, seed=1))
-    assert matrix.dimension == 7
     assert matrix.input_vectors.shape == (len(vocab), 7)
     vector = matrix.vector_of("t0")
     assert vector.shape == (7,)
@@ -161,7 +160,8 @@ def test_vectors_have_requested_dimension(corpus200):
 
 
 def test_served_vector_includes_output_row(corpus200, monkeypatch):
-    """The exported vector is the trained input row plus the trained output row."""
+    """The exported vector is the trained input row plus the trained output row,
+    both float32, added in float64."""
     trained = {}
 
     def recording(*args):
@@ -174,7 +174,39 @@ def test_served_vector_includes_output_row(corpus200, monkeypatch):
     matrix = train_cbow(corpus200, vocab, TrainingConfig(dimension=8, epochs=2, seed=1))
     # Output rows start at zero; after training they contribute to the sum.
     assert np.abs(trained["w_out"]).max() > 0.0
-    assert np.array_equal(matrix.input_vectors, trained["inputs"] + trained["w_out"])
+    widened = trained["inputs"].astype(np.float64) + trained["w_out"].astype(np.float64)
+    assert np.array_equal(matrix.input_vectors, widened)
+
+
+@pytest.mark.parametrize("trainer", [train_cbow, train_fasttext], ids=["cbow", "fasttext"])
+def test_trainer_state_is_float32_but_matrices_are_float64(corpus200, monkeypatch, trainer):
+    """Every block sees float32 rows, rate and composition weights, and sums its
+    share and gradient matrices into float32; the exported vectors are float64."""
+    seen = set()
+    block_step, row_weights = cbow.ns_block, cbow._row_weights
+
+    def recording_block(inputs, w_out, compositions, *block):
+        *_, lr = block
+        parts = zip(compositions.parts, compositions.single)
+        weights = {w.dtype for (_, w), single in parts if not single}  # those a block reads
+        seen.update({inputs.dtype, w_out.dtype, np.asarray(lr).dtype, *weights})
+        loss = block_step(inputs, w_out, compositions, *block)
+        seen.update({inputs.dtype, w_out.dtype})
+        return loss
+
+    def recording_row_weights(*args):
+        distinct, sums = row_weights(*args)
+        seen.add(sums.dtype)
+        return distinct, sums
+
+    monkeypatch.setattr(cbow, "ns_block", recording_block)
+    monkeypatch.setattr(cbow, "_row_weights", recording_row_weights)
+    vocab = build_vocabulary(corpus200)
+    config = TrainingConfig(dimension=6, epochs=2, seed=1, n_min=2, n_max=3, bucket_count=53)
+    matrix = trainer(corpus200, vocab, config)
+    assert seen == {np.dtype(np.float32)}
+    assert matrix.input_vectors.dtype == np.float64
+    assert matrix.vector_of("t0").dtype == np.float64
 
 
 def test_same_seed_is_bitwise_identical(corpus200):
@@ -384,23 +416,24 @@ EXACT_TOKENS = ["aaaa", "abab", "xyz", "", "b", "cd"]
 
 
 def exact_case(kind: str, rng: np.random.Generator, dim: int):
-    """``(inputs, compositions, parts)``: the trainer's table and, built
-    independently, each token's ``(rows, weights)`` for the reference."""
+    """``(inputs, compositions, parts)``: the trainer's float32 table and,
+    built independently, each token's ``(rows, weights)`` for the reference."""
     size = len(EXACT_TOKENS)
-    words = rng.normal(0.0, 0.5, size=(size, dim))
+    words = rng.normal(0.0, 0.5, size=(size, dim)).astype(np.float32)
+    one = np.ones(1, dtype=np.float32)
     if kind == "word":
-        return words, word_compositions(size), [(np.array([t]), np.ones(1)) for t in range(size)]
+        return words, word_compositions(size), [(np.array([t]), one) for t in range(size)]
     if kind == "hand-built":
         # Only token 3 is a single: tokens 1 and 5 are both row 1 alone,
         # token 0's row 2 is one of token 2's rows too, and token 4 owns
         # row 5 but weighs it by 2.
         parts = [
-            (np.array([2]), np.array([0.5])),
-            (np.array([1]), np.ones(1)),
-            (np.array([2, 0, 4]), np.array([0.25, 0.5, 0.25])),
-            (np.array([3]), np.ones(1)),
-            (np.array([5]), np.array([2.0])),
-            (np.array([1]), np.ones(1)),
+            (np.array([2]), np.array([0.5], dtype=np.float32)),
+            (np.array([1]), one),
+            (np.array([2, 0, 4]), np.array([0.25, 0.5, 0.25], dtype=np.float32)),
+            (np.array([3]), one),
+            (np.array([5]), np.array([2.0], dtype=np.float32)),
+            (np.array([1]), one),
         ]
         compositions = composition_table(parts)
         assert compositions.single.tolist() == [False, False, False, True, False, False]
@@ -413,7 +446,7 @@ def exact_case(kind: str, rng: np.random.Generator, dim: int):
         buckets = table.bucket_indices(token)
         rows, counts = np.unique(np.searchsorted(table.bucket_ids, buckets), return_counts=True)
         weights = np.concatenate(([1.0], counts)) / (1 + len(buckets))
-        parts.append((np.concatenate(([t], size + rows)), weights))
+        parts.append((np.concatenate(([t], size + rows)), weights.astype(np.float32)))
     assert parts[0][1].max() > parts[0][1][0] and len(parts[3][0]) == 1
     return table.inputs, subword_compositions(table), parts
 
@@ -429,12 +462,12 @@ def test_word_compositions_are_one_owned_row_each(count):
 
 @pytest.mark.parametrize("kind", ["word", "subword", "hand-built"])
 def test_block_steps_equal_per_token_reference_exactly(kind):
-    """Several blocks leave ``inputs`` and ``w_out`` exactly as the per-token
-    reference step leaves them, and return the same losses."""
+    """Several float32 blocks leave ``inputs`` and ``w_out`` exactly as the
+    per-token reference step leaves them, and return the same losses."""
     rng = np.random.default_rng(12)
     inputs, compositions, parts = exact_case(kind, rng, 8)
     size = len(EXACT_TOKENS)
-    w_out = rng.normal(0.0, 0.5, size=(size, 8))
+    w_out = rng.normal(0.0, 0.5, size=(size, 8)).astype(np.float32)
     ref_inputs, ref_out = inputs.copy(), w_out.copy()
     for lr in (0.4, 0.3, 0.2, 0.1):
         block = (
@@ -443,8 +476,9 @@ def test_block_steps_equal_per_token_reference_exactly(kind):
             rng.integers(0, size, size=(16, 4)),
             rng.integers(1, 5, size=16),
         )
-        loss = ns_block(inputs, w_out, compositions, *block, lr)
-        assert loss == reference_ns_block(ref_inputs, ref_out, parts, *block, lr)
+        loss = ns_block(inputs, w_out, compositions, *block, np.float32(lr))
+        assert loss == reference_ns_block(ref_inputs, ref_out, parts, *block, np.float32(lr))
+        assert inputs.dtype == ref_inputs.dtype == w_out.dtype == ref_out.dtype == np.float32
         assert np.array_equal(inputs, ref_inputs)
         assert np.array_equal(w_out, ref_out)
 

@@ -238,7 +238,7 @@ def test_train_embeddings_fasttext_small_buckets(capsys, workspace, tmp_path):
         "--dim", "6", "--epochs", "1", "--buckets", "101",
     )
     assert code == 0
-    assert load_embeddings(out_path).dimension == 6
+    assert load_embeddings(out_path).input_vectors.shape[1] == 6
 
 
 def test_build_dataset_reports_split_sizes(capsys, workspace):
@@ -538,7 +538,7 @@ def test_env_overrides_default(capsys, workspace, tmp_path, monkeypatch):
         "--out", str(out_path), "--epochs", "1",
     )
     assert code == 0
-    assert load_embeddings(out_path).dimension == 7
+    assert load_embeddings(out_path).input_vectors.shape[1] == 7
 
 
 def test_flag_beats_environment(capsys, workspace, tmp_path, monkeypatch):
@@ -549,7 +549,7 @@ def test_flag_beats_environment(capsys, workspace, tmp_path, monkeypatch):
         "--out", str(out_path), "--epochs", "1", "--dim", "9",
     )
     assert code == 0
-    assert load_embeddings(out_path).dimension == 9
+    assert load_embeddings(out_path).input_vectors.shape[1] == 9
 
 
 def test_unparseable_environment_value_is_usage_error(capsys, monkeypatch):
@@ -751,6 +751,32 @@ def test_bad_dataset_or_vocabulary_setting_exits_one_before_any_stage(
         "train-embeddings": ["--in", str(workspace["corpus"]), "--out", str(tmp_path / "v.txt")],
     }[stage_command]
     assert run(capsys, stage_command, *stage_argv, flag, value)[::2] == (1, err)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # The graph has 8 entities per class: read first, 60 would be a data error.
+        (["build-dataset", "--out-dir", "data", "--entities-per-class", "60",
+          "--train-fraction", "1.5"], "train_fraction must be strictly between 0 and 1"),
+        (["train-embeddings", "--in", "missing.txt", "--out", "v.txt", "--min-count", "0"],
+         "min_count must be >= 1"),
+        (["train-classifier", "--vectors", "missing.txt", "--dataset", "missing.tsv",
+          "--out", "m.bin", "--epochs", "0"], "epochs must be >= 1"),
+    ],
+    ids=["build-dataset", "train-embeddings", "train-classifier"],
+)
+def test_stage_subcommand_checks_its_settings_before_its_input(
+    capsys, workspace, tmp_path, monkeypatch, argv, message
+):
+    """A bad setting is a usage error (exit 1) even where the input would
+    fail too; nothing is read or written first."""
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "build-dataset":
+        argv = [*argv, "--in", str(workspace["kg"])]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (1, f"kgtyper: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -203,6 +203,30 @@ def test_same_seed_trains_identically():
     assert first.epoch_losses == second.epoch_losses
 
 
+def test_training_steps_are_float32_but_parameters_are_float64(monkeypatch):
+    """Each step sees float32 inputs, targets, parameters and rate; the trained
+    model holds their float64 widening, conditioning fitted in float64."""
+    seen = set()
+    loss_and_grads, step = CnnModel.loss_and_grads, kgtyper.cnn.sgd_step
+
+    def recording_loss_and_grads(model, inputs, targets):
+        seen.update({inputs.dtype, targets.dtype, *(a.dtype for a in model.params.values())})
+        return loss_and_grads(model, inputs, targets)
+
+    def recording_step(params, grads, learning_rate):
+        seen.update({np.asarray(learning_rate).dtype, *(g.dtype for g in grads.values())})
+        step(params, grads, learning_rate)
+
+    monkeypatch.setattr(CnnModel, "loss_and_grads", recording_loss_and_grads)
+    monkeypatch.setattr(kgtyper.cnn, "sgd_step", recording_step)
+    examples, vectors = separable_fixture()
+    model = train_cnn(examples, vectors, CnnConfig(filters_per_width=4, hidden_units=8, epochs=2))
+    assert seen == {np.dtype(np.float32)}
+    for name, array in [*model.params.items(), ("shift", model.feature_shift),
+                        ("scale", model.feature_scale)]:
+        assert array.dtype == np.float64, name
+
+
 def test_entities_without_vectors_are_left_out_with_their_labels():
     examples, vectors = separable_fixture()
     # Unknown entities of either class, between the known ones, must drop out

@@ -109,7 +109,7 @@ def test_load_small_file(tmp_path):
     path.write_text("2 3\nalpha 0.1 0.2 0.3\nbeta -1 -2 -3\n")
     matrix = load_embeddings(path)
     assert len(matrix.vocabulary) == 2
-    assert matrix.dimension == 3
+    assert matrix.input_vectors.shape[1] == 3
     assert np.allclose(matrix.vector_of("alpha"), [0.1, 0.2, 0.3])
     assert np.allclose(matrix.vector_of("beta"), [-1, -2, -3])
 

@@ -129,11 +129,15 @@ def test_oov_vector_is_bucket_mean_recomputed_independently():
 
 
 def test_in_vocabulary_vector_is_word_plus_bucket_mean():
+    """The word row and each kept n-gram row weighted by its share of the
+    mean, in float32 as the trainer composes, then widened."""
     _, vocab, model = trained_model()
     token = vocab.token_of(0)
     rows = reference_kept_rows(token, vocab.id_to_token, SMALL_NGRAMS)
     word = model.ngrams.inputs[0]
-    expected = (word + model.ngrams.rows[rows].sum(axis=0)) / (1 + len(rows))
+    kept, counts = np.unique(rows, return_counts=True)
+    weights = (np.concatenate(([1.0], counts)) / (1 + len(rows))).astype(np.float32)
+    expected = weights @ np.vstack((word, model.ngrams.rows[kept]))
     assert np.allclose(model.vector_of(token), expected, rtol=0, atol=1e-12)
     # Composition genuinely differs from the raw word row.
     assert not np.allclose(model.vector_of(token), word)
@@ -166,6 +170,12 @@ def test_batched_export_sums_each_occurrence_in_order():
     assert np.array_equal(
         model.vector_of(oov), table.rows[reference_kept_rows(oov, tokens, config)].mean(axis=0)
     )
+
+
+def test_oov_vector_is_float64():
+    _, _, model = trained_model()
+    assert model.ngrams.inputs.dtype == np.float32
+    assert model.vector_of("tok999").dtype == np.float64
 
 
 def test_oov_vector_leaves_out_buckets_without_a_row():
@@ -265,22 +275,24 @@ def test_array_compositions_equal_per_token_reference(tokens, n_min, extra, buck
 
 def reference_fasttext(corpus, vocab, config):
     """Reference trainer: the word rows, then one row per used bucket drawn in
-    one call, and compositions from the independent FNV-1a."""
+    one call, and compositions from the independent FNV-1a, all in float32;
+    the exported compositions are widened to float64."""
     encoded = encode_training_corpus(corpus, vocab)
     rng = np.random.default_rng(config.seed)
     w_word = init_input_vectors(rng, len(vocab), config.dimension)
     token_buckets = [reference_buckets(token, config) for token in vocab.id_to_token]
     used = np.unique(np.concatenate([np.array(b, np.intp) for b in token_buckets]))
     inputs = np.concatenate((w_word, init_input_vectors(rng, len(used), config.dimension)))
+    assert inputs.dtype == np.float32
     parts = []
     for i, ids in enumerate(token_buckets):
         rows, counts = np.unique(np.searchsorted(used, ids), return_counts=True)
-        weights = np.concatenate(([1.0], counts)) / (1 + len(ids))
+        weights = (np.concatenate(([1.0], counts)) / (1 + len(ids))).astype(np.float32)
         parts.append((np.concatenate(([i], len(vocab) + rows)), weights))
     _, epoch_losses = train_negative_sampling(
         encoded, vocab, config, rng, inputs, composition_table(parts)
     )
-    exported = np.array([weights @ inputs[rows] for rows, weights in parts])
+    exported = np.array([weights @ inputs[rows] for rows, weights in parts]).astype(np.float64)
     return inputs[: len(vocab)], inputs[len(vocab) :], epoch_losses, used, exported
 
 

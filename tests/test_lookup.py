@@ -62,7 +62,7 @@ def test_lookup_agrees_with_the_per_token_answers(name, tokens):
 
     known, vectors = matrix.lookup(tokens)
     assert known.dtype == bool and known.tolist() == [t in matrix.vocabulary for t in tokens]
-    assert vectors.shape == (int(known.sum()), matrix.dimension)
+    assert vectors.shape == (int(known.sum()), matrix.input_vectors.shape[1])
     expected = [matrix.vector_of(t) for t, has_row in zip(tokens, known.tolist()) if has_row]
     assert np.array_equal(vectors, np.array(expected).reshape(vectors.shape))
 
