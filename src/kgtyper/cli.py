@@ -27,7 +27,7 @@ classifier reads ``KGTYPER_CNN_EPOCHS`` and ``KGTYPER_CNN_LR``.
 they are a usage error rather than a silent no-op. Set through the
 environment, a valid value stays a default that other trainers ignore; an
 invalid one (``KGTYPER_N_MIN=0``) is refused whichever trainer runs, as
-every setting of ``TrainingConfig`` is checked.
+every setting of ``TrainingConfig`` is checked when the config is built.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 numerical
 failure.
@@ -50,7 +50,7 @@ from .errors import DataError, KgTyperError, NumericalError, StageError
 from .evaluation import external_overlap, read_label_map, read_labels, read_rankings, write_rankings
 from .ntriples import write_ntriples
 from .pipeline import (
-    DEFAULT_METRICS, TRAINERS, PipelineConfig, check_min_count, check_sample_sizes,
+    DEFAULT_METRICS, TRAINERS, PipelineConfig, check_sample_sizes,
     check_train_fraction, cnn_scores, load_graph, run_pipeline, score, similarity_scores,
     train_embeddings, write_dataset, write_sentences,
 )
@@ -88,7 +88,7 @@ _OPTIONS = {
         ("--lr", TrainingConfig, "initial_learning_rate", "initial learning rate"),
         ("--negative", TrainingConfig, "negative_samples", "negative samples per position",
          "word2vec", "fasttext"),
-        ("--min-count", PipelineConfig, "min_count", "vocabulary frequency floor"),
+        ("--min-count", TrainingConfig, "min_count", "vocabulary frequency floor"),
         ("--n-min", TrainingConfig, "n_min", "shortest character n-gram", "fasttext"),
         ("--n-max", TrainingConfig, "n_max", "longest character n-gram", "fasttext"),
         ("--buckets", TrainingConfig, "bucket_count", "n-gram hash buckets", "fasttext"),
@@ -261,13 +261,9 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_train_embeddings(args) -> int:
     _reject_other_trainer_flags(args, args.trainer)
+    # Built before reading, so a bad setting is a usage error.
     config = TrainingConfig(**_fields(args, TrainingConfig), seed=args.seed)
-    settings = _fields(args, PipelineConfig)
-    config.validate()  # before reading, so a bad setting is a usage error
-    check_min_count(settings["min_count"])
-    embeddings = train_embeddings(
-        args.trainer, read_corpus(args.infile), args.out, embedding=config, **settings
-    )
+    embeddings = train_embeddings(args.trainer, read_corpus(args.infile), args.out, config)
     print(f"saved\t{len(embeddings.vocabulary)}\tvectors\tdim\t{config.dimension}\t{args.out}")
     return EXIT_OK
 
@@ -286,7 +282,6 @@ def _cmd_build_dataset(args) -> int:
 
 def _cmd_train_classifier(args) -> int:
     config = CnnConfig(**_fields(args, CnnConfig), seed=args.seed)
-    config.validate()
     embeddings = load_embeddings(args.vectors)
     examples = read_labels(args.dataset)
     model = train_cnn(examples, embeddings, config)

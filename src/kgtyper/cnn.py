@@ -28,7 +28,7 @@ hand-constructed models default to the identity.
 shapes and order. The model holds them in one dict, ``params``, and
 initialisation, SGD, the gradient checks and the model file all follow it.
 Backpropagation is hand-rolled in numpy so the analytic gradients can be
-validated against central finite differences. Both passes compute in the
+checked against central finite differences. Both passes compute in the
 dtype of their arrays: float32 in training, float64 everywhere else.
 """
 
@@ -50,9 +50,9 @@ _MAGIC = b"KGTYPER-CNN:v1\n"
 _FORMAT_VERSION = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class CnnConfig:
-    """Architecture and training settings of the classifier."""
+    """Architecture and training settings of the classifier, checked when built."""
 
     filters_per_width: int = 128
     hidden_units: int = 125
@@ -61,7 +61,7 @@ class CnnConfig:
     learning_rate: float = 0.01
     seed: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("filters_per_width", "hidden_units", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -120,7 +120,6 @@ class CnnModel:
     ) -> "CnnModel":
         """Glorot-uniform weights (bound sqrt(6 / (fan_in + fan_out))), zero
         biases, classes in sorted order."""
-        config.validate()
         classes = sorted(classes)
         params = {}
         for name, shape in parameter_shapes(config, input_dim, len(classes)):
@@ -250,7 +249,6 @@ class CnnModel:
                 if version != _FORMAT_VERSION:
                     raise DataError(f"{path}: unsupported model format version {version!r}")
                 config = CnnConfig(**header["config"])
-                config.validate()
                 input_dim = header["input_dim"]
                 expected = parameter_shapes(config, input_dim, len(header["classes"]))
                 specs = [(spec["name"], tuple(spec["shape"])) for spec in header["arrays"]]

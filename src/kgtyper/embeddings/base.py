@@ -20,14 +20,14 @@ from typing import Iterable
 
 import numpy as np
 
-from ..corpus import Vocabulary
+from ..corpus import Vocabulary, check_min_count
 from ..errors import DataError, NumericalError
 
 LR_FLOOR_FACTOR = 1e-4  # learning rate decays linearly to 1e-4 of initial
 NEGATIVE_POWER = 0.75
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
     """Hyperparameters of every trainer.
 
@@ -36,7 +36,9 @@ class TrainingConfig:
     covered by window 2). ``negative_samples`` is read only by CBOW and
     fastText, the n-gram sizes and ``bucket_count`` only by fastText, and
     the weighting cap ``x_max`` and exponent ``alpha`` only by GloVe;
-    ``validate`` checks every field whichever trainer runs.
+    ``min_count`` is the vocabulary's frequency floor. Every field is
+    checked when the config is built, ``replace`` included, whichever
+    trainer runs; a built config cannot be changed.
     """
 
     dimension: int = 100
@@ -50,8 +52,9 @@ class TrainingConfig:
     bucket_count: int = 2_000_000
     x_max: float = 100.0
     alpha: float = 0.75
+    min_count: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.window < 1:
@@ -70,6 +73,7 @@ class TrainingConfig:
             raise ValueError(f"x_max must be finite and > 0, got {self.x_max}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        check_min_count(self.min_count)
 
 
 class TokenNotFoundError(DataError):

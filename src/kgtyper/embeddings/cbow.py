@@ -246,7 +246,6 @@ def train_cbow(
     The returned matrix serves the input + output sums and records the
     mean per-position loss of each epoch.
     """
-    config.validate()
     encoded = encode_training_corpus(corpus, vocab)
     rng = np.random.default_rng(config.seed)
     w_in = init_input_vectors(rng, len(vocab), config.dimension)

@@ -110,7 +110,6 @@ class NGramTable:
         rng: np.random.Generator,
         words: np.ndarray | None = None,
     ):
-        config.validate()
         self.config = config
         self.buckets, self.counts = ngram_buckets(tokens, config)
         self._cache = dict(zip(tokens, np.split(self.buckets, np.cumsum(self.counts)[:-1])))
@@ -182,7 +181,6 @@ def train_fasttext(
     Gradients on a composed context vector distribute to the word vector
     and every constituent bucket vector, scaled by the composition mean.
     """
-    config.validate()
     encoded = encode_training_corpus(corpus, vocab)
     rng = np.random.default_rng(config.seed)
     w_word = init_input_vectors(rng, len(vocab), config.dimension)

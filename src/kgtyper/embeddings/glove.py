@@ -172,7 +172,6 @@ def train_glove(
     Accumulators start at 1.0 so the first steps are plain SGD at the
     configured rate. Mean per-entry loss is recorded per epoch.
     """
-    config.validate()
     if len(cooc) == 0:
         raise DataError("cannot train on an empty co-occurrence matrix")
     i, j, x = cooc.rows, cooc.cols, cooc.weights

@@ -27,7 +27,6 @@ class LabeledDataset:
     """(entity, gold class) pairs with optional train/test index splits."""
 
     examples: list[tuple[str, str]]
-    entities_per_class: int
     classes: set[str] = field(default_factory=set)
     train_ids: list[int] = field(default_factory=list)
     test_ids: list[int] = field(default_factory=list)
@@ -116,7 +115,6 @@ def build_dataset(
         examples.extend((members[i], class_iri) for i in sorted(chosen))
     return LabeledDataset(
         examples,
-        entities_per_class,
         classes=set(selected),
     )
 
@@ -146,7 +144,6 @@ def split(dataset: LabeledDataset, train_fraction: float, seed: int) -> LabeledD
         test_ids.extend(ids[k] for k in order[cut:])
     return LabeledDataset(
         dataset.examples,
-        dataset.entities_per_class,
         classes=set(dataset.classes),
         train_ids=sorted(train_ids),
         test_ids=sorted(test_ids),

@@ -185,7 +185,7 @@ def _unescape(raw: str, what: str, line_number: int) -> str:
 
 def _iri(raw: str, line_number: int, iris: dict[str, Iri]) -> Iri:
     """The ``Iri`` of ``raw`` (the text between the brackets), made once per
-    distinct ``raw`` of a parse and kept in ``iris`` once it validated."""
+    distinct ``raw`` of a parse and kept in ``iris`` once checked."""
     iri = iris.get(raw)
     if iri is None:
         value = _unescape(raw, "IRI", line_number)

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .cnn import CnnConfig, CnnModel, train_cnn
-from .corpus import build_vocabulary, check_min_count, read_corpus, triples_to_corpus, write_corpus
+from .corpus import build_vocabulary, read_corpus, triples_to_corpus, write_corpus
 from .embeddings import (
     TrainingConfig, build_cooccurrence, load_embeddings, save_embeddings, train_cbow,
     train_fasttext, train_glove,
@@ -61,7 +61,6 @@ class PipelineConfig:
     roots: tuple[str, ...] = tuple(sorted(DEFAULT_ROOTS))
     strict: bool = True
     hold_out_type_triples: bool = True
-    min_count: int = 1
     embedding: TrainingConfig = field(default_factory=TrainingConfig)
     cnn: CnnConfig = field(default_factory=CnnConfig)
     num_classes: int = 10
@@ -75,10 +74,7 @@ class PipelineConfig:
         self.out_dir = Path(self.out_dir)
         if self.trainer not in TRAINERS:
             raise ValueError(f"unknown trainer {self.trainer!r}; choose from {TRAINERS}")
-        self.embedding.validate()
-        self.cnn.validate()
         # Refused before any stage writes a file.
-        check_min_count(self.min_count)
         check_sample_sizes(self.num_classes, self.entities_per_class)
         check_train_fraction(self.train_fraction)
         # One seed drives every seeded component; copies leave the caller's
@@ -143,13 +139,11 @@ def write_sentences(kg: KnowledgeGraph, path, hold_out_type_triples: bool):
     return build
 
 
-def train_embeddings(
-    trainer: str, sentences: list, path, min_count: int, embedding: TrainingConfig
-):
+def train_embeddings(trainer: str, sentences: list, path, embedding: TrainingConfig):
     """Train the model named by ``trainer`` (one of ``TRAINERS``) over the
-    tokens seen at least ``min_count`` times, save its vectors to ``path``,
-    and return them as the file holds them (see ``save_embeddings``)."""
-    vocab = build_vocabulary(sentences, min_count=min_count)
+    tokens seen at least ``embedding.min_count`` times, save its vectors to
+    ``path``, and return them as the file holds them (see ``save_embeddings``)."""
+    vocab = build_vocabulary(sentences, min_count=embedding.min_count)
     if trainer == "word2vec":
         model = train_cbow(sentences, vocab, embedding)
     elif trainer == "fasttext":
@@ -261,7 +255,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             embeddings = load_embeddings(path("vectors.txt"))
         else:
             embeddings = train_embeddings(
-                config.trainer, sentences, path("vectors.txt"), config.min_count, config.embedding
+                config.trainer, sentences, path("vectors.txt"), config.embedding
             )
     with _stage("dataset"):
         write_dataset(

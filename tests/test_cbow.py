@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -299,19 +299,28 @@ def test_disjoint_corpus_and_vocabulary_rejected():
 @pytest.mark.parametrize(
     "bad",
     [
-        TrainingConfig(dimension=0),
-        TrainingConfig(epochs=0),
-        TrainingConfig(window=0),
-        TrainingConfig(initial_learning_rate=0.0),
-        TrainingConfig(negative_samples=-1),
-        TrainingConfig(initial_learning_rate=float("nan")),
-        TrainingConfig(initial_learning_rate=float("inf")),
+        dict(dimension=0),
+        dict(epochs=0),
+        dict(window=0),
+        dict(initial_learning_rate=0.0),
+        dict(negative_samples=-1),
+        dict(initial_learning_rate=float("nan")),
+        dict(initial_learning_rate=float("inf")),
+        dict(min_count=0),
     ],
 )
 def test_invalid_config_rejected(bad):
-    vocab = build_vocabulary([("a", "b", "c")])
     with pytest.raises(ValueError):
-        train_cbow([("a", "b", "c")], vocab, bad)
+        TrainingConfig(**bad)
+
+
+def test_config_cannot_be_made_invalid_once_built():
+    config = TrainingConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.epochs = 0
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        replace(config, epochs=0)
+    assert config == TrainingConfig()
 
 
 def test_learning_rate_decays_linearly_to_floor():

@@ -347,11 +347,16 @@ def _bytes_after_last_array(header):
     return b"24 bytes appended here.\n"
 
 
+def _config_with_zero_epochs(header):
+    header["config"]["epochs"] = 0  # arrays still match; the config itself is refused
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         _without_config, _without_last_array, _config_disagrees_with_arrays,
         _input_dim_disagrees_with_arrays, _format_version_one, _bytes_after_last_array,
+        _config_with_zero_epochs,
     ],
 )
 def test_predict_rejects_malformed_model_header(capsys, workspace, tmp_path, corrupt):
@@ -971,7 +976,7 @@ def test_required_flags_alone_give_the_config_defaults(monkeypatch):
     embed = calls["train_embeddings"]
     assert embed["trainer"] == defaults.trainer
     assert replace(embed["embedding"], seed=TrainingConfig.seed) == TrainingConfig()
-    assert embed["min_count"] == defaults.min_count
+    assert embed["embedding"].min_count == defaults.embedding.min_count
     for name in ("num_classes", "entities_per_class", "train_fraction", "seed"):
         assert calls["write_dataset"][name] == getattr(defaults, name), name
     assert replace(calls["train_cnn"]["config"], seed=CnnConfig.seed) == CnnConfig()

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -370,17 +371,26 @@ def test_forward_rejects_wrong_input_dimension(conditioned):
 @pytest.mark.parametrize(
     "bad",
     [
-        CnnConfig(filters_per_width=0),
-        CnnConfig(hidden_units=0),
-        CnnConfig(batch_size=0),
-        CnnConfig(epochs=0),
-        CnnConfig(epochs=-1),
-        CnnConfig(learning_rate=0.0),
-        CnnConfig(learning_rate=-0.01),
-        CnnConfig(learning_rate=float("nan")),
-        CnnConfig(learning_rate=float("inf")),
+        dict(filters_per_width=0),
+        dict(hidden_units=0),
+        dict(batch_size=0),
+        dict(epochs=0),
+        dict(epochs=-1),
+        dict(learning_rate=0.0),
+        dict(learning_rate=-0.01),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
     ],
 )
 def test_invalid_config_rejected(bad):
     with pytest.raises(ValueError):
-        bad.validate()
+        CnnConfig(**bad)
+
+
+def test_config_cannot_be_made_invalid_once_built():
+    config = CnnConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.learning_rate = float("nan")
+    with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+        replace(config, learning_rate=float("nan"))
+    assert config == CnnConfig()

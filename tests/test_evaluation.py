@@ -244,14 +244,14 @@ def test_split_same_seed_is_identical(synth_setup):
 
 
 def test_split_rejects_singleton_class():
-    dataset = LabeledDataset([("a", "c1"), ("b", "c1"), ("lone", "c2")], 1)
+    dataset = LabeledDataset([("a", "c1"), ("b", "c1"), ("lone", "c2")])
     with pytest.raises(DataError):
         split(dataset, train_fraction=0.5, seed=1)
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])
 def test_split_rejects_degenerate_fraction(fraction):
-    dataset = LabeledDataset([("a", "c1"), ("b", "c1")], 1)
+    dataset = LabeledDataset([("a", "c1"), ("b", "c1")])
     with pytest.raises(ValueError):
         split(dataset, train_fraction=fraction, seed=1)
 

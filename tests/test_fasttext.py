@@ -412,12 +412,11 @@ def test_empty_vocabulary_rejected():
 @pytest.mark.parametrize(
     "bad",
     [
-        TrainingConfig(dimension=4, epochs=1, n_min=0, n_max=3, bucket_count=10),
-        TrainingConfig(dimension=4, epochs=1, n_min=4, n_max=3, bucket_count=10),
-        TrainingConfig(dimension=4, epochs=1, n_min=2, n_max=3, bucket_count=0),
+        dict(dimension=4, epochs=1, n_min=0, n_max=3, bucket_count=10),
+        dict(dimension=4, epochs=1, n_min=4, n_max=3, bucket_count=10),
+        dict(dimension=4, epochs=1, n_min=2, n_max=3, bucket_count=0),
     ],
 )
 def test_invalid_ngram_config_rejected(bad):
-    vocab = build_vocabulary([("ab", "cd", "ef")])
     with pytest.raises(ValueError):
-        train_fasttext([("ab", "cd", "ef")], vocab, bad)
+        TrainingConfig(**bad)
