@@ -27,8 +27,8 @@ the token's n-gram bucket rows (``fasttext.py``). A position's hidden
 vector is the mean of its context tokens' composed vectors. A
 ``CompositionTable``, built once per run, holds every token's rows: a
 block composes and updates its one-row tokens that share no row (every
-CBOW token) by one gather and one scatter, and every other token by its
-own product, in token order, as a per-token loop does.
+CBOW token) by one gather and one scatter, and the rest by a dense
+(rows x tokens) mixing matrix: one product composes, one updates each row.
 
 The exported CBOW vector of a token is the float64 sum of its input and
 output rows, the same convention the co-occurrence trainer uses for w +
@@ -54,20 +54,31 @@ BLOCK_POSITIONS = 64  # positions per block step
 
 class CompositionTable:
     """Each token's input rows and weights, from flat arrays in which token
-    ``t`` owns the next ``counts[t]`` entries of ``rows`` and ``weights``;
+    ``t`` owns ``counts[t]`` entries of ``rows`` and ``weights`` from ``starts[t]``;
     ``parts[t] = (rows, weights)`` are its slices. As arrays, which tokens a
     block may gather at once: ``single[t]`` marks a token of one row,
     ``first_row[t]``, of weight 1, that no other token uses. ``slots`` holds
-    a scratch cell per id."""
+    a scratch cell per token and per row."""
 
     def __init__(self, rows: np.ndarray, weights: np.ndarray, counts: np.ndarray):
+        self.rows, self.weights, self.counts = rows, weights, counts
         ends = np.cumsum(counts)
-        starts = ends - counts
+        starts = self.starts = ends - counts
         self.parts = [(rows[a:b], weights[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
         self.first_row, first_weight = rows[starts], weights[starts]
         self.single = (counts == 1) & (first_weight == 1.0)
         self.single &= np.bincount(rows)[self.first_row] == 1
-        self.slots = np.empty(len(self.single), dtype=np.intp)
+        self.slots = np.empty(max(len(counts), rows.max(initial=-1) + 1), dtype=np.intp)
+
+    def mixing(self, tokens: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows of ``tokens`` and their ``(rows, tokens)`` weights, as ``dtype``."""
+        counts = self.counts[tokens]
+        ends = np.cumsum(counts)
+        entries = np.arange(ends[-1]) + np.repeat(self.starts[tokens] - ends + counts, counts)
+        return _row_weights(
+            self.rows[entries], np.repeat(np.arange(len(tokens)), counts), self.weights[entries],
+            len(tokens), self.slots, dtype,
+        )
 
 
 def word_compositions(count: int) -> CompositionTable:
@@ -163,12 +174,12 @@ def ns_block(
     )
     single = compositions.single[tokens]
     one_rows = compositions.first_row[tokens[single]]
-    several = [(i, tokens[i]) for i in np.flatnonzero(~single).tolist()]
+    several = np.flatnonzero(~single)
     composed = np.empty((len(tokens), inputs.shape[1]), dtype=inputs.dtype)
     composed[single] = inputs[one_rows]
-    for i, token in several:
-        rows, weights = compositions.parts[token]
-        composed[i] = weights @ inputs[rows]
+    if len(several):  # never for word2vec, whose tokens are all single
+        in_rows, mix = compositions.mixing(tokens[several], inputs.dtype)
+        composed[several] = mix.T @ inputs[in_rows]
     hidden = share.T @ composed
 
     targets = np.column_stack((centers, negatives))
@@ -195,9 +206,8 @@ def ns_block(
     into_out[out_rows] -= delta
     g_tokens *= lr
     into_inputs[one_rows] -= g_tokens[single]
-    for i, token in several:
-        rows, weights = compositions.parts[token]
-        into_inputs[rows] -= np.multiply.outer(weights, g_tokens[i])
+    if len(several):
+        into_inputs[in_rows] -= mix @ g_tokens[several]
     return loss
 
 

@@ -29,8 +29,8 @@ n-gram occurrences; so a row whose n-gram repeats (``"aaaa"``) takes its
 share once per occurrence; ``subword_compositions`` lays them out in one
 ``cbow.CompositionTable`` per run. The trained model is an
 ``EmbeddingMatrix`` (``FastTextEmbeddings``) whose vectors are those same
-compositions, each formed once at the end of training as ``weights @
-inputs[rows]``, the float32 product the block step forms, widened.
+compositions, each formed once at the end of training by its own float32
+``weights @ inputs[rows]``, widened: the block step sums them in another order.
 
 As for every matrix, ``lookup`` admits exactly the vocabulary's tokens,
 those a ``vectors.txt`` of the model holds, so both prediction routes

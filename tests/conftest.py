@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -404,26 +405,10 @@ def _reference_row_weights(ids, columns, weights, width, dtype):
     return distinct, sums.reshape(-1, width)
 
 
-def reference_ns_block(inputs, w_out, parts, centers, negatives, contexts, lengths, lr) -> float:
-    """``ns_block`` with one Python iteration per distinct context token: the
-    definition the array form must match bit for bit. Token ``t`` is made of
-    the input rows ``parts[t][0]`` with the weights ``parts[t][1]``; it is
-    composed by one ``weights @ inputs[rows]`` and updated by one
-    ``np.multiply.outer``, token by token in ascending order. Everything is
-    in ``inputs.dtype`` (the trainers' float32): the share and gradient sums
-    are added in float64 and then rounded to it."""
-    dtype = inputs.dtype
-    present = np.arange(contexts.shape[1]) < lengths[:, None]
-    tokens, share = _reference_row_weights(
-        contexts[present], np.nonzero(present)[0], np.repeat(1.0 / lengths, lengths), len(centers),
-        dtype,
-    )
-    composed = np.empty((len(tokens), inputs.shape[1]), dtype=dtype)
-    for i, token in enumerate(tokens.tolist()):
-        rows, weights = parts[token]
-        composed[i] = weights @ inputs[rows]
-    hidden = share.T @ composed
-
+def _reference_block_scores(w_out, hidden, centers, negatives):
+    """The scoring half of a block step, shared by both references: the summed
+    loss, the score coefficients, the gathered output rows and the output
+    rows' summed gradient."""
     targets = np.column_stack((centers, negatives))
     u = w_out[targets]
     scores = np.matmul(u, hidden[:, :, None])[:, :, 0]
@@ -435,12 +420,79 @@ def reference_ns_block(inputs, w_out, parts, centers, negatives, contexts, lengt
     coef = 1.0 / (1.0 + np.exp(-scores))
     coef[:, 0] -= 1.0
     coef *= kept
-    g_tokens = share @ np.matmul(coef[:, None, :], u)[:, 0]
-
     out_rows, g_out = _reference_row_weights(
         targets.ravel(), np.repeat(np.arange(len(centers)), targets.shape[1]), coef.ravel(),
-        len(centers), dtype,
+        len(centers), hidden.dtype,
     )
+    return loss, coef, u, out_rows, g_out
+
+
+def _reference_block_tokens(inputs, contexts, lengths, centers):
+    """The block's distinct context tokens and their ``(tokens, positions)``
+    share matrix, in ``inputs.dtype``."""
+    present = np.arange(contexts.shape[1]) < lengths[:, None]
+    return _reference_row_weights(
+        contexts[present], np.nonzero(present)[0], np.repeat(1.0 / lengths, lengths), len(centers),
+        inputs.dtype,
+    )
+
+
+def reference_ns_block(inputs, w_out, parts, centers, negatives, contexts, lengths, lr) -> float:
+    """``ns_block`` with its mixing matrix built cell by cell: the definition
+    the array form must match bit for bit. Token ``t`` is made of the input
+    rows ``parts[t][0]`` with the weights ``parts[t][1]``. A token of one row
+    of weight 1 that no other token lists is gathered and scattered by
+    itself; every other token of the block is a column of a dense (distinct
+    rows of those tokens, ascending) x (those tokens, ascending) matrix,
+    which composes them by one product and updates their rows by another.
+    Everything is in ``inputs.dtype`` (the trainers' float32): the share,
+    mixing and gradient sums are added in float64 and then rounded to it."""
+    dtype = inputs.dtype
+    uses = Counter(row for rows, _ in parts for row in rows.tolist())
+    owned = [
+        len(rows) == 1 and weights[0] == 1.0 and uses[rows[0]] == 1 for rows, weights in parts
+    ]
+    tokens, share = _reference_block_tokens(inputs, contexts, lengths, centers)
+    alone = [i for i, t in enumerate(tokens.tolist()) if owned[t]]
+    several = [i for i, t in enumerate(tokens.tolist()) if not owned[t]]
+    in_rows = sorted({row for i in several for row in parts[tokens[i]][0].tolist()})
+    mix = np.zeros((len(in_rows), len(several)))
+    for column, i in enumerate(several):
+        rows, weights = parts[tokens[i]]
+        for row, weight in zip(rows.tolist(), weights.tolist()):
+            mix[in_rows.index(row), column] += weight
+    mix = mix.astype(dtype)
+    composed = np.empty((len(tokens), inputs.shape[1]), dtype=dtype)
+    for i in alone:
+        composed[i] = inputs[parts[tokens[i]][0][0]]
+    composed[several] = mix.T @ inputs[in_rows]
+    hidden = share.T @ composed
+
+    loss, coef, u, out_rows, g_out = _reference_block_scores(w_out, hidden, centers, negatives)
+    g_tokens = share @ np.matmul(coef[:, None, :], u)[:, 0]
+    w_out[out_rows] -= lr * (g_out @ hidden)
+    g_tokens *= lr
+    for i in alone:
+        inputs[parts[tokens[i]][0][0]] -= g_tokens[i]
+    inputs[in_rows] -= mix @ g_tokens[several]
+    return loss
+
+
+def per_token_ns_block(inputs, w_out, parts, centers, negatives, contexts, lengths, lr) -> float:
+    """``ns_block`` with one Python iteration per distinct context token: each
+    token is composed by its own ``weights @ inputs[rows]`` and updated by
+    its own ``np.multiply.outer``, in ascending token order. It sums in
+    another order than the mixing matrix does, so the block step agrees
+    with it to float32 rounding only."""
+    tokens, share = _reference_block_tokens(inputs, contexts, lengths, centers)
+    composed = np.empty((len(tokens), inputs.shape[1]), dtype=inputs.dtype)
+    for i, token in enumerate(tokens.tolist()):
+        rows, weights = parts[token]
+        composed[i] = weights @ inputs[rows]
+    hidden = share.T @ composed
+
+    loss, coef, u, out_rows, g_out = _reference_block_scores(w_out, hidden, centers, negatives)
+    g_tokens = share @ np.matmul(coef[:, None, :], u)[:, 0]
     w_out[out_rows] -= lr * (g_out @ hidden)
     g_tokens *= lr
     for token, g in zip(tokens.tolist(), g_tokens):

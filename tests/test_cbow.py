@@ -12,6 +12,7 @@ from conftest import (
     block_of,
     check_block_gradients,
     composition_table,
+    per_token_ns_block,
     reference_ns_block,
     reference_ns_position_grads,
 )
@@ -469,15 +470,30 @@ def test_word_compositions_are_one_owned_row_each(count):
         assert rows.tolist() == [t] and weights.tolist() == [1.0]
 
 
+# A block sums each composed vector, and each row's update, in another order
+# than a per-token loop: after a few blocks every entry still lies within
+# this many float32 epsilons of the array's largest magnitude.
+PER_TOKEN_ULPS = 16
+
+
+def assert_within_float32_rounding(actual, expected):
+    assert actual.dtype == expected.dtype == np.float32
+    atol = PER_TOKEN_ULPS * np.finfo(np.float32).eps * float(np.abs(expected).max())
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=atol)
+
+
 @pytest.mark.parametrize("kind", ["word", "subword", "hand-built"])
 def test_block_steps_equal_per_token_reference_exactly(kind):
     """Several float32 blocks leave ``inputs`` and ``w_out`` exactly as the
-    per-token reference step leaves them, and return the same losses."""
+    reference step, which builds its mixing matrix cell by cell, leaves them,
+    and return the same losses; a per-token loop, which sums in another
+    order, ends within ``PER_TOKEN_ULPS`` of them (word2vec's exactly)."""
     rng = np.random.default_rng(12)
     inputs, compositions, parts = exact_case(kind, rng, 8)
     size = len(EXACT_TOKENS)
     w_out = rng.normal(0.0, 0.5, size=(size, 8)).astype(np.float32)
     ref_inputs, ref_out = inputs.copy(), w_out.copy()
+    loop_inputs, loop_out = inputs.copy(), w_out.copy()
     for lr in (0.4, 0.3, 0.2, 0.1):
         block = (
             rng.integers(0, size, size=16),
@@ -490,6 +506,91 @@ def test_block_steps_equal_per_token_reference_exactly(kind):
         assert inputs.dtype == ref_inputs.dtype == w_out.dtype == ref_out.dtype == np.float32
         assert np.array_equal(inputs, ref_inputs)
         assert np.array_equal(w_out, ref_out)
+        loop_loss = per_token_ns_block(loop_inputs, loop_out, parts, *block, np.float32(lr))
+        assert loss == pytest.approx(loop_loss, rel=PER_TOKEN_ULPS * np.finfo(np.float32).eps)
+    assert_within_float32_rounding(inputs, loop_inputs)
+    assert_within_float32_rounding(w_out, loop_out)
+    if kind == "word":
+        assert np.array_equal(inputs, loop_inputs) and np.array_equal(w_out, loop_out)
+
+
+@st.composite
+def mixed_blocks(draw):
+    """``(parts, block)``: compositions over a few shared rows, where token 0
+    owns a row of weight 1 (gathered alone) and token 1 holds two shared
+    rows, plus drawn tokens of either kind; position 0's context holds both
+    0 and 1, and contexts may repeat tokens within and across positions."""
+    shared = draw(st.integers(2, 6))
+    weight = st.integers(1, 20).map(lambda n: n / 20)
+    kinds = [True, False] + draw(st.lists(st.booleans(), max_size=5))
+    parts = []
+    for t, owned in enumerate(kinds):
+        if owned:
+            rows, weights = [shared + t], [1.0]
+        else:
+            least = 2 if t == 1 else 1
+            row = st.integers(0, shared - 1)
+            rows = draw(st.lists(row, min_size=least, max_size=4, unique=True))
+            weights = draw(st.lists(weight, min_size=len(rows), max_size=len(rows)))
+        parts.append((np.array(rows), np.array(weights, dtype=np.float32)))
+    token = st.integers(0, len(parts) - 1)
+    samples = [(draw(token), [0, 1], draw(st.lists(token, min_size=2, max_size=2)))]
+    for _ in range(draw(st.integers(0, 7))):
+        context = draw(st.lists(token, min_size=1, max_size=4))
+        samples.append((draw(token), context, draw(st.lists(token, min_size=2, max_size=2))))
+    return parts, block_of(samples)
+
+
+@given(mixed_blocks(), st.integers(0, 2**32 - 1))
+def test_block_step_equals_mixing_reference_on_mixed_compositions(case, seed):
+    """On random compositions with shared rows, repeated tokens and one-row
+    and several-row tokens in one block, the block step equals the
+    cell-by-cell reference exactly and the per-token loop to float32 rounding."""
+    parts, block = case
+    rng = np.random.default_rng(seed)
+    height = max(int(rows.max()) for rows, _ in parts) + 1
+    inputs = rng.normal(0.0, 0.5, size=(height, 4)).astype(np.float32)
+    w_out = rng.normal(0.0, 0.5, size=(len(parts), 4)).astype(np.float32)
+    exact_in, exact_out = inputs.copy(), w_out.copy()
+    loop_in, loop_out = inputs.copy(), w_out.copy()
+    lr = np.float32(0.3)
+    loss = ns_block(inputs, w_out, composition_table(parts), *block, lr)
+    assert loss == reference_ns_block(exact_in, exact_out, parts, *block, lr)
+    assert np.array_equal(inputs, exact_in) and np.array_equal(w_out, exact_out)
+    loop_loss = per_token_ns_block(loop_in, loop_out, parts, *block, lr)
+    assert loss == pytest.approx(loop_loss, rel=PER_TOKEN_ULPS * np.finfo(np.float32).eps)
+    assert_within_float32_rounding(inputs, loop_in)
+    assert_within_float32_rounding(w_out, loop_out)
+
+
+def test_block_step_mixing_matrix_scales_with_the_block_not_the_table():
+    """A 64-position block over a table of 100k bucket rows touches only the
+    300 rows of its 60 context tokens; its peak stays below 8 bytes per
+    table row, where a mixing matrix over the whole table would take 60
+    float32 columns of it."""
+    words, buckets, grams, dim = 1000, 100_000, 4, 16
+    rng = np.random.default_rng(5)
+    parts = [
+        (np.concatenate(([t], words + rng.choice(buckets, grams, replace=False))),
+         np.full(grams + 1, 1 / (grams + 1), dtype=np.float32))
+        for t in range(words)
+    ]
+    compositions = composition_table(parts)
+    inputs = rng.normal(0.0, 0.1, size=(words + buckets, dim)).astype(np.float32)
+    w_out = rng.normal(0.0, 0.1, size=(words, dim)).astype(np.float32)
+    positions, k = 64, 5
+    contexts = rng.permutation(np.arange(positions * 4) % 60).reshape(positions, 4)
+    targets = rng.integers(0, words, size=(positions, 1 + k))
+    tracemalloc.start()
+    try:
+        ns_block(
+            inputs, w_out, compositions, targets[:, 0], targets[:, 1:], contexts,
+            np.full(positions, 4), np.float32(0.1),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(inputs), f"peak {peak / 1024:.0f} KB"
 
 
 def test_block_step_keeps_at_most_three_output_gathers_alive():

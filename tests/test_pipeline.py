@@ -290,3 +290,49 @@ def test_pipeline_does_not_import_numpy_ma(tmp_path, trainer):
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     assert done.stdout.splitlines()[-1] == "False"
+
+
+BLAS_PROBE = """
+import hashlib, json, sys
+from pathlib import Path
+from kgtyper.cnn import CnnConfig
+from kgtyper.embeddings import TrainingConfig
+from kgtyper.pipeline import PipelineConfig, run_pipeline
+from kgtyper.synth import generate_synthetic_kg
+out, names = Path(sys.argv[1]), sys.argv[2:]
+generate_synthetic_kg(out / "synth", num_classes=6, entities_per_class=20,
+                      predicates_per_class=3, noise_fraction=0.1, seed=1)
+digests = {}
+for trainer in ("word2vec", "fasttext", "glove"):
+    run_pipeline(PipelineConfig(
+        input_nt=out / "synth" / "kg.nt", out_dir=out / trainer, trainer=trainer,
+        embedding=TrainingConfig(dimension=100, epochs=2, initial_learning_rate=0.15,
+                                 bucket_count=50_000),
+        cnn=CnnConfig(batch_size=32, epochs=3, learning_rate=0.2),
+        num_classes=6, entities_per_class=20, seed=1,
+    ))
+    for name in names:
+        data = (out / trainer / name).read_bytes()
+        digests[f"{trainer}/{name}"] = hashlib.sha256(data).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Each trainer's 9 artifacts are sha256-identical with one and with two
+    OpenBLAS threads. At dimension 100 the larger products of the block
+    step and of the classifier are above the size from which OpenBLAS
+    splits a product over both threads."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(kgtyper.__file__).parents[1]),
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE, str(tmp_path / threads), *ARTIFACTS],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        digests.append(json.loads(done.stdout.splitlines()[-1]))
+    assert len(digests[0]) == 3 * len(ARTIFACTS)
+    assert digests[0] == digests[1]
