@@ -19,10 +19,10 @@ full-width bank, at a quarter of the training time.
 
 Raw embedding coordinates are small (roughly 0.1 in magnitude), which
 leaves the initial logits so close to zero that gradient steps stall in
-the all-classes-at-base-rate regime. The trainer therefore standardizes
-each input coordinate on the training set and records the shift and
-scale on the model, so prediction applies the same conditioning;
-hand-constructed models default to the identity.
+the all-classes-at-base-rate regime. The trainer therefore steps on each
+input coordinate standardized over the training set (LeCun et al. 1998)
+and at export folds that map into the filter bank, so every model,
+trained or built by hand, takes raw entity vectors.
 
 ``parameter_shapes`` is the one list of trainable arrays: their names,
 shapes and order. The model holds them in one dict, ``params``, and
@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ from .errors import DataError, NumericalError
 logger = logging.getLogger(__name__)
 
 _MAGIC = b"KGTYPER-CNN:v1\n"
-# Version 1 files hold the windowed (3/4/6) conv layers of earlier releases.
-_FORMAT_VERSION = 2
+# Refused: version 1 (windowed 3/4/6 conv layers) and 2 (input standardization arrays).
+_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ class CnnConfig:
     seed: int = 1
 
     def __post_init__(self):
-        for name in ("filters_per_width", "hidden_units", "batch_size", "epochs"):
-            if getattr(self, name) < 1:
+        for name in ("filters_per_width", "hidden_units", "batch_size", "epochs", "seed"):
+            if operator.index(getattr(self, name)) < 1 and name != "seed":  # TypeError unless int
                 raise ValueError(f"{name} must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and > 0")
@@ -106,11 +107,6 @@ class CnnModel:
         if len(self.class_index) != len(self.classes):
             raise DataError("duplicate class in class index")
         self.params = params  # named as in parameter_shapes, in its order
-        # Optional input conditioning fitted on the training set: inputs
-        # are shifted and scaled per coordinate before the filter bank.
-        # None means identity (hand-built models).
-        self.feature_shift: np.ndarray | None = None
-        self.feature_scale: np.ndarray | None = None
         self.epoch_losses: list[float] = []
         self.skipped_examples = 0
 
@@ -138,21 +134,8 @@ class CnnModel:
     def input_dim(self) -> int:
         return self.params["filter_w"].shape[1]
 
-    def condition(self, inputs: np.ndarray) -> np.ndarray:
-        """Apply the fitted per-coordinate shift and scale, if any."""
-        if self.feature_shift is None:
-            return inputs
-        return (inputs - self.feature_shift) * self.feature_scale
-
-    def fit_conditioning(self, inputs: np.ndarray) -> None:
-        """Standardize each input coordinate to zero mean and unit spread,
-        measured on the given training design matrix."""
-        self.feature_shift = inputs.mean(axis=0)
-        self.feature_scale = 1.0 / np.maximum(inputs.std(axis=0), 1e-8)
-
     def _forward_cached(self, inputs: np.ndarray) -> dict:
         p = self.params
-        inputs = self.condition(inputs)
         features = inputs @ p["filter_w"].T
         features += p["filter_b"]
         np.maximum(features, 0.0, out=features)  # features > 0 exactly where the pre-activation is
@@ -207,39 +190,31 @@ class CnnModel:
         grads["filter_b"] = d_features.sum(axis=0)
         return loss, grads
 
-    def _persisted_arrays(self) -> list[tuple[str, np.ndarray]]:
-        arrays = list(self.params.items())
-        if self.feature_shift is not None:
-            arrays += [("feature_shift", self.feature_shift), ("feature_scale", self.feature_scale)]
-        return arrays
-
     def check_finite(self) -> None:
-        for name, array in self._persisted_arrays():
+        for name, array in self.params.items():
             if not np.all(np.isfinite(array)):
                 raise NumericalError(f"non-finite values in {name}")
 
     def save(self, path) -> None:
         """Versioned header (JSON) followed by raw little-endian float64 blobs."""
-        arrays = self._persisted_arrays()
         header = {
             "format_version": _FORMAT_VERSION,
             "config": asdict(self.config),
             "classes": self.classes,
             "input_dim": self.input_dim,
-            "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays],
+            "arrays": [{"name": name, "shape": list(a.shape)} for name, a in self.params.items()],
         }
         with open(path, "wb") as handle:
             handle.write(_MAGIC)
             handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for _, array in arrays:
+            for array in self.params.values():
                 handle.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
 
     @classmethod
     def load(cls, path) -> "CnnModel":
         """Read a model file, refusing (``DataError``) another format version,
         a header whose arrays are not ``parameter_shapes`` of its config and
-        input dimension plus optional conditioning, and bytes after the last
-        array."""
+        input dimension, and bytes after the last array."""
         with open(path, "rb") as handle:
             if handle.readline() != _MAGIC:
                 raise DataError(f"{path}: not a classifier model file")
@@ -249,17 +224,17 @@ class CnnModel:
                 if version != _FORMAT_VERSION:
                     raise DataError(f"{path}: unsupported model format version {version!r}")
                 config = CnnConfig(**header["config"])
-                input_dim = header["input_dim"]
+                input_dim = operator.index(header["input_dim"])
+                if not all(isinstance(name, str) for name in header["classes"]):
+                    raise TypeError(f"class names {header['classes']!r} are not all strings")
                 expected = parameter_shapes(config, input_dim, len(header["classes"]))
                 specs = [(spec["name"], tuple(spec["shape"])) for spec in header["arrays"]]
             except (KeyError, TypeError, ValueError) as exc:  # ValueError: also bad UTF-8, JSON
                 raise DataError(f"{path}: corrupt model header: {exc!r}") from None
-            if len(specs) == len(expected) + 2:
-                expected += [(name, (input_dim,)) for name in ("feature_shift", "feature_scale")]
             if specs != expected:
                 raise DataError(f"{path}: model arrays {specs} do not match its config {expected}")
             loaded: dict[str, np.ndarray] = {}
-            for name, shape in specs:
+            for name, shape in expected:  # integer shapes, equal to the header's
                 count = int(np.prod(shape))
                 raw = handle.read(count * 8)
                 if len(raw) != count * 8:
@@ -267,10 +242,7 @@ class CnnModel:
                 loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             if handle.read(1):
                 raise DataError(f"{path}: bytes after the last array")
-        shift, scale = loaded.pop("feature_shift", None), loaded.pop("feature_scale", None)
-        model = cls(config, header["classes"], loaded)
-        model.feature_shift, model.feature_scale = shift, scale
-        return model
+        return cls(config, header["classes"], loaded)
 
 
 def sgd_step(params, grads: dict[str, np.ndarray], learning_rate: float) -> None:
@@ -310,10 +282,11 @@ def train_cnn(examples, embeddings, config: CnnConfig) -> CnnModel:
 
     rng = np.random.default_rng(config.seed)
     model = CnnModel.initialize(config, classes, inputs.shape[1], rng)
-    model.fit_conditioning(inputs)
     model.skipped_examples = skipped
-    # A float32 copy takes the steps on inputs conditioned here, so it conditions nothing.
-    inputs = model.condition(inputs).astype(np.float32)
+    # A float32 copy takes the steps on the inputs standardized here, in float64.
+    shift = inputs.mean(axis=0)
+    scale = 1.0 / np.maximum(inputs.std(axis=0), 1e-8)
+    inputs = ((inputs - shift) * scale).astype(np.float32)
     trainee = CnnModel(config, classes, {n: a.astype(np.float32) for n, a in model.params.items()})
     model.params = {}  # the float64 draws are not read again; freeing them lowers peak RSS
     targets = np.zeros((len(labels), len(classes)), dtype=np.float32)
@@ -329,5 +302,8 @@ def train_cnn(examples, embeddings, config: CnnConfig) -> CnnModel:
             epoch_loss += loss * len(batch)
         model.epoch_losses.append(epoch_loss / len(labels))
     model.params = {name: array.astype(np.float64) for name, array in trainee.params.items()}
+    # Fold the standardization into the filter bank, so the model takes raw vectors.
+    model.params["filter_w"] *= scale
+    model.params["filter_b"] -= model.params["filter_w"] @ shift
     model.check_finite()
     return model

@@ -10,6 +10,8 @@ values are refused at save time.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from ..corpus import Vocabulary, split_fields
@@ -152,6 +154,8 @@ def load_embeddings(path) -> EmbeddingMatrix:
             raise EmbeddingFormatError("non-integer header fields", 1) from None
         if vocab_size < 0 or dimension < 1:
             raise EmbeddingFormatError("header counts out of range", 1)
+        if handle.seekable() and 2 * vocab_size * dimension > os.fstat(handle.fileno()).st_size:
+            raise EmbeddingFormatError("header declares more components than the file can hold", 1)
         first_line: dict[str, int] = {}  # line of each token, in file order
         vectors = np.empty((vocab_size, dimension))
         row = 0

@@ -200,6 +200,8 @@ def reference_load_rows(path) -> tuple[list[str], np.ndarray]:
     the first line that is wrong, as ``load_embeddings`` must."""
     with open(path, encoding="utf-8") as handle:
         vocab_size, dimension = (int(x) for x in handle.readline().split())
+        if 2 * vocab_size * dimension > os.path.getsize(path):  # each component: " 0" at least
+            raise EmbeddingFormatError("header declares more components than the file can hold", 1)
         first_line, rows, line_number = {}, [], 1
         for line_number, line in enumerate(handle, start=2):
             fields = line.split()

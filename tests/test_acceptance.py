@@ -252,7 +252,8 @@ def _check_cnn_gradients() -> tuple[float, int]:
     rng = np.random.default_rng(2)
     model = CnnModel.initialize(config, ["a", "b"], input_dim=8, rng=rng)
     inputs = rng.normal(0.0, 0.1, (4, 8))
-    model.fit_conditioning(inputs)
+    # Standardized per coordinate, as train_cnn's steps see their inputs.
+    inputs = (inputs - inputs.mean(axis=0)) * (1.0 / np.maximum(inputs.std(axis=0), 1e-8))
     targets = np.zeros((4, 2))
     targets[[0, 1, 2, 3], [0, 1, 1, 0]] = 1.0
     _, grads = model.loss_and_grads(inputs, targets)

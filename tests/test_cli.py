@@ -343,6 +343,24 @@ def _format_version_one(header):
     header["format_version"] = 1  # the windowed-conv layout of earlier releases
 
 
+def _format_version_two(header):
+    header["format_version"] = 2  # may hold the input standardization as two more arrays
+
+
+def _input_dim_and_shapes_are_floats(header):
+    header["input_dim"] = float(header["input_dim"])
+    for spec in header["arrays"]:
+        spec["shape"] = [float(n) for n in spec["shape"]]
+
+
+def _batch_size_is_a_float(header):
+    header["config"]["batch_size"] = float(header["config"]["batch_size"])
+
+
+def _classes_are_not_strings(header):
+    header["classes"] = list(range(1, len(header["classes"]) + 1))  # as many as the outputs
+
+
 def _bytes_after_last_array(header):
     return b"24 bytes appended here.\n"
 
@@ -356,7 +374,8 @@ def _config_with_zero_epochs(header):
     [
         _without_config, _without_last_array, _config_disagrees_with_arrays,
         _input_dim_disagrees_with_arrays, _format_version_one, _bytes_after_last_array,
-        _config_with_zero_epochs,
+        _config_with_zero_epochs, _format_version_two, _input_dim_and_shapes_are_floats,
+        _batch_size_is_a_float, _classes_are_not_strings,
     ],
 )
 def test_predict_rejects_malformed_model_header(capsys, workspace, tmp_path, corrupt):

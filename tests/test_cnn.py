@@ -88,19 +88,6 @@ def test_gradient_check_two_classes_four_entities_dim_eight():
     check_gradients(model, inputs, targets)
 
 
-def test_gradient_check_with_conditioning_active():
-    config = CnnConfig(filters_per_width=2, hidden_units=2)
-    # On seed 2 every example has a live filter: none leaves the hidden layer
-    # at its zero bias, on the ReLU kink, and no gradient entry is zero.
-    rng = np.random.default_rng(2)
-    model = CnnModel.initialize(config, ["a", "b"], input_dim=8, rng=rng)
-    inputs = rng.normal(0.0, 0.1, size=(4, 8))
-    model.fit_conditioning(inputs)
-    targets = np.zeros((4, 2))
-    targets[[0, 1, 2, 3], [0, 0, 1, 1]] = 1.0
-    check_gradients(model, inputs, targets)
-
-
 FAULT_PROBE = """
 import json, resource
 import numpy as np
@@ -109,7 +96,7 @@ config = CnnConfig()
 rng = np.random.default_rng(1)
 model = CnnModel.initialize(config, [f"c{i}" for i in range(10)], 100, rng)
 inputs = rng.normal(0.0, 1.0, size=(400, 100))
-model.fit_conditioning(inputs)
+inputs = (inputs - inputs.mean(axis=0)) / inputs.std(axis=0)  # as train_cnn steps on them
 targets = np.zeros((400, 10))
 targets[np.arange(400), rng.integers(0, 10, 400)] = 1.0
 for step in range(120):  # the loop of train_cnn
@@ -185,13 +172,29 @@ def test_separable_fixture_reaches_full_training_accuracy_within_200_epochs():
     assert model.epoch_losses[-1] < model.epoch_losses[0]
 
 
-def test_training_fits_input_conditioning():
+def test_trained_model_scores_raw_vectors_as_its_steps_scored_standardized_ones(monkeypatch):
+    """The standardization is folded into the filter bank: the trained model
+    scores raw vectors as the float32 stepping model, widened to float64,
+    scores the standardized ones. A scale folded along the filter axis, or a
+    shift of the wrong sign, fails this."""
+    trainees = []
+    loss_and_grads = CnnModel.loss_and_grads
+
+    def recording_loss_and_grads(model, inputs, targets):
+        trainees.append(model)
+        return loss_and_grads(model, inputs, targets)
+
+    monkeypatch.setattr(CnnModel, "loss_and_grads", recording_loss_and_grads)
     examples, vectors = separable_fixture()
     config = CnnConfig(filters_per_width=4, hidden_units=8, epochs=5, seed=1)
     model = train_cnn(examples, vectors, config)
-    assert model.feature_shift is not None
-    assert model.feature_shift.shape == (12,)
-    assert np.all(model.feature_scale > 0)
+    trainee = trainees[0]
+    assert all(step_model is trainee for step_model in trainees)
+    widened = CnnModel(config, trainee.classes,
+                       {name: a.astype(np.float64) for name, a in trainee.params.items()})
+    raw = np.array([vectors.vector_of(entity) for entity, _ in examples])
+    standardized = (raw - raw.mean(axis=0)) / np.maximum(raw.std(axis=0), 1e-8)
+    assert np.allclose(model.predict(raw), widened.forward(standardized), rtol=1e-12, atol=0)
 
 
 def test_same_seed_trains_identically():
@@ -206,7 +209,7 @@ def test_same_seed_trains_identically():
 
 def test_training_steps_are_float32_but_parameters_are_float64(monkeypatch):
     """Each step sees float32 inputs, targets, parameters and rate; the trained
-    model holds their float64 widening, conditioning fitted in float64."""
+    model holds their float64 widening, the standardization folded in float64."""
     seen = set()
     loss_and_grads, step = CnnModel.loss_and_grads, kgtyper.cnn.sgd_step
 
@@ -223,8 +226,7 @@ def test_training_steps_are_float32_but_parameters_are_float64(monkeypatch):
     examples, vectors = separable_fixture()
     model = train_cnn(examples, vectors, CnnConfig(filters_per_width=4, hidden_units=8, epochs=2))
     assert seen == {np.dtype(np.float32)}
-    for name, array in [*model.params.items(), ("shift", model.feature_shift),
-                        ("scale", model.feature_scale)]:
+    for name, array in model.params.items():
         assert array.dtype == np.float64, name
 
 
@@ -266,22 +268,10 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.config == model.config
     for (name, a), (_, b) in zip(model.params.items(), loaded.params.items()):
         assert np.array_equal(a, b), name
-    assert np.array_equal(loaded.feature_shift, model.feature_shift)
-    assert np.array_equal(loaded.feature_scale, model.feature_scale)
 
     entities = [entity for entity, _ in examples]
     rows = np.array([vectors.vector_of(entity) for entity in entities])
     assert np.array_equal(model.predict(rows), loaded.predict(rows))
-
-
-def test_hand_built_model_round_trips_without_conditioning(tmp_path):
-    model = hand_model()
-    path = tmp_path / "model.bin"
-    model.save(path)
-    loaded = CnnModel.load(path)
-    assert loaded.feature_shift is None
-    x = np.array([5.0, 3.0, 1.0, 2.0, 4.0])
-    assert np.array_equal(model.forward(x), loaded.forward(x))
 
 
 def test_model_file_bytes_are_pinned(tmp_path):
@@ -290,13 +280,12 @@ def test_model_file_bytes_are_pinned(tmp_path):
     rng = np.random.default_rng(7)
     config = CnnConfig(filters_per_width=4, hidden_units=5, epochs=3, learning_rate=0.25, seed=7)
     model = CnnModel.initialize(config, ["b", "a", "c"], 8, rng)
-    model.fit_conditioning(rng.normal(size=(6, 8)))
     assert [(name, a.shape) for name, a in model.params.items()] == parameter_shapes(config, 8, 3)
     path = tmp_path / "model.bin"
     model.save(path)
     data = path.read_bytes()
-    assert len(data) == 1274
-    digest = "931beb117f937c0dd45dd289ae25ec5c1538423a24b7129e71c4d9a754d063fa"
+    assert len(data) == 1064
+    digest = "0dcbe80a580d61629c58fc450b4a73b3d8ce5f8c7c73151bb3fe5560d6cf0ee1"
     assert hashlib.sha256(data).hexdigest() == digest
 
 
@@ -311,6 +300,24 @@ def test_load_names_the_version_of_a_windowed_conv_file(tmp_path):
     path.write_bytes(b"KGTYPER-CNN:v1\n" + json.dumps(header).encode() + b"\n" + bytes(24))
     with pytest.raises(DataError, match="unsupported model format version 1"):
         CnnModel.load(path)
+
+
+def test_load_reads_arrays_in_the_shapes_of_the_config(tmp_path):
+    """Shape entries written as floats equal to the config's shapes load the
+    same arrays: the blobs are read in ``parameter_shapes``, never in the
+    header's numbers."""
+    model = hand_model()
+    path = tmp_path / "model.bin"
+    model.save(path)
+    magic, header, blobs = path.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    for spec in header["arrays"]:
+        spec["shape"] = [float(n) for n in spec["shape"]]
+    path.write_bytes(b"\n".join([magic, json.dumps(header).encode("utf-8"), blobs]))
+    loaded = CnnModel.load(path)
+    for name, array in model.params.items():
+        assert np.array_equal(loaded.params[name], array), name
+        assert loaded.params[name].shape == array.shape, name
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -356,11 +363,8 @@ def test_entities_without_vectors_are_skipped_and_counted():
     assert model.skipped_examples == 1
 
 
-@pytest.mark.parametrize("conditioned", [False, True], ids=["unconditioned", "conditioned"])
-def test_forward_rejects_wrong_input_dimension(conditioned):
+def test_forward_rejects_wrong_input_dimension():
     model = zero_model(num_classes=2, input_dim=10)
-    if conditioned:
-        model.fit_conditioning(np.random.default_rng(0).normal(size=(5, 10)))
     for dim in (4, 11):
         with pytest.raises(DataError, match=f"{dim}-dimensional vectors given to a classifier "
                                             "of 10-dimensional vectors"):

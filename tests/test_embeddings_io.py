@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -194,6 +196,8 @@ def test_blank_lines_are_ignored(tmp_path):
         ("1 2\na 1\n", 2),  # ragged row: too few components
         ("1 2\na 1 2 3\n", 2),  # ragged row: too many components
         ("1 2\na 1 oops\n", 2),  # non-numeric component
+        ("1000000000000 100\na 1\n", 1),  # 10^12 rows of 100 cannot fit in the file
+        ("3 2\na 1 2\n", 1),  # 6 components take at least 12 bytes, the file has 10
     ],
 )
 def test_malformed_files_name_the_line(tmp_path, content, bad_line):
@@ -256,3 +260,16 @@ def test_repeated_token_names_its_line_and_first_line(tmp_path):
         load_embeddings(path)
     assert excinfo.value.line_number == 5
     assert str(excinfo.value) == "line 5: duplicate token 'a', first on line 2"
+
+
+def test_vector_file_read_through_a_pipe_loads(tmp_path):
+    """A pipe has no size to check the header against, so its rows are read
+    as a file's are."""
+    fifo = tmp_path / "vectors.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("2 2\na 1 2\nb 3 4\n",), daemon=True)
+    writer.start()
+    matrix = load_embeddings(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(matrix.input_vectors, [[1.0, 2.0], [3.0, 4.0]])

@@ -173,18 +173,14 @@ def test_class_without_member_vectors_leaves_the_others_ranked(caplog):
     assert ranked and all("B2" not in p.ranking for p in ranked)
 
 
-def random_model(rng, classes: list[str], dim: int, conditioned: bool) -> CnnModel:
+def random_model(rng, classes: list[str], dim: int) -> CnnModel:
     """A model whose classes are not in sorted order, two of which always tie."""
     config = CnnConfig(filters_per_width=int(rng.integers(1, 9)), hidden_units=int(rng.integers(1, 9)))
     params = CnnModel.initialize(config, classes, dim, rng).params
     params["out_w"][:, 1] = params["out_w"][:, 0]
     params["out_b"] = rng.normal(size=len(classes)) * 0.1
     params["out_b"][1] = params["out_b"][0]
-    model = CnnModel(config, classes[::-1], params)
-    if conditioned:
-        model.feature_shift = rng.normal(size=dim)
-        model.feature_scale = rng.uniform(0.5, 2.0, size=dim)
-    return model
+    return CnnModel(config, classes[::-1], params)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -192,7 +188,7 @@ def test_cnn_route_matches_one_row_forward(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.choice(DIMENSIONS))
     classes = [f"c{k}" for k in range(int(rng.integers(2, 9)))]
-    model = random_model(rng, classes, dim, conditioned=bool(seed % 2))
+    model = random_model(rng, classes, dim)
     entities = [f"e{k}" for k in range(int(rng.integers(1, 40)))]
     vectors = embedding_matrix({e: random_vector(rng, dim) for e in entities if rng.random() < 0.9})
     with np.errstate(over="ignore"):  # vectors of 1e3 saturate the sigmoid to exact ties at 0
@@ -204,7 +200,7 @@ def test_cnn_route_matches_one_row_forward(seed):
 
 
 def test_cnn_route_without_any_vector_ranks_nothing():
-    model = random_model(np.random.default_rng(0), ["a", "b"], 3, conditioned=False)
+    model = random_model(np.random.default_rng(0), ["a", "b"], 3)
     matrix = cnn_scores(["x", "y"], model, embedding_matrix({}))
     assert [p.ranking for p in matrix.predictions()] == [[], []]
 
