@@ -38,6 +38,7 @@ import json
 import logging
 import math
 import operator
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -234,9 +235,10 @@ class CnnModel:
             if specs != expected:
                 raise DataError(f"{path}: model arrays {specs} do not match its config {expected}")
             loaded: dict[str, np.ndarray] = {}
+            size = os.fstat(handle.fileno()).st_size if handle.seekable() else math.inf
             for name, shape in expected:  # integer shapes, equal to the header's
-                count = int(np.prod(shape))
-                raw = handle.read(count * 8)
+                count = math.prod(shape)  # an array longer than the rest of the file is not read
+                raw = handle.read(count * 8) if count * 8 <= size - handle.tell() else b""
                 if len(raw) != count * 8:
                     raise DataError(f"{path}: truncated model file at {name}")
                 loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()

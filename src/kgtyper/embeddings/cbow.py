@@ -18,7 +18,9 @@ update of the output rows, and one per distinct context token on the
 input side, as minibatch word2vec does (Ji et al. 2016, arXiv
 1604.04661). On the acceptance experiment blocks of 32-128 positions give
 the same accuracy; blocks of 256 overflow in ``exp`` at learning rate
-0.15.
+0.15. Each input of a block is prepared as rarely as it changes: the
+context side once per run (``BlockLayout``), the negatives and targets
+once per ``CHUNK_POSITIONS`` positions, the rates once per epoch.
 
 A composition is data: token ``t`` is made of some input rows, each with
 a weight, and composes to ``weights @ inputs[rows]``. CBOW makes each token
@@ -50,22 +52,21 @@ from .base import (
 )
 
 BLOCK_POSITIONS = 64  # positions per block step
+CHUNK_POSITIONS = 16 * BLOCK_POSITIONS  # positions whose negatives are drawn at once
 
 
 class CompositionTable:
     """Each token's input rows and weights, from flat arrays in which token
-    ``t`` owns ``counts[t]`` entries of ``rows`` and ``weights`` from ``starts[t]``;
-    ``parts[t] = (rows, weights)`` are its slices. As arrays, which tokens a
-    block may gather at once: ``single[t]`` marks a token of one row,
-    ``first_row[t]``, of weight 1, that no other token uses. ``slots`` holds
-    a scratch cell per token and per row."""
+    ``t`` owns ``counts[t]`` entries of ``rows`` and ``weights`` from
+    ``starts[t]``. As arrays, which tokens a block may gather at once:
+    ``single[t]`` marks a token of one row, ``first_row[t]``, of weight 1,
+    that no other token uses. ``slots`` holds a scratch cell per token and
+    per row."""
 
     def __init__(self, rows: np.ndarray, weights: np.ndarray, counts: np.ndarray):
         self.rows, self.weights, self.counts = rows, weights, counts
-        ends = np.cumsum(counts)
-        starts = self.starts = ends - counts
-        self.parts = [(rows[a:b], weights[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
-        self.first_row, first_weight = rows[starts], weights[starts]
+        self.starts = np.cumsum(counts) - counts
+        self.first_row, first_weight = rows[self.starts], weights[self.starts]
         self.single = (counts == 1) & (first_weight == 1.0)
         self.single &= np.bincount(rows)[self.first_row] == 1
         self.slots = np.empty(max(len(counts), rows.max(initial=-1) + 1), dtype=np.intp)
@@ -131,62 +132,108 @@ def position_table(
     return len(ids), steps, ids[steps], packed, lengths[steps]
 
 
+def _summed(cells: np.ndarray, weights: np.ndarray, height: int, width: int, dtype) -> np.ndarray:
+    """The ``(height, width)`` sums of ``weights[n]`` into flat cell ``cells[n]``, as ``dtype``."""
+    sums = np.bincount(cells.ravel(), weights.ravel(), height * width)
+    return sums.astype(dtype, copy=False).reshape(height, width)
+
+
 def _row_weights(
     ids: np.ndarray, columns: np.ndarray, weights: np.ndarray, width: int, slots: np.ndarray, dtype
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ``ids`` and a ``(len(distinct), width)`` ``dtype`` matrix that
-    sums each ``weights[n]`` into row ``ids[n]``, column ``columns[n]``, using ``slots``."""
-    ordered = np.sort(ids)
+    sums each ``weights[n]`` into row ``ids[n]``, column ``columns[n]`` (which
+    may broadcast against ``ids``), using ``slots``."""
+    ordered = np.sort(ids, axis=None)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     slots[distinct] = np.arange(len(distinct))  # a lookup, where a binary search mispredicts
-    flat = slots[ids] * width + columns
-    sums = np.bincount(flat, weights, len(distinct) * width).astype(dtype, copy=False)
-    return distinct, sums.reshape(-1, width)
+    return distinct, _summed(slots[ids] * width + columns, weights, len(distinct), width, dtype)
+
+
+class BlockLayout:
+    """Every block's context side, laid out once per run from ``position_table``'s
+    ``contexts`` and ``lengths`` by one sort, into int32 and ``dtype`` arrays no
+    longer than the context entries. Iterating yields, per block, ``(tokens,
+    cells, shares, single, one_rows, several)``: its distinct context tokens,
+    ascending; its share matrix's nonzero flat cells ``slot * width + column``
+    and their sums of ``1 / length``; which tokens are gathered alone, their
+    rows, and the other tokens' slots."""
+
+    def __init__(
+        self, compositions: CompositionTable, contexts: np.ndarray, lengths: np.ndarray, dtype
+    ):
+        count, width, size = len(lengths), BLOCK_POSITIONS, len(compositions.counts)
+        positions = np.repeat(np.arange(count), lengths)
+        keys = positions // width * size + contexts[np.arange(contexts.shape[1]) < lengths[:, None]]
+        keys = keys * width + positions % width  # (block, token, column): a share-matrix cell
+        del positions
+        keys.sort()  # a cell's entries share a position, so a weight: their order changes no sum
+        cell = np.diff(keys, prepend=-1) != 0
+        pairs, columns = np.divmod(keys, width)  # (block, token) of each entry
+        del keys
+        shares = np.bincount(np.cumsum(cell) - 1, 1.0 / lengths[pairs // size * width + columns])
+        pairs, columns = pairs[cell], columns[cell]
+        del cell
+        pair = np.diff(pairs, prepend=-1) != 0
+        blocks, tokens = np.divmod(pairs[pair], size)
+        single, cell_blocks = compositions.single[tokens], pairs // size
+        bounds = np.arange(-(-count // width) + 1)
+        ends = [  # of each block's pairs, cells, single pairs and other pairs
+            b.searchsorted(bounds) for b in (blocks, cell_blocks, blocks[single], blocks[~single])
+        ]
+        slots = np.cumsum(pair) - 1 - ends[0][cell_blocks]
+        cells = slots * np.minimum(width, count - cell_blocks * width) + columns  # a narrower last
+        several = np.flatnonzero(~single) - ends[0][blocks[~single]]
+        self.arrays = (
+            tokens.astype(np.int32), cells.astype(np.int32), shares.astype(dtype), single,
+            compositions.first_row[tokens[single]].astype(np.int32), several.astype(np.int32),
+        )
+        self.bounds = np.column_stack([ends[i] for i in (0, 1, 1, 0, 2, 3)]).tolist()
+
+    def __iter__(self):
+        for starts, ends in zip(self.bounds, self.bounds[1:]):
+            yield tuple(array[a:b] for array, a, b in zip(self.arrays, starts, ends))
+
+
+def target_table(centers: np.ndarray, negatives: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per block of positions, each position's center, then its negatives, and
+    which of them are kept: the center and every negative other than it."""
+    targets = np.column_stack((centers, negatives))
+    kept = (targets != targets[:, :1]) | (np.arange(targets.shape[1]) == 0)
+    return [
+        (targets[r : r + BLOCK_POSITIONS], kept[r : r + BLOCK_POSITIONS])
+        for r in range(0, len(targets), BLOCK_POSITIONS)
+    ]
 
 
 def ns_block(
-    inputs: np.ndarray,
-    w_out: np.ndarray,
-    compositions: CompositionTable,
-    centers: np.ndarray,
-    negatives: np.ndarray,
-    contexts: np.ndarray,
-    lengths: np.ndarray,
-    lr: float,
+    inputs: np.ndarray, w_out: np.ndarray, compositions: CompositionTable, context: tuple,
+    targets: np.ndarray, kept: np.ndarray, lr: float,
     into: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """One negative-sampling step over a block of positions; returns its summed loss.
 
-    Position ``b`` scores center ``centers[b]`` and the negatives
-    ``negatives[b]`` against the mean of its context tokens
-    ``contexts[b, :lengths[b]]``; a negative equal to its center is masked
-    out. The step subtracts ``lr`` times the gradient of the summed loss
-    from ``into``, a pair shaped like ``(inputs, w_out)`` that defaults to
-    them. Every read comes before the first write, so a step of -1 into
-    zero arrays yields the gradient. It computes in ``inputs.dtype`` (float32
-    in training, float64 in the gradient checks), that of an ``lr`` scalar too.
+    ``context`` is the block's item of a ``BlockLayout``, ``targets`` and
+    ``kept`` its item of a ``target_table``. The step subtracts ``lr`` times
+    the gradient of the summed loss from ``into``, a pair shaped like
+    ``(inputs, w_out)`` that defaults to them. Every read comes before the
+    first write, so a step of -1 into zero arrays yields the gradient. It
+    computes in ``inputs.dtype`` (float32 in training, float64 in the
+    gradient checks), that of an ``lr`` scalar too.
     """
     into_inputs, into_out = (inputs, w_out) if into is None else into
-    present = np.arange(contexts.shape[1]) < lengths[:, None]
-    tokens, share = _row_weights(
-        contexts[present], np.nonzero(present)[0], np.repeat(1.0 / lengths, lengths),
-        len(centers), compositions.slots, inputs.dtype,
-    )
-    single = compositions.single[tokens]
-    one_rows = compositions.first_row[tokens[single]]
-    several = np.flatnonzero(~single)
-    composed = np.empty((len(tokens), inputs.shape[1]), dtype=inputs.dtype)
+    tokens, cells, shares, single, one_rows, several = context
+    width, dtype = len(targets), inputs.dtype
+    share = _summed(cells, shares, len(tokens), width, dtype)
+    composed = np.empty((len(tokens), inputs.shape[1]), dtype=dtype)
     composed[single] = inputs[one_rows]
     if len(several):  # never for word2vec, whose tokens are all single
-        in_rows, mix = compositions.mixing(tokens[several], inputs.dtype)
+        in_rows, mix = compositions.mixing(tokens[several], dtype)
         composed[several] = mix.T @ inputs[in_rows]
     hidden = share.T @ composed
 
-    targets = np.column_stack((centers, negatives))
     u = w_out[targets]  # (B, 1 + k, d): the center row, then the negative rows
     scores = np.matmul(u, hidden[:, :, None])[:, :, 0]
-    kept = targets != targets[:, :1]
-    kept[:, 0] = True
     signed = scores.copy()
     signed[:, 0] *= -1.0
     loss = float(np.logaddexp(0.0, signed)[kept].sum())
@@ -197,8 +244,7 @@ def ns_block(
     del u
 
     out_rows, g_out = _row_weights(
-        targets.ravel(), np.repeat(np.arange(len(centers)), targets.shape[1]), coef.ravel(),
-        len(centers), compositions.slots, inputs.dtype,
+        targets, np.arange(width)[:, None], coef, width, compositions.slots, dtype
     )
     delta = g_out @ hidden
     del g_out
@@ -229,22 +275,21 @@ def train_negative_sampling(
     w_out = np.zeros((len(vocab), config.dimension), dtype=inputs.dtype)
     sampler = UnigramSampler(vocab)
     positions, steps, centers, contexts, lengths = position_table(*encoded, config.window)
-    total_steps = positions * config.epochs
-    k = config.negative_samples
+    layout = BlockLayout(compositions, contexts, lengths, inputs.dtype)
+    del contexts, lengths
+    total_steps, k = positions * config.epochs, config.negative_samples
+    steps = steps[::BLOCK_POSITIONS]  # the step of each block's first position
 
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
-        epoch_loss = 0.0
-        for start in range(0, len(steps), BLOCK_POSITIONS):
-            block = slice(start, start + BLOCK_POSITIONS)
-            step = epoch * positions + steps[start]
-            lr = inputs.dtype.type(linear_lr(config.initial_learning_rate, step, total_steps))
-            negatives = sampler.draw(rng, len(centers[block]) * k).reshape(-1, k)
-            epoch_loss += ns_block(
-                inputs, w_out, compositions, centers[block], negatives,
-                contexts[block], lengths[block], lr,
-            )
-        epoch_losses.append(epoch_loss / max(len(steps), 1))
+        rates = linear_lr(config.initial_learning_rate, epoch * positions + steps, total_steps)
+        blocks, epoch_loss = zip(layout, rates.astype(inputs.dtype)), 0.0
+        for start in range(0, len(centers), CHUNK_POSITIONS):
+            chunk = centers[start : start + CHUNK_POSITIONS]
+            negatives = sampler.draw(rng, len(chunk) * k).reshape(-1, k)
+            for (targets, kept), (context, lr) in zip(target_table(chunk, negatives), blocks):
+                epoch_loss += ns_block(inputs, w_out, compositions, context, targets, kept, lr)
+        epoch_losses.append(epoch_loss / max(len(centers), 1))
     return w_out, epoch_losses
 
 

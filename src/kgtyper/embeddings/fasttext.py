@@ -193,7 +193,10 @@ def train_fasttext(
     # non-finite row shows in the composed vectors; the output rows do not.
     if not np.all(np.isfinite(w_out)):
         raise NumericalError("output vectors contain non-finite values")
-    composed = np.array([weights @ table.inputs[rows] for rows, weights in compositions.parts])
+    rows, weights, starts = compositions.rows, compositions.weights, compositions.starts.tolist()
+    composed = np.array([
+        weights[a:b] @ table.inputs[rows[a:b]] for a, b in zip(starts, starts[1:] + [len(rows)])
+    ])
     model = FastTextEmbeddings(composed.astype(np.float64), vocab, epoch_losses, ngrams=table)
     model.check_finite()
     return model

@@ -195,7 +195,8 @@ def train_glove(
     for _ in range(config.epochs):
         order = rng.permutation(len(i))
         levels = entry_levels(i[order], j[order], size)
-        by_level = np.argsort(levels, kind="stable")
+        # A stable order is unique; numpy radix-sorts it for keys of 8 and 16 bits.
+        by_level = np.argsort(levels.astype(np.min_scalar_type(levels.max())), kind="stable")
         order = order[by_level]
         rows, cols, log_xs, fs = i[order], j[order], log_x[order], f[order]
         losses = np.empty(len(order))

@@ -10,6 +10,7 @@ values are refused at save time.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -22,10 +23,10 @@ ROWS_PER_CHUNK = 32
 
 
 class EmbeddingFormatError(DataError):
-    """Malformed vector file; carries the 1-based line number."""
+    """Malformed vector file; names the file and carries the 1-based line number."""
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, path, message: str, line_number: int):
+        super().__init__(f"{path}: line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -98,9 +99,10 @@ def _text_chunks(tokens: list[str], vectors: np.ndarray, values: np.ndarray):
         )
 
 
-def _parse_rows(out: np.ndarray, pending: list[tuple[int, list[str]]]) -> None:
+def _parse_rows(fail, out: np.ndarray, pending: list[tuple[int, list[str]]]) -> None:
     """Set ``out`` to the components of the ``(line number, components)`` rows
-    in ``pending``, each read as ``float()`` reads it, and empty ``pending``."""
+    in ``pending``, each read as ``float()`` reads it, and empty ``pending``;
+    raises ``fail(message, line number)`` at a non-numeric component."""
     try:  # numpy converts a str to float64 by float()
         out[:] = np.array([row for _, row in pending], dtype=np.float64).reshape(out.shape)
     except ValueError:
@@ -108,7 +110,7 @@ def _parse_rows(out: np.ndarray, pending: list[tuple[int, list[str]]]) -> None:
             try:
                 [float(x) for x in row]
             except ValueError:
-                raise EmbeddingFormatError("non-numeric component", line_number) from None
+                raise fail("non-numeric component", line_number) from None
         raise
     pending.clear()
 
@@ -143,19 +145,20 @@ def load_embeddings(path) -> EmbeddingMatrix:
     Frequencies are not stored in the format, so the reconstructed
     vocabulary keeps the file's token order with unit counts.
     """
+    fail = functools.partial(EmbeddingFormatError, path)
     with open(path, encoding="utf-8") as handle:
         header = handle.readline()
         parts = split_fields(header)
         if len(parts) != 2:
-            raise EmbeddingFormatError("header must be '<vocab_size> <dimension>'", 1)
+            raise fail("header must be '<vocab_size> <dimension>'", 1)
         try:
             vocab_size, dimension = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EmbeddingFormatError("non-integer header fields", 1) from None
+            raise fail("non-integer header fields", 1) from None
         if vocab_size < 0 or dimension < 1:
-            raise EmbeddingFormatError("header counts out of range", 1)
+            raise fail("header counts out of range", 1)
         if handle.seekable() and 2 * vocab_size * dimension > os.fstat(handle.fileno()).st_size:
-            raise EmbeddingFormatError("header declares more components than the file can hold", 1)
+            raise fail("header declares more components than the file can hold", 1)
         first_line: dict[str, int] = {}  # line of each token, in file order
         vectors = np.empty((vocab_size, dimension))
         row = 0
@@ -167,31 +170,26 @@ def load_embeddings(path) -> EmbeddingMatrix:
                 if not fields:
                     continue
                 if row >= vocab_size:
-                    raise EmbeddingFormatError(
-                        f"more rows than the declared {vocab_size}", line_number
-                    )
+                    raise fail(f"more rows than the declared {vocab_size}", line_number)
                 if len(fields) != dimension + 1:
-                    raise EmbeddingFormatError(
-                        f"expected {dimension} components, got {len(fields) - 1}",
-                        line_number,
+                    raise fail(
+                        f"expected {dimension} components, got {len(fields) - 1}", line_number
                     )
                 pending.append((line_number, fields[1:]))
                 row += 1
                 token = fields[0]
                 if token in first_line:
-                    raise EmbeddingFormatError(
-                        f"duplicate token {token!r}, first on line {first_line[token]}",
-                        line_number,
+                    raise fail(
+                        f"duplicate token {token!r}, first on line {first_line[token]}", line_number
                     )
                 first_line[token] = line_number
                 if len(pending) == ROWS_PER_CHUNK:
-                    _parse_rows(vectors[row - len(pending):row], pending)
+                    _parse_rows(fail, vectors[row - len(pending):row], pending)
         finally:  # also on an error, which a non-numeric component before it replaces
-            _parse_rows(vectors[row - len(pending):row], pending)
+            _parse_rows(fail, vectors[row - len(pending):row], pending)
         if row != vocab_size:
-            raise EmbeddingFormatError(
-                f"header declared {vocab_size} rows but file has {row}",
-                line_number if row else 1,
+            raise fail(
+                f"header declared {vocab_size} rows but file has {row}", line_number if row else 1
             )
     vocab = Vocabulary([(token, 1) for token in first_line], total_tokens=row)
     return EmbeddingMatrix(vectors, vocab)

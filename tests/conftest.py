@@ -16,7 +16,7 @@ from kgtyper.embeddings import EmbeddingMatrix, TrainingConfig
 from kgtyper.errors import DataError
 from kgtyper.evaluation import most_specific_class
 from kgtyper.embeddings.base import distinct_counts, init_input_vectors
-from kgtyper.embeddings.cbow import CompositionTable, ns_block
+from kgtyper.embeddings.cbow import BlockLayout, CompositionTable, ns_block, target_table
 from kgtyper.embeddings.io import EmbeddingFormatError
 from kgtyper.embeddings.glove import entry_block, glove_weight
 from kgtyper.graph import KnowledgeGraph, build_hierarchy
@@ -201,31 +201,35 @@ def reference_load_rows(path) -> tuple[list[str], np.ndarray]:
     with open(path, encoding="utf-8") as handle:
         vocab_size, dimension = (int(x) for x in handle.readline().split())
         if 2 * vocab_size * dimension > os.path.getsize(path):  # each component: " 0" at least
-            raise EmbeddingFormatError("header declares more components than the file can hold", 1)
+            raise EmbeddingFormatError(
+                path, "header declares more components than the file can hold", 1
+            )
         first_line, rows, line_number = {}, [], 1
         for line_number, line in enumerate(handle, start=2):
             fields = line.split()
             if not fields:
                 continue
             if len(rows) >= vocab_size:
-                raise EmbeddingFormatError(f"more rows than the declared {vocab_size}", line_number)
+                raise EmbeddingFormatError(
+                    path, f"more rows than the declared {vocab_size}", line_number
+                )
             if len(fields) != dimension + 1:
                 raise EmbeddingFormatError(
-                    f"expected {dimension} components, got {len(fields) - 1}", line_number
+                    path, f"expected {dimension} components, got {len(fields) - 1}", line_number
                 )
             try:
                 rows.append([float(x) for x in fields[1:]])
             except ValueError:
-                raise EmbeddingFormatError("non-numeric component", line_number) from None
+                raise EmbeddingFormatError(path, "non-numeric component", line_number) from None
             if fields[0] in first_line:
                 raise EmbeddingFormatError(
-                    f"duplicate token {fields[0]!r}, first on line {first_line[fields[0]]}",
+                    path, f"duplicate token {fields[0]!r}, first on line {first_line[fields[0]]}",
                     line_number,
                 )
             first_line[fields[0]] = line_number
     if len(rows) != vocab_size:
         raise EmbeddingFormatError(
-            f"header declared {vocab_size} rows but file has {len(rows)}",
+            path, f"header declared {vocab_size} rows but file has {len(rows)}",
             line_number if rows else 1,
         )
     return list(first_line), np.array(rows, dtype=np.float64).reshape(vocab_size, dimension)
@@ -271,6 +275,16 @@ def composition_table(parts) -> CompositionTable:
     rows, weights = zip(*parts)
     counts = np.array([len(r) for r in rows], dtype=np.intp)
     return CompositionTable(np.concatenate(rows), np.concatenate(weights), counts)
+
+
+def table_parts(compositions) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each token's ``(rows, weights)``: the slices of a ``CompositionTable``'s
+    flat arrays from ``starts[t]``, ``counts[t]`` long."""
+    ends = compositions.starts + compositions.counts
+    return [
+        (compositions.rows[a:b], compositions.weights[a:b])
+        for a, b in zip(compositions.starts.tolist(), ends.tolist())
+    ]
 
 
 def reference_subword_compositions(table, tokens) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -366,10 +380,10 @@ def assert_gradients_close(
     assert worst < tolerance, f"worst relative gradient error {worst:.3e}"
 
 
-def block_of(samples):
-    """The ``(centers, negatives, contexts, lengths)`` arrays ``ns_block`` takes,
-    from ``(center, context ids, negative ids)`` samples that all hold the
-    same number of negatives; contexts are left-packed and padded with 0."""
+def sample_arrays(samples):
+    """The ``(centers, negatives, contexts, lengths)`` of ``(center, context ids,
+    negative ids)`` samples that all hold the same number of negatives;
+    contexts are left-packed and padded with 0."""
     lengths = np.array([len(context) for _, context, _ in samples])
     contexts = np.zeros((len(samples), lengths.max()), dtype=np.intp)
     for row, (_, context, _) in enumerate(samples):
@@ -377,6 +391,16 @@ def block_of(samples):
     centers = np.array([center for center, _, _ in samples])
     negatives = np.array([negatives for _, _, negatives in samples])
     return centers, negatives, contexts, lengths
+
+
+def block_of(compositions, arrays, dtype=np.float64):
+    """What ``ns_block`` takes after ``compositions`` for the one block of
+    the ``sample_arrays``-shaped ``arrays``: its item of the trainer's own
+    ``BlockLayout``, with shares in ``dtype``, and its ``target_table``."""
+    centers, negatives, contexts, lengths = arrays
+    (context,) = BlockLayout(compositions, contexts, lengths, dtype)
+    ((targets, kept),) = target_table(centers, negatives)
+    return context, targets, kept
 
 
 def block_loss_and_grads(inputs, w_out, compositions, block):

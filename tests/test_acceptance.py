@@ -30,6 +30,7 @@ from conftest import (
     random_corpus,
     reference_buckets,
     reference_kept_rows,
+    sample_arrays,
 )
 
 from kgtyper import (
@@ -182,7 +183,7 @@ def _require_nonzero(name: str, analytic: list[np.ndarray]) -> int:
 
 def _check_ns_gradients(name: str, inputs, w_out, compositions, samples) -> tuple[float, int]:
     """The trainer's own block step under one input composition."""
-    block = block_of(samples)
+    block = block_of(compositions, sample_arrays(samples))
     _, *grads = block_loss_and_grads(inputs, w_out, compositions, block)
     size = _require_nonzero(name, grads)
     loss = lambda: block_loss_and_grads(inputs, w_out, compositions, block)[0]

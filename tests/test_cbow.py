@@ -15,10 +15,12 @@ from conftest import (
     per_token_ns_block,
     reference_ns_block,
     reference_ns_position_grads,
+    sample_arrays,
+    table_parts,
 )
 from hypothesis import example, given, strategies as st
 
-from kgtyper.corpus import build_vocabulary
+from kgtyper.corpus import Vocabulary, build_vocabulary
 from kgtyper.embeddings import (
     NGramTable,
     TokenNotFoundError,
@@ -27,9 +29,10 @@ from kgtyper.embeddings import (
     train_fasttext,
 )
 from kgtyper.embeddings import cbow
-from kgtyper.embeddings.base import UnigramSampler, linear_lr
+from kgtyper.embeddings.base import UnigramSampler, init_input_vectors, linear_lr
 from kgtyper.embeddings.cbow import (
-    encode_training_corpus, ns_block, position_table, train_negative_sampling, word_compositions,
+    BLOCK_POSITIONS, CHUNK_POSITIONS, BlockLayout, encode_training_corpus, ns_block,
+    position_table, train_negative_sampling, word_compositions,
 )
 from kgtyper.embeddings.fasttext import subword_compositions
 from kgtyper.errors import DataError
@@ -55,8 +58,9 @@ def center_step(w_in: np.ndarray, context) -> np.ndarray:
     rows: every score is 0, so it is ``0.5 * hidden``."""
     w_out = np.zeros((len(w_in), w_in.shape[1]))
     into = (np.zeros_like(w_in), np.zeros_like(w_out))
-    block = block_of([(0, np.array(context), np.array([1]))])
-    ns_block(w_in, w_out, word_compositions(len(w_in)), *block, 1.0, into=into)
+    compositions = word_compositions(len(w_in))
+    block = block_of(compositions, sample_arrays([(0, np.array(context), np.array([1]))]))
+    ns_block(w_in, w_out, compositions, *block, 1.0, into=into)
     return into[1][0] / 0.5
 
 
@@ -84,7 +88,9 @@ def test_gradient_check_hand_samples():
     rng = np.random.default_rng(7)
     w_in = rng.normal(0.0, 0.5, size=(5, 5))
     w_out = rng.normal(0.0, 0.5, size=(5, 5))
-    check_block_gradients(w_in, w_out, word_compositions(5), block_of(frozen_samples()))
+    compositions = word_compositions(5)
+    block = block_of(compositions, sample_arrays(frozen_samples()))
+    check_block_gradients(w_in, w_out, compositions, block)
 
 
 def test_gradient_check_from_ten_sentence_corpus():
@@ -94,8 +100,9 @@ def test_gradient_check_from_ten_sentence_corpus():
     assert len(vocab) == 5  # 5x5 input + 5x5 output = 50 parameters
     _, _, centers, contexts, lengths = position_table(*encode_training_corpus(corpus, vocab), 2)
     negatives = UnigramSampler(vocab).draw(np.random.default_rng(23), len(centers) * 3)
-    block = (centers, negatives.reshape(-1, 3), contexts, lengths)
-    assert np.any(block[1] == centers[:, None])  # a masked negative
+    negatives = negatives.reshape(-1, 3)
+    assert np.any(negatives == centers[:, None])  # a masked negative
+    block = block_of(word_compositions(5), (centers, negatives, contexts, lengths))
 
     init = np.random.default_rng(5)
     w_in = init.normal(0.0, 0.3, size=(5, 5))
@@ -181,27 +188,27 @@ def test_served_vector_includes_output_row(corpus200, monkeypatch):
 
 @pytest.mark.parametrize("trainer", [train_cbow, train_fasttext], ids=["cbow", "fasttext"])
 def test_trainer_state_is_float32_but_matrices_are_float64(corpus200, monkeypatch, trainer):
-    """Every block sees float32 rows, rate and composition weights, and sums its
-    share and gradient matrices into float32; the exported vectors are float64."""
+    """Every block sees float32 rows, rate, laid-out shares and composition
+    weights, and sums its share, coefficient and mixing matrices into float32;
+    the exported vectors are float64."""
     seen = set()
-    block_step, row_weights = cbow.ns_block, cbow._row_weights
+    block_step, summed = cbow.ns_block, cbow._summed
 
-    def recording_block(inputs, w_out, compositions, *block):
-        *_, lr = block
-        parts = zip(compositions.parts, compositions.single)
-        weights = {w.dtype for (_, w), single in parts if not single}  # those a block reads
-        seen.update({inputs.dtype, w_out.dtype, np.asarray(lr).dtype, *weights})
-        loss = block_step(inputs, w_out, compositions, *block)
+    def recording_block(inputs, w_out, compositions, context, targets, kept, lr):
+        seen.update({inputs.dtype, w_out.dtype, np.asarray(lr).dtype, context[2].dtype})
+        if not compositions.single.all():  # the weights a block reads
+            seen.add(compositions.weights.dtype)
+        loss = block_step(inputs, w_out, compositions, context, targets, kept, lr)
         seen.update({inputs.dtype, w_out.dtype})
         return loss
 
-    def recording_row_weights(*args):
-        distinct, sums = row_weights(*args)
+    def recording_summed(*args):
+        sums = summed(*args)
         seen.add(sums.dtype)
-        return distinct, sums
+        return sums
 
     monkeypatch.setattr(cbow, "ns_block", recording_block)
-    monkeypatch.setattr(cbow, "_row_weights", recording_row_weights)
+    monkeypatch.setattr(cbow, "_summed", recording_summed)
     vocab = build_vocabulary(corpus200)
     config = TrainingConfig(dimension=6, epochs=2, seed=1, n_min=2, n_max=3, bucket_count=53)
     matrix = trainer(corpus200, vocab, config)
@@ -341,6 +348,125 @@ def test_learning_rate_array_equals_scalar_formula(initial, total):
     assert all(linear_lr(initial, step, total) == rates[step] for step in (0, total // 2, total))
 
 
+class FixedDoubles:
+    """A generator whose ``random`` hands out the given doubles."""
+
+    def __init__(self, doubles: np.ndarray):
+        self.doubles = doubles
+
+    def random(self, count: int) -> np.ndarray:
+        assert count == len(self.doubles)
+        return self.doubles.copy()
+
+
+@given(
+    counts=st.lists(st.integers(1, 10**9), min_size=1, max_size=300)
+    | st.integers(1, 2000).map(lambda rare: [10**9] + [1] * rare),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_negative_draws_equal_a_binary_search_of_the_cumulative_weights(counts, seed):
+    """Each draw is the first token whose cumulative unigram^(3/4) weight
+    exceeds its double, as ``np.searchsorted`` finds it: for random doubles,
+    for every cumulative weight and the double below it, and for 0 and the
+    largest double below 1, also where one token outweighs thousands."""
+    vocab = Vocabulary([(f"t{i}", c) for i, c in enumerate(counts)], total_tokens=sum(counts))
+    weights = np.array(counts, dtype=np.float64) ** 0.75
+    cumulative = np.cumsum(weights / weights.sum())
+    cumulative[-1] = 1.0
+    doubles = np.concatenate((
+        np.random.default_rng(seed).random(500), cumulative[:-1],
+        np.nextafter(cumulative, 0.0), [0.0, np.nextafter(1.0, 0.0)],
+    ))
+    drawn = UnigramSampler(vocab).draw(FixedDoubles(doubles), len(doubles))
+    assert drawn.tolist() == np.searchsorted(cumulative, doubles, side="right").tolist()
+
+
+def layout_case(kind: str, seed: int):
+    """``(corpus, vocab, inputs, compositions)``: 400 sentences of 1 to 6 of 10
+    tokens, plus one with two tokens seen once, which ``min_count`` 2 leaves
+    out of the vocabulary; float32 word rows, or word and n-gram rows whose
+    compositions hold several rows."""
+    rng = np.random.default_rng(seed)
+    names = [f"http://e.org/t{i}" for i in range(10)]
+    corpus = [
+        tuple(names[j] for j in rng.integers(0, 10, size=rng.integers(1, 7))) for _ in range(400)
+    ] + [("rare-a", names[0], "rare-b")]
+    vocab = build_vocabulary(corpus, min_count=2)
+    assert "rare-a" not in vocab and len(vocab) == 10
+    words = init_input_vectors(rng, len(vocab), 4)
+    if kind == "word":
+        return corpus, vocab, words, word_compositions(len(vocab))
+    config = TrainingConfig(dimension=4, n_min=2, n_max=3, bucket_count=29)
+    table = NGramTable(config, vocab.id_to_token, rng, words=words)
+    return corpus, vocab, table.inputs, subword_compositions(table)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["word", "subword"])
+def test_block_layout_equals_each_blocks_row_weights(kind, window):
+    """Every block's laid-out tokens, float32 share matrix and single/first-row
+    split equal, by ==, what ``_row_weights`` and the composition table give on
+    that block's own contexts, partial last block included."""
+    corpus, vocab, _, compositions = layout_case(kind, window)
+    _, _, _, contexts, lengths = position_table(*encode_training_corpus(corpus, vocab), window)
+    assert len(lengths) % BLOCK_POSITIONS and lengths.max() == min(2 * window, 5)
+    layout = list(BlockLayout(compositions, contexts, lengths, np.float32))
+    assert len(layout) == -(-len(lengths) // BLOCK_POSITIONS)
+    for b, (tokens, cells, shares, single, one_rows, several) in enumerate(layout):
+        rows = slice(b * BLOCK_POSITIONS, (b + 1) * BLOCK_POSITIONS)
+        block_contexts, block_lengths = contexts[rows], lengths[rows]
+        present = np.arange(contexts.shape[1]) < block_lengths[:, None]
+        expected, share = cbow._row_weights(
+            block_contexts[present], np.nonzero(present)[0],
+            np.repeat(1.0 / block_lengths, block_lengths), len(block_lengths),
+            compositions.slots, np.float32,
+        )
+        alone = compositions.single[expected]
+        assert tokens.tolist() == expected.tolist()
+        width = len(block_lengths)
+        assert np.array_equal(cbow._summed(cells, shares, len(tokens), width, np.float32), share)
+        assert single.tolist() == alone.tolist()
+        assert one_rows.tolist() == compositions.first_row[expected[alone]].tolist()
+        assert several.tolist() == np.flatnonzero(~alone).tolist()
+        assert {a.dtype for a in (tokens, cells, one_rows, several)} == {np.dtype(np.int32)}
+        assert shares.dtype == np.float32
+    assert sum(len(block[1]) for block in layout) < lengths.sum()  # repeats share a cell
+    assert any(len(block[5]) for block in layout) == (kind == "subword")
+
+
+@pytest.mark.parametrize("kind", ["word", "subword"])
+def test_trainer_equals_a_loop_that_draws_each_blocks_negatives(kind):
+    """Negatives drawn a chunk of blocks at a time, rates computed an epoch at a
+    time and the laid-out blocks leave the trainer's rows and losses exactly as
+    a loop leaves them that, per block, draws its negatives, computes its rate
+    and steps by the cell-by-cell reference on its own contexts."""
+    corpus, vocab, inputs, compositions = layout_case(kind, 4)
+    config = TrainingConfig(dimension=4, epochs=2, initial_learning_rate=0.2)
+    encoded = encode_training_corpus(corpus, vocab)
+    positions, steps, centers, contexts, lengths = position_table(*encoded, config.window)
+    assert len(centers) > CHUNK_POSITIONS and len(centers) % CHUNK_POSITIONS  # a partial chunk
+    ref_inputs, ref_out = inputs.copy(), np.zeros((len(vocab), 4), dtype=np.float32)
+    w_out, losses = train_negative_sampling(
+        encoded, vocab, config, np.random.default_rng(9), inputs, compositions
+    )
+
+    rng, sampler, k = np.random.default_rng(9), UnigramSampler(vocab), config.negative_samples
+    parts = table_parts(compositions)
+    ref_losses = []
+    for epoch in range(config.epochs):
+        total = 0.0
+        for start in range(0, len(centers), BLOCK_POSITIONS):
+            rows = slice(start, start + BLOCK_POSITIONS)
+            step, total_steps = epoch * positions + steps[start], positions * config.epochs
+            lr = np.float32(linear_lr(config.initial_learning_rate, step, total_steps))
+            negatives = sampler.draw(rng, len(centers[rows]) * k).reshape(-1, k)
+            arrays = (centers[rows], negatives, contexts[rows], lengths[rows])
+            total += reference_ns_block(ref_inputs, ref_out, parts, *arrays, lr)
+        ref_losses.append(total / len(centers))
+    assert np.array_equal(inputs, ref_inputs) and np.array_equal(w_out, ref_out)
+    assert losses == ref_losses
+
+
 BLOCK_TOKENS = ["aaaa", "abab", "xyz", "b", "cd"]
 
 # One block over BLOCK_TOKENS with three negatives per position: position 0
@@ -400,7 +526,8 @@ def test_block_step_equals_sum_over_positions(kind):
     w_out = rng.normal(0.0, 0.5, size=(size, dim))
     samples = [(c, np.array(ctx), np.array(neg)) for c, ctx, neg in BLOCK_SAMPLES]
 
-    loss, g_inputs, g_out = block_loss_and_grads(inputs, w_out, compositions, block_of(samples))
+    block = block_of(compositions, sample_arrays(samples))
+    loss, g_inputs, g_out = block_loss_and_grads(inputs, w_out, compositions, block)
     ref_loss, ref_inputs, ref_out = reference_block(inputs, w_out, token_rows, samples)
     assert loss == pytest.approx(ref_loss, rel=1e-12)
     assert np.allclose(g_inputs, ref_inputs, rtol=1e-10, atol=1e-15)
@@ -412,10 +539,11 @@ def test_block_step_applies_rate_times_gradient():
     rng = np.random.default_rng(8)
     inputs, w_out = rng.normal(0.0, 0.5, size=(2, 5, 3))
     samples = [(c, np.array(ctx), np.array(neg)) for c, ctx, neg in BLOCK_SAMPLES]
-    block = block_of(samples)
-    _, g_inputs, g_out = block_loss_and_grads(inputs, w_out, word_compositions(5), block)
+    compositions = word_compositions(5)
+    block = block_of(compositions, sample_arrays(samples))
+    _, g_inputs, g_out = block_loss_and_grads(inputs, w_out, compositions, block)
     stepped_in, stepped_out = inputs.copy(), w_out.copy()
-    ns_block(stepped_in, stepped_out, word_compositions(5), *block, 0.3)
+    ns_block(stepped_in, stepped_out, compositions, *block, 0.3)
     assert np.allclose(stepped_in, inputs - 0.3 * g_inputs, rtol=0, atol=1e-15)
     assert np.allclose(stepped_out, w_out - 0.3 * g_out, rtol=0, atol=1e-15)
 
@@ -466,7 +594,7 @@ def test_word_compositions_are_one_owned_row_each(count):
     compositions = word_compositions(count)
     assert compositions.single.tolist() == [True] * count
     assert np.array_equal(compositions.first_row, np.arange(count))
-    for t, (rows, weights) in enumerate(compositions.parts):
+    for t, (rows, weights) in enumerate(table_parts(compositions)):
         assert rows.tolist() == [t] and weights.tolist() == [1.0]
 
 
@@ -495,18 +623,19 @@ def test_block_steps_equal_per_token_reference_exactly(kind):
     ref_inputs, ref_out = inputs.copy(), w_out.copy()
     loop_inputs, loop_out = inputs.copy(), w_out.copy()
     for lr in (0.4, 0.3, 0.2, 0.1):
-        block = (
+        arrays = (
             rng.integers(0, size, size=16),
             rng.integers(0, size, size=(16, 3)),
             rng.integers(0, size, size=(16, 4)),
             rng.integers(1, 5, size=16),
         )
+        block = block_of(compositions, arrays, np.float32)
         loss = ns_block(inputs, w_out, compositions, *block, np.float32(lr))
-        assert loss == reference_ns_block(ref_inputs, ref_out, parts, *block, np.float32(lr))
+        assert loss == reference_ns_block(ref_inputs, ref_out, parts, *arrays, np.float32(lr))
         assert inputs.dtype == ref_inputs.dtype == w_out.dtype == ref_out.dtype == np.float32
         assert np.array_equal(inputs, ref_inputs)
         assert np.array_equal(w_out, ref_out)
-        loop_loss = per_token_ns_block(loop_inputs, loop_out, parts, *block, np.float32(lr))
+        loop_loss = per_token_ns_block(loop_inputs, loop_out, parts, *arrays, np.float32(lr))
         assert loss == pytest.approx(loop_loss, rel=PER_TOKEN_ULPS * np.finfo(np.float32).eps)
     assert_within_float32_rounding(inputs, loop_inputs)
     assert_within_float32_rounding(w_out, loop_out)
@@ -516,7 +645,7 @@ def test_block_steps_equal_per_token_reference_exactly(kind):
 
 @st.composite
 def mixed_blocks(draw):
-    """``(parts, block)``: compositions over a few shared rows, where token 0
+    """``(parts, arrays)``: compositions over a few shared rows, where token 0
     owns a row of weight 1 (gathered alone) and token 1 holds two shared
     rows, plus drawn tokens of either kind; position 0's context holds both
     0 and 1, and contexts may repeat tokens within and across positions."""
@@ -538,7 +667,7 @@ def mixed_blocks(draw):
     for _ in range(draw(st.integers(0, 7))):
         context = draw(st.lists(token, min_size=1, max_size=4))
         samples.append((draw(token), context, draw(st.lists(token, min_size=2, max_size=2))))
-    return parts, block_of(samples)
+    return parts, sample_arrays(samples)
 
 
 @given(mixed_blocks(), st.integers(0, 2**32 - 1))
@@ -546,7 +675,9 @@ def test_block_step_equals_mixing_reference_on_mixed_compositions(case, seed):
     """On random compositions with shared rows, repeated tokens and one-row
     and several-row tokens in one block, the block step equals the
     cell-by-cell reference exactly and the per-token loop to float32 rounding."""
-    parts, block = case
+    parts, arrays = case
+    compositions = composition_table(parts)
+    block = block_of(compositions, arrays, np.float32)
     rng = np.random.default_rng(seed)
     height = max(int(rows.max()) for rows, _ in parts) + 1
     inputs = rng.normal(0.0, 0.5, size=(height, 4)).astype(np.float32)
@@ -554,10 +685,10 @@ def test_block_step_equals_mixing_reference_on_mixed_compositions(case, seed):
     exact_in, exact_out = inputs.copy(), w_out.copy()
     loop_in, loop_out = inputs.copy(), w_out.copy()
     lr = np.float32(0.3)
-    loss = ns_block(inputs, w_out, composition_table(parts), *block, lr)
-    assert loss == reference_ns_block(exact_in, exact_out, parts, *block, lr)
+    loss = ns_block(inputs, w_out, compositions, *block, lr)
+    assert loss == reference_ns_block(exact_in, exact_out, parts, *arrays, lr)
     assert np.array_equal(inputs, exact_in) and np.array_equal(w_out, exact_out)
-    loop_loss = per_token_ns_block(loop_in, loop_out, parts, *block, lr)
+    loop_loss = per_token_ns_block(loop_in, loop_out, parts, *arrays, lr)
     assert loss == pytest.approx(loop_loss, rel=PER_TOKEN_ULPS * np.finfo(np.float32).eps)
     assert_within_float32_rounding(inputs, loop_in)
     assert_within_float32_rounding(w_out, loop_out)
@@ -581,12 +712,11 @@ def test_block_step_mixing_matrix_scales_with_the_block_not_the_table():
     positions, k = 64, 5
     contexts = rng.permutation(np.arange(positions * 4) % 60).reshape(positions, 4)
     targets = rng.integers(0, words, size=(positions, 1 + k))
+    arrays = (targets[:, 0], targets[:, 1:], contexts, np.full(positions, 4))
+    block = block_of(compositions, arrays, np.float32)
     tracemalloc.start()
     try:
-        ns_block(
-            inputs, w_out, compositions, targets[:, 0], targets[:, 1:], contexts,
-            np.full(positions, 4), np.float32(0.1),
-        )
+        ns_block(inputs, w_out, compositions, *block, np.float32(0.1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -606,9 +736,10 @@ def test_block_step_keeps_at_most_three_output_gathers_alive():
     contexts = rng.integers(0, 20, size=(positions, 4))
     lengths = np.full(positions, 4)
     compositions = word_compositions(size)
+    block = block_of(compositions, (targets[:, 0], targets[:, 1:], contexts, lengths))
     tracemalloc.start()
     try:
-        ns_block(inputs, w_out, compositions, targets[:, 0], targets[:, 1:], contexts, lengths, 0.1)
+        ns_block(inputs, w_out, compositions, *block, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -12,7 +12,7 @@ from conftest import LAWFIRM_NT, LAWFIRM, COMPANY
 
 from kgtyper import cli
 from kgtyper.cli import build_parser, main
-from kgtyper.cnn import CnnConfig
+from kgtyper.cnn import CnnConfig, parameter_shapes
 from kgtyper.embeddings import TrainingConfig, load_embeddings
 from kgtyper.graph import KnowledgeGraph
 from kgtyper.pipeline import PipelineConfig
@@ -393,6 +393,37 @@ def test_predict_rejects_malformed_model_header(capsys, workspace, tmp_path, cor
     assert str(path) in err
     assert out == ""
 
+
+
+def test_predict_refuses_model_arrays_longer_than_the_file(capsys, workspace, tmp_path):
+    """A consistent header with 10^12 hidden units declares arrays of terabytes:
+    the load reads none of them and exits 2 with one line that names the
+    file, where reading the array would raise ``MemoryError``."""
+    magic, header, blobs = workspace["model"].read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    header["config"]["hidden_units"] = 10**12
+    config = CnnConfig(**header["config"])
+    shapes = parameter_shapes(config, header["input_dim"], len(header["classes"]))
+    header["arrays"] = [{"name": name, "shape": list(shape)} for name, shape in shapes]
+    path = tmp_path / "huge_model.bin"
+    path.write_bytes(b"\n".join([magic, json.dumps(header).encode("utf-8"), blobs]))
+    code, out, err = run(
+        capsys, "predict", "--method", "cnn", "--entity", first_test_entity(workspace),
+        "--vectors", str(workspace["vectors"]), "--model", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"kgtyper: error: {path}: truncated model file at hidden_w"]
+
+
+def test_predict_names_the_malformed_vector_file(capsys, workspace, tmp_path):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("1 2\na 1 oops\n")
+    code, out, err = run(
+        capsys, "predict", "--method", "cnn", "--entity", first_test_entity(workspace),
+        "--vectors", str(vectors), "--model", str(workspace["model"]),
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"kgtyper: error: {vectors}: line 2: non-numeric component"]
 
 def test_predict_cnn_vectors_of_another_dimension_is_data_error(capsys, workspace, tmp_path):
     vectors = tmp_path / "vectors8.txt"

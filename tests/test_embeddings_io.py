@@ -206,7 +206,7 @@ def test_malformed_files_name_the_line(tmp_path, content, bad_line):
     with pytest.raises(EmbeddingFormatError) as excinfo:
         load_embeddings(path)
     assert excinfo.value.line_number == bad_line
-    assert f"line {bad_line}:" in str(excinfo.value)
+    assert str(excinfo.value).startswith(f"{path}: line {bad_line}: ")
 
 
 # Spellings that float() reads (some of them unusual) and some it refuses.
@@ -259,7 +259,7 @@ def test_repeated_token_names_its_line_and_first_line(tmp_path):
     with pytest.raises(EmbeddingFormatError) as excinfo:
         load_embeddings(path)
     assert excinfo.value.line_number == 5
-    assert str(excinfo.value) == "line 5: duplicate token 'a', first on line 2"
+    assert str(excinfo.value) == f"{path}: line 5: duplicate token 'a', first on line 2"
 
 
 def test_vector_file_read_through_a_pipe_loads(tmp_path):

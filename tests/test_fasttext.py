@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from conftest import (
     block_of, check_block_gradients, composition_table, reference_buckets, reference_fnv1a_32,
-    reference_kept_rows, reference_ngrams, reference_subword_compositions,
+    reference_kept_rows, reference_ngrams, reference_subword_compositions, sample_arrays,
+    table_parts,
 )
 from hypothesis import example, given, strategies as st
 
@@ -155,7 +156,7 @@ def test_batched_export_sums_each_occurrence_in_order():
     table = NGramTable(config, tokens, rng, words=np.zeros((len(tokens), 5)))
     table.inputs[:] = rng.normal(size=table.inputs.shape)
     exported = np.array(
-        [weights @ table.inputs[rows] for rows, weights in subword_compositions(table).parts]
+        [weights @ table.inputs[rows] for rows, weights in table_parts(subword_compositions(table))]
     )
     model = FastTextEmbeddings(exported, vocab, ngrams=table)
     for t, token in enumerate(tokens):
@@ -236,8 +237,10 @@ def test_gradient_check_word_buckets_and_output():
     inputs = rng.normal(0.0, 0.4, size=table.inputs.shape)
     w_out = rng.normal(0.0, 0.4, size=(2, 2))
     # Position 1 draws its own center as a negative, which is masked out.
-    block = block_of([(0, np.array([1]), np.array([1, 1])), (1, np.array([0, 0]), np.array([1, 0]))])
-    check_block_gradients(inputs, w_out, subword_compositions(table), block)
+    compositions = subword_compositions(table)
+    samples = [(0, np.array([1]), np.array([1, 1])), (1, np.array([0, 0]), np.array([1, 0]))]
+    block = block_of(compositions, sample_arrays(samples))
+    check_block_gradients(inputs, w_out, compositions, block)
 
 
 COMPOSITION_TOKENS = ["aaaa", "aaaaa", "http://x/", "a", "ab", "日本語", "http://e.org/ü€𝄞"]
@@ -264,8 +267,8 @@ def test_array_compositions_equal_per_token_reference(tokens, n_min, extra, buck
     table = NGramTable(config, tokens, np.random.default_rng(0), words=np.zeros((len(tokens), 2)))
     compositions = subword_compositions(table)
     parts = reference_subword_compositions(table, tokens)
-    assert len(compositions.parts) == len(parts)
-    for (rows, weights), (ref_rows, ref_weights) in zip(compositions.parts, parts):
+    assert len(table_parts(compositions)) == len(parts)
+    for (rows, weights), (ref_rows, ref_weights) in zip(table_parts(compositions), parts):
         assert rows.tolist() == ref_rows.tolist() and weights.tolist() == ref_weights.tolist()
     uses = Counter(row for rows, _ in parts for row in rows.tolist())
     single = [len(rows) == 1 and w[0] == 1.0 and uses[rows[0]] == 1 for rows, w in parts]
